@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/tebaldi"
 )
 
@@ -81,11 +82,7 @@ func RunOp(db *tebaldi.DB, op Op, stop <-chan struct{}, rng *rand.Rand) {
 		if err == nil || !tebaldi.IsRetryable(err) {
 			return
 		}
-		max := 200 * (attempt + 1)
-		if max > 5000 {
-			max = 5000
-		}
-		time.Sleep(time.Duration(rng.Intn(max)+50) * time.Microsecond)
+		time.Sleep(core.RetryBackoff(attempt, rng.Intn))
 	}
 }
 

@@ -146,7 +146,7 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 
 	// Pipeline ordering: every in-subtree dependency must have finished
 	// executing this step (advanced past it or terminated).
-	deadline := time.Now().Add(r.env.LockTimeout)
+	var deadline time.Time
 	for {
 		blocked := r.firstBlockingDep(t, target)
 		if blocked == nil {
@@ -161,22 +161,9 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 		if blocked.Finished() || ds.step() > target {
 			continue
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return core.ErrTimeout
+		if err := r.env.Wait(t, blocked, &deadline, ch, blocked.Done()); err != nil {
+			return err
 		}
-		start := time.Now()
-		timer := time.NewTimer(remain)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-blocked.Done():
-			timer.Stop()
-		case <-timer.C:
-			r.env.Report(t, blocked, start, time.Now())
-			return core.ErrTimeout
-		}
-		r.env.Report(t, blocked, start, time.Now())
 	}
 }
 

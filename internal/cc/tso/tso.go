@@ -278,7 +278,7 @@ func (o *TSO) Validate(t *core.Txn) error {
 	if s.batch == nil {
 		return nil
 	}
-	deadline := time.Now().Add(o.env.LockTimeout)
+	var deadline time.Time
 	for {
 		var waitOn *batch
 		o.mu.Lock()
@@ -299,16 +299,9 @@ func (o *TSO) Validate(t *core.Txn) error {
 		if waitOn == nil {
 			return nil
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return core.ErrTimeout
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-waitOn.drained:
-			timer.Stop()
-		case <-timer.C:
-			return core.ErrTimeout
+		// A batch is not a transaction: no blocker, no block event.
+		if err := o.env.Wait(t, nil, &deadline, waitOn.drained, nil); err != nil {
+			return err
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestWaitDepsCascade(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		b.MarkAborted()
 	}()
-	if err := a.WaitDeps(time.Second); !errors.Is(err, ErrCascade) {
+	if err := (&Env{LockTimeout: time.Second}).WaitDeps(a); !errors.Is(err, ErrCascade) {
 		t.Fatalf("want cascade, got %v", err)
 	}
 }
@@ -102,7 +102,7 @@ func TestWaitDepsTimeout(t *testing.T) {
 	a := NewTxn(1, "a", 0, 1)
 	b := NewTxn(2, "b", 0, 2)
 	a.AddDep(b, false)
-	if err := a.WaitDeps(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if err := (&Env{LockTimeout: 20 * time.Millisecond}).WaitDeps(a); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want timeout, got %v", err)
 	}
 }
@@ -112,7 +112,7 @@ func TestWaitDepsOrderDepAbortIgnored(t *testing.T) {
 	b := NewTxn(2, "b", 0, 2)
 	a.AddDep(b, false)
 	b.MarkAborted()
-	if err := a.WaitDeps(time.Second); err != nil {
+	if err := (&Env{LockTimeout: time.Second}).WaitDeps(a); err != nil {
 		t.Fatalf("order dep abort should be ignored: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 )
 
 // ErrAborted is the root of every transaction-abort error. All abort reasons
@@ -41,6 +42,20 @@ var (
 // layer should retry.
 func IsRetryable(err error) bool {
 	return errors.Is(err, ErrAborted) && !errors.Is(err, ErrUserAbort)
+}
+
+// RetryBackoff is the one retry policy: how long a client sleeps after its
+// attempt-th consecutive retryable abort (counted from 0) before running the
+// transaction again — uniform in 50 µs … 50 µs + 200 µs × (attempt+1), the
+// growing term capped at 5 ms (the paper's 5 ms SSI backoff, scaled by
+// contention). intn is the caller's rand.Intn, so seeded drivers stay
+// reproducible.
+func RetryBackoff(attempt int, intn func(n int) int) time.Duration {
+	max := 200 * (attempt + 1)
+	if max > 5000 {
+		max = 5000
+	}
+	return time.Duration(intn(max)+50) * time.Microsecond
 }
 
 // WaitFor is returned from CC.AmendRead when the chosen version is a promise

@@ -328,46 +328,6 @@ func (t *Txn) Deps() []Dep {
 	return out
 }
 
-// WaitDeps blocks until every recorded dependency has finished, enforcing
-// consistent ordering at commit time (the generalization of Callas' nexus
-// lock release order, §4.2). It returns ErrCascade if a read-from dependency
-// aborted, and ErrTimeout if the deadline expires. Dependencies recorded
-// while waiting (by concurrent operations of this transaction) are picked up
-// by re-snapshotting until a fixed point.
-func (t *Txn) WaitDeps(timeout time.Duration) error {
-	if !t.HasDeps() {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	seen := make(map[uint64]bool)
-	for {
-		deps := t.Deps()
-		progress := false
-		for _, d := range deps {
-			if seen[d.T.ID] {
-				continue
-			}
-			progress = true
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				return ErrTimeout
-			}
-			select {
-			case <-d.T.Done():
-			case <-time.After(remain):
-				return ErrTimeout
-			}
-			if d.T.State() == Aborted && d.Read {
-				return ErrCascade
-			}
-			seen[d.T.ID] = true
-		}
-		if !progress {
-			return nil
-		}
-	}
-}
-
 // AddWrite records an installed (still uncommitted) version. The version
 // carries the writer pointer, so the transaction becomes shared.
 func (t *Txn) AddWrite(c *Chain, v *Version) {

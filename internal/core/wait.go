@@ -1,0 +1,84 @@
+package core
+
+import "time"
+
+// Wait is the one blocking wait of the transaction path: lock waits
+// (§4.4.1), RP step waits, TSO batch and promise waits (§4.4.4) and the
+// commit-time dependency wait (§4.2) all block here, so they share one
+// timeout bound and one route to the profiler (§5.3).
+//
+// It blocks waiter until ready or alt fires (a nil alt never does) and
+// returns nil, or until *deadline passes and returns ErrTimeout. A zero
+// *deadline is set to now+LockTimeout on the first call that actually
+// blocks, so successive waits of one operation share one bound and an
+// operation that never waits never reads the clock. When blocker is non-nil
+// the interval is reported as one BlockEvent; callers that coalesce several
+// wake-ups into one event (lockmgr) pass nil and report for themselves.
+//
+// Callers must hold no mutex across the call.
+func (e *Env) Wait(waiter, blocker *Txn, deadline *time.Time, ready, alt <-chan struct{}) error {
+	select {
+	case <-ready:
+		return nil
+	default:
+	}
+	start := time.Now()
+	if deadline.IsZero() {
+		*deadline = start.Add(e.LockTimeout)
+	}
+	remain := deadline.Sub(start)
+	if remain <= 0 {
+		return ErrTimeout
+	}
+	var err error
+	timer := time.NewTimer(remain)
+	select {
+	case <-ready:
+	case <-alt:
+	case <-timer.C:
+		err = ErrTimeout
+	}
+	timer.Stop()
+	if blocker != nil {
+		e.Report(waiter, blocker, start, time.Now())
+	}
+	return err
+}
+
+// WaitDeps blocks until every dependency recorded on t has finished,
+// enforcing consistent ordering at commit time (the generalization of Callas'
+// nexus lock release order, §4.2). It returns ErrCascade if a read-from
+// dependency aborted and ErrTimeout if the waits together exceed LockTimeout;
+// each wait is reported to the profiler as a blocking event on the
+// dependency. Dependencies recorded while waiting are picked up by
+// re-snapshotting until a fixed point. Transactions with no recorded
+// dependencies (every read hit committed history) skip the loop and its
+// allocations entirely.
+func (e *Env) WaitDeps(t *Txn) error {
+	if !t.HasDeps() {
+		return nil
+	}
+	var deadline time.Time
+	seen := make(map[uint64]bool)
+	for {
+		progress := false
+		for _, d := range t.Deps() {
+			if seen[d.T.ID] {
+				continue
+			}
+			seen[d.T.ID] = true
+			progress = true
+			if !d.T.Finished() {
+				if err := e.Wait(t, d.T, &deadline, d.T.Done(), nil); err != nil {
+					return err
+				}
+			}
+			if d.Read && d.T.State() == Aborted {
+				return ErrCascade
+			}
+		}
+		if !progress {
+			return nil
+		}
+	}
+}

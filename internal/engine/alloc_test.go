@@ -37,8 +37,8 @@ func checkBudget(t *testing.T, what string, budget float64, f func()) {
 
 // TestAllocBudgetRepeatRead: re-reading a committed key inside an open
 // transaction under a single-leaf 2PL tree is allocation-free — the lock is
-// already held, the chain is memoized by the shard index, and the depth-1
-// fast path proposes the version without building per-phase state.
+// already held, the chain is memoized by the shard index, and the bottom-up
+// pass proposes the version without building per-phase state.
 func TestAllocBudgetRepeatRead(t *testing.T) {
 	specs := []*core.Spec{{Name: "op", Tables: []string{"t"}, WriteTables: []string{"t"}}}
 	e := newAllocEngine(t, specs, G(Kind2PL, []string{"op"}))

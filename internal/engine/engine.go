@@ -266,8 +266,7 @@ func (e *Engine) Begin(typ string, part uint64) (*Tx, error) {
 }
 
 // RunTxn executes fn in a transaction of the given type, retrying on
-// system-initiated aborts with randomized backoff (the paper's 5ms SSI
-// backoff is scaled by contention).
+// system-initiated aborts after core.RetryBackoff.
 func (e *Engine) RunTxn(typ string, part uint64, fn func(*Tx) error) error {
 	for attempt := 0; ; attempt++ {
 		if e.closed.Load() {
@@ -288,12 +287,7 @@ func (e *Engine) RunTxn(typ string, part uint64, fn func(*Tx) error) error {
 		if !core.IsRetryable(err) {
 			return err
 		}
-		// Randomized backoff, growing with consecutive aborts.
-		max := 200 * (attempt + 1)
-		if max > 5000 {
-			max = 5000
-		}
-		time.Sleep(time.Duration(rand.Intn(max)+50) * time.Microsecond)
+		time.Sleep(core.RetryBackoff(attempt, rand.Intn))
 	}
 }
 

@@ -24,7 +24,7 @@ func benchEngine(b *testing.B, specs []*core.Spec, cfg *NodeSpec) *Engine {
 }
 
 // BenchmarkHotPathRead — repeat read of a committed key inside one open
-// transaction, single-leaf 2PL tree (the depth-1 fast path; 0 allocs/op).
+// transaction, single-leaf 2PL tree (0 allocs/op).
 func BenchmarkHotPathRead(b *testing.B) {
 	specs := []*core.Spec{{Name: "op", Tables: []string{"t"}, WriteTables: []string{"t"}}}
 	e := benchEngine(b, specs, G(Kind2PL, []string{"op"}))

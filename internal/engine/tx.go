@@ -78,14 +78,6 @@ func (tx *Tx) Read(k core.Key) ([]byte, error) {
 	}
 
 	// Top-down pass: every CC on the path may block or abort.
-	if len(t.Path) == 1 {
-		// Single-leaf (depth-1) tree: no amend chain, no proposal
-		// threading — one CC, one lock acquisition.
-		if err := t.Path[0].CC.PreRead(t, k); err != nil {
-			return nil, tx.abortWith(err)
-		}
-		return tx.readLeaf(t.Path[0], k, ch)
-	}
 	for _, n := range t.Path {
 		if err := n.CC.PreRead(t, k); err != nil {
 			return nil, tx.abortWith(err)
@@ -129,34 +121,6 @@ func (tx *Tx) Read(k core.Key) ([]byte, error) {
 	}
 }
 
-// readLeaf is Read's bottom-up pass specialized for depth-1 trees.
-func (tx *Tx) readLeaf(n *core.Node, k core.Key, ch *core.Chain) ([]byte, error) {
-	t := tx.t
-	var deadline time.Time
-	for {
-		ch.Lock()
-		proposal, err := n.CC.AmendRead(t, k, ch, nil)
-		if err == nil {
-			val, ferr := finishRead(t, proposal)
-			ch.Unlock()
-			if ferr != nil {
-				return nil, tx.abortWith(ferr)
-			}
-			return val, nil
-		}
-		w, ok := err.(*core.WaitFor)
-		if !ok {
-			ch.Unlock()
-			return nil, tx.abortWith(err)
-		}
-		v := w.V
-		ch.Unlock()
-		if err := tx.waitVersion(v, &deadline); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // finishRead extracts the value from an accepted proposal and records the
 // cascading read-from dependency if the version is still pending. Called
 // with the chain lock held and leaves it held; the caller unlocks and turns
@@ -177,31 +141,16 @@ func finishRead(t *core.Txn, proposal *core.Version) ([]byte, error) {
 }
 
 // waitVersion blocks until v becomes readable (promise fulfilled or writer
-// finished). The overall Read deadline is initialized lazily on the first
-// wait, so wait-free reads never query the clock for it.
+// finished), within the Read's one deadline.
 func (tx *Tx) waitVersion(v *core.Version, deadline *time.Time) error {
-	if deadline.IsZero() {
-		*deadline = time.Now().Add(tx.e.opts.LockTimeout)
+	ready := v.Ready()
+	if ready == nil {
+		ready = v.Writer.Done()
 	}
-	remain := time.Until(*deadline)
-	if remain <= 0 {
-		return tx.abortWith(core.ErrTimeout)
+	if err := tx.e.env.Wait(tx.t, v.Writer, deadline, ready, nil); err != nil {
+		return tx.abortWith(err)
 	}
-	waitCh := v.Ready()
-	if waitCh == nil {
-		waitCh = v.Writer.Done()
-	}
-	start := time.Now()
-	timer := time.NewTimer(remain)
-	select {
-	case <-waitCh:
-		timer.Stop()
-		tx.e.env.Report(tx.t, v.Writer, start, time.Now())
-		return nil
-	case <-timer.C:
-		tx.e.env.Report(tx.t, v.Writer, start, time.Now())
-		return tx.abortWith(core.ErrTimeout)
-	}
+	return nil
 }
 
 // Write installs (or overwrites) the transaction's version of k.
@@ -295,7 +244,7 @@ func (tx *Tx) Commit() error {
 	// validation so that validation-time conflict checks (SSI's read-set
 	// rescan) are separated from the commit point only by microseconds,
 	// not by a potentially long dependency wait.
-	if err := tx.waitDeps(); err != nil {
+	if err := tx.e.env.WaitDeps(t); err != nil {
 		return tx.abortWith(err)
 	}
 
@@ -380,57 +329,6 @@ func (tx *Tx) Commit() error {
 	// transactions whose pointer escaped (see core.Txn's reclamation rule).
 	core.PutTxn(t)
 	return nil
-}
-
-// waitDeps enforces consistent ordering at commit: the transaction commits
-// only after every recorded dependency has committed (the generalization of
-// the nexus lock release order). Each wait is reported to the profiler as a
-// blocking event on the dependency's transaction type. Transactions with no
-// recorded dependencies (every read hit committed history) skip the loop and
-// its allocations entirely.
-func (tx *Tx) waitDeps() error {
-	t := tx.t
-	if !t.HasDeps() {
-		return nil
-	}
-	deadline := time.Now().Add(tx.e.opts.LockTimeout)
-	seen := make(map[uint64]bool)
-	for {
-		progress := false
-		for _, d := range t.Deps() {
-			if seen[d.T.ID] {
-				continue
-			}
-			seen[d.T.ID] = true
-			progress = true
-			if d.T.Finished() {
-				if d.T.State() == core.Aborted && d.Read {
-					return core.ErrCascade
-				}
-				continue
-			}
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				return core.ErrTimeout
-			}
-			start := time.Now()
-			timer := time.NewTimer(remain)
-			select {
-			case <-d.T.Done():
-				timer.Stop()
-			case <-timer.C:
-				tx.e.env.Report(t, d.T, start, time.Now())
-				return core.ErrTimeout
-			}
-			tx.e.env.Report(t, d.T, start, time.Now())
-			if d.T.State() == core.Aborted && d.Read {
-				return core.ErrCascade
-			}
-		}
-		if !progress {
-			return nil
-		}
-	}
 }
 
 // Rollback aborts the transaction. cause is recorded in the abort stats

@@ -102,8 +102,8 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 	// their recorded blocker) past this call: the txn must never be pooled.
 	txn.MarkShared()
 	s := t.shardFor(k)
-	// Deadline for the wait path, computed on first conflict only: the
-	// uncontended grant never queries the clock.
+	// Started by the first Env.Wait: the uncontended grant never queries
+	// the clock.
 	var deadline time.Time
 
 	var blockStart time.Time
@@ -195,29 +195,16 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 		}
 		// The conflicting owner must finish (or step-release) before
 		// us: a lock-order dependency.
-		if err := txn.AddDep(conflictOwner, false); err != nil {
+		err := txn.AddDep(conflictOwner, false)
+		if err == nil {
+			// No blocker is passed: one event per (waiter, blocker) is
+			// coalesced across wake-ups and emitted by flush.
+			err = t.env.Wait(txn, nil, &deadline, gen, nil)
+		}
+		if err != nil {
 			t.doneWaiting(s, k, txn, true)
 			flush(time.Now())
 			return err
-		}
-
-		if deadline.IsZero() {
-			deadline = time.Now().Add(t.env.LockTimeout)
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			t.doneWaiting(s, k, txn, true)
-			flush(time.Now())
-			return core.ErrTimeout
-		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-gen:
-			timer.Stop()
-		case <-timer.C:
-			t.doneWaiting(s, k, txn, true)
-			flush(time.Now())
-			return core.ErrTimeout
 		}
 		// Keep any upgrade mark across the re-check loop: the wait
 		// continues until granted or terminal.

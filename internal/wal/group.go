@@ -119,9 +119,7 @@ const maxBatchBytes = 8 << 20
 // run is the appender loop. Batching is "natural": while one batch is being
 // appended (and fsynced), new requests pile up in the channel; the next
 // iteration takes them all, bounded by MaxBatch records and maxBatchBytes
-// payload. MaxDelay (optional) additionally holds a batch open to
-// accumulate followers — unless the batch holds a seal, which demands an
-// immediate flush. The loop exits when the channel is closed and drained.
+// payload. The loop exits when the channel is closed and drained.
 func (a *appender) run() {
 	defer close(a.exited)
 	var buf []appendReq
@@ -132,7 +130,6 @@ func (a *appender) run() {
 		}
 		batch := append(buf[:0], req)
 		bytes := len(req.payload)
-		hasSeal := req.kind == recSeal
 		closed := false
 	drain:
 		for len(batch) < a.m.maxBatch && bytes < maxBatchBytes {
@@ -144,33 +141,9 @@ func (a *appender) run() {
 				}
 				batch = append(batch, r)
 				bytes += len(r.payload)
-				hasSeal = hasSeal || r.kind == recSeal
 			default:
 				break drain
 			}
-		}
-		if d := a.m.maxDelay; d > 0 && !closed && !hasSeal &&
-			len(batch) < a.m.maxBatch && bytes < maxBatchBytes {
-			timer := time.NewTimer(d)
-		linger:
-			for len(batch) < a.m.maxBatch && bytes < maxBatchBytes {
-				select {
-				case r, ok := <-a.ch:
-					if !ok {
-						closed = true
-						break linger
-					}
-					batch = append(batch, r)
-					bytes += len(r.payload)
-					if r.kind == recSeal {
-						// Seals flush immediately.
-						break linger
-					}
-				case <-timer.C:
-					break linger
-				}
-			}
-			timer.Stop()
 		}
 		a.flush(batch)
 		buf = batch

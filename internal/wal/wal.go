@@ -64,10 +64,6 @@ type Options struct {
 	// MaxBatch bounds how many records one appender coalesces into a
 	// single batch append (default 256).
 	MaxBatch int
-	// MaxDelay, when > 0, holds a forming batch open to accumulate more
-	// committers before flushing. Default 0: batching is purely natural
-	// (whatever queued while the previous batch was being flushed).
-	MaxDelay time.Duration
 	// Observer, when non-nil, is called after every coalesced batch
 	// append with the number of records, the append(+flush) latency and
 	// any error. The engine wires this to its batch-size / flush-latency
@@ -97,7 +93,6 @@ type Manager struct {
 	stores    []*kvstore.Store
 	appenders []*appender
 	maxBatch  int
-	maxDelay  time.Duration
 	seq       atomic.Uint64
 	epoch     atomic.Uint64
 
@@ -143,7 +138,6 @@ func Open(opts Options) (*Manager, error) {
 	if m.maxBatch <= 0 {
 		m.maxBatch = 256
 	}
-	m.maxDelay = opts.MaxDelay
 	m.durableCond = sync.NewCond(&m.mu)
 	for i := 0; i < opts.Shards; i++ {
 		st, err := kvstore.Open(filepath.Join(opts.Dir, fmt.Sprintf("ds-%03d.log", i)))
