@@ -64,7 +64,9 @@ func main() {
 	// Wait for the asynchronous flusher to seal the epoch, then "crash"
 	// (drop all in-memory state; the logs remain on disk).
 	epoch := db.Engine().Wal().Epoch()
-	db.Engine().Wal().WaitDurable(epoch)
+	if err := db.Engine().Wal().WaitDurable(epoch); err != nil {
+		log.Fatal(err)
+	}
 	db.Close()
 	fmt.Printf("committed %d transactions, durable through epoch %d; simulating crash...\n", n, epoch)
 

@@ -193,7 +193,7 @@ func (w *walker) effects(s ast.Stmt, st state) state {
 			return false // a concurrent wait does not delay the ack
 		case *ast.AssignStmt:
 			if len(x.Rhs) == 1 {
-				if call, ok := ssa.Unparen(x.Rhs[0]).(*ast.CallExpr); ok && isManagerCall(w.pass.TypesInfo, call, "Precommit") {
+				if call, ok := ssa.Unparen(x.Rhs[0]).(*ast.CallExpr); ok && isStageCall(w.pass.TypesInfo, call) {
 					st.staged = true
 					st.ticket = yes
 				}
@@ -411,6 +411,12 @@ func isMethodCall(info *types.Info, call *ast.CallExpr, typeName, name string) b
 	return ssa.IsNamed(sig.Recv().Type(), WalPath, typeName)
 }
 
+// isStageCall matches the Manager methods that stage precommit records:
+// Precommit and its slice form PrecommitShards.
+func isStageCall(info *types.Info, call *ast.CallExpr) bool {
+	return isManagerCall(info, call, "Precommit") || isManagerCall(info, call, "PrecommitShards")
+}
+
 // callsPrecommit reports whether body stages records itself.
 func callsPrecommit(info *types.Info, body *ast.BlockStmt) bool {
 	if body == nil {
@@ -418,7 +424,7 @@ func callsPrecommit(info *types.Info, body *ast.BlockStmt) bool {
 	}
 	found := false
 	walkSameFunc(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isManagerCall(info, call, "Precommit") {
+		if call, ok := n.(*ast.CallExpr); ok && isStageCall(info, call) {
 			found = true
 		}
 		return true

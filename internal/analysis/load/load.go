@@ -184,7 +184,7 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 
 	// check type-checks one unit, tolerating errors: the returned package
 	// and info are the partial results the checker could produce.
-	check := func(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	check := func(imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
 		info := NewInfo()
 		var firstErr error
 		conf := types.Config{
@@ -202,6 +202,10 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 		return tpkg, info, firstErr
 	}
 
+	byPath := map[string]*listEntry{}
+	for _, e := range entries {
+		byPath[e.ImportPath] = e
+	}
 	var pkgs []*Package
 	for _, e := range entries {
 		if e.DepOnly || e.Standard || (len(e.GoFiles) == 0 && e.Error == nil) {
@@ -224,7 +228,7 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 			p.IllTyped = true
 		}
 		if len(files) > 0 {
-			tpkg, info, checkErr := check(e.ImportPath, files)
+			tpkg, info, checkErr := check(imp, e.ImportPath, files)
 			p.Types, p.Info = tpkg, info
 			if checkErr != nil {
 				if p.Err == nil {
@@ -248,7 +252,19 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 				xp.IllTyped = true
 			}
 			if len(xfiles) > 0 {
-				xpkg, xinfo, xcheckErr := check(e.ImportPath+"_test", xfiles)
+				ximp := types.Importer(imp)
+				if p.Types != nil && len(e.TestGoFiles) > 0 {
+					ximp = &xtestImporter{under: p.Types, entries: byPath, base: imp, done: map[string]*types.Package{},
+						check: func(imp types.Importer, path string, names []string) (*types.Package, error) {
+							files, err := parse(byPath[path].Dir, names)
+							if err != nil {
+								return nil, err
+							}
+							tpkg, _, err := check(imp, path, files)
+							return tpkg, err
+						}}
+				}
+				xpkg, xinfo, xcheckErr := check(ximp, e.ImportPath+"_test", xfiles)
 				xp.Types, xp.Info = xpkg, xinfo
 				if xcheckErr != nil {
 					if xp.Err == nil {
@@ -262,6 +278,53 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return Toposort(pkgs), nil
+}
+
+// xtestImporter is the importer of one external test package. The package
+// under test resolves to its source-checked form, in-package test files
+// included, so what an export_test.go declares exists. Module packages that
+// import the package under test, directly or not, are re-checked from source
+// against that form: their export data refers to the package without its test
+// files, and the two would not be the same types. Everything else comes from
+// export data.
+type xtestImporter struct {
+	under   *types.Package
+	entries map[string]*listEntry
+	base    types.Importer
+	check   func(imp types.Importer, path string, goFiles []string) (*types.Package, error)
+	done    map[string]*types.Package
+}
+
+func (x *xtestImporter) Import(path string) (*types.Package, error) {
+	if path == x.under.Path() {
+		return x.under, nil
+	}
+	if p, ok := x.done[path]; ok {
+		return p, nil
+	}
+	e := x.entries[path]
+	if e == nil || !x.reaches(e, map[string]bool{}) {
+		return x.base.Import(path)
+	}
+	p, err := x.check(x, path, e.GoFiles)
+	x.done[path] = p
+	return p, err
+}
+
+// reaches reports whether e imports the package under test, transitively.
+func (x *xtestImporter) reaches(e *listEntry, seen map[string]bool) bool {
+	for _, path := range e.Imports {
+		if path == x.under.Path() {
+			return true
+		}
+		if d := x.entries[path]; d != nil && !d.Standard && !seen[path] {
+			seen[path] = true
+			if x.reaches(d, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func mergeImports(a, b []string) []string {

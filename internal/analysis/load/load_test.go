@@ -169,6 +169,37 @@ func TestDependencyOrder(t *testing.T) {
 	}
 }
 
+// TestExternalTestSeesExportTest: an external test package must type-check
+// against the package under test WITH its in-package test files (the
+// export_test.go idiom), also when the test-only symbol meets a value that
+// came through a third package importing the package under test.
+func TestExternalTestSeesExportTest(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod":                "module example.com/xt\n\ngo 1.21\n",
+		"low/low.go":            "package low\n\ntype T struct{ n int }\n\nfunc New() *T { return &T{} }\n",
+		"low/export_test.go":    "package low\n\nfunc Peek(t *T) int { return t.n }\n",
+		"low/low_x_test.go":     "package low_test\n\nimport (\n\t\"example.com/xt/low\"\n\t\"example.com/xt/user\"\n)\n\nvar _ = low.Peek(user.Make())\n",
+		"user/user.go":          "package user\n\nimport \"example.com/xt/low\"\n\nfunc Make() *low.T { return low.New() }\n",
+		"user/user_x_test.go":   "package user_test\n\nimport \"example.com/xt/user\"\n\nvar _ = user.Make()\n",
+		"user/unused_test.go":   "package user\n",
+		"plain/plain.go":        "package plain\n\nfunc F() {}\n",
+		"plain/plain_x_test.go": "package plain_test\n\nimport \"example.com/xt/plain\"\n\nvar _ = plain.F\n",
+	})
+	pkgs, err := Packages(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"example.com/xt/low_test", "example.com/xt/user_test", "example.com/xt/plain_test"} {
+		p := byPath(pkgs, path)
+		if p == nil {
+			t.Fatalf("%s not loaded: %v", path, importPaths(pkgs))
+		}
+		if p.IllTyped || p.Err != nil {
+			t.Errorf("%s: IllTyped=%v Err=%v", path, p.IllTyped, p.Err)
+		}
+	}
+}
+
 func importPaths(pkgs []*Package) []string {
 	var out []string
 	for _, p := range pkgs {

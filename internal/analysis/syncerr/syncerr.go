@@ -51,7 +51,7 @@ var targets = []target{
 	{"internal/wal", "Manager", "Checkpoint"},
 	{"internal/wal", "Manager", "Close"},
 	{"internal/wal", "Manager", "flushEpoch"},
-	{"internal/wal", "Manager", "syncStores"},
+	{"internal/wal", "Manager", "WaitDurable"},
 	{"internal/wal", "Ticket", "Wait"},
 }
 

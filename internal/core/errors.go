@@ -36,6 +36,12 @@ var (
 	// ErrUserAbort is returned when the application's transaction function
 	// requested an abort; it is NOT retried.
 	ErrUserAbort = errors.New("user abort")
+
+	// ErrDurability is returned by Commit when the write-ahead log failed
+	// (or was already poisoned or closed): the commit was not made durable
+	// and is not acknowledged. It does not wrap ErrAborted — the log stays
+	// failed until the database is recovered, so a retry cannot succeed.
+	ErrDurability = errors.New("durability failure: write-ahead log failed")
 )
 
 // IsRetryable reports whether err is a system-initiated abort that the client

@@ -61,15 +61,21 @@ func transferSpecs() []*core.Spec {
 	}
 }
 
-// runTransferFuzz drives the workload for one seed and returns the history.
-func runTransferFuzz(t *testing.T, seed int64, accounts, parts, workers, txnsEach int) {
+// runTransferFuzz drives the workload for one seed and checks its history.
+// With a non-empty walDir the engine logs to it (synchronously, so a
+// transfer's two accounts land on the log's one appender from several data
+// servers), and the recovery leg closes the engine, recovers the directory
+// and demands every account exactly as committed in memory.
+func runTransferFuzz(t *testing.T, seed int64, accounts, parts, workers, txnsEach int, walDir string) {
 	t.Helper()
-	e, err := New(Options{Shards: 4, LockTimeout: 3 * time.Second}, transferSpecs(), transferConfig(parts))
+	opts := Options{Shards: 4, LockTimeout: 3 * time.Second, DurabilityDir: walDir, DurabilitySync: true}
+	e, err := New(opts, transferSpecs(), transferConfig(parts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	for i := 0; i < accounts; i++ {
+		// Load bypasses the log; recovery sees only transferred accounts.
 		e.Load(core.KeyOf("acct", i), encAcct(0, xferInitial))
 	}
 	perPart := accounts / parts
@@ -172,6 +178,31 @@ func runTransferFuzz(t *testing.T, seed int64, accounts, parts, workers, txnsEac
 		t.Fatalf("seed %d: money not conserved: sum %d, want %d", seed, sum, want)
 	}
 	checkSerializable(t, h)
+
+	if walDir == "" {
+		return
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, st, err := Recover(opts, transferSpecs(), transferConfig(parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if st.Discarded != 0 {
+		t.Fatalf("seed %d: recovery discarded %d transactions after a clean close", seed, st.Discarded)
+	}
+	for i := 0; i < accounts; i++ {
+		k := core.KeyOf("acct", i)
+		want := e.ReadCommitted(k)
+		if w, _ := decAcct(t, want); w == 0 {
+			continue // never transferred: only the unlogged initial load wrote it
+		}
+		if got := e2.ReadCommitted(k); string(got) != string(want) {
+			t.Fatalf("seed %d: account %d recovered as %q, committed as %q", seed, i, got, want)
+		}
+	}
 }
 
 // TestTransferSerializabilityFuzz runs the randomized transfer workload
@@ -185,7 +216,7 @@ func TestTransferSerializabilityFuzz(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runTransferFuzz(t, seed, 16, 4, workers, txns)
+			runTransferFuzz(t, seed, 16, 4, workers, txns, "")
 		})
 	}
 }
@@ -198,6 +229,6 @@ func FuzzTransferSerializability(f *testing.F) {
 	f.Add(int64(42))
 	f.Add(int64(20260728))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		runTransferFuzz(t, seed, 12, 4, 4, 15)
+		runTransferFuzz(t, seed, 12, 4, 4, 15, t.TempDir())
 	})
 }

@@ -268,6 +268,9 @@ func TestTortureCrashPointsAcrossCheckpoints(t *testing.T) {
 	}
 
 	for _, im := range verify {
+		if logs, _ := filepath.Glob(filepath.Join(im.dir, "*.log")); len(logs) != 1 || filepath.Base(logs[0]) != "wal.log" {
+			t.Fatalf("image %s (%s): log files %v, want exactly wal.log", im.dir, im.point, logs)
+		}
 		st, err := wal.Recover(im.dir, shards)
 		if err != nil {
 			t.Fatalf("image %s (%s): recovery failed: %v", im.dir, im.point, err)

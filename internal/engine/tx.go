@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -255,53 +256,44 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	// Durability: stage precommit records on every participating data
-	// server's group-commit appender, then the coordinator's commit
-	// record (§4.5.4). Staging is asynchronous — records from concurrent
-	// committers coalesce into one append+flush per appender turn — so
-	// the log never serializes the commit path; under SyncCommit the
-	// wait happens inside walMgr.Commit, on the whole batch's single
+	// Durability: stage one precommit record per participating data
+	// server, then the coordinator's commit record (§4.5.4), on the log's
+	// group-commit appender. Staging is asynchronous — records from
+	// concurrent committers coalesce into one append+flush per appender
+	// turn — so the log never serializes the commit path; under SyncCommit
+	// the wait happens on the ticket, below, on the whole batch's single
 	// fsync.
 	var epoch uint64
 	var ticket *wal.Ticket
-	var walShards []int
-	if tx.e.walMgr != nil {
-		byShard := map[int][]wal.KV{}
-		for _, w := range t.Writes() {
-			// Chain.Shard is memoized at creation; no re-hash per write.
-			byShard[w.Chain.Shard] = append(byShard[w.Chain.Shard], wal.KV{Key: w.Chain.Key, Value: w.V.Value})
-		}
-		if len(byShard) > 0 {
-			var err error
-			epoch, ticket, err = tx.e.walMgr.Precommit(t.ID, byShard)
-			if err != nil {
-				return tx.abortWith(fmt.Errorf("%w: wal: %v", core.ErrAborted, err))
-			}
-			for sh := range byShard {
-				walShards = append(walShards, sh)
-			}
+	if tx.e.walMgr != nil && t.HasWrites() {
+		b := groupByShard(t.Writes(), tx.e.store.NumShards())
+		var err error
+		epoch, ticket, err = tx.e.walMgr.PrecommitShards(t.ID, b.groups)
+		b.release() // the log copied the writes
+		if err != nil {
+			// Nothing was staged: the log is poisoned or closed. The
+			// transaction aborts cleanly, and retrying cannot help.
+			return tx.abortWith(fmt.Errorf("%w: %v", core.ErrDurability, err))
 		}
 	}
 
 	commitTS, ok := t.MarkCommittedNext(tx.e.oracle)
 	if !ok {
 		// Force-aborted while committing. The staged precommit records
-		// will never get a commit record; stage abort markers so
+		// will never get a commit record; stage an abort marker so
 		// checkpoint compaction can reclaim them (recovery discards the
 		// transaction either way).
 		if ticket != nil {
-			tx.e.walMgr.Abort(t.ID, walShards)
+			tx.e.walMgr.Abort(t.ID)
 		}
 		return tx.abortWith(core.ErrReconfiguring)
 	}
+	// From here the transaction is committed in memory, and other
+	// transactions may already depend on it; a log failure can no longer
+	// abort it, only withhold the commit notification.
+	var logErr error
 	if ticket != nil {
-		// The transaction is already committed in memory; an append
-		// failure means durability (not atomicity) is at risk. The WAL
-		// batch observer counts every failed flush exactly once into
-		// stats.walErrors — counting again here would tally one batch
-		// error once per coalesced committer.
-		//lint:allow syncerr -- flush failures are tallied once per batch by the WAL observer into stats.walErrors; per-committer checks would double-count
-		tx.e.walMgr.Commit(t.ID, commitTS, epoch, ticket)
+		logErr = tx.e.walMgr.Commit(t.ID, commitTS, epoch, ticket)
 	}
 
 	// Commit phase, chained leaf -> root, uninterrupted.
@@ -318,17 +310,67 @@ func (tx *Tx) Commit() error {
 	// commit notification is delayed to coincide with the durable
 	// notification.
 	if ticket != nil && tx.e.walMgr.Synchronous() {
-		// Flush failures are already in stats.walErrors via the batch
-		// observer; the in-memory commit stands either way.
-		//lint:allow syncerr -- Wait only delays the commit notification; its error is the batch flush error the observer already recorded
-		ticket.Wait()
+		if err := ticket.Wait(); logErr == nil {
+			logErr = err
+		}
 	}
 	tx.e.stats.recordCommit(t)
 	tx.finished = true
 	// Recycle after the last engine-side read of t. PutTxn refuses
 	// transactions whose pointer escaped (see core.Txn's reclamation rule).
 	core.PutTxn(t)
+	if logErr != nil {
+		// Fail stop: the log lost (or never took) this transaction's
+		// records, so the client is not told "committed". The WAL batch
+		// observer already counted the failed flush into stats.walErrors.
+		return fmt.Errorf("%w: %v", core.ErrDurability, logErr)
+	}
 	return nil
+}
+
+// stageBuf is reused scratch for grouping a transaction's writes by data
+// server on the way into the log.
+type stageBuf struct {
+	end    []int // per shard: end of its run in kvs
+	kvs    []wal.KV
+	groups [][]wal.KV // one element per participating data server
+}
+
+var stageBufs = sync.Pool{New: func() any { return new(stageBuf) }}
+
+// groupByShard groups ws by data server with a counting sort on the shard
+// index memoized on each chain. The caller releases the result.
+func groupByShard(ws []core.WriteRef, shards int) *stageBuf {
+	b := stageBufs.Get().(*stageBuf)
+	b.end = append(b.end[:0], make([]int, shards)...)
+	for _, w := range ws {
+		b.end[w.Chain.Shard]++
+	}
+	sum := 0
+	for s, n := range b.end {
+		b.end[s] = sum // start of shard s's run; advanced to its end below
+		sum += n
+	}
+	b.kvs = append(b.kvs[:0], make([]wal.KV, len(ws))...)
+	for _, w := range ws {
+		b.kvs[b.end[w.Chain.Shard]] = wal.KV{Key: w.Chain.Key, Value: w.V.Value}
+		b.end[w.Chain.Shard]++
+	}
+	b.groups = b.groups[:0]
+	start := 0
+	for _, end := range b.end {
+		if end > start {
+			b.groups = append(b.groups, b.kvs[start:end])
+			start = end
+		}
+	}
+	return b
+}
+
+// release returns b to the pool without pinning the writes' values there.
+func (b *stageBuf) release() {
+	clear(b.kvs)
+	stageBufs.Put(b)
 }
 
 // Rollback aborts the transaction. cause is recorded in the abort stats

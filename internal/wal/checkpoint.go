@@ -22,18 +22,17 @@ import (
 //     renamed into place, so a snapshot file either exists completely or
 //     not at all.
 //  2. A checkpoint frontier marker is staged through the group-commit
-//     pipeline on every shard. FIFO ordering puts the marker after every
-//     record staged before the checkpoint, and the appender fsyncs the
-//     whole log prefix with it, so the frontier stays monotone with the
-//     durable epoch: a durable marker implies every covered record is
-//     durable too.
+//     pipeline. FIFO ordering puts the marker after every record staged
+//     before the checkpoint, and the appender fsyncs the whole log prefix
+//     with it, so the frontier stays monotone with the durable epoch: a
+//     durable marker implies every covered record is durable too.
 //  3. The manifest (CHECKPOINT) is written via temp+fsync+rename — the
 //     atomic commit point of the checkpoint. Recovery starts from the
 //     newest manifest's snapshot and replays only the log tail.
-//  4. Each shard's log is compacted: records of transactions covered by the
-//     snapshot (commit record present with commitTS <= snapTS) are dropped
-//     through an atomic kvstore rewrite, so a crash mid-compaction leaves
-//     either the complete old log or the complete new one.
+//  4. The log is compacted: records of transactions covered by the snapshot
+//     (commit record present with commitTS <= snapTS) are dropped through
+//     one atomic kvstore rewrite, so a crash mid-compaction leaves either
+//     the complete old log or the complete new one.
 //
 // Crashes between the steps are all recoverable: before the manifest rename
 // the previous checkpoint (or full replay) is used and stale snapshot files
@@ -58,8 +57,7 @@ type CheckpointResult struct {
 	// SnapshotKeys / SnapshotBytes size the written snapshot.
 	SnapshotKeys  int
 	SnapshotBytes int64
-	// LogBytesBefore / LogBytesAfter measure the compaction across all
-	// shard logs.
+	// LogBytesBefore / LogBytesAfter measure the log compaction.
 	LogBytesBefore int64
 	LogBytesAfter  int64
 }
@@ -79,7 +77,7 @@ func snapshotPath(dir string, ck uint64, shard int) string {
 }
 
 // Checkpoint writes a consistent checkpoint at cut snapTS and compacts the
-// logs. perShard holds, per data server, the latest committed version of
+// log. perShard holds, per data server, the latest committed version of
 // every key owned by that server at the cut; the caller guarantees that
 // every transaction with commitTS <= snapTS has fully finished and that its
 // writes are contained in the entries (the engine derives both from the GC
@@ -88,70 +86,57 @@ func snapshotPath(dir string, ck uint64, shard int) string {
 func (m *Manager) Checkpoint(snapTS uint64, perShard [][]SnapshotEntry) (*CheckpointResult, error) {
 	m.ckMu.Lock()
 	defer m.ckMu.Unlock()
-	if len(perShard) != len(m.stores) {
-		return nil, fmt.Errorf("wal: checkpoint got %d shard snapshots, have %d shards", len(perShard), len(m.stores))
+	if len(perShard) != m.opts.Shards {
+		return nil, fmt.Errorf("wal: checkpoint got %d shard snapshots, have %d shards", len(perShard), m.opts.Shards)
 	}
 	ck := m.ckSeq + 1
 	res := &CheckpointResult{ID: ck, SnapshotTS: snapTS}
 
 	// 1. Per-shard snapshot files (temp + fsync + rename).
-	for i := range m.stores {
-		n, err := writeSnapshot(m.opts.Dir, ck, i, snapTS, perShard[i])
+	for i, entries := range perShard {
+		n, err := writeSnapshot(m.opts.Dir, ck, i, snapTS, entries)
 		if err != nil {
 			return nil, err
 		}
-		res.SnapshotKeys += len(perShard[i])
+		res.SnapshotKeys += len(entries)
 		res.SnapshotBytes += n
 	}
 	m.hook("ck.snapshot")
 
-	// 2. Frontier markers through the group-commit pipeline.
+	// 2. Frontier marker through the group-commit pipeline.
 	payload := make([]byte, 16)
 	binary.LittleEndian.PutUint64(payload[0:8], ck)
 	binary.LittleEndian.PutUint64(payload[8:16], snapTS)
+	tk := newTicket(1)
 	m.closeMu.RLock()
-	epoch := m.epoch.Load()
-	if m.closed {
+	if err := m.unusable(); err != nil {
 		m.closeMu.RUnlock()
-		// Pipeline shut down: write the markers directly.
-		for i, st := range m.stores {
-			if err := st.Set(fmt.Sprintf("ck/%d", i), payload); err != nil {
-				return nil, err
-			}
-			if err := st.Sync(); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		tk := newTicket(int32(len(m.appenders)))
-		for _, a := range m.appenders {
-			a.ch <- appendReq{kind: recCheckpoint, payload: payload, epoch: epoch, tk: tk}
-		}
-		m.closeMu.RUnlock()
-		if err := tk.Wait(); err != nil {
-			return nil, err
-		}
+		return nil, err
+	}
+	m.app.ch <- appendReq{kind: recCheckpoint, payload: payload, epoch: m.epoch.Load(), tk: tk}
+	m.closeMu.RUnlock()
+	if err := tk.Wait(); err != nil {
+		return nil, err
 	}
 	m.hook("ck.frontier")
 
 	// 3. Manifest: the checkpoint's atomic commit point.
-	if err := writeManifest(m.opts.Dir, ck, snapTS, len(m.stores)); err != nil {
+	if err := writeManifest(m.opts.Dir, ck, snapTS, m.opts.Shards); err != nil {
 		return nil, err
 	}
 	m.ckSeq = ck
 	m.hook("ck.manifest")
 
-	// 4. Compact every shard's log: drop records of covered transactions.
+	// 4. Compact the log: drop records of covered transactions. Records
+	// appended between the scan and the rewrite belong to transactions the
+	// scan did not cover, and are kept.
 	covered := m.coveredTxns(snapTS)
-	for _, st := range m.stores {
-		before, after, err := st.Rewrite(func(key string, value []byte) ([]byte, bool) {
-			return compactRecord(key, value, covered)
-		})
-		res.LogBytesBefore += before
-		res.LogBytesAfter += after
-		if err != nil {
-			return res, err
-		}
+	var err error
+	res.LogBytesBefore, res.LogBytesAfter, err = m.st.Rewrite(func(key string, value []byte) ([]byte, bool) {
+		return compactRecord(key, value, covered)
+	})
+	if err != nil {
+		return res, err
 	}
 
 	// 5. Older checkpoints' snapshot files are superseded.
@@ -159,62 +144,42 @@ func (m *Manager) Checkpoint(snapTS uint64, perShard [][]SnapshotEntry) (*Checkp
 	return res, nil
 }
 
-// coveredTxns scans every shard's logs for transactions whose records may
-// all be dropped by compaction:
+// coveredTxns scans the log for transactions whose records may all be
+// dropped by compaction:
 //
 //   - committed with commitTS <= snapTS: fully contained in the snapshot
 //     (the caller guarantees every such transaction finished before the
 //     cut);
 //   - aborted after staging precommits (an abort marker exists and no
-//     commit record anywhere): the commit record can never arrive — the
-//     abort marker is staged on the same appenders after the precommits,
-//     on the mutually exclusive abort path — so the orphaned records would
-//     otherwise survive every checkpoint.
+//     commit record): the commit record can never arrive — the abort marker
+//     is staged after the precommits, on the mutually exclusive abort path
+//     — so the orphaned records would otherwise survive every checkpoint.
 func (m *Manager) coveredTxns(snapTS uint64) map[uint64]bool {
 	covered := map[uint64]bool{}
 	aborted := map[uint64]bool{}
 	committed := map[uint64]bool{} // any commit record, regardless of TS
-	for _, st := range m.stores {
-		st.ForEach(func(key string, value []byte) error {
+	m.st.ForEach(func(key string, value []byte) error {
+		if !strings.HasPrefix(key, batchPrefix) {
+			return nil
+		}
+		entries, err := decodeBatch(value)
+		if err != nil {
+			return nil
+		}
+		for _, e := range entries {
 			switch {
-			case strings.HasPrefix(key, "c/"):
-				id, err := strconv.ParseUint(key[2:], 10, 64)
-				if err != nil || len(value) < 16 {
-					return nil
-				}
+			case e.kind == recCommit && len(e.payload) >= 24:
+				id := binary.LittleEndian.Uint64(e.payload[0:8])
 				committed[id] = true
-				if binary.LittleEndian.Uint64(value[0:8]) <= snapTS {
+				if binary.LittleEndian.Uint64(e.payload[8:16]) <= snapTS {
 					covered[id] = true
 				}
-			case strings.HasPrefix(key, "a/"):
-				rest := key[2:]
-				if i := strings.IndexByte(rest, '/'); i > 0 {
-					rest = rest[:i]
-				}
-				if id, err := strconv.ParseUint(rest, 10, 64); err == nil {
-					aborted[id] = true
-				}
-			case strings.HasPrefix(key, "b/"):
-				entries, err := decodeBatch(value)
-				if err != nil {
-					return nil
-				}
-				for _, e := range entries {
-					switch {
-					case e.kind == recCommit && len(e.payload) >= 24:
-						id := binary.LittleEndian.Uint64(e.payload[0:8])
-						committed[id] = true
-						if binary.LittleEndian.Uint64(e.payload[8:16]) <= snapTS {
-							covered[id] = true
-						}
-					case e.kind == recAbort && len(e.payload) >= 8:
-						aborted[binary.LittleEndian.Uint64(e.payload[0:8])] = true
-					}
-				}
+			case e.kind == recAbort && len(e.payload) >= 8:
+				aborted[binary.LittleEndian.Uint64(e.payload[0:8])] = true
 			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 	for id := range aborted {
 		if !committed[id] {
 			covered[id] = true
@@ -223,45 +188,33 @@ func (m *Manager) coveredTxns(snapTS uint64) map[uint64]bool {
 	return covered
 }
 
-// compactRecord decides one log record's fate under compaction: drop
-// individual precommit/commit/abort records of covered transactions, filter
-// covered entries out of coalesced batch records, keep everything else
-// (epoch markers, checkpoint markers). Precommit, commit and abort payloads
-// all lead with the transaction id.
+// compactRecord decides one log record's fate under compaction: filter
+// covered entries out of coalesced batch records, keep everything else (the
+// epoch and checkpoint markers). Precommit, commit and abort payloads all
+// lead with the transaction id.
 func compactRecord(key string, value []byte, covered map[uint64]bool) ([]byte, bool) {
-	switch {
-	case strings.HasPrefix(key, "p/"), strings.HasPrefix(key, "a/"):
-		rest := key[2:]
-		if i := strings.IndexByte(rest, '/'); i > 0 {
-			rest = rest[:i]
-		}
-		if id, err := strconv.ParseUint(rest, 10, 64); err == nil && covered[id] {
-			return nil, false
-		}
-	case strings.HasPrefix(key, "c/"):
-		if id, err := strconv.ParseUint(key[2:], 10, 64); err == nil && covered[id] {
-			return nil, false
-		}
-	case strings.HasPrefix(key, "b/"):
-		entries, err := decodeBatch(value)
-		if err != nil {
-			return value, true // undecodable: keep as-is, recovery skips it
-		}
-		kept := entries[:0]
-		for _, e := range entries {
-			if len(e.payload) >= 8 && covered[binary.LittleEndian.Uint64(e.payload[0:8])] {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		if len(kept) == 0 {
-			return nil, false
-		}
-		if len(kept) < len(entries) {
-			return encodeBatchEntries(kept), true
-		}
+	if !strings.HasPrefix(key, batchPrefix) {
+		return value, true
 	}
-	return value, true
+	entries, err := decodeBatch(value)
+	if err != nil {
+		return value, true // undecodable: keep as-is, recovery skips it
+	}
+	n := len(entries)
+	kept := entries[:0]
+	for _, e := range entries {
+		if len(e.payload) >= 8 && covered[binary.LittleEndian.Uint64(e.payload[0:8])] {
+			continue
+		}
+		kept = append(kept, e)
+	}
+	switch len(kept) {
+	case 0:
+		return nil, false
+	case n:
+		return value, true
+	}
+	return appendBatch(nil, kept, len(kept)), true
 }
 
 // manifest is the decoded CHECKPOINT file.

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-// dirLogBytes sums the shard log sizes in dir (snapshot/manifest excluded).
+// dirLogBytes is the log's size in dir (snapshot/manifest excluded).
 func dirLogBytes(t *testing.T, dir string) int64 {
 	t.Helper()
 	var n int64
@@ -235,7 +235,7 @@ func TestCompactionReclaimsAbortedPrecommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = tk // the commit slot never completes; nothing waits on it
-	m.Abort(99, []int{0, 1})
+	m.Abort(99)
 	commitN(t, m, 1, 9)
 	if _, err := m.Checkpoint(8, snapshotFor(2, 8)); err != nil {
 		t.Fatal(err)

@@ -142,6 +142,9 @@ func (c *crashCapture) snapshot() []crashImage {
 // the global write ledger (key -> value -> commitTS of the writing txn).
 func verifyImage(t *testing.T, img crashImage, shards int, ledger map[string]map[string]uint64) {
 	t.Helper()
+	if logs, _ := filepath.Glob(filepath.Join(img.dir, "*.log")); len(logs) != 1 || filepath.Base(logs[0]) != logName {
+		t.Fatalf("image %s (%s): log files %v, want exactly %s", img.dir, img.point, logs, logName)
+	}
 	st, err := Recover(img.dir, shards)
 	if err != nil {
 		t.Fatalf("image %s (%s): recovery failed: %v", img.dir, img.point, err)

@@ -1,0 +1,92 @@
+package wal_test
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/wal"
+)
+
+// TestEngineFailStopsOnLogError drives the fail-stop contract through the
+// engine's commit path: after one injected fsync failure no SyncCommit
+// transaction is acknowledged again — the ones sharing the failed batch, the
+// ones racing it and every later one get the non-retryable
+// core.ErrDurability — while what was acknowledged before survives recovery.
+func TestEngineFailStopsOnLogError(t *testing.T) {
+	dir := t.TempDir()
+	opts := engine.Options{
+		Shards:         4,
+		LockTimeout:    2 * time.Second,
+		DurabilityDir:  dir,
+		DurabilitySync: true,
+		GCPEpoch:       time.Hour, // no seal reaches the appender before the device swap
+	}
+	specs := []*core.Spec{{Name: "put", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
+	cfg := engine.G(engine.Kind2PL, []string{"put"})
+	e, err := engine.New(opts, specs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := wal.InstallFlakyDevice(e.Wal())
+	put := func(i int) error {
+		return e.RunTxn("put", 0, func(tx *engine.Tx) error {
+			if err := tx.Write(core.KeyOf("kv", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+				return err
+			}
+			return tx.Write(core.KeyOf("kv", 1000+i), []byte("second shard, probably"))
+		})
+	}
+	if err := put(0); err != nil {
+		t.Fatalf("commit before the failure: %v", err)
+	}
+
+	dev.FailNextSync()
+	const racers = 8
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = put(1 + i)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < 4; i++ {
+		errs = append(errs, put(100+i))
+	}
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("transaction %d was acknowledged after the log failed", i)
+		}
+		if !errors.Is(err, core.ErrDurability) || core.IsRetryable(err) {
+			t.Fatalf("transaction %d: got %v, want the non-retryable core.ErrDurability", i, err)
+		}
+	}
+	snap := e.Stats().Snapshot()
+	if snap.WalErrors == 0 {
+		t.Fatal("stats counted no WAL error")
+	}
+	if err := e.Close(); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("Close after a log failure returned %v", err)
+	}
+
+	e2, _, err := engine.Recover(opts, specs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := string(e2.ReadCommitted(core.KeyOf("kv", 0))); got != "v0" {
+		t.Fatalf("acknowledged commit recovered as %q", got)
+	}
+	for i := 0; i < 4; i++ {
+		if v := e2.ReadCommitted(core.KeyOf("kv", 100+i)); v != nil {
+			t.Fatalf("kv/%d = %q: written after the log was poisoned", 100+i, v)
+		}
+	}
+}

@@ -3,27 +3,18 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/kvstore"
 )
-
-func appendU32(b []byte, v uint32) []byte {
-	var u [4]byte
-	binary.LittleEndian.PutUint32(u[:], v)
-	return append(b, u[:]...)
-}
-
-func u32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
 
 // Record kinds inside the pipeline. Seals and checkpoint markers never reach
 // the log as batch entries; a seal instructs the appender to flush and
-// advance the shard's epoch marker, a checkpoint marker to persist the
-// shard's checkpoint frontier.
+// advance the epoch marker, a checkpoint marker to persist the checkpoint
+// frontier.
 const (
 	recSeal       byte = 0 // no payload; epoch = the GCP epoch to seal
-	recPrecommit  byte = 1 // payload = encodePrecommit(...)
+	recPrecommit  byte = 1 // payload = appendPrecommit(...)
 	recCommit     byte = 2 // payload = 24 bytes: txnID, commitTS, epoch
 	recCheckpoint byte = 3 // payload = 16 bytes: checkpoint id, snapshot TS
 	recAbort      byte = 4 // payload = 8 bytes: txnID (commit will never come)
@@ -77,7 +68,8 @@ func (tk *Ticket) Err() error {
 	return nil
 }
 
-// appendReq is one record handed to a per-shard appender.
+// appendReq is one request handed to the appender. Entries decoded back out
+// of a batch record carry only kind and payload.
 type appendReq struct {
 	kind    byte
 	payload []byte
@@ -85,26 +77,37 @@ type appendReq struct {
 	tk      *Ticket
 }
 
-// appender is one data server's log appender: it drains its queue,
-// coalesces everything waiting into a single batch record, appends it with
-// one Set and — under SyncCommit — one fsync shared by every waiter in the
-// batch (leader/follower group commit; the "leader" is the appender
-// goroutine, committers are all followers).
+// logDevice is what the appender needs of the log store. *kvstore.Store is
+// the only implementation outside tests, which substitute a failing one.
+type logDevice interface {
+	Set(key string, value []byte) error
+	Sync() error
+}
+
+// appender is the log's single writer: it drains its queue, coalesces
+// everything waiting into one batch record, appends it with one Set and —
+// under SyncCommit — one fsync shared by every waiter in the batch
+// (leader/follower group commit; the "leader" is the appender goroutine,
+// committers are all followers).
 type appender struct {
 	m      *Manager
-	shard  int
-	st     *kvstore.Store
+	dev    logDevice
 	ch     chan appendReq
-	seq    uint64
-	marker uint64 // newest epoch marker written to this shard's log
+	seq    uint64 // next batch key
+	marker uint64 // newest epoch marker written to the log
+	key    []byte // reused batch-key, batch-value and marker buffers
+	enc    []byte
+	mark   [8]byte
 	exited chan struct{}
 }
 
-func newAppender(m *Manager, shard int, st *kvstore.Store) *appender {
+func newAppender(m *Manager, dev logDevice) *appender {
 	return &appender{
-		m:      m,
-		shard:  shard,
-		st:     st,
+		m:   m,
+		dev: dev,
+		// Deep enough that stagers, who send while holding the stage/seal
+		// lock, do not block behind an fsync: a few hundred committers
+		// times the records of one transaction each.
 		ch:     make(chan appendReq, 4096),
 		exited: make(chan struct{}),
 	}
@@ -132,7 +135,7 @@ func (a *appender) run() {
 		bytes := len(req.payload)
 		closed := false
 	drain:
-		for len(batch) < a.m.maxBatch && bytes < maxBatchBytes {
+		for len(batch) < a.m.opts.MaxBatch && bytes < maxBatchBytes {
 			select {
 			case r, ok := <-a.ch:
 				if !ok {
@@ -154,78 +157,37 @@ func (a *appender) run() {
 }
 
 // flush appends the batch's records as one coalesced batch record, advances
-// the shard's epoch marker when required, fsyncs once for the whole batch,
-// and completes every ticket.
-//
-// The appender is the sole writer of its shard's epoch marker, so the
-// marker is monotone by construction:
-//
-//   - a seal request (the GCP epoch tick, §4.5.4) flushes everything
-//     appended so far and advances the marker to the sealed epoch — FIFO
-//     order guarantees every record staged while that epoch was open
-//     precedes the seal;
-//   - under SyncCommit every batch carries its records' epochs forward in
-//     the same fsync, so an acknowledged commit is recoverable immediately
-//     rather than at the next epoch tick. A record of the same epoch still
-//     queued at crash time is simply absent and its transaction is
-//     discarded by the missing-record rules — and its committer was never
-//     acknowledged.
+// the epoch marker when required, fsyncs once for the whole batch, and
+// completes every ticket. Once the log is poisoned it only completes
+// tickets, with the sticky error.
 func (a *appender) flush(batch []appendReq) {
-	var records, seals, cks int
+	var records int
+	var sealed, sync bool
 	var maxEpoch uint64
+	var ck []byte
 	for _, r := range batch {
 		switch r.kind {
 		case recSeal:
-			seals++
-			if r.epoch > maxEpoch {
-				maxEpoch = r.epoch
-			}
+			sealed, sync = true, true
+			maxEpoch = max(maxEpoch, r.epoch)
 		case recCheckpoint:
-			cks++
+			ck, sync = r.payload, true
 		default:
 			records++
-			if a.m.opts.SyncCommit && r.epoch > maxEpoch {
-				maxEpoch = r.epoch
+			if a.m.opts.SyncCommit {
+				sync = true
+				maxEpoch = max(maxEpoch, r.epoch)
 			}
 		}
 	}
-	var err error
 	start := time.Now()
-	if records > 0 {
-		key := fmt.Sprintf("b/%d/%d", a.shard, a.seq)
-		a.seq++
-		err = a.st.Set(key, encodeBatch(batch, records))
-		a.m.hook("append")
-	}
-	if err == nil && maxEpoch > a.marker {
-		// The marker is appended after the records it covers, so a torn
-		// tail can lose the marker (conservative) but never persist a
-		// marker ahead of its records.
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], maxEpoch)
-		if err = a.st.Set(fmt.Sprintf("e/%d", a.shard), buf[:]); err == nil {
-			a.marker = maxEpoch
-		}
-	}
-	if err == nil && cks > 0 {
-		// Checkpoint frontier markers are appended after every record
-		// staged before them (FIFO), and the sync below makes the whole
-		// log prefix durable with the marker — the frontier can never
-		// claim coverage of records that were lost with the buffer.
-		for _, r := range batch {
-			if r.kind != recCheckpoint {
-				continue
-			}
-			if err = a.st.Set(fmt.Sprintf("ck/%d", a.shard), r.payload); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil && (seals > 0 || cks > 0 || (records > 0 && a.m.opts.SyncCommit)) {
-		err = a.st.Sync()
-		if seals > 0 {
+	err := a.m.Err()
+	if err == nil {
+		if err = a.write(batch, records, maxEpoch, ck, sync); err != nil {
+			err = a.m.fail(err)
+		} else if sealed {
 			a.m.hook("seal")
-		} else {
+		} else if sync {
 			a.m.hook("flush")
 		}
 	}
@@ -237,10 +199,52 @@ func (a *appender) flush(batch []appendReq) {
 	}
 }
 
-// encodeBatch packs the batch's payload-bearing records into one value:
+// write puts one batch on the device. The appender is the sole writer of the
+// epoch marker, so the marker is monotone by construction:
 //
-//	u32 count | repeat: u8 kind, u32 len, payload
+//   - a seal request (the GCP epoch tick, §4.5.4) flushes everything
+//     appended so far and advances the marker to the sealed epoch — FIFO
+//     order guarantees every record staged while that epoch was open
+//     precedes the seal;
+//   - under SyncCommit every batch carries its records' epochs forward in
+//     the same fsync, so an acknowledged commit is recoverable immediately
+//     rather than at the next epoch tick. A record of the same epoch still
+//     queued at crash time is simply absent and its transaction is
+//     discarded by the missing-record rules — and its committer was never
+//     acknowledged.
 //
+// Both markers are appended after the records they cover, so a torn tail
+// can lose a marker (conservative) but never persist one ahead of its
+// records; a checkpoint frontier marker follows every record staged before
+// it (FIFO), and the sync makes the whole log prefix durable with it.
+func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, ck []byte, sync bool) error {
+	if records > 0 {
+		a.key = strconv.AppendUint(append(a.key[:0], batchPrefix...), a.seq, 10)
+		a.seq++
+		a.enc = appendBatch(a.enc[:0], batch, records)
+		if err := a.dev.Set(string(a.key), a.enc); err != nil {
+			return err
+		}
+		a.m.hook("append")
+	}
+	if maxEpoch > a.marker {
+		binary.LittleEndian.PutUint64(a.mark[:], maxEpoch)
+		if err := a.dev.Set(epochKey, a.mark[:]); err != nil {
+			return err
+		}
+		a.marker = maxEpoch
+	}
+	if ck != nil {
+		if err := a.dev.Set(ckKey, ck); err != nil {
+			return err
+		}
+	}
+	if sync {
+		return a.dev.Sync()
+	}
+	return nil
+}
+
 // batchEntryKind reports whether a pipeline record kind is persisted as a
 // coalesced batch entry (seals and checkpoint markers are control requests,
 // not log content).
@@ -248,68 +252,42 @@ func batchEntryKind(k byte) bool {
 	return k == recPrecommit || k == recCommit || k == recAbort
 }
 
-func encodeBatch(batch []appendReq, records int) []byte {
-	size := 4
+// appendBatch packs the batch's `records` payload-bearing records into one
+// value:
+//
+//	u32 count | repeat: u8 kind, u32 len, payload
+func appendBatch(buf []byte, batch []appendReq, records int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(records))
 	for _, r := range batch {
 		if batchEntryKind(r.kind) {
-			size += 1 + 4 + len(r.payload)
+			buf = append(buf, r.kind)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.payload)))
+			buf = append(buf, r.payload...)
 		}
 	}
-	buf := make([]byte, 0, size)
-	buf = appendU32(buf, uint32(records))
-	for _, r := range batch {
-		if !batchEntryKind(r.kind) {
-			continue
-		}
-		buf = append(buf, r.kind)
-		buf = appendU32(buf, uint32(len(r.payload)))
-		buf = append(buf, r.payload...)
-	}
 	return buf
-}
-
-// encodeBatchEntries re-packs surviving batch entries after compaction
-// filtered out entries belonging to checkpoint-covered transactions.
-func encodeBatchEntries(entries []batchEntry) []byte {
-	size := 4
-	for _, e := range entries {
-		size += 1 + 4 + len(e.payload)
-	}
-	buf := make([]byte, 0, size)
-	buf = appendU32(buf, uint32(len(entries)))
-	for _, e := range entries {
-		buf = append(buf, e.kind)
-		buf = appendU32(buf, uint32(len(e.payload)))
-		buf = append(buf, e.payload...)
-	}
-	return buf
-}
-
-type batchEntry struct {
-	kind    byte
-	payload []byte
 }
 
 // decodeBatch unpacks a coalesced batch record; recovery replays each entry
-// as if it were an individual precommit/commit record.
-func decodeBatch(buf []byte) ([]batchEntry, error) {
+// as an individual precommit/commit record. Payloads alias buf.
+func decodeBatch(buf []byte) ([]appendReq, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("wal: truncated batch record")
 	}
-	count := int(u32(buf))
+	count := int(binary.LittleEndian.Uint32(buf))
 	off := 4
-	out := make([]batchEntry, 0, count)
+	out := make([]appendReq, 0, min(count, len(buf)/5))
 	for i := 0; i < count; i++ {
 		if off+5 > len(buf) {
 			return nil, fmt.Errorf("wal: truncated batch entry")
 		}
 		kind := buf[off]
-		n := int(u32(buf[off+1:]))
+		n := int(binary.LittleEndian.Uint32(buf[off+1:]))
 		off += 5
-		if off+n > len(buf) {
+		if n > len(buf)-off {
 			return nil, fmt.Errorf("wal: truncated batch payload")
 		}
-		out = append(out, batchEntry{kind: kind, payload: buf[off : off+n]})
+		out = append(out, appendReq{kind: kind, payload: buf[off : off+n]})
 		off += n
 	}
 	return out, nil

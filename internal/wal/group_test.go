@@ -95,7 +95,9 @@ func TestEpochBarrierPersistsStagedRecords(t *testing.T) {
 	}
 	// Async mode: Commit returned without waiting. The durable
 	// notification must nonetheless imply the records are on disk.
-	m.WaitDurable(epoch)
+	if err := m.WaitDurable(epoch); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := Recover(dir, 2)
 	if err != nil {
@@ -108,7 +110,7 @@ func TestEpochBarrierPersistsStagedRecords(t *testing.T) {
 }
 
 // TestBatchSeqResumesAcrossReopen: batch record keys are latest-wins in
-// the kvstore, so a reopened Manager must continue the per-shard batch
+// the kvstore, so a reopened Manager must continue the batch
 // sequence where the previous incarnation stopped — a restarted counter
 // would overwrite old batches and silently lose their transactions.
 func TestBatchSeqResumesAcrossReopen(t *testing.T) {
@@ -190,45 +192,6 @@ func TestSyncCommitRecoverableBeforeEpochTick(t *testing.T) {
 	}
 }
 
-// TestMixedLegacyAndBatchedRecords verifies recovery replays individual
-// p/ and c/ records alongside coalesced b/ batch records.
-func TestMixedLegacyAndBatchedRecords(t *testing.T) {
-	dir := t.TempDir()
-	m := open(t, dir, 1, true)
-	// Legacy-format transaction written directly to the store.
-	rec := encodePrecommit(1, m.Epoch(), 1, []KV{kv("t", "legacy", "old")})
-	if err := m.stores[0].Set("p/1/0", rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(1, 10, m.Epoch(), newTicket(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Pipeline transaction.
-	epoch, tk, err := m.Precommit(2, map[int][]KV{0: {kv("t", "batched", "new")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(2, 20, epoch, tk); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-
-	st, err := Recover(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Committed != 2 {
-		t.Fatalf("committed=%d discarded=%d", st.Committed, st.Discarded)
-	}
-	got := map[string]string{}
-	for _, w := range st.Writes {
-		got[w.Key.Row] = string(w.Value)
-	}
-	if got["legacy"] != "old" || got["batched"] != "new" {
-		t.Fatalf("writes %v", got)
-	}
-}
-
 // TestTicketCompletion checks ticket bookkeeping: it completes only after
 // the precommit records AND the commit record are appended.
 func TestTicketCompletion(t *testing.T) {
@@ -260,14 +223,14 @@ func TestTicketCompletion(t *testing.T) {
 
 // TestBatchRoundTrip exercises the coalesced record encoding directly.
 func TestBatchRoundTrip(t *testing.T) {
-	pre := encodePrecommit(7, 3, 2, []KV{kv("t", "r", "v")})
+	pre := appendPrecommit(nil, 7, 3, 2, []KV{kv("t", "r", "v")})
 	commit := make([]byte, 24)
 	reqs := []appendReq{
 		{kind: recPrecommit, payload: pre},
 		{kind: recSeal},
 		{kind: recCommit, payload: commit},
 	}
-	buf := encodeBatch(reqs, 2)
+	buf := appendBatch(nil, reqs, 2)
 	entries, err := decodeBatch(buf)
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,9 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/kvstore"
 )
 
 // RecoveredWrite is one surviving committed write.
@@ -48,13 +45,13 @@ type RecoveredState struct {
 //  0. load the newest complete checkpoint snapshot, if one was published
 //     (manifest + per-shard snapshot files): it seeds the latest committed
 //     version of every covered key, and only the log tail remains;
-//  1. retrieve logs from each data server's persistent store;
+//  1. retrieve the data servers' records from the log;
 //  2. reconstruct database state — discard transactions that are missing a
-//     precommit record on any participant, whose records fall beyond a
-//     server's durable epoch frontier, or that lack a coordinator commit
-//     record; merge the survivors into the snapshot base, keeping the
-//     latest committed version of each key (merging is by commit timestamp,
-//     so records of snapshot-covered transactions that escaped compaction
+//     precommit record of any participant, whose records fall beyond the
+//     durable epoch frontier, or that lack a coordinator commit record;
+//     merge the survivors into the snapshot base, keeping the latest
+//     committed version of each key (merging is by commit timestamp, so
+//     records of snapshot-covered transactions that escaped compaction
 //     replay idempotently);
 //  3. CC-internal state (indices, version maps, lock tables) is rebuilt by
 //     the caller: recovered writes are re-installed as committed history
@@ -116,103 +113,76 @@ func Recover(dir string, shards int) (*RecoveredState, error) {
 		return t
 	}
 
-	for i := 0; i < shards; i++ {
-		st, err := kvstore.Open(filepath.Join(dir, fmt.Sprintf("ds-%03d.log", i)))
-		if err != nil {
-			return nil, err
+	st, err := openLog(dir)
+	if err != nil {
+		return nil, err
+	}
+	var frontier uint64
+	if b := st.Get(epochKey); len(b) == 8 {
+		frontier = binary.LittleEndian.Uint64(b)
+	}
+	if man != nil {
+		// The checkpoint frontier marker is staged through the appender
+		// and fsynced BEFORE the manifest is published, so a manifest
+		// always implies a marker at least as new. A log behind the
+		// manifest means the two come from different histories (outside
+		// interference, mixed restores) — recovering would silently drop
+		// the compacted prefix.
+		var id uint64
+		if b := st.Get(ckKey); len(b) == 16 {
+			id = binary.LittleEndian.Uint64(b[0:8])
 		}
-		var frontier uint64
-		if b := st.Get(fmt.Sprintf("e/%d", i)); len(b) == 8 {
-			frontier = binary.LittleEndian.Uint64(b)
+		if id < man.ID {
+			//lint:allow syncerr -- read-only store being abandoned; the frontier-mismatch error below is the diagnosis
+			st.Close()
+			return nil, fmt.Errorf("wal: log's checkpoint frontier marker %d is behind manifest %d (0 = no marker)", id, man.ID)
 		}
-		if man != nil {
-			// The checkpoint frontier marker is staged through the
-			// appender pipeline and fsynced on every shard BEFORE the
-			// manifest is published, so a manifest always implies a
-			// marker at least as new on every shard. A shard behind the
-			// manifest means the logs and the manifest come from
-			// different histories (outside interference, mixed
-			// restores) — recovering would silently drop the compacted
-			// prefix.
-			b := st.Get(fmt.Sprintf("ck/%d", i))
-			if len(b) != 16 {
-				//lint:allow syncerr -- read-only store being abandoned; the missing-marker error below is the diagnosis
-				st.Close()
-				return nil, fmt.Errorf("wal: shard %d has no checkpoint frontier marker but manifest %d is published", i, man.ID)
-			}
-			if id := binary.LittleEndian.Uint64(b[0:8]); id < man.ID {
-				//lint:allow syncerr -- read-only store being abandoned; the frontier-mismatch error below is the diagnosis
-				st.Close()
-				return nil, fmt.Errorf("wal: shard %d frontier marker %d behind manifest %d", i, id, man.ID)
-			}
-		}
-		applyPrecommit := func(value []byte) {
-			p, err := decodePrecommit(value)
-			if err != nil {
-				return // torn record: skip
-			}
-			out.Replayed++
-			t := get(p.txnID)
-			t.precommits++
-			t.nShards = p.nShards
-			t.writes = append(t.writes, p.writes...)
-			if p.epoch > frontier {
-				t.epochOK = false
-			}
-		}
-		applyCommit := func(id, commitTS, epoch uint64) {
-			out.Replayed++
-			t := get(id)
-			t.commitTS = commitTS
-			if epoch > frontier {
-				t.epochOK = false
-			} else {
-				t.committed = true
-			}
-		}
-		err = st.ForEach(func(key string, value []byte) error {
-			switch {
-			case strings.HasPrefix(key, "b/"):
-				// Coalesced group-commit batch: replay each entry
-				// as an individual record.
-				entries, err := decodeBatch(value)
-				if err != nil {
-					return nil // torn batch: skip
-				}
-				for _, e := range entries {
-					switch e.kind {
-					case recPrecommit:
-						applyPrecommit(e.payload)
-					case recCommit:
-						if len(e.payload) < 24 {
-							continue
-						}
-						applyCommit(
-							binary.LittleEndian.Uint64(e.payload[0:8]),
-							binary.LittleEndian.Uint64(e.payload[8:16]),
-							binary.LittleEndian.Uint64(e.payload[16:24]))
-					}
-				}
-			case strings.HasPrefix(key, "p/"):
-				applyPrecommit(value)
-			case strings.HasPrefix(key, "c/"):
-				id, err := strconv.ParseUint(key[2:], 10, 64)
-				if err != nil || len(value) < 16 {
-					return nil
-				}
-				applyCommit(id,
-					binary.LittleEndian.Uint64(value[0:8]),
-					binary.LittleEndian.Uint64(value[8:16]))
-			}
+	}
+	err = st.ForEach(func(key string, value []byte) error {
+		if !strings.HasPrefix(key, batchPrefix) {
 			return nil
-		})
-		cerr := st.Close()
+		}
+		entries, err := decodeBatch(value)
 		if err != nil {
-			return nil, err
+			return nil // torn batch: skip
 		}
-		if cerr != nil {
-			return nil, cerr
+		for _, e := range entries {
+			switch e.kind {
+			case recPrecommit:
+				p, err := decodePrecommit(e.payload)
+				if err != nil {
+					continue // torn record: skip
+				}
+				out.Replayed++
+				t := get(p.txnID)
+				t.precommits++
+				t.nShards = p.nShards
+				t.writes = append(t.writes, p.writes...)
+				if p.epoch > frontier {
+					t.epochOK = false
+				}
+			case recCommit:
+				if len(e.payload) < 24 {
+					continue
+				}
+				out.Replayed++
+				t := get(binary.LittleEndian.Uint64(e.payload[0:8]))
+				t.commitTS = binary.LittleEndian.Uint64(e.payload[8:16])
+				if binary.LittleEndian.Uint64(e.payload[16:24]) > frontier {
+					t.epochOK = false
+				} else {
+					t.committed = true
+				}
+			}
 		}
+		return nil
+	})
+	cerr := st.Close()
+	if err != nil {
+		return nil, err
+	}
+	if cerr != nil {
+		return nil, cerr
 	}
 
 	for _, t := range txns {

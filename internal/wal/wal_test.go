@@ -16,6 +16,17 @@ func open(t *testing.T, dir string, shards int, sync bool) *Manager {
 	return m
 }
 
+// stageRaw pushes one hand-built record through the appender and waits for
+// it, for tests that need a log no well-behaved committer would write.
+func stageRaw(t *testing.T, m *Manager, kind byte, payload []byte) {
+	t.Helper()
+	tk := newTicket(1)
+	m.app.ch <- appendReq{kind: kind, payload: payload, epoch: m.Epoch(), tk: tk}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func kv(table, row, val string) KV {
 	return KV{Key: core.Key{Table: table, Row: row}, Value: []byte(val)}
 }
@@ -78,10 +89,7 @@ func TestRecoverDiscardsIncompletePrecommits(t *testing.T) {
 	m := open(t, dir, 2, true)
 	// Claim two participating shards but only log one precommit (as if
 	// the second data server crashed before persisting).
-	rec := encodePrecommit(5, m.Epoch(), 2, []KV{kv("t", "x", "v")})
-	if err := m.stores[0].Set("p/5/0", rec); err != nil {
-		t.Fatal(err)
-	}
+	stageRaw(t, m, recPrecommit, appendPrecommit(nil, 5, m.Epoch(), 2, []KV{kv("t", "x", "v")}))
 	if err := m.Commit(5, 50, m.Epoch(), newTicket(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,9 @@ func TestAsyncDurableNotification(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		m.WaitDurable(epoch)
+		if err := m.WaitDurable(epoch); err != nil {
+			t.Error(err)
+		}
 		close(done)
 	}()
 	select {
@@ -140,7 +150,7 @@ func TestAsyncDurableNotification(t *testing.T) {
 
 func TestPrecommitRoundTripEncoding(t *testing.T) {
 	in := []KV{kv("table", "row", "value"), kv("t2", "r2", "")}
-	rec := encodePrecommit(42, 7, 3, in)
+	rec := appendPrecommit(nil, 42, 7, 3, in)
 	p, err := decodePrecommit(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +164,7 @@ func TestPrecommitRoundTripEncoding(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	rec := encodePrecommit(1, 1, 1, []KV{kv("t", "r", "v")})
+	rec := appendPrecommit(nil, 1, 1, 1, []KV{kv("t", "r", "v")})
 	for cut := 0; cut < len(rec); cut += 5 {
 		if _, err := decodePrecommit(rec[:cut]); err == nil && cut < len(rec) {
 			// Short prefixes may decode iff they form a complete

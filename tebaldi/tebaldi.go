@@ -79,6 +79,9 @@ const (
 var (
 	ErrAborted   = core.ErrAborted
 	ErrUserAbort = core.ErrUserAbort
+	// ErrDurability: the write-ahead log failed; the commit is not
+	// acknowledged and is not retried. Recover to resume.
+	ErrDurability = core.ErrDurability
 )
 
 // IsRetryable reports whether err is a system abort that Run would retry.

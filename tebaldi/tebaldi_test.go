@@ -78,7 +78,9 @@ func TestDurabilityRecoverRoundTrip(t *testing.T) {
 		}
 	}
 	epoch := db.Engine().Wal().Epoch()
-	db.Engine().Wal().WaitDurable(epoch)
+	if err := db.Engine().Wal().WaitDurable(epoch); err != nil {
+		t.Fatal(err)
+	}
 	db.Close() // "crash": discard all in-memory state
 
 	db2, state, err := tebaldi.Recover(opts, specs(), nil)

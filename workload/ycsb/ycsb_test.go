@@ -147,7 +147,9 @@ func TestRunsUnderDurability(t *testing.T) {
 			committed := db.Stats().Snapshot().Commits
 			if !sync {
 				wal := db.Engine().Wal()
-				wal.WaitDurable(wal.Epoch())
+				if err := wal.WaitDurable(wal.Epoch()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			db.Close()
 
