@@ -49,7 +49,7 @@ func TestEscapePointsMatchDocumentation(t *testing.T) {
 		"(*repro/internal/core.Txn).AddWrite",
 		"(*repro/internal/engine.Engine).loadVersion",
 		"(*repro/internal/engine.Tx).Txn",
-		"(*repro/internal/lockmgr.Table).Acquire",
+		"(*repro/internal/lockmgr.Table).Grant",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("derived escape points diverge from the documented list\n got: %q\nwant: %q", got, want)

@@ -19,48 +19,60 @@ type RP struct {
 	analysis *Analysis
 }
 
-// slot is the per-transaction pipeline state.
+// slot is the per-transaction pipeline state. Every CC call of a transaction
+// runs on its owner goroutine, so held, written and deps are the owner's
+// alone; other transactions only read cur and park on wake.
 type slot struct {
-	mu   sync.Mutex
-	cur  int32 // current step (atomic via Load/Store on curAtomic)
-	gen  chan struct{}
-	held map[core.Key]lockmgr.Mode
+	cur atomic.Int32 // current step
+	mu  sync.Mutex   // guards wake, and orders cur's store against its making
+	// wake is made by the first transaction that waits on this one's step
+	// and closed by the next advance; a transaction nobody waits on never
+	// has one.
+	wake chan struct{}
+	// held lists the current step's locks, one element per fresh grant.
+	held []core.Key
 	// written tracks versions installed in the current (not yet
 	// step-committed) step.
 	written []*core.Version
-
-	curAtomic atomic.Int32
+	// deps is firstBlockingDep's reused snapshot buffer.
+	deps []core.Dep
 }
 
 // step returns the transaction's current pipeline step.
-func (s *slot) step() int { return int(s.curAtomic.Load()) }
+func (s *slot) step() int { return int(s.cur.Load()) }
 
 // exposeWrites marks the current step's writes step-committed. Must run
 // BEFORE the step's locks are released, or a successor could acquire the
 // lock and miss the write.
 func (s *slot) exposeWrites() {
-	s.mu.Lock()
 	for _, v := range s.written {
 		v.MarkStepCommitted()
 	}
 	s.written = s.written[:0]
-	s.mu.Unlock()
 }
 
 // advanceTo publishes the new step and wakes entry waiters.
 func (s *slot) advanceTo(r int) {
 	s.exposeWrites()
 	s.mu.Lock()
-	s.curAtomic.Store(int32(r))
-	old := s.gen
-	s.gen = make(chan struct{})
+	s.cur.Store(int32(r))
+	wake := s.wake
+	s.wake = nil
 	s.mu.Unlock()
-	close(old)
+	if wake != nil {
+		close(wake)
+	}
 }
 
+// waitCh returns the channel the next advance closes. The caller re-checks
+// step() after taking it: an advance either saw the channel or stored the
+// step first.
 func (s *slot) waitCh() chan struct{} {
 	s.mu.Lock()
-	ch := s.gen
+	if s.wake == nil {
+		s.wake = make(chan struct{})
+	}
+	ch := s.wake
 	s.mu.Unlock()
 	return ch
 }
@@ -95,8 +107,7 @@ func (r *RP) Pipeline() *Analysis { return r.analysis }
 
 // Begin implements core.CC.
 func (r *RP) Begin(t *core.Txn) error {
-	s := &slot{gen: make(chan struct{}), held: make(map[core.Key]lockmgr.Mode, 8)}
-	t.Slots[r.node.Depth] = s
+	t.Slots[r.node.Depth] = &slot{}
 	return nil
 }
 
@@ -125,22 +136,11 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 	}
 	if target > s.step() {
 		// Step-commit everything below target: expose writes first,
-		// then release step locks so successors may proceed.
+		// then release step locks so successors may proceed. Steps only
+		// advance, so every held lock belongs to a step below target.
 		s.exposeWrites()
-		s.mu.Lock()
-		held := make([]core.Key, 0, len(s.held))
-		for k := range s.held {
-			held = append(held, k)
-		}
-		s.mu.Unlock()
-		for _, k := range held {
-			if kr := r.analysis.Rank[k.Table]; kr < target {
-				r.locks.Release(t, k)
-				s.mu.Lock()
-				delete(s.held, k)
-				s.mu.Unlock()
-			}
-		}
+		r.locks.ReleaseAll(t, s.held)
+		s.held = s.held[:0]
 		s.advanceTo(target)
 	}
 
@@ -148,7 +148,7 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 	// executing this step (advanced past it or terminated).
 	var deadline time.Time
 	for {
-		blocked := r.firstBlockingDep(t, target)
+		blocked := r.firstBlockingDep(t, s, target)
 		if blocked == nil {
 			return nil
 		}
@@ -169,8 +169,9 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 
 // firstBlockingDep returns a dependency of t, managed by this node, that has
 // not yet finished executing step target.
-func (r *RP) firstBlockingDep(t *core.Txn, target int) *core.Txn {
-	for _, d := range t.Deps() {
+func (r *RP) firstBlockingDep(t *core.Txn, s *slot, target int) *core.Txn {
+	s.deps = t.AppendDeps(s.deps[:0])
+	for _, d := range s.deps {
 		if d.T.Finished() || !r.node.InSubtree(d.T) {
 			continue
 		}
@@ -205,20 +206,12 @@ func (r *RP) PreWrite(t *core.Txn, k core.Key) error {
 }
 
 func (r *RP) acquire(t *core.Txn, k core.Key, m lockmgr.Mode) error {
-	s := r.slotOf(t)
-	s.mu.Lock()
-	held, ok := s.held[k]
-	s.mu.Unlock()
-	if ok && (held == lockmgr.Exclusive || held == m) {
-		return nil
+	fresh, err := r.locks.Grant(t, k, m)
+	if fresh {
+		s := r.slotOf(t)
+		s.held = append(s.held, k)
 	}
-	if err := r.locks.Acquire(t, k, m); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.held[k] = m
-	s.mu.Unlock()
-	return nil
+	return err
 }
 
 // AmendRead implements core.CC. RP accepts the child's proposal if it is a
@@ -279,9 +272,7 @@ func (r *RP) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.V
 // exposure and record write-write ordering on pending in-subtree versions.
 func (r *RP) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version) error {
 	s := r.slotOf(t)
-	s.mu.Lock()
 	s.written = append(s.written, v)
-	s.mu.Unlock()
 	for _, old := range ch.Versions() {
 		if old == v || old.Writer == t || !old.Pending() {
 			continue
@@ -312,15 +303,7 @@ func (r *RP) finish(t *core.Txn) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	keys := make([]core.Key, 0, len(s.held))
-	for k := range s.held {
-		keys = append(keys, k)
-	}
-	s.held = map[core.Key]lockmgr.Mode{}
-	s.mu.Unlock()
-	for _, k := range keys {
-		r.locks.Release(t, k)
-	}
+	r.locks.ReleaseAll(t, s.held)
+	s.held = nil
 	s.advanceTo(r.analysis.MaxRank + 1)
 }

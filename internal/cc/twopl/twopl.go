@@ -26,8 +26,11 @@ type TwoPL struct {
 	locks *lockmgr.Table
 }
 
+// slot lists the keys t holds here, one element per fresh grant. The lock
+// table answers re-entrancy and upgrades, so no per-transaction map mirrors
+// its ownership facts.
 type slot struct {
-	held map[core.Key]lockmgr.Mode
+	held []core.Key
 }
 
 // New creates a 2PL mechanism for node. For non-leaf nodes the lock table
@@ -45,9 +48,9 @@ func New(env *core.Env, node *core.Node) *TwoPL {
 // Name implements core.CC.
 func (p *TwoPL) Name() string { return "2PL" }
 
-// Begin implements core.CC. The held map is allocated lazily on the first
-// lock acquisition, so transactions that never reach this node's lock table
-// pay one slot allocation only.
+// Begin implements core.CC. The held list grows on the first lock
+// acquisition, so transactions that never reach this node's lock table pay
+// one slot allocation only.
 func (p *TwoPL) Begin(t *core.Txn) error {
 	t.Slots[p.node.Depth] = &slot{}
 	return nil
@@ -59,18 +62,12 @@ func (p *TwoPL) slotOf(t *core.Txn) *slot {
 }
 
 func (p *TwoPL) acquire(t *core.Txn, k core.Key, m lockmgr.Mode) error {
-	s := p.slotOf(t)
-	if held, ok := s.held[k]; ok && (held == lockmgr.Exclusive || held == m) {
-		return nil
+	fresh, err := p.locks.Grant(t, k, m)
+	if fresh {
+		s := p.slotOf(t)
+		s.held = append(s.held, k)
 	}
-	if err := p.locks.Acquire(t, k, m); err != nil {
-		return err
-	}
-	if s.held == nil {
-		s.held = make(map[core.Key]lockmgr.Mode, 8)
-	}
-	s.held[k] = m
-	return nil
+	return err
 }
 
 // PreRead implements core.CC: acquire a shared lock, held to commit.
@@ -139,8 +136,6 @@ func (p *TwoPL) releaseAll(t *core.Txn) {
 	if s == nil {
 		return
 	}
-	for k := range s.held {
-		p.locks.Release(t, k)
-	}
+	p.locks.ReleaseAll(t, s.held)
 	s.held = nil
 }

@@ -77,8 +77,8 @@ type WriteRef struct {
 //   - Txn.AddDep: the *target* transaction's pointer enters this txn's deps
 //     map (targets reaching AddDep are already shared — they came from a
 //     version or a lock table — but AddDep re-marks them for robustness).
-//   - lockmgr.Table.Acquire: the lock table's owner map and blocked waiters
-//     retain the pointer.
+//   - lockmgr.Table.Grant (Acquire is a call to it): the lock table's owner
+//     list and blocked waiters retain the pointer.
 //   - engine.Tx.Txn: an external handle escapes to tooling/tests.
 //   - engine.Engine.loadVersion: bulk load installs versions outside any CC
 //     tree, so the synthetic writer is marked at construction. (This one was
@@ -318,14 +318,18 @@ func (t *Txn) HasDeps() bool {
 }
 
 // Deps returns a snapshot of the recorded dependency set.
-func (t *Txn) Deps() []Dep {
+func (t *Txn) Deps() []Dep { return t.AppendDeps(nil) }
+
+// AppendDeps appends a snapshot of the recorded dependency set to buf and
+// returns the extended slice, so a caller that polls the set (RP's step
+// entry) can reuse one buffer.
+func (t *Txn) AppendDeps(buf []Dep) []Dep {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Dep, 0, len(t.deps))
 	for _, d := range t.deps {
-		out = append(out, d)
+		buf = append(buf, d)
 	}
-	return out
+	t.mu.Unlock()
+	return buf
 }
 
 // AddWrite records an installed (still uncommitted) version. The version

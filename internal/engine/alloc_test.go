@@ -91,8 +91,9 @@ func TestAllocBudgetReadOnlyCycle(t *testing.T) {
 
 // TestAllocBudgetWriteCycle: begin/write/commit under a single-leaf 2PL
 // tree. Writers escape into version chains so they are never pooled; the
-// budget covers the Txn, Tx handle, lock table entries, the version, and
-// the write-set entry.
+// budget covers the Txn, Tx handle, the 2PL slot and its held-key list, the
+// version, the chain's version list and the write-set entry; the lock table
+// itself adds nothing (lockmgr's TestAllocBudgetAcquireRelease).
 func TestAllocBudgetWriteCycle(t *testing.T) {
 	specs := []*core.Spec{{Name: "op", Tables: []string{"t"}, WriteTables: []string{"t"}}}
 	e := newAllocEngine(t, specs, G(Kind2PL, []string{"op"}))
@@ -100,12 +101,50 @@ func TestAllocBudgetWriteCycle(t *testing.T) {
 	e.Load(k, []byte("v0"))
 	val := []byte("v1")
 
-	checkBudget(t, "begin/write/commit, single-leaf 2PL", 20, func() {
+	checkBudget(t, "begin/write/commit, single-leaf 2PL", 9, func() {
 		tx, err := e.Begin("op", 0)
 		if err != nil {
 			t.Fatalf("Begin: %v", err)
 		}
 		if err := tx.Write(k, val); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+	})
+}
+
+// TestAllocBudgetThreeLayerCycle: begin/read/write/commit of two keys in two
+// tables under the paper's tree, SSI[NoCC 2PL[RP RP]]. Every operation
+// crosses two lock tables (2PL's and RP's) and the second table is a new RP
+// step, so this guards the composed path: a per-grant lock entry, an eager
+// wake channel in either table or in the RP slot, or a per-transaction held
+// map coming back shows up here, not only at the single leaf.
+func TestAllocBudgetThreeLayerCycle(t *testing.T) {
+	specs := []*core.Spec{
+		{Name: "ro", ReadOnly: true, Tables: []string{"a", "b"}},
+		{Name: "upd", Tables: []string{"a", "b"}, WriteTables: []string{"b"}},
+		{Name: "other", Tables: []string{"a", "b"}, WriteTables: []string{"a", "b"}},
+	}
+	e := newAllocEngine(t, specs,
+		G(KindSSI, nil,
+			G(KindNone, []string{"ro"}),
+			G(Kind2PL, nil, G(KindRP, []string{"upd"}), G(KindRP, []string{"other"}))))
+	ka, kb := core.KeyOf("a", 1), core.KeyOf("b", 1)
+	e.Load(ka, []byte("v0"))
+	e.Load(kb, []byte("v0"))
+	val := []byte("v1")
+
+	checkBudget(t, "begin/read/write/commit, SSI[NoCC 2PL[RP RP]]", 16, func() {
+		tx, err := e.Begin("upd", 0)
+		if err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		if _, err := tx.Read(ka); err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if err := tx.Write(kb, val); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 		if err := tx.Commit(); err != nil {

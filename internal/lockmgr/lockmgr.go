@@ -35,6 +35,11 @@ const (
 
 const numShards = 64
 
+// inlineOwners is how many owners an entry holds without a heap slice: an
+// exclusive lock has one, and shared or same-child groups rarely exceed the
+// client count.
+const inlineOwners = 4
+
 // Table is a sharded lock table. One table serves one CC node.
 type Table struct {
 	env *core.Env
@@ -46,30 +51,50 @@ type Table struct {
 
 type shard struct {
 	mu    sync.Mutex
-	locks map[core.Key]*lock
+	locks map[core.Key]*entry
+	// free chains the entries dropped from locks, for reuse by the next
+	// first grant in this shard; like the map's buckets it holds at most
+	// the shard's peak number of live entries.
+	free *entry
 }
 
-type lock struct {
-	owners  map[*core.Txn]Mode
-	waiters int
-	// upgrading marks owners currently waiting to upgrade Shared ->
+// owner is one transaction's hold on a key.
+type owner struct {
+	txn  *core.Txn
+	mode Mode
+	// upgrading marks an owner currently waiting to upgrade Shared ->
 	// Exclusive. Two such owners deadlock unresolvably (each waits for the
-	// other's Shared hold); the set lets the conflict be detected and
+	// other's Shared hold); the mark lets the conflict be detected and
 	// killed instantly instead of burning the full lock timeout — under
 	// retry-loop clients the timeout path livelocks: both upgraders time
 	// out together, retry, re-read (Shared never blocks), and re-deadlock,
 	// while every other transaction touching the row piles up behind them.
-	upgrading map[*core.Txn]bool
-	// gen is closed and replaced whenever the owner set shrinks (or an
-	// upgrader joins the wait), waking waiters to re-check compatibility.
-	gen chan struct{}
+	upgrading bool
+}
+
+// entry is the lock state of one key. It is in its shard's map exactly while
+// it has an owner or a registered waiter; a waiter may therefore keep its
+// pointer across the wait. Once it has neither it goes back to the shard's
+// free list and may serve a different key.
+type entry struct {
+	// owners aliases inline until a fifth concurrent owner spills it to
+	// the heap; a recycled entry keeps whichever backing it has.
+	owners  []owner
+	inline  [inlineOwners]owner
+	waiters int
+	// wake is made by the first waiter and closed (and forgotten) whenever
+	// the owner set shrinks or an upgrader joins the wait, so waiters
+	// re-check compatibility. With nobody waiting it is nil and a release
+	// touches no channel.
+	wake chan struct{}
+	next *entry // free list link
 }
 
 // New creates a lock table. exempt may be nil (no exemption: leaf 2PL).
 func New(env *core.Env, exempt func(a, b *core.Txn) bool) *Table {
 	t := &Table{env: env, exempt: exempt}
 	for i := range t.shards {
-		t.shards[i].locks = make(map[core.Key]*lock)
+		t.shards[i].locks = make(map[core.Key]*entry)
 	}
 	return t
 }
@@ -78,6 +103,70 @@ func (t *Table) shardFor(k core.Key) *shard {
 	// Inlined FNV-1a (core.Key.Hash32): hash/fnv allocated a hasher and
 	// three byte-slice conversions on every call; placement is unchanged.
 	return &t.shards[k.Hash32()%numShards]
+}
+
+// entryFor returns k's entry, taking one from the free list (or the heap,
+// while the shard is still warming up) on the first grant. Called with s.mu
+// held.
+func (s *shard) entryFor(k core.Key) *entry {
+	e := s.locks[k]
+	if e == nil {
+		if e = s.free; e != nil {
+			s.free, e.next = e.next, nil
+		} else {
+			e = &entry{}
+			e.owners = e.inline[:0]
+		}
+		s.locks[k] = e
+	}
+	return e
+}
+
+// dropIfIdle recycles k's entry once it has neither owners nor waiters.
+// Called with s.mu held.
+func (s *shard) dropIfIdle(k core.Key, e *entry) {
+	if e.waiters == 0 && len(e.owners) == 0 {
+		delete(s.locks, k)
+		e.wake = nil // a timed-out waiter may have left one nobody listens on
+		e.next, s.free = s.free, e
+	}
+}
+
+// indexOf returns txn's position in e.owners, or -1.
+func (e *entry) indexOf(txn *core.Txn) int {
+	for i := range e.owners {
+		if e.owners[i].txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends an owner. When that spills owners off the inline array, the
+// array is cleared: nothing removes from it any more, and a stale copy would
+// pin four transactions (and what they depend on) for the entry's lifetime.
+func (e *entry) add(o owner) {
+	e.owners = append(e.owners, o)
+	if len(e.owners) == inlineOwners+1 {
+		e.inline = [inlineOwners]owner{}
+	}
+}
+
+// remove drops owner i, clearing the vacated slot so a recycled entry pins no
+// finished transaction.
+func (e *entry) remove(i int) {
+	last := len(e.owners) - 1
+	e.owners[i] = e.owners[last]
+	e.owners[last] = owner{}
+	e.owners = e.owners[:last]
+}
+
+// wakeWaiters makes every parked waiter re-check compatibility.
+func (e *entry) wakeWaiters() {
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
+	}
 }
 
 // conflicts reports whether owner's hold in mode om conflicts with txn
@@ -98,7 +187,16 @@ func (t *Table) conflicts(owner *core.Txn, om Mode, txn *core.Txn, m Mode) bool 
 // are supported. Ordering dependencies on the owners waited for are recorded
 // on txn.
 func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
-	// The lock table retains the pointer (owner map; waiters hold it as
+	_, err := t.Grant(txn, k, m)
+	return err
+}
+
+// Grant is Acquire that also reports whether the grant is fresh: txn did not
+// hold k in any mode before. A CC node keeps its release list from that —
+// one element per fresh grant — and leaves re-entrancy and upgrades to the
+// table, which has to track them anyway.
+func (t *Table) Grant(txn *core.Txn, k core.Key, m Mode) (fresh bool, err error) {
+	// The lock table retains the pointer (owner list; waiters hold it as
 	// their recorded blocker) past this call: the txn must never be pooled.
 	txn.MarkShared()
 	s := t.shardFor(k)
@@ -108,142 +206,113 @@ func (t *Table) Acquire(txn *core.Txn, k core.Key, m Mode) error {
 
 	var blockStart time.Time
 	var blocker *core.Txn
-	flush := func(end time.Time) {
+	flush := func() {
 		if blocker != nil {
-			t.env.Report(txn, blocker, blockStart, end)
+			t.env.Report(txn, blocker, blockStart, time.Now())
 			blocker = nil
 		}
 	}
 
-	cleanupUpgrade := func(l *lock) {
-		if l.upgrading != nil {
-			delete(l.upgrading, txn)
-		}
-	}
-
+	s.mu.Lock()
+	e := s.entryFor(k)
 	for {
-		s.mu.Lock()
-		l := s.locks[k]
-		if l == nil {
-			l = &lock{owners: make(map[*core.Txn]Mode, 2), gen: make(chan struct{})}
-			s.locks[k] = l
-		}
-		if held, ok := l.owners[txn]; ok && (held == Exclusive || held == m) {
-			cleanupUpgrade(l)
+		me := e.indexOf(txn)
+		if me >= 0 && (e.owners[me].mode == Exclusive || m == Shared) {
+			e.owners[me].upgrading = false
 			s.mu.Unlock()
-			flush(time.Now())
-			return nil
+			flush()
+			return false, nil
 		}
-		upgrade := false
-		if held, ok := l.owners[txn]; ok && held == Shared && m == Exclusive {
-			upgrade = true
-		}
+		// A first grant (me < 0) or an upgrade of txn's Shared hold.
 		var conflictOwner *core.Txn
-		for o, om := range l.owners {
-			if t.conflicts(o, om, txn, m) {
-				conflictOwner = o
+		for i := range e.owners {
+			if o := &e.owners[i]; t.conflicts(o.txn, o.mode, txn, m) {
+				conflictOwner = o.txn
 				break
 			}
 		}
-		if upgrade && conflictOwner != nil {
+		if conflictOwner == nil {
+			// Grant. The ordering dependencies on the owners waited
+			// for were recorded before each wait (pure rw
+			// compatibility: S after S needs no edge).
+			if me >= 0 {
+				e.owners[me] = owner{txn: txn, mode: Exclusive}
+			} else {
+				e.add(owner{txn: txn, mode: m})
+			}
+			s.mu.Unlock()
+			flush()
+			return me < 0, nil
+		}
+		if me >= 0 {
 			// Another Shared holder also waiting to upgrade means an
 			// unresolvable deadlock: kill the younger upgrader now
 			// (ErrConflict is retryable; the retry re-reads and re-queues
 			// with a fresh, larger ID, so the oldest upgrader always
 			// wins and the pair resolves in microseconds, not timeouts).
-			for o, om := range l.owners {
-				if o != txn && om == Shared && l.upgrading[o] &&
-					t.conflicts(o, om, txn, m) && txn.ID > o.ID {
-					cleanupUpgrade(l)
+			for i := range e.owners {
+				if o := &e.owners[i]; o.txn != txn && o.mode == Shared && o.upgrading &&
+					t.conflicts(o.txn, o.mode, txn, m) && txn.ID > o.txn.ID {
+					e.owners[me].upgrading = false
 					s.mu.Unlock()
-					flush(time.Now())
-					return core.ErrConflict
+					flush()
+					return false, core.ErrConflict
 				}
 			}
 			// We will wait: publish the upgrade and wake current waiters
 			// so a younger sleeping upgrader re-checks and kills itself.
-			if l.upgrading == nil {
-				l.upgrading = make(map[*core.Txn]bool, 2)
-			}
-			if !l.upgrading[txn] {
-				l.upgrading[txn] = true
-				close(l.gen)
-				l.gen = make(chan struct{})
+			if !e.owners[me].upgrading {
+				e.owners[me].upgrading = true
+				e.wakeWaiters()
 			}
 		}
-		if conflictOwner == nil {
-			cleanupUpgrade(l)
-			// Grant; record ordering dependencies on remaining
-			// non-exempt owners (pure rw compatibility: S after S
-			// needs no edge).
-			if held, ok := l.owners[txn]; !ok || m == Exclusive && held == Shared {
-				l.owners[txn] = m
-			}
-			s.mu.Unlock()
-			now := time.Now()
-			flush(now)
-			return nil
+		if e.wake == nil {
+			e.wake = make(chan struct{})
 		}
-		gen := l.gen
-		l.waiters++
+		wake := e.wake
+		e.waiters++
 		s.mu.Unlock()
 
-		now := time.Now()
 		if blocker != conflictOwner {
-			flush(now)
-			blocker, blockStart = conflictOwner, now
+			flush()
+			blocker, blockStart = conflictOwner, time.Now()
 		}
 		// The conflicting owner must finish (or step-release) before
 		// us: a lock-order dependency.
-		err := txn.AddDep(conflictOwner, false)
+		err = txn.AddDep(conflictOwner, false)
 		if err == nil {
 			// No blocker is passed: one event per (waiter, blocker) is
 			// coalesced across wake-ups and emitted by flush.
-			err = t.env.Wait(txn, nil, &deadline, gen, nil)
+			err = t.env.Wait(txn, nil, &deadline, wake, nil)
 		}
-		if err != nil {
-			t.doneWaiting(s, k, txn, true)
-			flush(time.Now())
-			return err
-		}
-		// Keep any upgrade mark across the re-check loop: the wait
-		// continues until granted or terminal.
-		t.doneWaiting(s, k, txn, false)
-	}
-}
 
-// doneWaiting retires one wait registration; terminal additionally clears
-// txn's published upgrade-wait mark (the wait will not resume).
-func (t *Table) doneWaiting(s *shard, k core.Key, txn *core.Txn, terminal bool) {
-	s.mu.Lock()
-	if l := s.locks[k]; l != nil {
-		l.waiters--
-		if terminal && l.upgrading != nil {
-			delete(l.upgrading, txn)
+		// The registration kept e in the map, so the pointer is still k's.
+		s.mu.Lock()
+		e.waiters--
+		if err != nil {
+			// The wait will not resume: clear a published upgrade mark.
+			if me := e.indexOf(txn); me >= 0 {
+				e.owners[me].upgrading = false
+			}
+			s.dropIfIdle(k, e)
+			s.mu.Unlock()
+			flush()
+			return false, err
 		}
-		if l.waiters == 0 && len(l.owners) == 0 {
-			delete(s.locks, k)
-		}
+		// Woken: re-check. A published upgrade mark stays, because the
+		// wait continues until granted or terminal.
 	}
-	s.mu.Unlock()
 }
 
 // Release drops txn's lock on k, waking waiters.
 func (t *Table) Release(txn *core.Txn, k core.Key) {
 	s := t.shardFor(k)
 	s.mu.Lock()
-	l := s.locks[k]
-	if l != nil {
-		if _, ok := l.owners[txn]; ok {
-			delete(l.owners, txn)
-			if l.upgrading != nil {
-				delete(l.upgrading, txn)
-			}
-			close(l.gen)
-			l.gen = make(chan struct{})
-			if l.waiters == 0 && len(l.owners) == 0 {
-				delete(s.locks, k)
-			}
+	if e := s.locks[k]; e != nil {
+		if i := e.indexOf(txn); i >= 0 {
+			e.remove(i)
+			e.wakeWaiters()
+			s.dropIfIdle(k, e)
 		}
 	}
 	s.mu.Unlock()
@@ -261,10 +330,6 @@ func (t *Table) Holds(txn *core.Txn, k core.Key) bool {
 	s := t.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l := s.locks[k]
-	if l == nil {
-		return false
-	}
-	_, ok := l.owners[txn]
-	return ok
+	e := s.locks[k]
+	return e != nil && e.indexOf(txn) >= 0
 }

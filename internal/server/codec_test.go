@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -29,6 +30,7 @@ func allMessages() []*Message {
 		{Type: MsgValue, SID: 6, Present: false},
 		{Type: MsgErr, SID: 8, Code: CodeConflict, ErrMsg: "data conflict"},
 		{Type: MsgErr, SID: 8, Code: CodeShutdown, ErrMsg: ""},
+		{Type: MsgErr, SID: 10, Code: CodeDurability, ErrMsg: "durability failure: write-ahead log failed"},
 	}
 }
 
@@ -163,6 +165,7 @@ func TestWireErrorMapsToCoreErrors(t *testing.T) {
 		{CodeNoTxn, nil, false},
 		{CodeTxnOpen, nil, false},
 		{CodeShutdown, nil, false},
+		{CodeDurability, core.ErrDurability, false},
 	}
 	for _, c := range cases {
 		we := &WireError{Code: c.code, Msg: "x"}
@@ -182,11 +185,16 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	for _, err := range []error{
 		core.ErrConflict, core.ErrTimeout, core.ErrCascade,
 		core.ErrPivot, core.ErrReconfiguring, core.ErrUserAbort,
+		core.ErrDurability,
 	} {
 		code := ErrorCode(err)
 		if back := CodeError(code); !errors.Is(err, back) {
 			t.Errorf("ErrorCode(%v) = 0x%02x, CodeError back = %v", err, code, back)
 		}
+	}
+	// Tx.Commit wraps the log's own error into ErrDurability.
+	if code := ErrorCode(fmt.Errorf("%w: fsync: input/output error", core.ErrDurability)); code != CodeDurability {
+		t.Errorf("wrapped ErrDurability mapped to 0x%02x, want CodeDurability", code)
 	}
 	if code := ErrorCode(errors.New("weird")); code != CodeInternal {
 		t.Errorf("unknown error mapped to 0x%02x, want CodeInternal", code)

@@ -74,6 +74,7 @@ const (
 	CodeUnknownType = 0x13 // BEGIN with an unregistered transaction type
 	CodeShutdown    = 0x14 // server is draining; no new transactions
 	CodeInternal    = 0x15 // unexpected server-side failure
+	CodeDurability  = 0x16 // core.ErrDurability — the log failed; no commit is acknowledged until recovery
 )
 
 // Message is one decoded frame. Fields beyond Type and SID are populated
@@ -141,13 +142,15 @@ func ErrorCode(err error) byte {
 		return CodeConflict
 	case errors.Is(err, core.ErrAborted):
 		return CodeAborted
+	case errors.Is(err, core.ErrDurability):
+		return CodeDurability
 	default:
 		return CodeInternal
 	}
 }
 
 // CodeError maps a wire code back to the engine error it stands for (nil
-// for protocol-level codes, which have no engine counterpart).
+// for the other protocol-level codes, which have no engine counterpart).
 func CodeError(code byte) error {
 	switch code {
 	case CodeConflict:
@@ -164,6 +167,8 @@ func CodeError(code byte) error {
 		return core.ErrAborted
 	case CodeUser:
 		return core.ErrUserAbort
+	case CodeDurability:
+		return core.ErrDurability
 	default:
 		return nil
 	}

@@ -77,7 +77,9 @@ func (s *Server) DB() *tebaldi.DB { return s.db }
 
 // Serve accepts connections on ln until Shutdown closes it. It blocks; run
 // it on its own goroutine. The listener is owned by the server from this
-// point on.
+// point on. A Shutdown that ran before the goroutine got here is the same
+// request arriving early: Serve closes the listener and returns nil, as it
+// does after any other Shutdown.
 //
 // tebaldi:worker Shutdown closes the listener; Accept fails with net.ErrClosed and the loop returns
 func (s *Server) Serve(ln net.Listener) error {
@@ -85,7 +87,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	if s.draining {
 		s.mu.Unlock()
 		ln.Close()
-		return fmt.Errorf("server: already shut down")
+		return nil
 	}
 	s.ln = ln
 	s.mu.Unlock()

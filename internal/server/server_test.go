@@ -437,3 +437,29 @@ func TestConflictMapsAcrossWire(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShutdownBeforeServeStarts: `go srv.Serve(ln)` followed at once by
+// Shutdown lets Shutdown run before the goroutine does (the benchmark's
+// set-up-only repetitions of kv_wire do exactly that). Serve must then close
+// the listener and return nil like after any Shutdown, not report an error.
+func TestShutdownBeforeServeStarts(t *testing.T) {
+	db, err := tebaldi.Open(tebaldi.Options{}, kvSpecs(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := New(db, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); err != nil {
+		t.Fatalf("Serve after Shutdown: %v", err)
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener left open: Accept returned %v", err)
+	}
+}

@@ -3,13 +3,16 @@ package wal_test
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/server"
 	"repro/internal/wal"
+	"repro/tebaldi"
 )
 
 // TestEngineFailStopsOnLogError drives the fail-stop contract through the
@@ -87,6 +90,66 @@ func TestEngineFailStopsOnLogError(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if v := e2.ReadCommitted(core.KeyOf("kv", 100+i)); v != nil {
 			t.Fatalf("kv/%d = %q: written after the log was poisoned", 100+i, v)
+		}
+	}
+}
+
+// TestServedCommitFailStops carries the fail-stop contract across the wire:
+// a COMMIT whose fsync failed, and every COMMIT after it, reaches the client
+// as the non-retryable core.ErrDurability under its own code — not as
+// CodeInternal, which a client cannot tell from a server bug. The test lives
+// here, not in package server, because the fault-injection seam does.
+func TestServedCommitFailStops(t *testing.T) {
+	specs := []*tebaldi.Spec{{Name: "update", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
+	db, err := tebaldi.Open(tebaldi.Options{
+		LockTimeout:    2 * time.Second,
+		DurabilityDir:  t.TempDir(),
+		DurabilitySync: true,
+		GCPEpoch:       time.Hour, // no seal reaches the appender before the device swap
+	}, specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := wal.InstallFlakyDevice(db.Engine().Wal())
+	srv := server.New(db, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		srv.Shutdown(2 * time.Second)
+		if err := db.Close(); !errors.Is(err, wal.ErrInjected) {
+			t.Errorf("Close after a log failure returned %v", err)
+		}
+	}()
+	c, err := server.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	put := func(row string) error {
+		s := c.Session()
+		if err := s.Begin("update", 0); err != nil {
+			return err
+		}
+		if err := s.Put("kv", row, []byte("v")); err != nil {
+			return err
+		}
+		return s.Commit()
+	}
+	if err := put("before"); err != nil {
+		t.Fatalf("commit before the failure: %v", err)
+	}
+	dev.FailNextSync()
+	for _, row := range []string{"failed flush", "poisoned log"} {
+		err := put(row)
+		var we *server.WireError
+		if !errors.As(err, &we) || we.Code != server.CodeDurability {
+			t.Fatalf("%s: got %v, want a WireError with CodeDurability", row, err)
+		}
+		if !errors.Is(err, core.ErrDurability) || core.IsRetryable(err) {
+			t.Fatalf("%s: got %v, want the non-retryable core.ErrDurability", row, err)
 		}
 	}
 }
