@@ -1,490 +1,63 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation (§4.6, §5.6).
-// Each benchmark measures per-transaction cost (ns/op inverts to throughput)
-// under a parallel closed loop at the configuration(s) the experiment
-// compares; the full parameter sweeps with the paper-shaped output live in
-// `go run ./cmd/tebaldi-bench`. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded results.
+// go test -bench over the evaluation: one sub-benchmark per experiment and
+// case of internal/bench's table, named BenchmarkExperiment/<id>/<case>.
+// Each measures per-transaction cost (ns/op inverts to throughput) under a
+// parallel closed loop on the case's database; the client sweeps and the
+// paper-shaped output of the same table are `go run ./cmd/tebaldi-bench`.
+// See DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
+// results.
 
 import (
 	"math/rand"
-	"os"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/tebaldi"
-	"repro/workload/micro"
-	"repro/workload/seats"
-	"repro/workload/tpcc"
-	"repro/workload/ycsb"
+	"repro/internal/bench"
 )
 
-func benchOptions() tebaldi.Options {
-	return tebaldi.Options{Shards: 16, LockTimeout: 2 * time.Second}
-}
-
-// shortTrim keeps only the first case of a multi-config benchmark family
-// under -short, so `go test -short -run xxx -bench .` is a CI-sized smoke
-// run: every family still executes (one database build + one measured
-// configuration) without sweeping the full matrix.
-func shortTrim[T any](cases []T) []T {
-	if testing.Short() && len(cases) > 1 {
-		return cases[:1]
+// BenchmarkExperiment runs every case of every experiment. Under -short it
+// keeps each experiment's first case, so `go test -short -run xxx -bench .`
+// is a CI-sized smoke run: every experiment still builds one database and
+// commits against it.
+func BenchmarkExperiment(b *testing.B) {
+	for _, x := range bench.Experiments() {
+		cases := x.Cases
+		if len(cases) == 0 {
+			continue // serve: the whole experiment is its custom Run
+		}
+		if testing.Short() && len(cases) > 1 {
+			cases = cases[:1]
+		}
+		b.Run(x.ID, func(b *testing.B) {
+			for _, c := range cases {
+				c := c
+				b.Run(c.Label, func(b *testing.B) { runCase(b, c) })
+			}
+		})
 	}
-	return cases
 }
 
-// runParallel drives b.N transactions from gen across parallel clients.
-func runParallel(b *testing.B, db *tebaldi.DB, gen func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error)) {
-	b.Helper()
+// runCase drives b.N of the case's transactions across parallel clients.
+func runCase(b *testing.B, c bench.Case) {
+	db, gen, stop, err := c.Start()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer stop()
 	var seed atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(seed.Add(1)))
 		for pb.Next() {
-			typ, part, fn := gen(rng)
-			if err := db.Run(typ, part, fn); err != nil {
+			if err := db.Exec(gen(rng)); err != nil {
 				b.Error(err)
 				return
 			}
 		}
 	})
 	b.StopTimer()
-	w := db.Stats().Snapshot()
-	if w.Commits+w.Aborts > 0 {
+	if w := db.Stats().Snapshot(); w.Commits+w.Aborts > 0 {
 		b.ReportMetric(float64(w.Aborts)/float64(w.Commits+w.Aborts), "aborts/txn")
 	}
-}
-
-func tpccBench(b *testing.B, cfg *tebaldi.Config, hot bool) {
-	db, err := tebaldi.Open(benchOptions(), tpcc.Specs(hot), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	sc := tpcc.DefaultScale()
-	tpcc.Load(db, sc)
-	c := tpcc.NewClient(db, sc)
-	runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-		var op tpcc.Op
-		if hot {
-			op = c.HotMix(rng)
-		} else {
-			op = c.Mix(rng)
-		}
-		return op.Type, op.Part, op.Fn
-	})
-}
-
-// BenchmarkTable31_Grouping — Table 3.1: new_order/stock_level grouping.
-func BenchmarkTable31_Grouping(b *testing.B) {
-	for _, m := range shortTrim([]struct {
-		name     string
-		deadlock bool
-		disjoint bool
-		mode     string
-	}{
-		{"SameGroup", false, false, "same"},
-		{"SeparateNoDeadlock", false, false, "separate"},
-		{"SeparateNoConflict", false, true, "noconflict"},
-	}) {
-		b.Run(m.name, func(b *testing.B) {
-			db, err := tebaldi.Open(benchOptions(), tpcc.PairSpecs(m.deadlock), tpcc.PairConfig(m.mode))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			sc := tpcc.DefaultScale()
-			tpcc.Load(db, sc)
-			c := tpcc.NewClient(db, sc)
-			pg := c.PairGen(m.deadlock, m.disjoint)
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := pg(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-// BenchmarkFig47_TPCC — Figure 4.7: TPC-C across the six configurations.
-func BenchmarkFig47_TPCC(b *testing.B) {
-	for _, cf := range shortTrim([]struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"Mono2PL", tpcc.ConfigMono2PL()},
-		{"MonoSSI", tpcc.ConfigMonoSSI()},
-		{"Callas1", tpcc.ConfigCallas1()},
-		{"Callas2", tpcc.ConfigCallas2()},
-		{"Tebaldi2Layer", tpcc.ConfigTebaldi2Layer()},
-		{"Tebaldi3Layer", tpcc.ConfigTebaldi3Layer()},
-	}) {
-		b.Run(cf.name, func(b *testing.B) { tpccBench(b, cf.cfg, false) })
-	}
-}
-
-// BenchmarkFig48_SEATS — Figure 4.8: SEATS across the three configurations.
-func BenchmarkFig48_SEATS(b *testing.B) {
-	sc := seats.DefaultScale()
-	for _, cf := range shortTrim([]struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"Mono2PL", seats.ConfigMono2PL()},
-		{"TwoLayer", seats.Config2Layer()},
-		{"ThreeLayerPerFlightTSO", seats.Config3Layer(sc)},
-	}) {
-		b.Run(cf.name, func(b *testing.B) {
-			db, err := tebaldi.Open(benchOptions(), seats.Specs(sc), cf.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			seats.Load(db, sc)
-			c := seats.NewClient(db, sc)
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := c.Mix(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-// BenchmarkSec463_HotItem — §4.6.3: extensibility, 3-layer vs 4-layer.
-func BenchmarkSec463_HotItem(b *testing.B) {
-	for _, cf := range shortTrim([]struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"ThreeLayerMerged", tpcc.ConfigHot3Layer()},
-		{"FourLayerOwnGroup", tpcc.ConfigHot4Layer()},
-	}) {
-		b.Run(cf.name, func(b *testing.B) { tpccBench(b, cf.cfg, true) })
-	}
-}
-
-// BenchmarkFig410_CrossGroup — Figure 4.10: cross-group CC comparison.
-func BenchmarkFig410_CrossGroup(b *testing.B) {
-	for _, wl := range shortTrim([]struct {
-		name   string
-		shared int
-		ro     bool
-	}{
-		{"rw5", 20, true},
-		{"ww5", 20, false},
-	}) {
-		for _, cross := range shortTrim([]tebaldi.Kind{tebaldi.TwoPL, tebaldi.SSI, tebaldi.RP}) {
-			cg := micro.CrossGroup{SharedRows: wl.shared, ReadOnlyT1: wl.ro}
-			b.Run(wl.name+"_"+string(cross), func(b *testing.B) {
-				db, err := tebaldi.Open(benchOptions(), cg.Specs(), cg.Config(cross))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer db.Close()
-				cg.Load(db)
-				runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-					op := cg.Mix(rng)
-					return op.Type, op.Part, op.Fn
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkFig411_ThreeLayer — Figure 4.11: two-layer vs three-layer.
-func BenchmarkFig411_ThreeLayer(b *testing.B) {
-	tl := micro.ThreeLayer{}
-	cfgs := tl.Configs()
-	for _, name := range shortTrim([]string{"three-layer", "two-layer-1", "two-layer-2", "two-layer-3", "two-layer-4"}) {
-		cfg := cfgs[name]
-		b.Run(name, func(b *testing.B) {
-			db, err := tebaldi.Open(benchOptions(), tl.Specs(), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			tl.Load(db)
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := tl.Mix(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-// BenchmarkTable41_LayerOverhead — Table 4.1: cost of extra layers on a
-// conflict-free workload.
-func BenchmarkTable41_LayerOverhead(b *testing.B) {
-	ov := &micro.Overhead{}
-	cfgs := ov.Configs()
-	for _, name := range shortTrim([]string{"stand-alone RP", "2PL - RP", "SSI - RP", "RP - RP"}) {
-		cfg := cfgs[name]
-		b.Run(name, func(b *testing.B) {
-			db, err := tebaldi.Open(benchOptions(), ov.Specs(), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := ov.Next(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-// BenchmarkTable42_Durability — Table 4.2: durability overhead on TPC-C.
-func BenchmarkTable42_Durability(b *testing.B) {
-	for _, on := range shortTrim([]bool{false, true}) {
-		name := "Off"
-		if on {
-			name = "OnAsync"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := benchOptions()
-			if on {
-				dir, err := os.MkdirTemp("", "tebaldi-bench-wal-*")
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer os.RemoveAll(dir)
-				opts.DurabilityDir = dir
-				opts.GCPEpoch = 100 * time.Millisecond
-			}
-			db, err := tebaldi.Open(opts, tpcc.Specs(false), tpcc.ConfigTebaldi3Layer())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			sc := tpcc.DefaultScale()
-			tpcc.Load(db, sc)
-			c := tpcc.NewClient(db, sc)
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := c.Mix(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-func ycsbBench(b *testing.B, w ycsb.Workload, opts tebaldi.Options) {
-	c := ycsb.New(w)
-	db, err := tebaldi.Open(opts, w.Specs(), w.Config())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	c.Load(db)
-	runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-		op := c.Mix(rng)
-		return op.Type, op.Part, op.Fn
-	})
-}
-
-// BenchmarkYCSB — the YCSB core mixes (A update-heavy, B read-heavy,
-// C read-only) without durability: the CC-side cost of the workload.
-func BenchmarkYCSB(b *testing.B) {
-	for _, m := range shortTrim([]struct {
-		name string
-		w    ycsb.Workload
-	}{
-		{"A", ycsb.A()}, {"B", ycsb.B()}, {"C", ycsb.C()},
-	}) {
-		b.Run(m.name, func(b *testing.B) { ycsbBench(b, m.w, benchOptions()) })
-	}
-}
-
-// BenchmarkYCSB_Durability — YCSB-A under the durability module: the
-// group-commit pipeline measured where it matters (write-heavy, every
-// committer reaches the log). SyncCommit couples commit notification to
-// the flush (the paper's synchronous baseline); Async decouples them via
-// GCP epochs (§4.5.4).
-func BenchmarkYCSB_Durability(b *testing.B) {
-	for _, m := range shortTrim([]struct {
-		name string
-		sync bool
-	}{
-		{"SyncCommit", true},
-		{"Async", false},
-	}) {
-		b.Run(m.name, func(b *testing.B) {
-			opts := benchOptions()
-			dir, err := os.MkdirTemp("", "tebaldi-ycsb-wal-*")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			opts.DurabilityDir = dir
-			opts.DurabilitySync = m.sync
-			opts.GCPEpoch = 100 * time.Millisecond
-			ycsbBench(b, ycsb.A(), opts)
-		})
-	}
-}
-
-// BenchmarkFig55_ProfilingCaseStudy — Figure 5.5 substrate: payment +
-// stock_level under the RP/2PL configuration that hides the bottleneck from
-// latency-based profiling.
-func BenchmarkFig55_ProfilingCaseStudy(b *testing.B) {
-	opts := benchOptions()
-	opts.Profiling = true
-	cfg := tebaldi.Inner(tebaldi.TwoPL,
-		tebaldi.Leaf(tebaldi.RP, tpcc.TxnPayment),
-		tebaldi.Leaf(tebaldi.None, tpcc.TxnStockLevel))
-	db, err := tebaldi.Open(opts, tpcc.Specs(false), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	sc := tpcc.DefaultScale()
-	tpcc.Load(db, sc)
-	c := tpcc.NewClient(db, sc)
-	runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-		var op tpcc.Op
-		if rng.Float64() < 0.8 {
-			op = c.Payment(rng)
-		} else {
-			op = c.StockLevel(rng)
-		}
-		return op.Type, op.Part, op.Fn
-	})
-}
-
-// BenchmarkFig517_ProfilerOverhead — Figure 5.17: profiling on vs off.
-func BenchmarkFig517_ProfilerOverhead(b *testing.B) {
-	for _, prof := range shortTrim([]bool{false, true}) {
-		name := "Off"
-		if prof {
-			name = "On"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := benchOptions()
-			opts.Profiling = prof
-			db, err := tebaldi.Open(opts, tpcc.Specs(false), tpcc.ConfigTebaldi3Layer())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			sc := tpcc.DefaultScale()
-			tpcc.Load(db, sc)
-			c := tpcc.NewClient(db, sc)
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := c.Mix(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-// BenchmarkTable51_PartitionByInstance — Table 5.1: SEATS with one TSO group
-// vs per-flight TSO instances.
-func BenchmarkTable51_PartitionByInstance(b *testing.B) {
-	sc := seats.DefaultScale()
-	for _, cf := range shortTrim([]struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"SingleTSO", seats.Config3LayerSingleTSO()},
-		{"PerFlightTSO", seats.Config3Layer(sc)},
-	}) {
-		b.Run(cf.name, func(b *testing.B) {
-			db, err := tebaldi.Open(benchOptions(), seats.Specs(sc), cf.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			seats.Load(db, sc)
-			c := seats.NewClient(db, sc)
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := c.Mix(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-// BenchmarkFig519_Reconfiguration — Figure 5.19 substrate: TPC-C running
-// across a live 2-layer -> 3-layer reconfiguration per protocol.
-func BenchmarkFig519_Reconfiguration(b *testing.B) {
-	for _, proto := range shortTrim([]struct {
-		name string
-		p    tebaldi.ReconfigProtocol
-	}{
-		{"PartialRestart", tebaldi.PartialRestart},
-		{"OnlineUpdate", tebaldi.OnlineUpdate},
-	}) {
-		b.Run(proto.name, func(b *testing.B) {
-			db, err := tebaldi.Open(benchOptions(), tpcc.Specs(false), tpcc.ConfigTebaldi2Layer())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			sc := tpcc.DefaultScale()
-			tpcc.Load(db, sc)
-			c := tpcc.NewClient(db, sc)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				time.Sleep(20 * time.Millisecond)
-				db.Reconfigure(tpcc.ConfigTebaldi3Layer(), proto.p)
-			}()
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := c.Mix(rng)
-				return op.Type, op.Part, op.Fn
-			})
-			<-done
-		})
-	}
-}
-
-// BenchmarkTable52_SingleMachine — Table 5.2 substitute: single-shard
-// monolithic CCs vs the Tebaldi tree.
-func BenchmarkTable52_SingleMachine(b *testing.B) {
-	for _, cf := range shortTrim([]struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"Mono2PL", tpcc.ConfigMono2PL()},
-		{"MonoSSI", tpcc.ConfigMonoSSI()},
-		{"Tebaldi3Layer", tpcc.ConfigTebaldi3Layer()},
-	}) {
-		b.Run(cf.name, func(b *testing.B) {
-			opts := benchOptions()
-			opts.Shards = 1
-			db, err := tebaldi.Open(opts, tpcc.Specs(false), cf.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			sc := tpcc.DefaultScale()
-			tpcc.Load(db, sc)
-			c := tpcc.NewClient(db, sc)
-			runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-				op := c.Mix(rng)
-				return op.Type, op.Part, op.Fn
-			})
-		})
-	}
-}
-
-// BenchmarkFig511_Autoconf — Figure 5.11 substrate: one analysis+proposal
-// pass of the automatic configurator against live TPC-C (the full iterative
-// run is cmd/tebaldi-bench fig5.11).
-func BenchmarkFig511_Autoconf(b *testing.B) {
-	opts := benchOptions()
-	opts.Profiling = true
-	db, err := tebaldi.Open(opts, tpcc.Specs(false), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	sc := tpcc.DefaultScale()
-	tpcc.Load(db, sc)
-	c := tpcc.NewClient(db, sc)
-	runParallel(b, db, func(rng *rand.Rand) (string, uint64, func(*tebaldi.Tx) error) {
-		op := c.Mix(rng)
-		return op.Type, op.Part, op.Fn
-	})
 }

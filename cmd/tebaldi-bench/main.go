@@ -1,6 +1,6 @@
 // Command tebaldi-bench regenerates the tables and figures of the Tebaldi
-// paper's evaluation (§4.6, §5.6). Each experiment id maps to one runner in
-// internal/bench; see DESIGN.md for the per-experiment index.
+// paper's evaluation (§4.6, §5.6). The experiment ids are the entries of
+// internal/bench's table (bench.Experiments); see DESIGN.md for the index.
 //
 // Usage:
 //
@@ -17,42 +17,14 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 
 	"repro/internal/bench"
 )
 
-var experiments = map[string]func(bench.Params) error{
-	"table3.1": bench.Table31,
-	"fig4.7":   bench.Fig47,
-	"fig4.8":   bench.Fig48,
-	"sec4.6.3": bench.Sec463,
-	"fig4.10":  bench.Fig410,
-	"fig4.11":  bench.Fig411,
-	"table4.1": bench.Table41,
-	"table4.2": bench.Table42,
-	"fig5.5":   bench.Fig55,
-	"fig5.11":  bench.Fig511,
-	"fig5.14":  bench.Fig514,
-	"fig5.17":  bench.Fig517,
-	"table5.1": bench.Table51,
-	"fig5.19":  bench.Fig519,
-	"table5.2": bench.Table52,
-	"ycsb":     bench.YCSB,
-	"recovery": bench.Recovery,
-	"serve":    bench.Serve,
-}
-
-var order = []string{
-	"table3.1", "fig4.7", "fig4.8", "sec4.6.3", "fig4.10", "fig4.11",
-	"table4.1", "table4.2", "fig5.5", "fig5.11", "fig5.14", "fig5.17",
-	"table5.1", "fig5.19", "table5.2", "ycsb", "recovery", "serve",
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "small client counts and short windows")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	jsonOut := flag.String("json", "", "write machine-readable results to FILE (experiments that support it)")
+	list := flag.Bool("list", false, "list experiment ids and titles, and exit")
 	target := flag.String("target", "", "drive an already running tebaldi-server at this address (serve experiment)")
 	profDir := flag.String("pprof", "", "write cpu.pprof/heap.pprof covering the whole run to DIR (see DESIGN.md, profiling workflow)")
 	flag.Parse()
@@ -87,49 +59,32 @@ func main() {
 		}()
 	}
 
+	all := bench.Experiments()
 	if *list {
-		ids := make([]string, 0, len(experiments))
-		for id := range experiments {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			fmt.Println(id)
+		for _, x := range all {
+			fmt.Printf("%-9s %s\n", x.ID, x.Title)
 		}
 		return
 	}
 
-	ids := flag.Args()
-	if len(ids) == 0 {
-		ids = order
+	run := all
+	if ids := flag.Args(); len(ids) > 0 {
+		run = nil
+		for _, id := range ids {
+			i := slices.IndexFunc(all, func(x bench.Experiment) bool { return x.ID == id })
+			if i < 0 {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
+				os.Exit(2)
+			}
+			run = append(run, all[i])
+		}
 	}
 	p := bench.Params{Out: os.Stdout, Quick: *quick, Target: *target}
-	if *jsonOut != "" {
-		p.Collect = &bench.Snapshot{Quick: *quick}
-	}
-	for _, id := range ids {
-		run, ok := experiments[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
-		fmt.Printf("\n==================== %s ====================\n", id)
-		if err := run(p); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+	for i := range run {
+		fmt.Printf("\n==================== %s ====================\n", run[i].ID)
+		if err := run[i].Print(p); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", run[i].ID, err)
 			os.Exit(1)
 		}
-	}
-	if p.Collect != nil {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := p.Collect.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("\nwrote %s\n", *jsonOut)
 	}
 }

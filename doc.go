@@ -5,7 +5,7 @@
 // machinery (Chapter 5 of the dissertation version).
 //
 // The public API lives in repro/tebaldi; workloads in repro/workload/...;
-// the per-table/figure benchmark harness in cmd/tebaldi-bench and
-// bench_test.go. See DESIGN.md for the system inventory and EXPERIMENTS.md
+// the evaluation's experiment table in internal/bench, rendered by
+// cmd/tebaldi-bench and bench_test.go. See DESIGN.md for the system inventory and EXPERIMENTS.md
 // for paper-vs-measured results.
 package repro

@@ -48,7 +48,7 @@ func main() {
 				default:
 				}
 				op := client.Mix(rng)
-				_ = client.Execute(op)
+				_ = db.Exec(op)
 			}
 		}(int64(i) + 1)
 	}

@@ -65,7 +65,7 @@ func main() {
 				default:
 				}
 				op := client.Mix(rng)
-				if err := client.Execute(op); err != nil {
+				if err := db.Exec(op); err != nil {
 					log.Printf("txn error: %v", err)
 				}
 			}

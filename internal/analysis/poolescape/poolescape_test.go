@@ -43,6 +43,7 @@ func TestEscapePointsMatchDocumentation(t *testing.T) {
 
 	got := EscapePoints(session.Facts())
 	want := []string{
+		"(*repro/internal/cc/twopl.TwoPL).AmendRead",
 		"(*repro/internal/core.Chain).InstallPromise",
 		"(*repro/internal/core.Chain).RecordReader",
 		"(*repro/internal/core.Txn).AddDep",

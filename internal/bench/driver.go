@@ -1,7 +1,11 @@
 // Package bench is Tebaldi's benchmark harness: a closed-loop workload
-// driver (the paper runs closed-loop test clients, §4.6) and one runner per
-// table/figure of the evaluation, each printing the series the paper
-// reports. Absolute numbers differ from the paper's 20-machine CloudLab
+// driver (the paper runs closed-loop test clients, §4.6) and ONE table of
+// the evaluation's experiments (Experiments): per table or figure an id, a
+// title, the shape the paper reports and the cases it compares, each case
+// knowing how to open and load its database and which generator drives it.
+// Two renderers read the table — Experiment.Print behind cmd/tebaldi-bench
+// and the root package's go test -bench — so an experiment is defined
+// once. Absolute numbers differ from the paper's 20-machine CloudLab
 // cluster; the harness exists to reproduce the *shape* — who wins, by what
 // factor, where crossovers fall.
 package bench
@@ -11,7 +15,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,37 +22,19 @@ import (
 	"repro/tebaldi"
 )
 
-// Op is one generated transaction, workload-agnostic.
-type Op struct {
-	Type string
-	Part uint64
-	Fn   func(*tebaldi.Tx) error
-}
-
-// Gen produces transactions for one client; it must be safe to call from
-// the client's goroutine with its private rng.
-type Gen func(rng *rand.Rand) Op
-
 // Result summarizes one measured run.
 type Result struct {
 	Clients     int
-	Duration    time.Duration
-	Commits     uint64
-	Aborts      uint64
 	Throughput  float64 // committed txn/sec
 	AbortRate   float64
 	MeanLatency map[string]time.Duration // per transaction type
-	// AllocsPerTxn / BytesPerTxn are whole-process heap allocation deltas
-	// (runtime.MemStats Mallocs/TotalAlloc) over the measurement window
-	// divided by committed transactions. They include client-side
-	// generation work, so they are an upper bound on the engine's own
-	// per-transaction cost — which is exactly what a perf ledger wants to
-	// watch for regressions.
+	// AllocsPerTxn is the whole-process heap allocation count
+	// (runtime.MemStats Mallocs) over the measurement window divided by
+	// committed transactions. It includes client-side generation work, so
+	// it is an upper bound on the engine's own per-transaction cost.
 	AllocsPerTxn float64
-	BytesPerTxn  float64
 	// WAL group-commit pipeline counters over the window (zero when
 	// durability is off).
-	WalBatches   uint64
 	WalMeanBatch float64       // mean records coalesced per flush
 	WalMeanFlush time.Duration // mean append+flush latency
 }
@@ -63,7 +48,7 @@ func (r Result) String() string {
 // RunOp executes one op with retry-on-abort, giving up when stop closes —
 // closed-loop client semantics with prompt shutdown even under livelock
 // (e.g. the Table 3.1 deadlock column, where every attempt may time out).
-func RunOp(db *tebaldi.DB, op Op, stop <-chan struct{}, rng *rand.Rand) {
+func RunOp(db *tebaldi.DB, op tebaldi.Op, stop <-chan struct{}, rng *rand.Rand) {
 	for attempt := 0; ; attempt++ {
 		select {
 		case <-stop:
@@ -88,7 +73,7 @@ func RunOp(db *tebaldi.DB, op Op, stop <-chan struct{}, rng *rand.Rand) {
 
 // Clients starts n closed-loop client goroutines; the returned func stops
 // and joins them.
-func Clients(db *tebaldi.DB, gen Gen, n int) (stopAndJoin func()) {
+func Clients(db *tebaldi.DB, gen tebaldi.Gen, n int) (stopAndJoin func()) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < n; c++ {
@@ -114,7 +99,7 @@ func Clients(db *tebaldi.DB, gen Gen, n int) (stopAndJoin func()) {
 
 // Drive runs `clients` closed-loop clients against db for warmup+measure,
 // reporting stats over the measurement window only.
-func Drive(db *tebaldi.DB, gen Gen, clients int, warmup, measure time.Duration) Result {
+func Drive(db *tebaldi.DB, gen tebaldi.Gen, clients int, warmup, measure time.Duration) Result {
 	stopAndJoin := Clients(db, gen, clients)
 	time.Sleep(warmup)
 	var m0 runtime.MemStats
@@ -128,44 +113,19 @@ func Drive(db *tebaldi.DB, gen Gen, clients int, warmup, measure time.Duration) 
 
 	res := Result{
 		Clients:      clients,
-		Duration:     w.Duration,
-		Commits:      w.Commits,
-		Aborts:       w.Aborts,
 		Throughput:   w.Throughput,
 		AbortRate:    w.AbortRate,
 		MeanLatency:  map[string]time.Duration{},
-		WalBatches:   w.WalBatches,
 		WalMeanBatch: w.WalMeanBatch,
 		WalMeanFlush: w.WalMeanFlush,
 	}
 	if w.Commits > 0 {
 		res.AllocsPerTxn = float64(m1.Mallocs-m0.Mallocs) / float64(w.Commits)
-		res.BytesPerTxn = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(w.Commits)
 	}
 	for typ, wt := range w.PerType {
 		res.MeanLatency[typ] = wt.MeanLatency
 	}
 	return res
-}
-
-// Series runs Drive over several client counts and returns the results.
-func Series(db *tebaldi.DB, gen Gen, clients []int, warmup, measure time.Duration) []Result {
-	out := make([]Result, 0, len(clients))
-	for _, c := range clients {
-		out = append(out, Drive(db, gen, c, warmup, measure))
-	}
-	return out
-}
-
-// Peak returns the highest throughput in a series.
-func Peak(rs []Result) Result {
-	best := rs[0]
-	for _, r := range rs[1:] {
-		if r.Throughput > best.Throughput {
-			best = r
-		}
-	}
-	return best
 }
 
 // table prints an aligned two-column block.
@@ -180,14 +140,4 @@ func table(w io.Writer, title string, rows [][2]string) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %-*s  %s\n", width, r[0], r[1])
 	}
-}
-
-// sortedKeys returns map keys in stable order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -5,10 +5,9 @@ import (
 	"io"
 	"math/rand"
 	"os"
-
+	"sync/atomic"
 	"time"
 
-	"repro/internal/profiler"
 	"repro/tebaldi"
 	"repro/workload/micro"
 	"repro/workload/seats"
@@ -18,21 +17,11 @@ import (
 
 // Params configure an experiment run.
 type Params struct {
-	Out   io.Writer
-	Quick bool // smaller client counts and windows (CI-friendly)
-	// Collect, when non-nil, accumulates machine-readable results for the
-	// experiments that support it (ycsb, recovery, serve).
-	Collect *Snapshot
+	Out   io.Writer // where the rows go
+	Quick bool      // smaller client counts and windows (CI-friendly)
 	// Target, when non-empty, points the serve experiment at an already
 	// running tebaldi-server instead of starting one itself.
 	Target string
-}
-
-func (p Params) out() io.Writer {
-	if p.Out != nil {
-		return p.Out
-	}
-	return os.Stdout
 }
 
 func (p Params) windows() (warmup, measure time.Duration) {
@@ -56,6 +45,13 @@ func (p Params) fixedClients() int {
 	return 192
 }
 
+// drive is one Drive at the fixed client count over the standard windows.
+func (p Params) drive(db *tebaldi.DB, gen tebaldi.Gen) Result {
+	warmup, measure := p.windows()
+	return Drive(db, gen, p.fixedClients(), warmup, measure)
+}
+
+// dbOptions are the options every case starts from.
 func dbOptions() tebaldi.Options {
 	// The lock timeout doubles as the deadlock detector (§4.4.1); it must
 	// sit well above legitimate queueing delays at saturation, or every
@@ -64,767 +60,467 @@ func dbOptions() tebaldi.Options {
 	return tebaldi.Options{Shards: 16, LockTimeout: 400 * time.Millisecond}
 }
 
-// openTPCC builds and populates a TPC-C database.
-func openTPCC(cfg *tebaldi.Config, withHot bool, opts tebaldi.Options) (*tebaldi.DB, *tpcc.Client, error) {
-	sc := tpcc.DefaultScale()
-	db, err := tebaldi.Open(opts, tpcc.Specs(withHot), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	tpcc.Load(db, sc)
-	return db, tpcc.NewClient(db, sc), nil
+// Experiment is one table or figure of the evaluation. Both renderers —
+// Print (cmd/tebaldi-bench) and the root package's go test -bench — read
+// this one description.
+type Experiment struct {
+	ID    string
+	Title string
+	// Paper is the shape the paper reports (or, for the experiments the
+	// paper does not have, the shape to expect), printed under the title.
+	Paper string
+	Cases []Case
+	// Sweep prints, per case, one row per client count of Params.clients
+	// instead of one row at Params.fixedClients.
+	Sweep bool
+	// Run replaces the standard "open, drive, print a row" rendering for
+	// the experiments with their own control flow; they still take their
+	// database and generator from Cases.
+	Run func(x *Experiment, p Params) error
 }
 
-// openSEATS builds and populates a SEATS database.
-func openSEATS(cfg *tebaldi.Config, opts tebaldi.Options) (*tebaldi.DB, *seats.Client, error) {
-	sc := seats.DefaultScale()
-	db, err := tebaldi.Open(opts, seats.Specs(sc), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	seats.Load(db, sc)
-	return db, seats.NewClient(db, sc), nil
+// An opener builds a case's database under opts, loads it, and returns it
+// with the workload's generator.
+type opener = func(opts tebaldi.Options) (*tebaldi.DB, tebaldi.Gen, error)
+
+// Case is one measured configuration of an experiment.
+type Case struct {
+	Label string
+	// Group titles the block of rows the case prints in; consecutive cases
+	// of one group form one block. Empty means "measured:".
+	Group string
+	Open  opener
+	// Tweak adjusts dbOptions for this case (nil: none).
+	Tweak func(*tebaldi.Options)
+	// Measure produces the case's row (nil: one Drive at the fixed client
+	// count, printed as Result.String).
+	Measure func(p Params, db *tebaldi.DB, gen tebaldi.Gen) string
 }
 
-func tpccGen(c *tpcc.Client) Gen {
-	return func(rng *rand.Rand) Op {
-		op := c.Mix(rng)
-		return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
+// tempDir, as Options.DurabilityDir, asks Start for a fresh temporary
+// directory that lives as long as the case's database.
+const tempDir = "\x00temp"
+
+// wal is the tweak that turns durability on: synchronous group commit, or
+// asynchronous GCP flushing, at the given epoch.
+func wal(sync bool, epoch time.Duration) func(*tebaldi.Options) {
+	return func(o *tebaldi.Options) {
+		o.DurabilityDir = tempDir
+		o.DurabilitySync = sync
+		o.GCPEpoch = epoch
 	}
 }
 
-func seatsGen(c *seats.Client) Gen {
-	return func(rng *rand.Rand) Op {
-		op := c.Mix(rng)
-		return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
+func profiling(o *tebaldi.Options) { o.Profiling = true }
+
+func oneShard(o *tebaldi.Options) { o.Shards = 1 }
+
+// options are dbOptions plus the case's tweak.
+func (c Case) options() tebaldi.Options {
+	opts := dbOptions()
+	if c.Tweak != nil {
+		c.Tweak(&opts)
 	}
+	return opts
 }
 
-// Table31 reproduces Table 3.1: the impact of grouping on the
-// new_order/stock_level pair.
-func Table31(p Params) error {
-	w := p.out()
+// Start opens the case's database under its options. stop closes it and
+// removes the log directory Start created, if any.
+func (c Case) Start() (db *tebaldi.DB, gen tebaldi.Gen, stop func(), err error) {
+	opts := c.options()
+	dir := "" // RemoveAll("") does nothing
+	if opts.DurabilityDir == tempDir {
+		if dir, err = os.MkdirTemp("", "tebaldi-bench-wal-*"); err != nil {
+			return nil, nil, nil, err
+		}
+		opts.DurabilityDir = dir
+	}
+	if db, gen, err = c.Open(opts); err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, nil, err
+	}
+	return db, gen, func() { db.Close(); os.RemoveAll(dir) }, nil
+}
+
+// Print renders the experiment: title, the paper's line, then either the
+// custom Run or one block of rows per group of cases.
+func (x *Experiment) Print(p Params) error {
+	w := p.Out
+	fmt.Fprintln(w, x.Title)
+	if x.Paper != "" {
+		fmt.Fprintln(w, x.Paper)
+	}
+	if x.Run != nil {
+		return x.Run(x, p)
+	}
 	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "Table 3.1 — impact of grouping on throughput (new_order + stock_level)\n")
-	fmt.Fprintf(w, "paper (txn/s): same-group 3207 | separate-deadlock 158 | separate-no-deadlock 3598 | separate-no-conflict 23834\n")
-
-	type mode struct {
-		name       string
-		deadlock   bool
-		disjoint   bool
-		configMode string
+	var rows [][2]string
+	for i, c := range x.Cases {
+		db, gen, stop, err := c.Start()
+		if err != nil {
+			return err
+		}
+		switch {
+		case x.Sweep:
+			fmt.Fprintf(w, "\n%s  [%s]\n", c.Label, db.ConfigString())
+			for _, n := range p.clients() {
+				fmt.Fprintf(w, "  %s\n", Drive(db, gen, n, warmup, measure))
+			}
+		case c.Measure != nil:
+			rows = append(rows, [2]string{c.Label, c.Measure(p, db, gen)})
+		default:
+			rows = append(rows, [2]string{c.Label, p.drive(db, gen).String()})
+		}
+		stop()
+		if last := i+1 == len(x.Cases); !x.Sweep && (last || x.Cases[i+1].Group != c.Group) {
+			title := c.Group
+			if title == "" {
+				title = "measured:"
+			}
+			table(w, title, rows)
+			rows = nil
+		}
 	}
-	modes := []mode{
+	return nil
+}
+
+// open is the shape of every Case.Open: open the database, let load fill
+// it and hand back the generator.
+func open(specs []*tebaldi.Spec, cfg *tebaldi.Config, load func(*tebaldi.DB) tebaldi.Gen) opener {
+	return func(opts tebaldi.Options) (*tebaldi.DB, tebaldi.Gen, error) {
+		db, err := tebaldi.Open(opts, specs, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return db, load(db), nil
+	}
+}
+
+// tpccDB is a populated TPC-C database at the default scale; gen picks the
+// client's generator. A nil cfg is the initial configuration of §5.2.
+func tpccDB(specs []*tebaldi.Spec, cfg *tebaldi.Config, gen func(*tpcc.Client) tebaldi.Gen) opener {
+	return open(specs, cfg, func(db *tebaldi.DB) tebaldi.Gen {
+		sc := tpcc.DefaultScale()
+		tpcc.Load(db, sc)
+		return gen(tpcc.NewClient(db, sc))
+	})
+}
+
+func tpccMix(c *tpcc.Client) tebaldi.Gen    { return c.Mix }
+func tpccHotMix(c *tpcc.Client) tebaldi.Gen { return c.HotMix }
+
+// tpccCase is the standard TPC-C mix under cfg.
+func tpccCase(label string, cfg *tebaldi.Config, tweak func(*tebaldi.Options)) Case {
+	return Case{Label: label, Open: tpccDB(tpcc.Specs(false), cfg, tpccMix), Tweak: tweak}
+}
+
+// seatsDB is a populated SEATS database at the default scale.
+func seatsDB(cfg *tebaldi.Config) opener {
+	sc := seats.DefaultScale()
+	return open(seats.Specs(sc), cfg, func(db *tebaldi.DB) tebaldi.Gen {
+		seats.Load(db, sc)
+		return seats.NewClient(db, sc).Mix
+	})
+}
+
+func ycsbDB(w ycsb.Workload) opener {
+	return open(w.Specs(), w.Config(), func(db *tebaldi.DB) tebaldi.Gen {
+		c := ycsb.New(w)
+		c.Load(db)
+		return c.Mix
+	})
+}
+
+// The recovery experiment's schema: blind puts over a few hot keys.
+const recoveryKeys = 256
+
+var (
+	putSpecs  = []*tebaldi.Spec{{Name: "put", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
+	putConfig = tebaldi.Leaf(tebaldi.TwoPL, "put")
+)
+
+// putGen writes the hot keys round-robin, the i-th put carrying "v<i>".
+func putGen(*tebaldi.DB) tebaldi.Gen {
+	var seq atomic.Int64
+	return func(*rand.Rand) tebaldi.Op {
+		i := int(seq.Add(1) - 1)
+		return tebaldi.Op{Type: "put", Fn: func(tx *tebaldi.Tx) error {
+			val := make([]byte, 64)
+			copy(val, fmt.Sprintf("v%d", i))
+			return tx.Write(tebaldi.KeyOf("kv", i%recoveryKeys), val)
+		}}
+	}
+}
+
+// Experiments returns the evaluation, one entry per table or figure, in the
+// order a full run executes them. It is THE list: tebaldi-bench's ids and
+// -list, the go test -bench names and DESIGN.md's experiment index all
+// come from it.
+func Experiments() []Experiment {
+	sc := seats.DefaultScale()
+	three := tpcc.ConfigTebaldi3Layer
+	const (
+		inMemory = "measured (in-memory):"
+		durable  = "measured (durability, group-commit pipeline):"
+	)
+
+	table31 := Experiment{
+		ID:    "table3.1",
+		Title: "Table 3.1 — impact of grouping on throughput (new_order + stock_level)",
+		Paper: "paper (txn/s): same-group 3207 | separate-deadlock 158 | separate-no-deadlock 3598 | separate-no-conflict 23834",
+	}
+	for _, m := range []struct {
+		label              string
+		deadlock, disjoint bool
+		config             string
+	}{
 		{"Same group", false, false, "same"},
 		{"Separate - Deadlock", true, false, "deadlock"},
 		{"Separate - No Deadlock", false, false, "separate"},
 		{"Separate - No Conflict", false, true, "noconflict"},
-	}
-	var rows [][2]string
-	for _, m := range modes {
-		db, err := tebaldi.Open(dbOptions(), tpcc.PairSpecs(m.deadlock), tpcc.PairConfig(m.configMode))
-		if err != nil {
-			return err
-		}
-		sc := tpcc.DefaultScale()
-		tpcc.Load(db, sc)
-		c := tpcc.NewClient(db, sc)
-		pg := c.PairGen(m.deadlock, m.disjoint)
-		res := Drive(db, func(rng *rand.Rand) Op {
-			op := pg(rng)
-			return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
-		}, clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{m.name, res.String()})
-	}
-	table(w, "measured:", rows)
-	return nil
-}
-
-// Fig47 reproduces Figure 4.7: TPC-C throughput vs number of clients across
-// six configurations.
-func Fig47(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	fmt.Fprintf(w, "Figure 4.7 — TPC-C throughput vs clients\n")
-	fmt.Fprintf(w, "paper shape: SSI peak ~7x 2PL; Callas-2 ~ +77%% over Callas-1; Tebaldi-2L ~2.6x best Callas; 3L +44%% over 2L\n")
-	configs := []struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"2PL", tpcc.ConfigMono2PL()},
-		{"SSI", tpcc.ConfigMonoSSI()},
-		{"Callas-1", tpcc.ConfigCallas1()},
-		{"Callas-2", tpcc.ConfigCallas2()},
-		{"Tebaldi 2-layer", tpcc.ConfigTebaldi2Layer()},
-		{"Tebaldi 3-layer", tpcc.ConfigTebaldi3Layer()},
-	}
-	for _, cf := range configs {
-		db, c, err := openTPCC(cf.cfg, false, dbOptions())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\n%s  [%s]\n", cf.name, db.ConfigString())
-		for _, res := range Series(db, tpccGen(c), p.clients(), warmup, measure) {
-			fmt.Fprintf(w, "  %s\n", res)
-		}
-		db.Close()
-	}
-	return nil
-}
-
-// Fig48 reproduces Figure 4.8: SEATS throughput vs clients across the three
-// configurations.
-func Fig48(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	fmt.Fprintf(w, "Figure 4.8 — SEATS throughput vs clients\n")
-	fmt.Fprintf(w, "paper shape: 2-layer ~2.6x 2PL peak; 3-layer (per-flight TSO) ~2x 2-layer\n")
-	sc := seats.DefaultScale()
-	configs := []struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"Monolithic 2PL", seats.ConfigMono2PL()},
-		{"2-layer (SSI + 2PL)", seats.Config2Layer()},
-		{"3-layer (SSI + 2PL + TSO)", seats.Config3Layer(sc)},
-	}
-	for _, cf := range configs {
-		db, c, err := openSEATS(cf.cfg, dbOptions())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\n%s\n", cf.name)
-		for _, res := range Series(db, seatsGen(c), p.clients(), warmup, measure) {
-			fmt.Fprintf(w, "  %s\n", res)
-		}
-		db.Close()
-	}
-	return nil
-}
-
-// Sec463 reproduces the extensibility experiment of §4.6.3: TPC-C + hot_item
-// under the 3-layer vs 4-layer trees.
-func Sec463(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "§4.6.3 — hot_item extensibility\n")
-	fmt.Fprintf(w, "paper: 3-layer 16417 txn/s, 4-layer 23232 txn/s (+42%%)\n")
-	var rows [][2]string
-	for _, cf := range []struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"3-layer (hot_item merged)", tpcc.ConfigHot3Layer()},
-		{"4-layer (hot_item own group)", tpcc.ConfigHot4Layer()},
 	} {
-		db, c, err := openTPCC(cf.cfg, true, dbOptions())
-		if err != nil {
-			return err
-		}
-		res := Drive(db, func(rng *rand.Rand) Op {
-			op := c.HotMix(rng)
-			return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
-		}, clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{cf.name, res.String()})
+		m := m
+		table31.Cases = append(table31.Cases, Case{
+			Label: m.label,
+			Open: tpccDB(tpcc.PairSpecs(m.deadlock), tpcc.PairConfig(m.config),
+				func(c *tpcc.Client) tebaldi.Gen { return c.PairGen(m.deadlock, m.disjoint) }),
+		})
 	}
-	table(w, "measured:", rows)
-	return nil
-}
 
-// Fig410 reproduces Figure 4.10: cross-group CC performance across
-// read-write and write-write conflict rates.
-func Fig410(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "Figure 4.10 — cross-group CC comparison\n")
-	fmt.Fprintf(w, "paper shape: SSI wins rw-*; RP wins ww-5/ww-10; 2PL wins ww-1\n")
-	workloads := []struct {
+	fig410 := Experiment{
+		ID:    "fig4.10",
+		Title: "Figure 4.10 — cross-group CC comparison",
+		Paper: "paper shape: SSI wins rw-*; RP wins ww-5/ww-10; 2PL wins ww-1",
+	}
+	for _, wl := range []struct {
 		name   string
 		shared int
 		ro     bool
 	}{
 		{"rw-1", 100, true}, {"rw-5", 20, true}, {"rw-10", 10, true},
 		{"ww-1", 100, false}, {"ww-5", 20, false}, {"ww-10", 10, false},
-	}
-	crosses := []tebaldi.Kind{tebaldi.TwoPL, tebaldi.SSI, tebaldi.RP}
-	for _, wl := range workloads {
+	} {
 		cg := micro.CrossGroup{SharedRows: wl.shared, ReadOnlyT1: wl.ro}
-		var rows [][2]string
-		for _, cross := range crosses {
-			db, err := tebaldi.Open(dbOptions(), cg.Specs(), cg.Config(cross))
-			if err != nil {
-				return err
-			}
-			cg.Load(db)
-			res := Drive(db, func(rng *rand.Rand) Op {
-				op := cg.Mix(rng)
-				return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
-			}, clients, warmup, measure)
-			db.Close()
-			rows = append(rows, [2]string{string(cross) + " cross-group", res.String()})
-		}
-		table(w, wl.name, rows)
-	}
-	return nil
-}
-
-// Fig411 reproduces Figure 4.11: two-layer vs three-layer hierarchies.
-func Fig411(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "Figure 4.11 — two-layer vs three-layer\n")
-	fmt.Fprintf(w, "paper shape: three-layer peak ~ +63%% over best two-layer\n")
-	tl := micro.ThreeLayer{}
-	cfgs := tl.Configs()
-	var rows [][2]string
-	for _, name := range sortedKeys(cfgs) {
-		db, err := tebaldi.Open(dbOptions(), tl.Specs(), cfgs[name])
-		if err != nil {
-			return err
-		}
-		tl.Load(db)
-		res := Drive(db, func(rng *rand.Rand) Op {
-			op := tl.Mix(rng)
-			return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
-		}, clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{name, res.String()})
-	}
-	table(w, "measured:", rows)
-	return nil
-}
-
-// Table41 reproduces Table 4.1: latency and peak-throughput cost of
-// additional hierarchy layers on a conflict-free workload.
-func Table41(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	fmt.Fprintf(w, "Table 4.1 — cost of additional layers (conflict-free 7-write txn)\n")
-	fmt.Fprintf(w, "paper: latency +3.3%% (2PL-RP) +9.8%% (SSI-RP) +36.3%% (RP-RP); peak -21%%/-25%%/-40%%\n")
-	ov := &micro.Overhead{}
-	cfgs := ov.Configs()
-	order := []string{"stand-alone RP", "2PL - RP", "SSI - RP", "RP - RP"}
-	var rows [][2]string
-	for _, name := range order {
-		db, err := tebaldi.Open(dbOptions(), ov.Specs(), cfgs[name])
-		if err != nil {
-			return err
-		}
-		gen := func(rng *rand.Rand) Op {
-			op := ov.Next(rng)
-			return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
-		}
-		// Latency at low load (paper: 20 clients).
-		lat := Drive(db, gen, 8, warmup/2, measure/2)
-		// Peak throughput at saturation.
-		peak := Drive(db, gen, p.fixedClients(), warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{name, fmt.Sprintf("latency %8v   peak %9.0f txn/s",
-			lat.MeanLatency[micro.TxnW7].Round(time.Microsecond), peak.Throughput)})
-	}
-	table(w, "measured:", rows)
-	return nil
-}
-
-// Table42 reproduces Table 4.2: durability overhead on TPC-C under the
-// 3-layer tree with asynchronous GCP flushing.
-func Table42(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "Table 4.2 — durability overhead (TPC-C, 3-layer, async flushing)\n")
-	fmt.Fprintf(w, "paper: ~5%% overhead (22390 vs 23415 txn/s)\n")
-	var rows [][2]string
-	for _, on := range []bool{false, true} {
-		opts := dbOptions()
-		name := "Durability OFF"
-		if on {
-			dir, err := os.MkdirTemp("", "tebaldi-wal-*")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			opts.DurabilityDir = dir
-			opts.GCPEpoch = 100 * time.Millisecond
-			name = "Durability ON"
-		}
-		db, c, err := openTPCC(tpcc.ConfigTebaldi3Layer(), false, opts)
-		if err != nil {
-			return err
-		}
-		res := Drive(db, tpccGen(c), clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{name, res.String()})
-	}
-	table(w, "measured:", rows)
-	return nil
-}
-
-// Fig55 reproduces the §5.3.1 case study (Figures 5.3-5.5): under the
-// RP{payment} / stock_level configuration, only payment's latency rises with
-// load — the latency-based profiler would blame payment-payment contention —
-// while the blocking-event profiler correctly attributes the bottleneck to
-// the payment<->stock_level edge.
-func Fig55(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	fmt.Fprintf(w, "Figure 5.5 — latency-based profiling misses the real bottleneck\n")
-	opts := dbOptions()
-	opts.Profiling = true
-	cfg := tebaldi.Inner(tebaldi.TwoPL,
-		tebaldi.Leaf(tebaldi.RP, tpcc.TxnPayment),
-		tebaldi.Leaf(tebaldi.None, tpcc.TxnStockLevel))
-	db, c, err := openTPCC(cfg, false, opts)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	gen := func(rng *rand.Rand) Op {
-		var op tpcc.Op
-		if rng.Float64() < 0.8 {
-			op = c.Payment(rng)
-		} else {
-			op = c.StockLevel(rng)
-		}
-		return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
-	}
-	for _, clients := range p.clients() {
-		db.Engine().Profiler().Window() // reset
-		res := Drive(db, gen, clients, warmup, measure)
-		scores := profiler.Scores(db.Engine().Profiler().Window())
-		edge, score, _ := profiler.Bottleneck(scores)
-		fmt.Fprintf(w, "  %4d clients: %8.0f txn/s   latency pay=%-10v sl=%-10v  bottleneck %s<->%s (%v)\n",
-			clients, res.Throughput,
-			res.MeanLatency[tpcc.TxnPayment].Round(time.Microsecond),
-			res.MeanLatency[tpcc.TxnStockLevel].Round(time.Microsecond),
-			edge.A, edge.B, score.Round(time.Microsecond))
-	}
-	fmt.Fprintf(w, "expected: payment latency grows with clients while stock_level's stays flat — the\n")
-	fmt.Fprintf(w, "latency-based technique would blame payment alone; the conflict-edge profiler\n")
-	fmt.Fprintf(w, "attributes blocked time to exact edges (in-process, stock_level's short reads\n")
-	fmt.Fprintf(w, "make payment<->payment genuinely dominant; on the paper's cluster the long\n")
-	fmt.Fprintf(w, "stock_level scans make payment<->stock_level the root cause).\n")
-	return nil
-}
-
-// runAutoconf drives an automatic-configuration session with a background
-// closed-loop workload.
-func runAutoconf(p Params, db *tebaldi.DB, gen Gen, manual *tebaldi.Config, manualName string) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-
-	stopAndJoin := Clients(db, gen, clients)
-	time.Sleep(warmup)
-
-	res, err := db.AutoConfigure(tebaldi.AutoConfigOptions{
-		MeasureWindow: measure / 2,
-		Settle:        warmup / 2,
-		MaxIterations: 6,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(w, "  "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		stopAndJoin()
-		return err
-	}
-	fmt.Fprintf(w, "final auto config: %s  (%.0f txn/s)\n", res.Final, res.FinalThroughput)
-
-	// Compare against the manual configuration on the same live system.
-	if manual != nil {
-		if err := db.Reconfigure(manual, tebaldi.PartialRestart); err != nil {
-			stopAndJoin()
-			return err
-		}
-		time.Sleep(warmup)
-		snap := db.Stats().Snapshot()
-		time.Sleep(measure)
-		manualTput := db.Stats().Since(snap).Throughput
-		fmt.Fprintf(w, "%s (manual): %.0f txn/s -> auto retains %.0f%%\n",
-			manualName, manualTput, 100*res.FinalThroughput/manualTput)
-	}
-	stopAndJoin()
-	return nil
-}
-
-// Fig511 reproduces Figure 5.11/5.13: automatic configuration on TPC-C.
-func Fig511(p Params) error {
-	w := p.out()
-	fmt.Fprintf(w, "Figure 5.11 — automatic configuration, TPC-C\n")
-	fmt.Fprintf(w, "paper shape: autoconf converges over a few iterations to ~90%% of the manual 3-layer config\n")
-	opts := dbOptions()
-	opts.Profiling = true
-	db, err := tebaldi.Open(opts, tpcc.Specs(false), nil) // initial §5.2 config
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	tpcc.Load(db, tpcc.DefaultScale())
-	c := tpcc.NewClient(db, tpcc.DefaultScale())
-	fmt.Fprintf(w, "initial config: %s\n", db.ConfigString())
-	return runAutoconf(p, db, tpccGen(c), tpcc.ConfigTebaldi3Layer(), "Tebaldi 3-layer")
-}
-
-// Fig514 reproduces Figure 5.14/5.16: automatic configuration on SEATS.
-func Fig514(p Params) error {
-	w := p.out()
-	fmt.Fprintf(w, "Figure 5.14 — automatic configuration, SEATS\n")
-	sc := seats.DefaultScale()
-	opts := dbOptions()
-	opts.Profiling = true
-	db, err := tebaldi.Open(opts, seats.Specs(sc), nil)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	seats.Load(db, sc)
-	c := seats.NewClient(db, sc)
-	fmt.Fprintf(w, "initial config: %s\n", db.ConfigString())
-	return runAutoconf(p, db, seatsGen(c), seats.Config3Layer(sc), "manual 3-layer")
-}
-
-// Fig517 reproduces Figure 5.17: the overhead of performance profiling.
-func Fig517(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "Figure 5.17 — profiling overhead (TPC-C, 3-layer)\n")
-	fmt.Fprintf(w, "paper: a few percent\n")
-	var rows [][2]string
-	for _, prof := range []bool{false, true} {
-		opts := dbOptions()
-		opts.Profiling = prof
-		db, c, err := openTPCC(tpcc.ConfigTebaldi3Layer(), false, opts)
-		if err != nil {
-			return err
-		}
-		stopDrain := make(chan struct{})
-		if prof {
-			// A monitor draining windows and computing scores, as
-			// the live analysis stage would.
-			go func() {
-				tick := time.NewTicker(measure / 4)
-				defer tick.Stop()
-				for {
-					select {
-					case <-stopDrain:
-						return
-					case <-tick.C:
-						profiler.Scores(db.Engine().Profiler().Window())
-					}
-				}
-			}()
-		}
-		res := Drive(db, tpccGen(c), clients, warmup, measure)
-		close(stopDrain)
-		db.Close()
-		name := "profiling OFF"
-		if prof {
-			name = "profiling ON"
-		}
-		rows = append(rows, [2]string{name, res.String()})
-	}
-	table(w, "measured:", rows)
-	return nil
-}
-
-// Table51 reproduces Table 5.1: SEATS with and without the
-// partition-by-instance optimization.
-func Table51(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "Table 5.1 — partition-by-instance on SEATS\n")
-	fmt.Fprintf(w, "paper shape: per-flight TSO instances roughly double throughput vs one TSO group\n")
-	sc := seats.DefaultScale()
-	var rows [][2]string
-	for _, cf := range []struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"single TSO group", seats.Config3LayerSingleTSO()},
-		{"per-flight TSO (PBI)", seats.Config3Layer(sc)},
-	} {
-		db, c, err := openSEATS(cf.cfg, dbOptions())
-		if err != nil {
-			return err
-		}
-		res := Drive(db, seatsGen(c), clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{cf.name, res.String()})
-	}
-	table(w, "measured:", rows)
-	return nil
-}
-
-// Fig519 reproduces Figures 5.18/5.19: throughput timeline across a live
-// reconfiguration under the two protocols.
-func Fig519(p Params) error {
-	w := p.out()
-	warmup, _ := p.windows()
-	clients := p.fixedClients()
-	bucket := 50 * time.Millisecond
-	buckets := 30
-	fmt.Fprintf(w, "Figure 5.19 — reconfiguration protocols (TPC-C, third reconfiguration)\n")
-	fmt.Fprintf(w, "paper shape: partial restart dips to ~0 during quiesce; online update keeps most throughput\n")
-
-	// The paper's third reconfiguration touches one subgroup; here the
-	// delivery leaf switches RP -> 2PL. Online update gates only delivery
-	// (4%% of the mix); partial restart quiesces everything.
-	from := tpcc.ConfigTebaldi3Layer()
-	to := tpcc.ConfigTebaldi3Layer()
-	to.Children[1].Children[1] = tebaldi.Leaf(tebaldi.TwoPL, tpcc.TxnDelivery)
-	for _, proto := range []struct {
-		name string
-		p    tebaldi.ReconfigProtocol
-	}{
-		{"partial-restart", tebaldi.PartialRestart},
-		{"online-update", tebaldi.OnlineUpdate},
-	} {
-		db, c, err := openTPCC(from, false, dbOptions())
-		if err != nil {
-			return err
-		}
-		stopAndJoin := Clients(db, tpccGen(c), clients)
-		time.Sleep(warmup)
-		// Sample throughput in buckets; reconfigure at bucket 10.
-		series := make([]float64, 0, buckets)
-		done := make(chan error, 1)
-		pr := proto.p
-		for b := 0; b < buckets; b++ {
-			if b == 10 {
-				go func() { done <- db.Reconfigure(to, pr) }()
-			}
-			snap := db.Stats().Snapshot()
-			time.Sleep(bucket)
-			series = append(series, db.Stats().Since(snap).Throughput)
-		}
-		stopAndJoin()
-		if err := <-done; err != nil {
-			db.Close()
-			return err
-		}
-		db.Close()
-		fmt.Fprintf(w, "\n%s:\n ", proto.name)
-		for _, v := range series {
-			fmt.Fprintf(w, " %6.0f", v)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// Table52 reproduces Table 5.2's question — how Tebaldi's MCC compares to a
-// single-machine monolithic database — substituting our own engine in
-// single-shard mode with monolithic CCs for MySQL/Postgres (see DESIGN.md).
-func Table52(p Params) error {
-	w := p.out()
-	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "Table 5.2 — single-machine comparison (substituted: monolithic CCs in-engine)\n")
-	var rows [][2]string
-	for _, cf := range []struct {
-		name string
-		cfg  *tebaldi.Config
-	}{
-		{"monolithic 2PL (1 shard)", tpcc.ConfigMono2PL()},
-		{"monolithic SSI (1 shard)", tpcc.ConfigMonoSSI()},
-		{"Tebaldi 3-layer (1 shard)", tpcc.ConfigTebaldi3Layer()},
-	} {
-		opts := dbOptions()
-		opts.Shards = 1
-		db, c, err := openTPCC(cf.cfg, false, opts)
-		if err != nil {
-			return err
-		}
-		res := Drive(db, tpccGen(c), clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{cf.name, res.String()})
-	}
-	table(w, "measured:", rows)
-	return nil
-}
-
-// dirBytes sums the sizes of all regular files under dir.
-func dirBytes(dir string) int64 {
-	var n int64
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	for _, de := range ents {
-		if info, err := de.Info(); err == nil && !de.IsDir() {
-			n += info.Size()
-		}
-	}
-	return n
-}
-
-// Recovery measures bounded-log restart (not in the paper): N committed
-// update transactions under sync group commit, then a cold restart. Without
-// checkpoints the log holds the full history and recovery replays all of
-// it; with periodic checkpoints the log is compacted to the post-frontier
-// tail and recovery replays only that. Reports on-disk log size, restart
-// time, and the records-replayed counter.
-func Recovery(p Params) error {
-	w := p.out()
-	n := 20000
-	if p.Quick {
-		n = 4000
-	}
-	const keys = 256
-	fmt.Fprintf(w, "recovery — checkpoint + log compaction bound restart (N=%d txns, %d hot keys)\n", n, keys)
-	specs := []*tebaldi.Spec{{Name: "put", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
-	cfg := tebaldi.Leaf(tebaldi.TwoPL, "put")
-
-	var rows [][2]string
-	for _, mode := range []struct {
-		name  string
-		every int // checkpoint every `every` txns; 0 = never
-	}{
-		{"no checkpoints", 0},
-		{"checkpoint every N/8", n / 8},
-	} {
-		dir, err := os.MkdirTemp("", "tebaldi-recovery-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		opts := dbOptions()
-		opts.DurabilityDir = dir
-		opts.DurabilitySync = true
-		opts.GCPEpoch = 20 * time.Millisecond
-		db, err := tebaldi.Open(opts, specs, cfg)
-		if err != nil {
-			return err
-		}
-		val := make([]byte, 64)
-		for i := 0; i < n; i++ {
-			i := i
-			err := db.Run("put", 0, func(tx *tebaldi.Tx) error {
-				copy(val, fmt.Sprintf("v%d", i))
-				return tx.Write(tebaldi.KeyOf("kv", i%keys), val)
+		for _, cross := range []tebaldi.Kind{tebaldi.TwoPL, tebaldi.SSI, tebaldi.RP} {
+			fig410.Cases = append(fig410.Cases, Case{
+				Label: string(cross) + " cross-group",
+				Group: wl.name,
+				Open: open(cg.Specs(), cg.Config(cross), func(db *tebaldi.DB) tebaldi.Gen {
+					cg.Load(db)
+					return cg.Mix
+				}),
 			})
-			if err != nil {
-				db.Close()
-				return err
-			}
-			if mode.every > 0 && (i+1)%mode.every == 0 {
-				if err := db.Checkpoint(); err != nil {
-					db.Close()
-					return err
-				}
-			}
 		}
-		if err := db.Close(); err != nil {
-			return err
-		}
-		size := dirBytes(dir)
+	}
 
-		start := time.Now()
-		db2, st, err := tebaldi.Recover(opts, specs, cfg)
-		if err != nil {
-			return err
-		}
-		restart := time.Since(start)
-		db2.Close()
-		rows = append(rows, [2]string{mode.name,
-			fmt.Sprintf("disk %7.1f KiB   restart %8v   replayed %6d records   snapshot %4d keys",
-				float64(size)/1024, restart.Round(100*time.Microsecond), st.Replayed, st.SnapshotKeys)})
-		p.Collect.Add(SnapshotEntry{
-			Experiment:   "recovery",
-			Label:        mode.name,
-			DiskBytes:    size,
-			RestartUS:    restart.Microseconds(),
-			Replayed:     st.Replayed,
-			SnapshotKeys: st.SnapshotKeys,
+	fig411 := Experiment{
+		ID:    "fig4.11",
+		Title: "Figure 4.11 — two-layer vs three-layer",
+		Paper: "paper shape: three-layer peak ~ +63% over best two-layer",
+	}
+	tl := micro.ThreeLayer{}
+	for _, name := range []string{"three-layer", "two-layer-1", "two-layer-2", "two-layer-3", "two-layer-4"} {
+		fig411.Cases = append(fig411.Cases, Case{
+			Label: name,
+			Open: open(tl.Specs(), tl.Configs()[name], func(db *tebaldi.DB) tebaldi.Gen {
+				tl.Load(db)
+				return tl.Mix
+			}),
 		})
 	}
-	table(w, "measured:", rows)
-	fmt.Fprintf(w, "expected: checkpointing holds disk size and replay near the post-frontier tail,\n")
-	fmt.Fprintf(w, "independent of N; without it both grow linearly with history.\n")
-	return nil
+
+	table41 := Experiment{
+		ID:    "table4.1",
+		Title: "Table 4.1 — cost of additional layers (conflict-free 7-write txn)",
+		Paper: "paper: latency +3.3% (2PL-RP) +9.8% (SSI-RP) +36.3% (RP-RP); peak -21%/-25%/-40%",
+	}
+	for _, name := range []string{"stand-alone RP", "2PL - RP", "SSI - RP", "RP - RP"} {
+		ov := &micro.Overhead{}
+		table41.Cases = append(table41.Cases, Case{
+			Label:   name,
+			Open:    open(ov.Specs(), ov.Configs()[name], func(*tebaldi.DB) tebaldi.Gen { return ov.Next }),
+			Measure: layerCost,
+		})
+	}
+
+	return []Experiment{
+		table31,
+		{
+			ID:    "fig4.7",
+			Title: "Figure 4.7 — TPC-C throughput vs clients",
+			Paper: "paper shape: SSI peak ~7x 2PL; Callas-2 ~ +77% over Callas-1; Tebaldi-2L ~2.6x best Callas; 3L +44% over 2L",
+			Sweep: true,
+			Cases: []Case{
+				tpccCase("2PL", tpcc.ConfigMono2PL(), nil),
+				tpccCase("SSI", tpcc.ConfigMonoSSI(), nil),
+				tpccCase("Callas-1", tpcc.ConfigCallas1(), nil),
+				tpccCase("Callas-2", tpcc.ConfigCallas2(), nil),
+				tpccCase("Tebaldi 2-layer", tpcc.ConfigTebaldi2Layer(), nil),
+				tpccCase("Tebaldi 3-layer", three(), nil),
+			},
+		},
+		{
+			ID:    "fig4.8",
+			Title: "Figure 4.8 — SEATS throughput vs clients",
+			Paper: "paper shape: 2-layer ~2.6x 2PL peak; 3-layer (per-flight TSO) ~2x 2-layer",
+			Sweep: true,
+			Cases: []Case{
+				{Label: "Monolithic 2PL", Open: seatsDB(seats.ConfigMono2PL())},
+				{Label: "2-layer (SSI + 2PL)", Open: seatsDB(seats.Config2Layer())},
+				{Label: "3-layer (SSI + 2PL + TSO)", Open: seatsDB(seats.Config3Layer(sc))},
+			},
+		},
+		{
+			ID:    "sec4.6.3",
+			Title: "§4.6.3 — hot_item extensibility",
+			Paper: "paper: 3-layer 16417 txn/s, 4-layer 23232 txn/s (+42%)",
+			Cases: []Case{
+				{Label: "3-layer (hot_item merged)", Open: tpccDB(tpcc.Specs(true), tpcc.ConfigHot3Layer(), tpccHotMix)},
+				{Label: "4-layer (hot_item own group)", Open: tpccDB(tpcc.Specs(true), tpcc.ConfigHot4Layer(), tpccHotMix)},
+			},
+		},
+		fig410,
+		fig411,
+		table41,
+		{
+			ID:    "table4.2",
+			Title: "Table 4.2 — durability overhead (TPC-C, 3-layer, async flushing)",
+			Paper: "paper: ~5% overhead (22390 vs 23415 txn/s)",
+			Cases: []Case{
+				tpccCase("Durability OFF", three(), nil),
+				tpccCase("Durability ON", three(), wal(false, 100*time.Millisecond)),
+			},
+		},
+		{
+			ID:    "fig5.5",
+			Title: "Figure 5.5 — latency-based profiling misses the real bottleneck",
+			Paper: `expected: payment latency grows with clients while stock_level's stays flat — the
+latency-based technique would blame payment alone; the conflict-edge profiler
+attributes blocked time to exact edges (in-process, stock_level's short reads
+make payment<->payment genuinely dominant; on the paper's cluster the long
+stock_level scans make payment<->stock_level the root cause).`,
+			// The §5.3.1 case study (Figures 5.3-5.5): RP{payment} against
+			// stock_level under 2PL, 80/20.
+			Cases: []Case{{
+				Label: "RP{payment} | stock_level",
+				Tweak: profiling,
+				Open: tpccDB(tpcc.Specs(false),
+					tebaldi.Inner(tebaldi.TwoPL,
+						tebaldi.Leaf(tebaldi.RP, tpcc.TxnPayment),
+						tebaldi.Leaf(tebaldi.None, tpcc.TxnStockLevel)),
+					func(c *tpcc.Client) tebaldi.Gen {
+						return func(rng *rand.Rand) tebaldi.Op {
+							if rng.Float64() < 0.8 {
+								return c.Payment(rng)
+							}
+							return c.StockLevel(rng)
+						}
+					}),
+			}},
+			Run: profilingCaseStudy,
+		},
+		{
+			ID:    "fig5.11",
+			Title: "Figure 5.11 — automatic configuration, TPC-C",
+			Paper: "paper shape: autoconf converges over a few iterations to ~90% of the manual 3-layer config",
+			Cases: []Case{tpccCase("initial configuration (§5.2)", nil, profiling)},
+			Run:   autoconf(three(), "Tebaldi 3-layer"),
+		},
+		{
+			ID:    "fig5.14",
+			Title: "Figure 5.14 — automatic configuration, SEATS",
+			Cases: []Case{{Label: "initial configuration (§5.2)", Open: seatsDB(nil), Tweak: profiling}},
+			Run:   autoconf(seats.Config3Layer(sc), "manual 3-layer"),
+		},
+		{
+			ID:    "fig5.17",
+			Title: "Figure 5.17 — profiling overhead (TPC-C, 3-layer)",
+			Paper: "paper: a few percent",
+			Cases: []Case{
+				tpccCase("profiling OFF", three(), nil),
+				{Label: "profiling ON", Open: tpccDB(tpcc.Specs(false), three(), tpccMix), Tweak: profiling, Measure: monitored},
+			},
+		},
+		{
+			ID:    "table5.1",
+			Title: "Table 5.1 — partition-by-instance on SEATS",
+			Paper: "paper shape: per-flight TSO instances roughly double throughput vs one TSO group",
+			Cases: []Case{
+				{Label: "single TSO group", Open: seatsDB(seats.Config3LayerSingleTSO())},
+				{Label: "per-flight TSO (PBI)", Open: seatsDB(seats.Config3Layer(sc))},
+			},
+		},
+		{
+			ID:    "fig5.19",
+			Title: "Figure 5.19 — reconfiguration protocols (TPC-C, third reconfiguration)",
+			Paper: "paper shape: partial restart dips to ~0 during quiesce; online update keeps most throughput",
+			Cases: []Case{tpccCase("Tebaldi 3-layer", three(), nil)},
+			Run:   reconfiguration,
+		},
+		{
+			// Table 5.2's question — MCC against a single-machine monolithic
+			// database — with our own engine in single-shard mode under
+			// monolithic CCs standing in for MySQL/Postgres (see DESIGN.md).
+			ID:    "table5.2",
+			Title: "Table 5.2 — single-machine comparison (substituted: monolithic CCs in-engine)",
+			Cases: []Case{
+				tpccCase("monolithic 2PL (1 shard)", tpcc.ConfigMono2PL(), oneShard),
+				tpccCase("monolithic SSI (1 shard)", tpcc.ConfigMonoSSI(), oneShard),
+				tpccCase("Tebaldi 3-layer (1 shard)", three(), oneShard),
+			},
+		},
+		{
+			// The YCSB core mixes (A update-heavy, B read-heavy, C read-only;
+			// zipfian) — the write-heavy scenario the paper's TPC-C/SEATS
+			// evaluation lacks — and the group-commit pipeline on YCSB-A.
+			ID:    "ycsb",
+			Title: "YCSB — core mixes and group-commit durability (not in the paper)",
+			Cases: []Case{
+				{Label: "YCSB-A (50/50)", Group: inMemory, Open: ycsbDB(ycsb.A()), Measure: withAllocs},
+				{Label: "YCSB-B (95/5)", Group: inMemory, Open: ycsbDB(ycsb.B()), Measure: withAllocs},
+				{Label: "YCSB-C (read-only)", Group: inMemory, Open: ycsbDB(ycsb.C()), Measure: withAllocs},
+				{Label: "YCSB-A, async GCP flushing", Group: durable, Open: ycsbDB(ycsb.A()), Tweak: wal(false, 100*time.Millisecond), Measure: withWAL},
+				{Label: "YCSB-A, sync group commit", Group: durable, Open: ycsbDB(ycsb.A()), Tweak: wal(true, 100*time.Millisecond), Measure: withWAL},
+			},
+		},
+		{
+			ID:    "recovery",
+			Title: "recovery — checkpoint + log compaction bound restart (not in the paper)",
+			Paper: `expected: checkpointing holds disk size and replay near the post-frontier tail,
+independent of N; without it both grow linearly with history.`,
+			Cases: []Case{{
+				Label: "sync-commit puts",
+				Open:  open(putSpecs, putConfig, putGen),
+				Tweak: wal(true, 20*time.Millisecond),
+			}},
+			Run: recovery,
+		},
+		{
+			ID:    "serve",
+			Title: "serve — open-loop vs closed-loop through the networked front end (not in the paper)",
+			Run:   serve,
+		},
+	}
 }
 
-// YCSB runs the YCSB core mixes (A update-heavy, B read-heavy, C read-only;
-// zipfian) — the write-heavy scenario the paper's TPC-C/SEATS evaluation
-// lacks — and measures the durability module's group-commit pipeline on
-// YCSB-A: in-memory vs asynchronous GCP flushing vs synchronous group
-// commit, reporting the pipeline's batch-size and flush-latency counters.
-func YCSB(p Params) error {
-	w := p.out()
+// layerCost is Table 4.1's row: latency at low load (paper: 20 clients),
+// then peak throughput at saturation.
+func layerCost(p Params, db *tebaldi.DB, gen tebaldi.Gen) string {
 	warmup, measure := p.windows()
-	clients := p.fixedClients()
-	fmt.Fprintf(w, "YCSB — core mixes and group-commit durability (not in the paper)\n")
+	lat := Drive(db, gen, 8, warmup/2, measure/2)
+	peak := p.drive(db, gen)
+	return fmt.Sprintf("latency %8v   peak %9.0f txn/s",
+		lat.MeanLatency[micro.TxnW7].Round(time.Microsecond), peak.Throughput)
+}
 
-	ycsbGen := func(c *ycsb.Client) Gen {
-		return func(rng *rand.Rand) Op {
-			op := c.Mix(rng)
-			return Op{Type: op.Type, Part: op.Part, Fn: op.Fn}
-		}
-	}
+func withAllocs(p Params, db *tebaldi.DB, gen tebaldi.Gen) string {
+	res := p.drive(db, gen)
+	return fmt.Sprintf("%s  %6.1f allocs/txn", res, res.AllocsPerTxn)
+}
 
-	var rows [][2]string
-	for _, m := range []struct {
-		name string
-		w    ycsb.Workload
-	}{
-		{"YCSB-A (50/50)", ycsb.A()},
-		{"YCSB-B (95/5)", ycsb.B()},
-		{"YCSB-C (read-only)", ycsb.C()},
-	} {
-		c := ycsb.New(m.w)
-		db, err := tebaldi.Open(dbOptions(), m.w.Specs(), m.w.Config())
-		if err != nil {
-			return err
-		}
-		c.Load(db)
-		res := Drive(db, ycsbGen(c), clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{m.name,
-			fmt.Sprintf("%s  %6.1f allocs/txn", res.String(), res.AllocsPerTxn)})
-		p.record("ycsb", m.name, res)
-	}
-	table(w, "measured (in-memory):", rows)
-
-	rows = rows[:0]
-	for _, mode := range []struct {
-		name string
-		sync bool
-	}{
-		{"async GCP flushing", false},
-		{"sync group commit", true},
-	} {
-		dir, err := os.MkdirTemp("", "tebaldi-ycsb-wal-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		opts := dbOptions()
-		opts.DurabilityDir = dir
-		opts.DurabilitySync = mode.sync
-		opts.GCPEpoch = 100 * time.Millisecond
-		wl := ycsb.A()
-		c := ycsb.New(wl)
-		db, err := tebaldi.Open(opts, wl.Specs(), wl.Config())
-		if err != nil {
-			return err
-		}
-		c.Load(db)
-		res := Drive(db, ycsbGen(c), clients, warmup, measure)
-		db.Close()
-		rows = append(rows, [2]string{"YCSB-A, " + mode.name,
-			fmt.Sprintf("%9.0f txn/s  abort %5.1f%%  batch %5.1f rec  flush %s",
-				res.Throughput, 100*res.AbortRate, res.WalMeanBatch, res.WalMeanFlush)})
-		p.record("ycsb", "YCSB-A, "+mode.name, res)
-	}
-	table(w, "measured (durability, group-commit pipeline):", rows)
-	return nil
+// withWAL reports the group-commit pipeline's batch size and flush latency.
+func withWAL(p Params, db *tebaldi.DB, gen tebaldi.Gen) string {
+	res := p.drive(db, gen)
+	return fmt.Sprintf("%9.0f txn/s  abort %5.1f%%  batch %5.1f rec  flush %s",
+		res.Throughput, 100*res.AbortRate, res.WalMeanBatch, res.WalMeanFlush)
 }

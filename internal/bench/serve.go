@@ -34,7 +34,7 @@ func (p Params) serveParams() serveParams {
 	return serveParams{conns: 10000, rate: 4000, count: 80000, closedConns: 256, closedN: 30000, keyspace: 100000}
 }
 
-// Serve measures the networked front end under OPEN-LOOP load: a fixed
+// serve measures the networked front end under OPEN-LOOP load: a fixed
 // arrival rate over many thousands of idle-most-of-the-time connections,
 // with every latency measured from the arrival's intended send time, so
 // server stalls surface as tail latency instead of silently reducing the
@@ -46,8 +46,8 @@ func (p Params) serveParams() serveParams {
 // descriptor budget). Otherwise quick mode serves in-process, and full mode
 // builds and spawns cmd/tebaldi-server, falling back to a reduced
 // in-process run when the toolchain is unavailable.
-func Serve(p Params) error {
-	w := p.out()
+func serve(_ *Experiment, p Params) error {
+	w := p.Out
 	sp := p.serveParams()
 	raiseFDLimit()
 
@@ -56,7 +56,7 @@ func Serve(p Params) error {
 	var inproc *server.Server
 	switch {
 	case target != "":
-		fmt.Fprintf(w, "serve — driving external tebaldi-server at %s\n", target)
+		fmt.Fprintf(w, "driving external tebaldi-server at %s\n", target)
 	case p.Quick:
 		addr, shutdown, srv, err := startInProcess(sp.keyspace)
 		if err != nil {
@@ -83,7 +83,7 @@ func Serve(p Params) error {
 		defer stop()
 	}
 
-	fmt.Fprintf(w, "serve — open-loop vs closed-loop over %d connections (%d keys, 80%% readonly / 20%% update)\n",
+	fmt.Fprintf(w, "open-loop vs closed-loop over %d connections (%d keys, 80%% readonly / 20%% update)\n",
 		sp.conns, sp.keyspace)
 
 	open, err := runLoad(target, sp, false)
@@ -106,22 +106,6 @@ func Serve(p Params) error {
 		fmt.Fprintf(w, "  protocol errors: 0\n")
 	}
 
-	if p.Collect != nil {
-		p.Collect.Add(SnapshotEntry{
-			Experiment: "serve", Label: "open-loop", Mode: "open",
-			Connections: sp.conns, OfferedRate: sp.rate,
-			Throughput: open.Rate, Failed: open.Failed,
-			P50US: open.P50.Microseconds(), P99US: open.P99.Microseconds(),
-			P999US: open.P999.Microseconds(), MaxUS: open.Max.Microseconds(),
-		})
-		p.Collect.Add(SnapshotEntry{
-			Experiment: "serve", Label: "closed-loop", Mode: "closed",
-			Connections: sp.closedConns,
-			Throughput:  closed.Rate, Failed: closed.Failed,
-			P50US: closed.P50.Microseconds(), P99US: closed.P99.Microseconds(),
-			P999US: closed.P999.Microseconds(), MaxUS: closed.Max.Microseconds(),
-		})
-	}
 	return nil
 }
 
@@ -202,7 +186,7 @@ func kvTxn(sess *server.Sess, rng *rand.Rand, keyspace int) error {
 // startInProcess opens a DB with the server's generic KV schema and serves
 // it on a loopback listener in this process.
 func startInProcess(keyspace int) (addr string, stop func(), srv *server.Server, err error) {
-	db, err := tebaldi.Open(tebaldi.Options{Shards: 16, LockTimeout: 400 * time.Millisecond},
+	db, err := tebaldi.Open(dbOptions(),
 		[]*tebaldi.Spec{
 			{Name: "update", Tables: []string{"kv"}, WriteTables: []string{"kv"}},
 			{Name: "readonly", ReadOnly: true, Tables: []string{"kv"}},

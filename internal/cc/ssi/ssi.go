@@ -226,12 +226,8 @@ func (s *SSI) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 		// writers of this key (writers consult the reader records, and
 		// Validate rescans the chain).
 		if !s.optimized {
-			wm := uint64(0)
-			if s.env.Watermark != nil {
-				wm = s.env.Watermark()
-			}
 			//lint:allow poolescape -- RecordReader marks rec.T shared before linking the record into the reader list
-			ch.RecordReader(core.ReadRec{T: t, SnapshotTS: sl.snapTS, Batch: sl.flags()}, wm)
+			ch.RecordReader(core.ReadRec{T: t, SnapshotTS: sl.snapTS, Batch: sl.flags()}, s.env.Watermark)
 			last := len(sl.readChains) - 1
 			if last < 0 || sl.readChains[last] != ch {
 				sl.readChains = append(sl.readChains, ch)
@@ -309,12 +305,8 @@ func (s *SSI) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 		}
 	}
 	if !s.optimized {
-		wm := uint64(0)
-		if s.env.Watermark != nil {
-			wm = s.env.Watermark()
-		}
 		//lint:allow poolescape -- RecordReader marks rec.T shared before linking the record into the reader list
-		ch.RecordReader(core.ReadRec{T: t, SnapshotTS: sl.snapTS, Batch: sl.flags()}, wm)
+		ch.RecordReader(core.ReadRec{T: t, SnapshotTS: sl.snapTS, Batch: sl.flags()}, s.env.Watermark)
 		last := len(sl.readChains) - 1
 		if last < 0 || sl.readChains[last] != ch {
 			sl.readChains = append(sl.readChains, ch)

@@ -96,6 +96,9 @@ func New(env *core.Env, node *core.Node, opt Options) *TSO {
 // Name implements core.CC.
 func (o *TSO) Name() string { return "TSO" }
 
+// NeedsReadRecords implements core.ReadRecordNeeder (see PostWrite).
+func (o *TSO) NeedsReadRecords() {}
+
 func (o *TSO) slotOf(t *core.Txn) *slot {
 	if len(t.Slots) <= o.node.Depth {
 		return nil
@@ -156,13 +159,19 @@ func (o *TSO) PreWrite(t *core.Txn, k core.Key) error { return nil }
 // orderTS is the position of a version in TSO's serialization order:
 // its TSO timestamp for versions written in this node's subtree, its commit
 // timestamp for (committed) cross-group versions. Both come from the global
-// oracle, so they are comparable. Returns 0 for versions TSO must ignore
-// (pending cross-subtree writes — an ancestor's business).
+// oracle, so they are comparable. Returns 0 for versions TSO must ignore:
+// pending cross-subtree writes (an ancestor's business) and the versions of
+// an aborted writer, which stay in the chain from MarkAborted until the
+// abort path removes them and must be invisible for all of that window.
 func (o *TSO) orderTS(v *core.Version) uint64 {
+	state := v.Writer.State()
+	if state == core.Aborted {
+		return 0
+	}
 	if o.node.InSubtree(v.Writer) && v.TS != 0 {
 		return v.TS
 	}
-	if v.Committed() {
+	if state == core.Committed {
 		return v.CommitTS()
 	}
 	return 0
@@ -178,15 +187,25 @@ func (o *TSO) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 	}
 	var best *core.Version
 	var bestTS uint64
+	tooLate := false
 	consider := func(v *core.Version) {
 		if v == nil || v.Writer == t {
 			return
 		}
 		ts := o.orderTS(v)
-		if ts == 0 || ts >= s.ts {
-			return
-		}
-		if best == nil || ts > bestTS {
+		switch {
+		case ts == 0:
+		case ts >= s.ts:
+			// A committed version from outside this subtree that follows
+			// the reader in timestamp order: the ancestor that regulates
+			// that writer has already ordered it BEFORE this read (and
+			// will serve its value), which the reader's timestamp cannot
+			// express.
+			tooLate = tooLate || !o.node.InSubtree(v.Writer)
+		case best == nil || ts >= bestTS:
+			// >=: the versions of another batch share one timestamp, and
+			// the later-installed one supersedes (the chain is in install
+			// order).
 			best, bestTS = v, ts
 		}
 	}
@@ -196,6 +215,10 @@ func (o *TSO) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 			continue
 		}
 		consider(v)
+	}
+	if tooLate {
+		// Read too late: retry with a timestamp above that commit.
+		return nil, core.ErrConflict
 	}
 	if best == nil {
 		return nil, nil
@@ -212,9 +235,10 @@ func (o *TSO) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 }
 
 // PostWrite implements core.CC: stamp the version with the writer's TSO
-// timestamp, apply the read-timestamp rule (abort if a larger-timestamped
-// reader already read the version this write supersedes), and record
-// write-write ordering on smaller-timestamped pending versions.
+// timestamp, abort a write that arrives too late (a larger-timestamped
+// version is already installed, or a larger-timestamped reader already read
+// the version this write supersedes), and record write-write ordering on
+// smaller-timestamped pending versions.
 func (o *TSO) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version) error {
 	s := o.slotOf(t)
 	if v.TS == 0 {
@@ -235,15 +259,23 @@ func (o *TSO) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version
 			continue
 		}
 		ts := o.orderTS(old)
-		if ts == 0 || ts >= v.TS {
+		if ts == 0 {
 			continue
+		}
+		if ts > v.TS {
+			// Write too late: a version that follows v in timestamp
+			// order is already installed. Everything outside TSO (GC,
+			// ReadCommitted, log replay) orders a key's versions by
+			// commit timestamp, so v may not commit after a version it
+			// precedes: per key, timestamp order = install order =
+			// commit order.
+			return core.ErrConflict
 		}
 		// old precedes v, so any reader of old with a timestamp above
 		// v's missed this write: the write arrives too late. Every
-		// predecessor must be checked, not just the maximal one — an
-		// aborting (not yet removed) intermediate version would
-		// otherwise mask the RTS of the version the reader actually
-		// read.
+		// predecessor must be checked, not just the maximal one: a
+		// reader may have been served an older version while a newer
+		// one was still a promise or has since aborted.
 		if old.RTS > v.TS {
 			return core.ErrConflict
 		}
@@ -252,6 +284,15 @@ func (o *TSO) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version
 			if err := t.AddDep(old.Writer, false); err != nil {
 				return err
 			}
+		}
+	}
+	// The read-timestamp rule for readers without a TSO timestamp: a
+	// reader from outside this subtree is ordered by a lock-based ancestor,
+	// i.e. at its commit, and that ancestor left a record of the read. One
+	// that committed above v's timestamp read a version v supersedes.
+	for _, r := range ch.Readers() {
+		if r.T != t && !o.node.InSubtree(r.T) && r.T.State() == core.Committed && r.T.CommitTS() > v.TS {
+			return core.ErrConflict
 		}
 	}
 	return nil

@@ -24,6 +24,10 @@ type TwoPL struct {
 	env   *core.Env
 	node  *core.Node
 	locks *lockmgr.Table
+	// recordReads: a mechanism below this node asked for a record of every
+	// read served here (core.ReadRecordNeeder). False in every tree without
+	// a nested TSO node, so their read path is untouched.
+	recordReads bool
 }
 
 // slot lists the keys t holds here, one element per fresh grant. The lock
@@ -42,6 +46,13 @@ func New(env *core.Env, node *core.Node) *TwoPL {
 		exempt = node.SameChild
 	}
 	p.locks = lockmgr.New(env, exempt)
+	for _, c := range node.Children {
+		c.Walk(func(n *core.Node) {
+			if _, ok := n.CC.(core.ReadRecordNeeder); ok {
+				p.recordReads = true
+			}
+		})
+	}
 	return p
 }
 
@@ -82,23 +93,36 @@ func (p *TwoPL) PreWrite(t *core.Txn, k core.Key) error {
 
 // AmendRead implements core.CC. 2PL accepts the child's proposal if it is an
 // uncommitted value from the reader's own child subtree (delegated conflict);
-// otherwise it returns the latest committed version — correct because the
-// shared lock guarantees no conflicting non-exempt writer is active.
+// otherwise it returns the later of the proposal and the latest committed
+// version written outside the reader's child — correct because the shared
+// lock guarantees no conflicting non-exempt writer is active. Versions of the
+// reader's own child stay the child's choice, committed or not: only the one
+// it proposed may represent them (a multiversion child — TSO, SSI — may have
+// ordered the reader BEFORE a same-child writer that has since committed, and
+// handing the reader that writer's value would invert the child's order).
 func (p *TwoPL) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.Version) (*core.Version, error) {
-	if proposal != nil && proposal.Pending() && p.node.SameChild(t, proposal.Writer) {
-		return proposal, nil
+	if p.recordReads {
+		if rs := ch.Readers(); len(rs) == 0 || rs[len(rs)-1].T != t {
+			t.MarkShared() // the chain's reader list retains the pointer
+			ch.RecordReader(core.ReadRec{T: t}, p.env.Watermark)
+		}
 	}
-	// Choose the latest committed version among those this node (or a
-	// descendant) regulates, or keep a newer committed proposal.
-	best := proposal
-	if best != nil && best.Pending() {
+	child := p.node.ChildFor(t) // nil at a leaf: nothing is delegated
+	if proposal != nil && proposal.Pending() {
+		if child != nil && child == p.node.ChildFor(proposal.Writer) {
+			return proposal, nil
+		}
 		// A pending proposal from a non-same-child subtree cannot
 		// exist under our lock; defensively fall back to committed.
-		best = nil
+		proposal = nil
 	}
-	if lc := ch.LatestCommitted(); lc != nil {
-		if best == nil || lc.CommitTS() >= best.CommitTS() {
-			best = lc
+	best := proposal
+	for _, v := range ch.Versions() {
+		if v == proposal || !v.Committed() || (child != nil && child == p.node.ChildFor(v.Writer)) {
+			continue
+		}
+		if best == nil || v.CommitTS() >= best.CommitTS() {
+			best = v
 		}
 	}
 	return best, nil

@@ -63,6 +63,15 @@ type CC interface {
 	Abort(t *Txn)
 }
 
+// ReadRecordNeeder is implemented by a mechanism that, nested under a
+// lock-based ancestor, needs that ancestor to leave a ReadRec on the chain for
+// every read it serves. TSO does: the ancestor orders a reader from outside
+// the TSO subtree at its commit, and a TSO writer has to learn that such a
+// reader committed above the writer's timestamp (Chain.RecordReader).
+type ReadRecordNeeder interface {
+	NeedsReadRecords()
+}
+
 // Spec is the static description of a transaction type, registered with the
 // engine. CC mechanisms with preprocessing (Runtime Pipelining's static
 // analysis, TSO's promises, autoconf's read-only classification) consume it.

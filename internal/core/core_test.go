@@ -359,6 +359,7 @@ func TestIsRetryable(t *testing.T) {
 }
 
 func TestRecordReaderPrunes(t *testing.T) {
+	wm1000 := func() uint64 { return 1000 }
 	c := NewChain(K("t", "x"))
 	c.Lock()
 	defer c.Unlock()
@@ -370,7 +371,7 @@ func TestRecordReaderPrunes(t *testing.T) {
 		case 1:
 			r.MarkAborted() // always prunable
 		}
-		c.RecordReader(ReadRec{T: r, SnapshotTS: 1}, 1000)
+		c.RecordReader(ReadRec{T: r, SnapshotTS: 1}, wm1000)
 	}
 	if len(c.Readers()) >= 100 {
 		t.Fatalf("readers not pruned: %d", len(c.Readers()))
@@ -385,7 +386,7 @@ func TestRecordReaderPrunes(t *testing.T) {
 		if i%2 == 0 {
 			r.MarkCommitted(uint64(2000 + i)) // above watermark: kept
 		}
-		c2.RecordReader(ReadRec{T: r, SnapshotTS: 1}, 1000)
+		c2.RecordReader(ReadRec{T: r, SnapshotTS: 1}, wm1000)
 	}
 	if len(c2.Readers()) != 100 {
 		t.Fatalf("live readers were pruned: %d", len(c2.Readers()))

@@ -36,7 +36,7 @@ func TestSharedFlagEscapePoints(t *testing.T) {
 		r := NewTxn(3, "r", 0, 1)
 		ch := NewChain(K("t", "r"))
 		ch.Lock()
-		ch.RecordReader(ReadRec{T: r, SnapshotTS: 1}, 0)
+		ch.RecordReader(ReadRec{T: r, SnapshotTS: 1}, nil)
 		ch.Unlock()
 		if !r.Shared() {
 			t.Fatal("RecordReader must mark the reader shared")

@@ -74,6 +74,8 @@ type WriteRef struct {
 //   - Txn.AddWrite / Chain.InstallPromise: an installed Version carries
 //     Writer *Txn, which late readers may follow long after commit.
 //   - Chain.RecordReader: the chain's reader list holds ReadRec.T.
+//   - twopl.TwoPL.AmendRead: builds such a ReadRec, only in trees with a TSO
+//     node below the 2PL node (the reader already went through Table.Grant).
 //   - Txn.AddDep: the *target* transaction's pointer enters this txn's deps
 //     map (targets reaching AddDep are already shared — they came from a
 //     version or a lock table — but AddDep re-marks them for robustness).

@@ -212,19 +212,25 @@ func (c *Chain) HasNewerCommitted(ts uint64) bool {
 // Records are pruned only when provably irrelevant to any current or future
 // writer: aborted readers, and committed readers whose commit timestamp is
 // below the watermark (they cannot be concurrent with any active
-// transaction). The chain mutex must be held.
-func (c *Chain) RecordReader(r ReadRec, watermark uint64) {
+// transaction). watermark is asked only when a prune is due — computing it
+// scans the active transactions — and nil means 0. The chain mutex must be
+// held.
+func (c *Chain) RecordReader(r ReadRec, watermark func() uint64) {
 	// The reader's pointer is retained in the chain and inspected by future
 	// writers; it must never be recycled while reachable here.
 	r.T.MarkShared()
 	if len(c.readers) > 32 {
+		var wm uint64
+		if watermark != nil {
+			wm = watermark()
+		}
 		live := c.readers[:0]
 		for _, rr := range c.readers {
 			switch rr.T.State() {
 			case Aborted:
 				continue
 			case Committed:
-				if rr.T.CommitTS() < watermark {
+				if rr.T.CommitTS() < wm {
 					continue
 				}
 			}

@@ -97,6 +97,10 @@ type Pattern struct {
 	// the anomaly, so the suite asserts it reachable on the engine's
 	// control tree (None group under an optimized SSI root).
 	ReadCommitted bool
+	// MultiVersionOnly reports that the anomaly is a disagreement between
+	// two orders of one key's versions, which a single-version store cannot
+	// have: the no-isolation simulator is not expected to exhibit it.
+	MultiVersionOnly bool
 }
 
 // SerialSchedule returns the non-interleaved schedule: every transaction

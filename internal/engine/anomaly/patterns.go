@@ -12,6 +12,7 @@ func All() []*Pattern {
 		LostUpdate(),
 		WriteSkew(),
 		ReadOnlyAnomaly(),
+		LateWrite(),
 	}
 }
 

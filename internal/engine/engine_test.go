@@ -69,9 +69,14 @@ func runBank(t *testing.T, e *Engine, accounts, workers, txnsEach int) {
 				amount := uint64(rng.Intn(10))
 				var err error
 				if i%5 == 4 {
-					// Audit: snapshot sum must always be exact.
+					// Audit: the sum a COMMITTED audit saw must be exact.
+					// It is judged only after RunTxn returned nil: TSO and
+					// RP expose uncommitted writes and cascade at commit,
+					// so an attempt still in flight may see a debit
+					// without its credit and must then fail to commit.
+					var sum uint64
 					err = e.RunTxn("audit", 0, func(tx *Tx) error {
-						var sum uint64
+						sum = 0
 						for a := 0; a < accounts; a++ {
 							v, err := tx.Read(core.KeyOf("account", a))
 							if err != nil {
@@ -79,11 +84,11 @@ func runBank(t *testing.T, e *Engine, accounts, workers, txnsEach int) {
 							}
 							sum += asU64(v)
 						}
-						if sum != uint64(accounts)*1000 {
-							return fmt.Errorf("audit saw inconsistent total %d", sum)
-						}
 						return nil
 					})
+					if err == nil && sum != uint64(accounts)*1000 {
+						err = fmt.Errorf("audit committed an inconsistent total %d", sum)
+					}
 				} else {
 					err = e.RunTxn("transfer", 0, func(tx *Tx) error {
 						fv, err := tx.Read(core.KeyOf("account", from))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -147,5 +148,107 @@ func TestTSONonLeafSameBatchRTS(t *testing.T) {
 	}
 	if v := e.ReadCommitted(kx); string(v) != "a1" {
 		t.Fatalf("final x = %q, want %q", v, "a1")
+	}
+}
+
+// TestFinishReadOfAbortedWriterCascades: abortWith marks the writer Aborted
+// before it removes the versions, so a CC may still propose one. "Not
+// pending" is not "committed": the read must cascade, not return a value
+// that never existed.
+func TestFinishReadOfAbortedWriterCascades(t *testing.T) {
+	writer := core.NewTxn(1, "w", 0, 1)
+	writer.MarkAborted()
+	reader := core.NewTxn(2, "w", 0, 2)
+	v := &core.Version{Writer: writer, Value: []byte("never")}
+	if val, err := finishRead(reader, v); !errors.Is(err, core.ErrCascade) {
+		t.Fatalf("finishRead = (%q, %v), want ErrCascade", val, err)
+	}
+}
+
+// TestTwoPLParentKeepsChildsCommittedChoice: under a 2PL parent, a
+// multiversion child may order a reader BEFORE a same-child writer that has
+// since committed (TSO: the reader's timestamp is smaller). The parent used
+// to replace the child's proposal with the latest committed version of ANY
+// writer, handing the reader that writer's value and inverting the child's
+// order; same-child versions are the child's choice, committed or not.
+func TestTwoPLParentKeepsChildsCommittedChoice(t *testing.T) {
+	e, kx := tsoUnder2PL(t)
+
+	early, err := e.Begin("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := e.Begin("a", 0) // same TSO group, larger timestamp
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Write(kx, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := early.Read(kx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "old" {
+		t.Fatalf("the earlier-timestamped reader saw %q, want %q (its TSO group orders it before the writer)", got, "old")
+	}
+	if err := early.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tsoUnder2PL opens 2PL[ TSO{a} 2PL{b} ] with key t/0 loaded as "old".
+func tsoUnder2PL(t *testing.T) (*Engine, core.Key) {
+	t.Helper()
+	specs := []*core.Spec{
+		{Name: "a", Tables: []string{"t"}, WriteTables: []string{"t"}},
+		{Name: "b", Tables: []string{"t"}, WriteTables: []string{"t"}},
+	}
+	cfg := G(Kind2PL, nil, G(KindTSO, []string{"a"}), G(Kind2PL, []string{"b"}))
+	e, err := New(Options{Shards: 2, LockTimeout: 2 * time.Second, GCInterval: -1}, specs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	kx := core.KeyOf("t", 0)
+	e.Load(kx, []byte("old"))
+	return e, kx
+}
+
+// TestNestedTSOWriteUnderCrossChildReadIsTooLate: the 2PL parent orders a
+// reader of another child at its commit. A TSO transaction that began before
+// that commit may not write the key afterwards — its timestamp says it
+// precedes transactions the reader may already follow — and must retry with a
+// timestamp above the commit. The parent leaves the read record the TSO
+// writer needs (core.ReadRecordNeeder).
+func TestNestedTSOWriteUnderCrossChildReadIsTooLate(t *testing.T) {
+	e, kx := tsoUnder2PL(t)
+	writer, err := e.Begin("a", 0) // TSO timestamp taken here
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := e.Begin("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reader.Read(kx); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	err = writer.Write(kx, []byte("late"))
+	if err == nil {
+		t.Fatal("a TSO write below a cross-child reader's commit was admitted")
+	}
+	if !core.IsRetryable(err) {
+		t.Fatalf("too-late write not retryable: %v", err)
+	}
+	// The retry's timestamp is above the reader's commit.
+	if err := e.RunTxn("a", 0, func(tx *Tx) error { return tx.Write(kx, []byte("retry")) }); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -122,18 +122,25 @@ func (tx *Tx) Read(k core.Key) ([]byte, error) {
 	}
 }
 
-// finishRead extracts the value from an accepted proposal and records the
-// cascading read-from dependency if the version is still pending. Called
-// with the chain lock held and leaves it held; the caller unlocks and turns
-// a non-nil error into an abort.
+// finishRead extracts the value from an accepted proposal. It decides on
+// ONE load of the writer's state: a pending writer gets the cascading
+// read-from dependency, and an aborted writer — its versions stay in the
+// chain between MarkAborted and their removal — is a cascade on the spot;
+// "not pending" must never be read as "committed". Called with the chain
+// lock held and leaves it held; the caller unlocks and turns a non-nil error
+// into an abort.
 func finishRead(t *core.Txn, proposal *core.Version) ([]byte, error) {
 	if proposal == nil {
 		return nil, nil
 	}
-	if proposal.Pending() && proposal.Writer != t {
-		// Read-from an uncommitted version: record the cascading
-		// dependency while the chain is locked, so an abort of the
-		// writer cannot slip in between.
+	switch proposal.Writer.State() {
+	case core.Aborted:
+		return nil, core.ErrCascade
+	case core.Active:
+		// Read-from an uncommitted version: record the dependency while
+		// the chain is locked (AddDep ignores the transaction's own
+		// version and re-checks the state, so an abort of the writer
+		// cannot slip in between).
 		if err := t.AddDep(proposal.Writer, true); err != nil {
 			return nil, err
 		}

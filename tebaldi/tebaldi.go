@@ -27,6 +27,7 @@
 package tebaldi
 
 import (
+	"math/rand"
 	"time"
 
 	"repro/internal/autoconf"
@@ -209,6 +210,21 @@ func (db *DB) Begin(typ string, part uint64) (*Tx, error) { return db.eng.Begin(
 func (db *DB) Run(typ string, part uint64, fn func(*Tx) error) error {
 	return db.eng.RunTxn(typ, part, fn)
 }
+
+// Op is one generated transaction, workload-agnostic: its registered type,
+// its instance-partition input and its body.
+type Op struct {
+	Type string
+	Part uint64
+	Fn   func(*Tx) error
+}
+
+// Gen draws a client's next transaction; the workload packages provide
+// them. It must be safe to call concurrently, each caller with its own rng.
+type Gen func(rng *rand.Rand) Op
+
+// Exec is Run on a generated transaction.
+func (db *DB) Exec(op Op) error { return db.eng.RunTxn(op.Type, op.Part, op.Fn) }
 
 // Load bulk-loads a committed key-value pair (initial population).
 func (db *DB) Load(k Key, value []byte) { db.eng.Load(k, value) }

@@ -74,12 +74,8 @@ func (w CrossGroup) Load(db *tebaldi.DB) {
 	}
 }
 
-// Op is one generated transaction.
-type Op struct {
-	Type string
-	Part uint64
-	Fn   func(*tebaldi.Tx) error
-}
+// Op is one generated transaction: run it with DB.Exec.
+type Op = tebaldi.Op
 
 // Mix draws T1 or T2 with equal probability.
 func (w CrossGroup) Mix(rng *rand.Rand) Op {

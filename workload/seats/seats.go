@@ -121,15 +121,8 @@ type Client struct {
 // NewClient builds a client.
 func NewClient(db *tebaldi.DB, sc Scale) *Client { return &Client{DB: db, Scale: sc} }
 
-// Op is one generated transaction.
-type Op struct {
-	Type string
-	Part uint64
-	Fn   func(*tebaldi.Tx) error
-}
-
-// Execute runs the op with automatic retry.
-func (c *Client) Execute(op Op) error { return c.DB.Run(op.Type, op.Part, op.Fn) }
+// Op is one generated transaction: run it with DB.Exec.
+type Op = tebaldi.Op
 
 // Mix draws from the SEATS transaction mix.
 func (c *Client) Mix(rng *rand.Rand) Op {

@@ -75,7 +75,7 @@ func TestSEATSInvariantsAcrossConfigs(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(seed))
 					for i := 0; i < 50; i++ {
-						if err := c.Execute(c.Mix(rng)); err != nil {
+						if err := db.Exec(c.Mix(rng)); err != nil {
 							t.Error(err)
 							return
 						}

@@ -85,28 +85,3 @@ func ConfigHot4Layer() *tebaldi.Config {
 		),
 	)
 }
-
-// ConfigPairSameGroup runs new_order and stock_level in one RP group
-// (Table 3.1, column 1).
-func ConfigPairSameGroup() *tebaldi.Config {
-	return tebaldi.Leaf(tebaldi.RP, TxnNewOrder, TxnStockLevel)
-}
-
-// ConfigPairSeparate2PL separates them with 2PL cross-group (Table 3.1,
-// columns 2/3; deadlocks depend on the access orders of the two types).
-func ConfigPairSeparate2PL() *tebaldi.Config {
-	return tebaldi.Inner(tebaldi.TwoPL,
-		tebaldi.Leaf(tebaldi.RP, TxnNewOrder),
-		tebaldi.Leaf(tebaldi.None, TxnStockLevel),
-	)
-}
-
-// ConfigPairSeparateSSI uses a multiversioned cross-group mechanism for the
-// same split (the "what the cross-group mechanism should have been" probe of
-// §3.4.1/§5.3.1).
-func ConfigPairSeparateSSI() *tebaldi.Config {
-	return tebaldi.Inner(tebaldi.SSI,
-		tebaldi.Leaf(tebaldi.None, TxnStockLevel),
-		tebaldi.Leaf(tebaldi.RP, TxnNewOrder),
-	)
-}

@@ -63,7 +63,7 @@ func PairConfig(mode string) *tebaldi.Config {
 // stockFirst switches new_order to the deadlock-prone access order. When
 // disjoint is true, new_order draws warehouses from the lower half and
 // stock_level from the upper half (the "Separate - No Conflict" column).
-func (c *Client) PairGen(stockFirst, disjoint bool) func(rng *rand.Rand) Op {
+func (c *Client) PairGen(stockFirst, disjoint bool) tebaldi.Gen {
 	w := c.Scale.Warehouses
 	return func(rng *rand.Rand) Op {
 		noLo, noHi, slLo, slHi := 0, w, 0, w

@@ -36,7 +36,7 @@ func hammer(t *testing.T, db *tebaldi.DB, c *Client, mix func(*rand.Rand) Op, wo
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < each; i++ {
-				if err := c.Execute(mix(rng)); err != nil {
+				if err := db.Exec(mix(rng)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -42,15 +42,8 @@ func pickItems(rng *rand.Rand, nItems int) (items, qty []int) {
 	return items, qty
 }
 
-// Op is one generated transaction: run via DB.Run(Type, Part, Fn).
-type Op struct {
-	Type string
-	Part uint64
-	Fn   func(*tebaldi.Tx) error
-}
-
-// Execute runs the op with automatic retry.
-func (c *Client) Execute(op Op) error { return c.DB.Run(op.Type, op.Part, op.Fn) }
+// Op is one generated transaction: run it with DB.Exec.
+type Op = tebaldi.Op
 
 // Mix draws a transaction from the standard TPC-C mix (§4.6.1):
 // 45% new_order, 43% payment, 4% each of delivery/order_status/stock_level.
@@ -88,14 +81,6 @@ func (c *Client) HotMix(rng *rand.Rand) Op {
 	default:
 		return c.HotItem(rng)
 	}
-}
-
-// PairMix draws only new_order / stock_level (the Table 3.1 experiment).
-func (c *Client) PairMix(rng *rand.Rand) Op {
-	if rng.Intn(2) == 0 {
-		return c.NewOrder(rng)
-	}
-	return c.StockLevel(rng)
 }
 
 // restrictWarehouse, when >= 0, pins transaction inputs to one warehouse

@@ -110,12 +110,8 @@ func (w Workload) ConfigMono2PL() *tebaldi.Config {
 	return tebaldi.Leaf(tebaldi.TwoPL, TxnRead, TxnUpdate)
 }
 
-// Op is one generated transaction.
-type Op struct {
-	Type string
-	Part uint64
-	Fn   func(*tebaldi.Tx) error
-}
+// Op is one generated transaction: run it with DB.Exec.
+type Op = tebaldi.Op
 
 // Client generates YCSB transactions. Safe for concurrent use: the chooser
 // state is immutable after construction and all randomness comes from the
