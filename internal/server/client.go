@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -17,19 +19,21 @@ import (
 type Client struct {
 	nc net.Conn
 
-	// wmu serializes frame writes. Declared inner to the session-table
-	// lock so a future register-and-write path has one legal order.
+	// wmu serializes writes, so that one session's frames reach the
+	// connection contiguous and in order. Declared inner to the
+	// session-table lock so a future register-and-write path has one
+	// legal order.
 	// tebaldi:locks after server.Client.mu
 	wmu sync.Mutex
-	bw  *bufio.Writer
 
-	// mu guards pending (sid -> response slot) and the terminal error.
-	// Never held while blocking on the network; ordered before wmu.
-	mu      sync.Mutex
-	pending map[uint32]chan *Message
-	err     error
-	nextSID uint32
+	// mu guards sessions (session id - 1 -> session). Never held while
+	// blocking on the network; ordered before wmu.
+	mu       sync.Mutex
+	sessions []*Sess
 
+	// err is the terminal connection error: written once by the reader
+	// before it closes readerDone, read only after readerDone is closed.
+	err        error
 	readerDone chan struct{}
 }
 
@@ -53,12 +57,7 @@ func wrap(nc net.Conn, err error) (*Client, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	c := &Client{
-		nc:         nc,
-		bw:         bufio.NewWriter(nc),
-		pending:    make(map[uint32]chan *Message),
-		readerDone: make(chan struct{}),
-	}
+	c := &Client{nc: nc, readerDone: make(chan struct{})}
 	go c.readLoop()
 	return c, nil
 }
@@ -70,100 +69,127 @@ func (c *Client) Close() error {
 	return err
 }
 
-// readLoop dispatches response frames to their pending request channels.
+// readLoop hands each response frame to the session waiting for it.
 //
 // tebaldi:worker Close closes the conn; the blocked read fails and the loop returns, closing readerDone
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
-	br := bufio.NewReader(c.nc)
+	fr := frameReader{r: bufio.NewReader(c.nc)}
+	var m Message
 	for {
-		m, err := ReadFrame(br)
-		if err != nil {
-			c.mu.Lock()
+		if err := fr.next(&m); err != nil {
 			c.err = fmt.Errorf("server: connection lost: %w", err)
-			for sid, ch := range c.pending {
-				close(ch)
-				delete(c.pending, sid)
-			}
-			c.mu.Unlock()
 			return
 		}
+		var s *Sess
 		c.mu.Lock()
-		ch := c.pending[m.SID]
-		delete(c.pending, m.SID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- m
+		if i := m.SID - 1; i < uint32(len(c.sessions)) { // sid 0 wraps past the end
+			s = c.sessions[i]
 		}
-		// A response for a session with no waiter (e.g. a protocol error
-		// the server attributed to sid 0) is dropped; the affected call
-		// fails via the connection error path when the server hangs up.
+		c.mu.Unlock()
+		// A response for a session with no call waiting (e.g. a protocol
+		// error the server attributed to sid 0) is dropped; the affected
+		// call fails via the connection error path when the server hangs
+		// up.
+		if s != nil && s.awaiting.CompareAndSwap(true, false) {
+			m.Value = bytes.Clone(m.Value) // the caller keeps it; fr reuses its buffer
+			s.resp <- m
+		}
 	}
 }
 
 // Session opens a new session (one transaction at a time) on the
-// connection. Sessions are cheap: a client id and a response slot.
+// connection. Sessions are cheap — an id, a response slot and a send
+// buffer — and live as long as the Client.
 func (c *Client) Session() *Sess {
+	s := &Sess{c: c, resp: make(chan Message, 1)}
 	c.mu.Lock()
-	c.nextSID++
-	sid := c.nextSID
+	c.sessions = append(c.sessions, s)
+	s.id = uint32(len(c.sessions))
 	c.mu.Unlock()
-	return &Sess{c: c, id: sid, resp: make(chan *Message, 1)}
+	return s
 }
 
 // Sess is one session. Methods must be called from a single goroutine.
+//
+// Begin and Put do not touch the network: they queue a deferred frame (one the
+// server executes in order and does not answer) and return nil. Get, Commit
+// and Abort send what is queued together with their own frame in one Write
+// and wait for the one reply, which reports the first error any of those
+// requests met — so a failed Begin or Put surfaces at the session's next
+// Get, Commit or Abort, the transaction is over once any call has returned a
+// server error, and a Put takes its lock when it is sent, not when it returns.
 type Sess struct {
-	c    *Client
-	id   uint32
-	resp chan *Message
+	c  *Client
+	id uint32
+
+	// resp carries the reply to the one call in flight; the reader sends
+	// only after winning awaiting, which the caller sets before it writes.
+	resp     chan Message
+	awaiting atomic.Bool
+
+	// out holds the encoded frames not yet written.
+	out []byte
 }
 
-// roundTrip sends req and waits for this session's response.
-func (s *Sess) roundTrip(req *Message) (*Message, error) {
+// writeThrough is the size of queued frames beyond which Begin and Put write
+// them out, still unanswered, instead of holding them for the next reply-
+// bearing call: a transaction of a million Puts does not sit in client memory.
+const writeThrough = 4096
+
+// queue appends a deferred request to the session's unsent frames.
+func (s *Sess) queue(req *Message) error {
+	req.SID, req.Deferred = s.id, true
+	s.out = appendFrame(s.out, req)
+	if len(s.out) < writeThrough {
+		return nil
+	}
+	return s.send()
+}
+
+// send writes the unsent frames in one Write.
+func (s *Sess) send() error {
+	s.c.wmu.Lock()
+	_, err := s.c.nc.Write(s.out)
+	s.c.wmu.Unlock()
+	s.out = recycle(s.out)
+	return err
+}
+
+// roundTrip sends the unsent frames and req, and waits for req's response.
+func (s *Sess) roundTrip(req *Message) (Message, error) {
 	c := s.c
 	req.SID = s.id
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
+	s.out = appendFrame(s.out, req)
+	s.awaiting.Store(true)
+	if err := s.send(); err != nil {
+		s.awaiting.Store(false)
+		select {
+		case <-c.readerDone:
+			err = c.err // the write failed because the connection is gone: say why
+		default:
+		}
+		return Message{}, err
 	}
-	c.pending[s.id] = s.resp
-	c.mu.Unlock()
-
-	c.wmu.Lock()
-	buf := appendFrame(nil, req)
-	_, err := c.bw.Write(buf)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, s.id)
-		c.mu.Unlock()
-		return nil, err
-	}
-
-	m, ok := <-s.resp
-	if !ok {
-		// Reader closed the slot: surface the terminal connection error.
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		s.resp = make(chan *Message, 1) // slot is spent; arm a fresh one
-		return nil, err
+	var m Message
+	select {
+	case m = <-s.resp:
+	case <-c.readerDone:
+		select {
+		case m = <-s.resp: // the reply arrived before the connection died
+		default:
+			return Message{}, c.err
+		}
 	}
 	if m.Type == MsgErr {
-		return nil, &WireError{Code: m.Code, Msg: m.ErrMsg}
+		return Message{}, &WireError{Code: m.Code, Msg: m.ErrMsg}
 	}
 	return m, nil
 }
 
 // Begin opens a transaction of the given registered type on this session.
 func (s *Sess) Begin(typ string, part uint64) error {
-	_, err := s.roundTrip(&Message{Type: MsgBegin, TxnType: typ, Part: part})
-	return err
+	return s.queue(&Message{Type: MsgBegin, TxnType: typ, Part: part})
 }
 
 // Get reads a key; found is false when the key is absent at the snapshot.
@@ -175,10 +201,9 @@ func (s *Sess) Get(table, row string) (value []byte, found bool, err error) {
 	return m.Value, m.Present, nil
 }
 
-// Put writes a key.
+// Put writes a key. The value is copied; the caller may reuse it.
 func (s *Sess) Put(table, row string, value []byte) error {
-	_, err := s.roundTrip(&Message{Type: MsgPut, Key: core.K(table, row), Value: value})
-	return err
+	return s.queue(&Message{Type: MsgPut, Key: core.K(table, row), Value: value})
 }
 
 // Commit commits the session's transaction. On error the transaction is

@@ -10,7 +10,11 @@ import (
 func appendFrame(buf []byte, m *Message) []byte {
 	lenAt := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
-	buf = append(buf, m.Type)
+	typ := m.Type
+	if m.Deferred {
+		typ |= FlagDeferred
+	}
+	buf = append(buf, typ)
 	buf = binary.BigEndian.AppendUint32(buf, m.SID)
 	switch m.Type {
 	case MsgBegin:
@@ -53,9 +57,20 @@ func appendString16(buf []byte, s string) []byte {
 // bytes that are really present. Trailing garbage after a well-formed body
 // is rejected.
 func DecodeFrame(payload []byte) (*Message, error) {
-	d := decoder{buf: payload}
 	m := &Message{}
-	m.Type = d.u8()
+	if err := decodeInto(m, payload); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeInto is DecodeFrame into a caller-owned Message, which it overwrites
+// whole; the connection readers decode every frame into the same one.
+func decodeInto(m *Message, payload []byte) error {
+	d := decoder{buf: payload}
+	*m = Message{}
+	typ := d.u8()
+	m.Type, m.Deferred = typ&^FlagDeferred, typ&FlagDeferred != 0
 	m.SID = d.u32()
 	switch m.Type {
 	case MsgBegin:
@@ -78,7 +93,7 @@ func DecodeFrame(payload []byte) (*Message, error) {
 			m.Value = d.bytes32()
 		default:
 			if d.err == nil {
-				return nil, frameErr("VALUE present flag must be 0 or 1")
+				return frameErr("VALUE present flag must be 0 or 1")
 			}
 		}
 	case MsgErr:
@@ -86,40 +101,79 @@ func DecodeFrame(payload []byte) (*Message, error) {
 		m.ErrMsg = d.string16()
 	default:
 		if d.err == nil {
-			return nil, frameErr("unknown message type 0x%02x", m.Type)
+			return frameErr("unknown message type 0x%02x", typ)
 		}
 	}
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if len(d.buf) != 0 {
-		return nil, frameErr("%d trailing bytes after 0x%02x body", len(d.buf), m.Type)
+		return frameErr("%d trailing bytes after 0x%02x body", len(d.buf), typ)
 	}
-	return m, nil
+	return nil
 }
 
 // ReadFrame reads one length-prefixed frame from r. The length prefix is
 // validated against MaxFrame before the payload buffer is allocated.
 func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	fr := frameReader{r: r}
+	m := &Message{}
+	if err := fr.next(m); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	return m, nil
+}
+
+// keepBuf bounds the encode and decode buffers a connection or session
+// keeps between frames; a larger frame gets a buffer of its own, so one
+// MaxFrame value does not pin a megabyte per connection.
+const keepBuf = 64 << 10
+
+// recycle empties an encode buffer for its next use, or drops it when a large
+// frame grew it past keepBuf.
+func recycle(buf []byte) []byte {
+	if cap(buf) > keepBuf {
+		return nil
+	}
+	return buf[:0]
+}
+
+// frameReader reads the frames of one connection into one reused payload
+// buffer, owned by the goroutine that calls next.
+type frameReader struct {
+	r   io.Reader
+	hdr [4]byte
+	buf []byte
+}
+
+// next reads one frame and decodes it into m. m.Value aliases the reader's
+// buffer and is overwritten by the following call.
+func (fr *frameReader) next(m *Message) error {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return err
+	}
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n > MaxFrame {
-		return nil, frameErr("frame length %d exceeds MaxFrame %d", n, MaxFrame)
+		return frameErr("frame length %d exceeds MaxFrame %d", n, MaxFrame)
 	}
 	if n < 5 { // type + sid minimum
-		return nil, frameErr("frame length %d below minimum header", n)
+		return frameErr("frame length %d below minimum header", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := fr.buf
+	if n > cap(payload) {
+		payload = make([]byte, max(n, 512))
+		if n <= keepBuf {
+			fr.buf = payload
+		}
+	}
+	payload = payload[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return err
 	}
-	return DecodeFrame(payload)
+	return decodeInto(m, payload)
 }
 
 // decoder is a cursor over a frame payload; the first failure sticks and

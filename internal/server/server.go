@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -45,12 +46,16 @@ type Server struct {
 	opts    Options
 	metrics Metrics
 
-	// mu guards conns, draining, and listener installation. Leaf lock: no
-	// other server lock is acquired under it.
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*conn]struct{}
-	draining bool
+	// mu guards conns and listener installation. Leaf lock: no other
+	// server lock is acquired under it.
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[*conn]struct{}
+
+	// draining is set by Shutdown, under mu and before it closes the
+	// listener, so Serve's checks under mu cannot miss it; every BEGIN
+	// reads it, without the lock.
+	draining atomic.Bool
 
 	// txnsOpen and reqsInFlight drive drain: shutdown completes once both
 	// reach zero (every accepted transaction resolved, every response
@@ -84,7 +89,7 @@ func (s *Server) DB() *tebaldi.DB { return s.db }
 // tebaldi:worker Shutdown closes the listener; Accept fails with net.ErrClosed and the loop returns
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return nil
@@ -95,10 +100,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining || errors.Is(err, net.ErrClosed) {
+			if s.draining.Load() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -106,11 +108,10 @@ func (s *Server) Serve(ln net.Listener) error {
 		c := &conn{
 			s:        s,
 			nc:       nc,
-			bw:       bufio.NewWriter(nc),
 			sessions: make(map[uint32]*session),
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.mu.Unlock()
 			nc.Close()
 			continue
@@ -150,7 +151,7 @@ func (s *Server) Addr() net.Addr {
 // disconnect path). Returns nil on a clean drain, an error on timeout.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	ln := s.ln
 	s.mu.Unlock()
 	if ln != nil {
@@ -204,12 +205,13 @@ type conn struct {
 	nc net.Conn
 
 	// wmu serializes frame writes from the session workers and the
-	// reader's protocol-error responses. Held only around
-	// appendFrame/Write/Flush; declared inner to the connection registry
-	// lock so a future broadcast-under-registry path stays deadlock-free.
+	// reader's protocol-error responses, and guards wbuf, the buffer every
+	// reply is encoded into. Held only around appendFrame/Write; declared
+	// inner to the connection registry lock so a future
+	// broadcast-under-registry path stays deadlock-free.
 	// tebaldi:locks after server.Server.mu
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu  sync.Mutex
+	wbuf []byte
 
 	// sessions is touched only by the reader goroutine (creation,
 	// lookup, teardown), so it needs no lock.
@@ -226,18 +228,23 @@ type conn struct {
 type session struct {
 	cn *conn
 	id uint32
-	q  chan *Message
+	q  chan Message
 	tx *tebaldi.Tx
+
+	// failed is the ERR a deferred request earned (Type is zero while
+	// there is none). It ended the transaction; it is owed to the next
+	// reply-bearing request.
+	failed Message
 }
 
 // readLoop drains frames from the connection until it fails.
 //
-// tebaldi:worker Shutdown (or the peer) closes the conn; ReadFrame fails and the loop returns
+// tebaldi:worker Shutdown (or the peer) closes the conn; the frame read fails and the loop returns
 func (c *conn) readLoop() {
-	br := bufio.NewReader(c.nc)
+	fr := frameReader{r: bufio.NewReader(c.nc)}
+	var m Message
 	for {
-		m, err := ReadFrame(br)
-		if err != nil {
+		if err := fr.next(&m); err != nil {
 			if errors.Is(err, ErrFrame) {
 				// Malformed frame: the length prefix may itself be
 				// garbage, so the stream cannot be resynchronized —
@@ -248,9 +255,7 @@ func (c *conn) readLoop() {
 			break
 		}
 		c.s.metrics.FramesRead.Add(1)
-		if !c.dispatch(m) {
-			break
-		}
+		c.dispatch(&m)
 	}
 	c.nc.Close()
 	// Stop every session worker: closing q makes the worker roll back any
@@ -263,77 +268,115 @@ func (c *conn) readLoop() {
 	c.s.removeConn(c)
 }
 
-// dispatch routes one decoded request; false tears the connection down.
-func (c *conn) dispatch(m *Message) bool {
+// dispatch routes one decoded request to its session's worker, creating the
+// session on its first BEGIN. m is the reader's one Message and m.Value
+// aliases its read buffer, both overwritten by the next frame, so the worker
+// gets a copy of the Message and a PUT's value is copied here — the only copy
+// made of it: the engine retains this slice in the version chain.
+func (c *conn) dispatch(m *Message) {
 	switch m.Type {
-	case MsgBegin, MsgGet, MsgPut, MsgCommit, MsgAbort:
+	case MsgBegin, MsgPut:
+	case MsgGet, MsgCommit, MsgAbort:
+		if m.Deferred {
+			c.refuse(m, CodeBadRequest, fmt.Sprintf("message type 0x%02x cannot be deferred", m.Type))
+			return
+		}
 	default:
 		// A response type from a client is a protocol violation.
-		c.s.metrics.ProtocolErrors.Add(1)
-		c.writeMsg(&Message{Type: MsgErr, SID: m.SID, Code: CodeBadRequest,
-			ErrMsg: fmt.Sprintf("unexpected message type 0x%02x from client", m.Type)})
-		return true
+		c.refuse(m, CodeBadRequest, fmt.Sprintf("unexpected message type 0x%02x from client", m.Type))
+		return
 	}
 	ss := c.sessions[m.SID]
 	if ss == nil {
-		if m.Type != MsgBegin {
-			c.s.metrics.ProtocolErrors.Add(1)
-			c.writeMsg(&Message{Type: MsgErr, SID: m.SID, Code: CodeNoTxn,
-				ErrMsg: "no transaction: session not started with BEGIN"})
-			return true
+		// A deferred PUT opens a session like a BEGIN does: its CodeNoTxn
+		// needs a session to be remembered in.
+		if m.Type != MsgBegin && !m.Deferred {
+			c.refuse(m, CodeNoTxn, "no transaction: session not started with BEGIN")
+			return
 		}
 		if len(c.sessions) >= c.s.opts.MaxSessionsPerConn {
-			c.s.metrics.ProtocolErrors.Add(1)
-			c.writeMsg(&Message{Type: MsgErr, SID: m.SID, Code: CodeBadRequest,
-				ErrMsg: "session limit reached on this connection"})
-			return true
+			c.refuse(m, CodeBadRequest, "session limit reached on this connection")
+			return
 		}
-		ss = &session{cn: c, id: m.SID, q: make(chan *Message, c.s.opts.SessionQueue)}
+		ss = &session{cn: c, id: m.SID, q: make(chan Message, c.s.opts.SessionQueue)}
 		c.sessions[m.SID] = ss
 		c.s.metrics.SessionsActive.Add(1)
 		c.wg.Add(1)
 		go ss.run()
 	}
-	// PUT values alias the read buffer only until the next frame is
-	// decoded in this goroutine; each frame gets a fresh payload slice, so
-	// handing m to the worker is safe without copying.
+	if m.Type == MsgPut {
+		m.Value = bytes.Clone(m.Value)
+	}
 	c.s.reqsInFlight.Add(1)
-	ss.q <- m
-	return true
+	ss.q <- *m
+}
+
+// refuse answers a request the reader will not route. A deferred BEGIN or PUT
+// is counted and dropped instead: it may not be answered, there is no session
+// to remember the error in, and none appears before a BEGIN is accepted, so
+// the sender's next reply-bearing request on that session id is refused as
+// well. (The flag on any other type is itself the violation, and answered.)
+func (c *conn) refuse(m *Message, code byte, msg string) {
+	c.s.metrics.ProtocolErrors.Add(1)
+	if m.Deferred && (m.Type == MsgBegin || m.Type == MsgPut) {
+		return
+	}
+	c.writeMsg(&Message{Type: MsgErr, SID: m.SID, Code: code, ErrMsg: msg})
 }
 
 func (ss *session) run() {
 	c := ss.cn
 	defer c.wg.Done()
 	for m := range ss.q {
-		resp := ss.handle(m)
-		resp.SID = ss.id
-		c.writeMsg(resp)
+		if resp, reply := ss.step(&m); reply {
+			resp.SID = ss.id
+			c.writeMsg(&resp)
+		}
 		c.s.reqsInFlight.Add(-1)
 	}
 	if ss.tx != nil {
 		// Client vanished mid-transaction: release locks and CC state.
-		ss.tx.Rollback(nil)
-		ss.tx = nil
-		c.s.txnsOpen.Add(-1)
+		// Counted first: whoever sees the engine's abort finds it here.
 		c.s.metrics.DisconnectAborts.Add(1)
+		ss.rollback()
 	}
 	c.s.metrics.SessionsActive.Add(-1)
 }
 
+// step is the reply rule around handle: exactly one reply per reply-bearing
+// request and none to a deferred one, whose error — which has ended the
+// transaction — waits in ss.failed; while it waits, deferred requests are
+// skipped and the next reply-bearing request is answered with it instead of
+// being executed.
+func (ss *session) step(m *Message) (resp Message, reply bool) {
+	if ss.failed.Type != 0 {
+		if m.Deferred {
+			return Message{}, false
+		}
+		resp, ss.failed = ss.failed, Message{}
+		return resp, true
+	}
+	resp = ss.handle(m)
+	if m.Deferred && resp.Type == MsgErr {
+		ss.failed = resp
+	}
+	return resp, !m.Deferred
+}
+
 // handle executes one request against the engine and builds the response.
-func (ss *session) handle(m *Message) *Message {
+// An ERR response leaves the session idle: the engine rolls back what it
+// aborts, and a BEGIN inside a transaction ends that transaction.
+func (ss *session) handle(m *Message) Message {
 	s := ss.cn.s
 	switch m.Type {
 	case MsgBegin:
 		if ss.tx != nil {
+			ss.rollback()
+			s.metrics.TxnAborts.Add(1)
 			s.metrics.ProtocolErrors.Add(1)
 			return errMsg(CodeTxnOpen, "BEGIN with a transaction already open on this session")
 		}
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
+		if s.draining.Load() {
 			return errMsg(CodeShutdown, "server is draining")
 		}
 		if s.db.Engine().Spec(m.TxnType) == nil {
@@ -348,7 +391,7 @@ func (ss *session) handle(m *Message) *Message {
 		ss.tx = tx
 		s.txnsOpen.Add(1)
 		s.metrics.TxnBegins.Add(1)
-		return &Message{Type: MsgOK}
+		return Message{Type: MsgOK}
 
 	case MsgGet:
 		if ss.tx == nil {
@@ -360,22 +403,19 @@ func (ss *session) handle(m *Message) *Message {
 			return ss.txnError(err)
 		}
 		s.metrics.Reads.Add(1)
-		return &Message{Type: MsgValue, Present: v != nil, Value: v}
+		return Message{Type: MsgValue, Present: v != nil, Value: v}
 
 	case MsgPut:
 		if ss.tx == nil {
 			s.metrics.ProtocolErrors.Add(1)
 			return errMsg(CodeNoTxn, "PUT without BEGIN")
 		}
-		// The decoded value aliases the frame buffer; the engine retains
-		// it in the version chain, so copy.
-		val := make([]byte, len(m.Value))
-		copy(val, m.Value)
-		if err := ss.tx.Write(m.Key, val); err != nil {
+		// m.Value is this request's own copy (dispatch).
+		if err := ss.tx.Write(m.Key, m.Value); err != nil {
 			return ss.txnError(err)
 		}
 		s.metrics.Writes.Add(1)
-		return &Message{Type: MsgOK}
+		return Message{Type: MsgOK}
 
 	case MsgCommit:
 		if ss.tx == nil {
@@ -390,50 +430,54 @@ func (ss *session) handle(m *Message) *Message {
 			return errMsg(ErrorCode(err), err.Error())
 		}
 		s.metrics.TxnCommits.Add(1)
-		return &Message{Type: MsgOK}
+		return Message{Type: MsgOK}
 
 	case MsgAbort:
 		if ss.tx == nil {
 			s.metrics.ProtocolErrors.Add(1)
 			return errMsg(CodeNoTxn, "ABORT without BEGIN")
 		}
-		ss.tx.Rollback(nil)
-		ss.tx = nil
-		s.txnsOpen.Add(-1)
+		ss.rollback()
 		s.metrics.TxnAborts.Add(1)
-		return &Message{Type: MsgOK}
+		return Message{Type: MsgOK}
 	}
 	s.metrics.ProtocolErrors.Add(1)
 	return errMsg(CodeBadRequest, fmt.Sprintf("unhandled message type 0x%02x", m.Type))
 }
 
+// rollback ends the session's open transaction.
+func (ss *session) rollback() {
+	ss.tx.Rollback(nil)
+	ss.tx = nil
+	ss.cn.s.txnsOpen.Add(-1)
+}
+
 // txnError finishes the session's transaction state after an engine abort
 // (the engine already rolled the transaction back) and maps the error.
-func (ss *session) txnError(err error) *Message {
+func (ss *session) txnError(err error) Message {
 	ss.tx = nil
 	ss.cn.s.txnsOpen.Add(-1)
 	ss.cn.s.metrics.TxnAborts.Add(1)
 	return errMsg(ErrorCode(err), err.Error())
 }
 
-func errMsg(code byte, msg string) *Message {
-	return &Message{Type: MsgErr, Code: code, ErrMsg: msg}
+func errMsg(code byte, msg string) Message {
+	return Message{Type: MsgErr, Code: code, ErrMsg: msg}
 }
 
-// writeMsg encodes and writes one frame. Write errors only mark the
-// connection: the reader will notice the broken pipe on its next read and
-// tear the connection down through the single teardown path.
+// writeMsg encodes and writes one frame, in one Write. The frame is counted
+// before it is handed to the connection, so whoever has read a reply finds it
+// in FramesWritten. Write errors only mark the connection: the reader will
+// notice the broken pipe on its next read and tear the connection down
+// through the single teardown path.
 func (c *conn) writeMsg(m *Message) {
+	c.s.metrics.FramesWritten.Add(1)
 	c.wmu.Lock()
-	buf := appendFrame(nil, m)
-	_, err := c.bw.Write(buf)
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	c.wbuf = appendFrame(c.wbuf, m)
+	_, err := c.nc.Write(c.wbuf)
+	c.wbuf = recycle(c.wbuf)
 	c.wmu.Unlock()
 	if err != nil {
 		c.nc.Close()
-		return
 	}
-	c.s.metrics.FramesWritten.Add(1)
 }

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +23,7 @@ func kvSpecs() []*tebaldi.Spec {
 
 // newTestServer starts a server over a fresh database on a loopback
 // listener and tears both down with the test.
-func newTestServer(t *testing.T, opts tebaldi.Options) (*Server, string) {
+func newTestServer(t testing.TB, opts tebaldi.Options) (*Server, string) {
 	t.Helper()
 	if opts.LockTimeout == 0 {
 		opts.LockTimeout = 300 * time.Millisecond
@@ -42,7 +45,7 @@ func newTestServer(t *testing.T, opts tebaldi.Options) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
-func dialTest(t *testing.T, addr string) *Client {
+func dialTest(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr)
 	if err != nil {
@@ -62,6 +65,25 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// wantCode fails the test unless err is a WireError carrying code.
+func wantCode(t *testing.T, what string, err error, code byte) {
+	t.Helper()
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != code {
+		t.Fatalf("%s: got %v, want WireError 0x%02x", what, err, code)
+	}
+}
+
+// mustGet is a GET whose result does not matter: Begin and Put only queue
+// their frames, and the tests that need them executed — a lock taken, a
+// transaction open in the engine — force the round trip with it.
+func mustGet(t *testing.T, s *Sess, row string) {
+	t.Helper()
+	if _, _, err := s.Get("kv", row); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCommitVisibleAcrossConnections(t *testing.T) {
@@ -113,6 +135,7 @@ func TestDisconnectMidTxnReleasesState(t *testing.T) {
 	if err := s1.Put("kv", "hot", []byte("mine")); err != nil {
 		t.Fatal(err)
 	}
+	mustGet(t, s1, "hot")
 	if n := eng.ActiveTxns(); n != 1 {
 		t.Fatalf("ActiveTxns = %d with one open wire txn", n)
 	}
@@ -151,6 +174,9 @@ func TestDisconnectMidTxnReleasesState(t *testing.T) {
 	}
 }
 
+// TestDoubleBeginRejected: a BEGIN inside a transaction ends that transaction
+// — deferred, it cannot be refused on the spot and then leave the first one
+// running — and the session's next reply-bearing call says so.
 func TestDoubleBeginRejected(t *testing.T) {
 	srv, addr := newTestServer(t, tebaldi.Options{})
 	c := dialTest(t, addr)
@@ -159,20 +185,42 @@ func TestDoubleBeginRejected(t *testing.T) {
 	if err := s.Begin("update", 0); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Begin("update", 0)
-	var we *WireError
-	if !errors.As(err, &we) || we.Code != CodeTxnOpen {
-		t.Fatalf("double BEGIN: got %v, want WireError CodeTxnOpen", err)
+	if err := s.Put("kv", "x", []byte("lost")); err != nil {
+		t.Fatal(err)
 	}
-	// The original transaction is unharmed by the protocol error.
+	if err := s.Begin("update", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("kv", "x", []byte("skipped")); err != nil {
+		t.Fatal(err)
+	}
+	wantCode(t, "COMMIT after double BEGIN", s.Commit(), CodeTxnOpen)
+	// The error was reported once and left the session idle, the first
+	// transaction rolled back.
+	wantCode(t, "COMMIT on the idle session", s.Commit(), CodeNoTxn)
+	if v := srv.DB().ReadCommitted(tebaldi.K("kv", "x")); v != nil {
+		t.Errorf("kv/x = %q after the double BEGIN, want nothing committed", v)
+	}
+	if got := srv.DB().Engine().ActiveTxns(); got != 0 {
+		t.Errorf("ActiveTxns = %d, want 0", got)
+	}
+	m := srv.Metrics()
+	// One for the second BEGIN, one for the COMMIT without a transaction;
+	// the skipped PUT is not an error of its own.
+	if got := m.ProtocolErrors.Load(); got != 2 {
+		t.Errorf("ProtocolErrors = %d, want 2", got)
+	}
+	if got := m.Writes.Load(); got != 1 {
+		t.Errorf("Writes = %d, want 1 (the PUT after the failed BEGIN is skipped)", got)
+	}
+	if err := s.Begin("update", 0); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Put("kv", "x", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Metrics().ProtocolErrors.Load(); got != 1 {
-		t.Errorf("ProtocolErrors = %d, want 1", got)
+		t.Fatalf("transaction after the double BEGIN: %v", err)
 	}
 }
 
@@ -195,8 +243,18 @@ func TestOpsWithoutBeginRejected(t *testing.T) {
 	check("COMMIT", s.Commit())
 	_, _, err := s.Get("kv", "a")
 	check("GET", err)
-	check("PUT", s.Put("kv", "a", []byte("v")))
 	check("ABORT", s.Abort())
+	// A PUT is deferred: its error is the answer to the session's next
+	// reply-bearing request, here on a session id the server has not seen.
+	put := c.Session()
+	if err := put.Put("kv", "a", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = put.Get("kv", "a")
+	check("PUT", err)
+	if err == nil || !strings.Contains(err.Error(), "PUT without BEGIN") {
+		t.Errorf("GET after a PUT without BEGIN reported %v, want the PUT's error", err)
+	}
 
 	// COMMIT right after a committed transaction (session now idle) is
 	// equally invalid.
@@ -213,11 +271,14 @@ func TestBeginUnknownTypeRejected(t *testing.T) {
 	_, addr := newTestServer(t, tebaldi.Options{})
 	c := dialTest(t, addr)
 	defer c.Close()
-	err := c.Session().Begin("no-such-type", 0)
-	var we *WireError
-	if !errors.As(err, &we) || we.Code != CodeUnknownType {
-		t.Fatalf("unknown type: got %v, want WireError CodeUnknownType", err)
+	s := c.Session()
+	if err := s.Begin("no-such-type", 0); err != nil {
+		t.Fatal(err)
 	}
+	_, _, err := s.Get("kv", "a")
+	wantCode(t, "GET after BEGIN of an unknown type", err, CodeUnknownType)
+	// Reported once: the session is idle now.
+	wantCode(t, "COMMIT on the idle session", s.Commit(), CodeNoTxn)
 }
 
 // TestSessionMultiplexing proves per-session concurrency on ONE connection:
@@ -234,6 +295,7 @@ func TestSessionMultiplexing(t *testing.T) {
 	if err := holder.Put("kv", "contended", []byte("h")); err != nil {
 		t.Fatal(err)
 	}
+	mustGet(t, holder, "contended") // the PUT has its lock once this returns
 
 	// blocked waits on holder's X-lock from a goroutine.
 	blocked := c.Session()
@@ -289,25 +351,20 @@ func TestDrainWaitsForInFlightCommits(t *testing.T) {
 	if err := s.Put("kv", "d", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	mustGet(t, s, "d") // the transaction is open on the server, not only queued here
 
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown(5 * time.Second) }()
+	waitFor(t, 2*time.Second, "Shutdown to set the drain flag", srv.draining.Load)
 
-	// Draining: new BEGINs are rejected with CodeShutdown (poll: the flag
-	// flips on the shutdown goroutine).
+	// Draining: a new BEGIN is refused with CodeShutdown, reported — it is
+	// deferred — by the session's next reply-bearing call.
 	other := c.Session()
-	waitFor(t, 2*time.Second, "drain to start rejecting BEGIN", func() bool {
-		err := other.Begin("update", 0)
-		if err == nil {
-			// Raced ahead of the drain flag; clean up and retry.
-			if err := other.Abort(); err != nil {
-				return false
-			}
-			return false
-		}
-		var we *WireError
-		return errors.As(err, &we) && we.Code == CodeShutdown
-	})
+	if err := other.Begin("update", 0); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := other.Get("kv", "d")
+	wantCode(t, "GET after BEGIN while draining", err, CodeShutdown)
 
 	// The drain must still be waiting on our open transaction.
 	select {
@@ -344,6 +401,7 @@ func TestDrainTimesOutOnAbandonedTxn(t *testing.T) {
 	if err := s.Begin("update", 0); err != nil {
 		t.Fatal(err)
 	}
+	mustGet(t, s, "abandoned")
 	if err := srv.Shutdown(150 * time.Millisecond); err == nil {
 		t.Fatal("Shutdown returned nil with an abandoned open transaction")
 	}
@@ -353,7 +411,9 @@ func TestDrainTimesOutOnAbandonedTxn(t *testing.T) {
 }
 
 // TestRawProtocolErrors drives the wire directly: garbage framing must
-// produce an ERR frame and a hangup, response-typed messages a CodeBadRequest.
+// produce an ERR frame and a hangup, response-typed messages and a deferred
+// flag on a request that must be answered a CodeBadRequest; plain BEGIN and PUT
+// keep their OK.
 func TestRawProtocolErrors(t *testing.T) {
 	t.Run("garbage length prefix", func(t *testing.T) {
 		srv, addr := newTestServer(t, tebaldi.Options{})
@@ -402,12 +462,96 @@ func TestRawProtocolErrors(t *testing.T) {
 			t.Errorf("ProtocolErrors = %d, want 1", got)
 		}
 	})
+
+	t.Run("deferred flag where a reply is owed", func(t *testing.T) {
+		srv, addr := newTestServer(t, tebaldi.Options{})
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		bad := []*Message{
+			{Type: MsgGet, SID: 1, Deferred: true},
+			{Type: MsgCommit, SID: 2, Deferred: true},
+			{Type: MsgAbort, SID: 3, Deferred: true},
+			{Type: MsgOK, SID: 4, Deferred: true},
+			{Type: MsgValue, SID: 5, Deferred: true},
+			{Type: MsgErr, SID: 6, Deferred: true},
+		}
+		for _, req := range bad {
+			if _, err := nc.Write(appendFrame(nil, req)); err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadFrame(nc)
+			if err != nil || m.Type != MsgErr || m.Code != CodeBadRequest || m.SID != req.SID || m.Deferred {
+				t.Fatalf("deferred 0x%02x: got %v / %+v, want a plain ERR CodeBadRequest sid %d", req.Type, err, m, req.SID)
+			}
+		}
+		if got := srv.Metrics().ProtocolErrors.Load(); got != uint64(len(bad)) {
+			t.Errorf("ProtocolErrors = %d, want %d", got, len(bad))
+		}
+		if got := srv.Metrics().SessionsActive.Load(); got != 0 {
+			t.Errorf("SessionsActive = %d, want 0: a refused frame opens no session", got)
+		}
+	})
+
+	t.Run("plain and deferred requests on one session", func(t *testing.T) {
+		srv, addr := newTestServer(t, tebaldi.Options{})
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		// A client that defers nothing gets one reply per request, as
+		// before the deferred form existed.
+		for _, req := range []*Message{
+			{Type: MsgBegin, SID: 1, TxnType: "update"},
+			{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("plain")},
+			{Type: MsgCommit, SID: 1},
+		} {
+			if _, err := nc.Write(appendFrame(nil, req)); err != nil {
+				t.Fatal(err)
+			}
+			want := appendFrame(nil, &Message{Type: MsgOK, SID: 1})
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(nc, got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("plain 0x%02x: reply % x (%v), want % x", req.Type, got, err, want)
+			}
+		}
+		// Four frames in one write, one reply: the deferred BEGIN fails,
+		// the deferred PUT is skipped, the plain PUT is answered with the
+		// BEGIN's error instead of being executed — and then the session
+		// is idle, so COMMIT finds no transaction.
+		var buf []byte
+		buf = appendFrame(buf, &Message{Type: MsgBegin, SID: 1, TxnType: "no-such-type", Deferred: true})
+		buf = appendFrame(buf, &Message{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("x"), Deferred: true})
+		buf = appendFrame(buf, &Message{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("y")})
+		buf = appendFrame(buf, &Message{Type: MsgCommit, SID: 1})
+		if _, err := nc.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := ReadFrame(nc); err != nil || m.Type != MsgErr || m.Code != CodeUnknownType || m.SID != 1 {
+			t.Fatalf("plain PUT after a failed deferred BEGIN: got %v / %+v, want ERR CodeUnknownType", err, m)
+		}
+		if m, err := ReadFrame(nc); err != nil || m.Type != MsgErr || m.Code != CodeNoTxn {
+			t.Fatalf("COMMIT after the reported error: got %v / %+v, want ERR CodeNoTxn", err, m)
+		}
+		if v := srv.DB().ReadCommitted(tebaldi.K("kv", "p")); string(v) != "plain" {
+			t.Errorf("kv/p = %q, want plain", v)
+		}
+		m := srv.Metrics()
+		if r, w := m.FramesRead.Load(), m.FramesWritten.Load(); r != 7 || w != 5 {
+			t.Errorf("frames read %d written %d, want 7 and 5", r, w)
+		}
+	})
 }
 
 // TestConflictMapsAcrossWire: a genuine CC conflict must arrive as a
-// retryable wire error that still satisfies errors.Is against core errors.
+// retryable wire error that still satisfies errors.Is against core errors —
+// here from a deferred PUT, so it is COMMIT that reports it, once, and the
+// session can run its retry at once.
 func TestConflictMapsAcrossWire(t *testing.T) {
-	_, addr := newTestServer(t, tebaldi.Options{LockTimeout: 100 * time.Millisecond})
+	srv, addr := newTestServer(t, tebaldi.Options{LockTimeout: 100 * time.Millisecond})
 	c := dialTest(t, addr)
 	defer c.Close()
 
@@ -418,13 +562,17 @@ func TestConflictMapsAcrossWire(t *testing.T) {
 	if err := holder.Put("kv", "w", []byte("h")); err != nil {
 		t.Fatal(err)
 	}
+	mustGet(t, holder, "w") // holder has the lock once this returns
 	victim := c.Session()
 	if err := victim.Begin("update", 0); err != nil {
 		t.Fatal(err)
 	}
-	err := victim.Put("kv", "w", []byte("v")) // lock wait -> timeout abort
+	if err := victim.Put("kv", "w", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	err := victim.Commit() // carries the PUT: lock wait -> timeout abort
 	if err == nil {
-		t.Fatal("second writer succeeded while the lock was held")
+		t.Fatal("second writer committed while the lock was held")
 	}
 	if !tebaldi.IsRetryable(err) {
 		t.Fatalf("wire conflict %v is not retryable via tebaldi.IsRetryable", err)
@@ -435,6 +583,22 @@ func TestConflictMapsAcrossWire(t *testing.T) {
 	}
 	if err := holder.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	// The abort left the victim's session idle: the retry runs on it.
+	if err := victim.Begin("update", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Put("kv", "w", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Commit(); err != nil {
+		t.Fatalf("retry on the same session: %v", err)
+	}
+	if v := srv.DB().ReadCommitted(tebaldi.K("kv", "w")); string(v) != "v" {
+		t.Errorf("kv/w = %q after the retry, want v", v)
+	}
+	if got := srv.Metrics().ProtocolErrors.Load(); got != 0 {
+		t.Errorf("ProtocolErrors = %d, want 0: an engine abort is not a protocol error", got)
 	}
 }
 
