@@ -1,25 +1,20 @@
-// Command tebaldivet is the repo's domain-specific vet tool: eight static
+// Command tebaldivet is the repo's domain-specific vet tool: six static
 // analyzers that turn the engine's concurrency and durability invariants
 // into compile-time checks (see internal/analysis/tebaldivet).
 //
-// Two modes:
+//	go run ./cmd/tebaldivet ./...
 //
-//	go run ./cmd/tebaldivet ./...          # standalone, whole-module
-//	go vet -vettool=$(which tebaldivet) ./...  # unitchecker protocol
-//
-// The standalone mode loads packages itself (stdlib-only go/packages
-// substitute, see internal/analysis/load), runs one fact-sharing session
-// over the dependency-ordered package list, and dedups findings reported at
-// the same position by multiple compilation units. The vettool mode
-// implements the cmd/go unitchecker contract: -V=full fingerprinting,
-// -flags, analyzing one package per JSON .cfg file, and threading
-// interprocedural facts between package invocations through .vetx files.
+// The driver loads packages itself (stdlib-only go/packages substitute, see
+// internal/analysis/load) — non-test files, in-package tests and external
+// _test packages — runs one fact-sharing session over the
+// dependency-ordered package list, and dedups findings reported at the same
+// position by multiple compilation units.
 //
 // Findings are suppressed by an adjacent justified annotation:
 //
 //	//lint:allow <analyzer> -- <why this is safe>
 //
-// Standalone flags:
+// Flags:
 //
 //	-sarif FILE     also write findings as SARIF 2.1.0 (GitHub code scanning)
 //	-staleallow     audit mode: flag //lint:allow comments whose analyzer no
@@ -27,23 +22,17 @@
 //	-escapepoints   print the poolescape-derived *core.Txn escape-point list
 //
 // Exit status: 0 clean, 1 unsuppressed findings (or stale allows under
-// -staleallow), 2 findings (vettool), 3 driver error.
+// -staleallow), 2 bad flags, 3 driver error.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/load"
@@ -53,46 +42,12 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		if a == "-V=full" || a == "-V" {
-			printVersion()
-			return
-		}
-		if a == "-flags" {
-			// No tool flags are forwarded by go vet.
-			fmt.Println("[]")
-			return
-		}
+	wd, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tebaldivet:", err)
+		os.Exit(3)
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-
-	fs := flag.NewFlagSet("tebaldivet", flag.ExitOnError)
-	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to `file`")
-	staleAllow := fs.Bool("staleallow", false, "audit //lint:allow comments whose analyzer no longer fires")
-	escapePoints := fs.Bool("escapepoints", false, "print the derived *core.Txn escape-point list and exit")
-	fs.Parse(args)
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	os.Exit(standalone(patterns, *sarifOut, *staleAllow, *escapePoints))
-}
-
-// printVersion implements the `-V=full` fingerprint cmd/go uses to build
-// cache keys for vet results: name, "version", and a content hash of the
-// executable.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%x\n", os.Args[0], h.Sum(nil)[:16])
+	os.Exit(run(wd, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // diagKey identifies a finding for cross-package dedup: the same file can be
@@ -114,17 +69,29 @@ type siteKey struct {
 	analyzer string
 }
 
-// standalone loads the module packages matching patterns and analyzes them
-// in one fact-sharing session, dependency order first.
-func standalone(patterns []string, sarifOut string, staleAllow, escapePoints bool) int {
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tebaldivet:", err)
-		return 3
+// run parses args, loads the module packages under dir matching the
+// patterns, and analyzes them in one fact-sharing session, dependency order
+// first. It returns the exit status.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tebaldivet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to `file`")
+	staleAllow := fs.Bool("staleallow", false, "audit //lint:allow comments whose analyzer no longer fires")
+	escapePoints := fs.Bool("escapepoints", false, "print the derived *core.Txn escape-point list and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	pkgs, err := load.Packages(wd, patterns...)
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+
+	pkgs, err := load.Packages(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tebaldivet:", err)
+		fmt.Fprintln(stderr, "tebaldivet:", err)
 		return 3
 	}
 	analyzers := tebaldivet.All()
@@ -142,7 +109,7 @@ func standalone(patterns []string, sarifOut string, staleAllow, escapePoints boo
 			// Degrade, don't abort: report the broken package and analyze
 			// the rest. Analyzers need complete type info, so the package
 			// itself is skipped.
-			fmt.Fprintf(os.Stderr, "tebaldivet: skipping %s: %v\n", p.ImportPath, p.Err)
+			fmt.Fprintf(stderr, "tebaldivet: skipping %s: %v\n", p.ImportPath, p.Err)
 			continue
 		}
 		if p.Types == nil || p.Info == nil {
@@ -150,7 +117,7 @@ func standalone(patterns []string, sarifOut string, staleAllow, escapePoints boo
 		}
 		res, err := session.Run(p.Fset, p.Files, p.Types, p.Info, analyzers)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tebaldivet: %s: %v\n", p.ImportPath, err)
+			fmt.Fprintf(stderr, "tebaldivet: %s: %v\n", p.ImportPath, err)
 			return 3
 		}
 		for _, d := range res.Diags {
@@ -175,19 +142,19 @@ func standalone(patterns []string, sarifOut string, staleAllow, escapePoints boo
 		}
 	}
 
-	if escapePoints {
+	if *escapePoints {
 		for _, name := range poolescape.EscapePoints(session.Facts()) {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
 
 	for _, d := range diags {
-		fmt.Printf("%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
+		fmt.Fprintf(stdout, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
 
 	stale := 0
-	if staleAllow {
+	if *staleAllow {
 		var keys []siteKey
 		for k := range sites {
 			if !usedSites[k] {
@@ -205,25 +172,14 @@ func standalone(patterns []string, sarifOut string, staleAllow, escapePoints boo
 		})
 		for _, k := range keys {
 			stale++
-			fmt.Printf("%s: stale suppression: //lint:allow %s no longer matches a finding\n",
+			fmt.Fprintf(stdout, "%s: stale suppression: //lint:allow %s no longer matches a finding\n",
 				fset.Position(sites[k]), k.analyzer)
 		}
 	}
 
-	if sarifOut != "" {
-		log := sarif.Build(wd, fset, analyzers, diags)
-		f, err := os.Create(sarifOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tebaldivet:", err)
-			return 3
-		}
-		if err := sarif.Write(f, log); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "tebaldivet:", err)
-			return 3
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "tebaldivet:", err)
+	if *sarifOut != "" {
+		if err := writeSARIF(*sarifOut, sarif.Build(dir, fset, analyzers, diags)); err != nil {
+			fmt.Fprintln(stderr, "tebaldivet:", err)
 			return 3
 		}
 	}
@@ -231,136 +187,25 @@ func standalone(patterns []string, sarifOut string, staleAllow, escapePoints boo
 	if len(diags) > 0 || stale > 0 {
 		switch {
 		case stale > 0 && len(diags) > 0:
-			fmt.Fprintf(os.Stderr, "tebaldivet: %d finding(s), %d stale suppression(s)\n", len(diags), stale)
+			fmt.Fprintf(stderr, "tebaldivet: %d finding(s), %d stale suppression(s)\n", len(diags), stale)
 		case stale > 0:
-			fmt.Fprintf(os.Stderr, "tebaldivet: %d stale suppression(s)\n", stale)
+			fmt.Fprintf(stderr, "tebaldivet: %d stale suppression(s)\n", stale)
 		default:
-			fmt.Fprintf(os.Stderr, "tebaldivet: %d finding(s)\n", len(diags))
+			fmt.Fprintf(stderr, "tebaldivet: %d finding(s)\n", len(diags))
 		}
 		return 1
 	}
 	return 0
 }
 
-// vetConfig is the JSON configuration cmd/go hands a vettool for each
-// package (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes the single package described by the cfg file. The
-// session's fact store is seeded from the dependencies' .vetx files and
-// re-serialized into VetxOutput, so interprocedural summaries flow between
-// per-package tool invocations exactly as they do standalone.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
+func writeSARIF(path string, log *sarif.Log) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tebaldivet:", err)
-		return 3
+		return err
 	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "tebaldivet: parsing %s: %v\n", cfgPath, err)
-		return 3
+	if err := sarif.Write(f, log); err != nil {
+		f.Close()
+		return err
 	}
-
-	session := framework.NewSession()
-	for dep, vetx := range cfg.PackageVetx {
-		payload, err := os.ReadFile(vetx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tebaldivet: reading facts of %s: %v\n", dep, err)
-			return 3
-		}
-		if err := session.Facts().Decode(payload); err != nil {
-			fmt.Fprintf(os.Stderr, "tebaldivet: facts of %s: %v\n", dep, err)
-			return 3
-		}
-	}
-
-	// writeVetx persists the session facts (dependency facts plus whatever
-	// this unit exported); cmd/go expects the file even when it is empty.
-	writeVetx := func() int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		payload, err := session.Facts().Encode()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tebaldivet:", err)
-			return 3
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "tebaldivet:", err)
-			return 3
-		}
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return writeVetx()
-			}
-			fmt.Fprintln(os.Stderr, "tebaldivet:", err)
-			return 3
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	conf := types.Config{
-		Importer:  importer.ForCompiler(fset, "gc", lookup),
-		GoVersion: cfg.GoVersion,
-	}
-	info := load.NewInfo()
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeVetx()
-		}
-		fmt.Fprintf(os.Stderr, "tebaldivet: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 3
-	}
-	res, err := session.Run(fset, files, tpkg, info, tebaldivet.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tebaldivet: %s: %v\n", cfg.ImportPath, err)
-		return 3
-	}
-	if code := writeVetx(); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, d := range res.Diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	if len(res.Diags) > 0 {
-		return 2
-	}
-	return 0
+	return f.Close()
 }

@@ -86,7 +86,7 @@ func run(pass *framework.Pass) error {
 	// Map-order heuristics need function scope (for the sorted-later
 	// check).
 	for _, file := range pass.Files {
-		for _, fn := range lockset.FunctionsOf(pass.TypesInfo, file) {
+		for _, fn := range lockset.FunctionsOf(file) {
 			checkMapOrder(pass, fn.Body)
 		}
 	}

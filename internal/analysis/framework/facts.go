@@ -14,11 +14,8 @@ import (
 // export data while the driver analyzed them from source, so the two views
 // never share object identity.
 //
-// Fact values are stored as JSON. That costs a marshal per export, and buys
-// the property the vettool mode needs: the same store serializes into the
-// .vetx files the cmd/go unitchecker protocol threads between per-package
-// tool invocations, so interprocedural analyzers behave identically
-// standalone and under `go vet -vettool`.
+// Fact values are stored as JSON: a lookup decodes into the caller's own
+// value, so no analyzer can alias, or mutate, a fact another pass exported.
 type FactStore struct {
 	m map[factID]json.RawMessage
 }
@@ -60,19 +57,15 @@ func (s *FactStore) export(analyzer, key string, v any) error {
 	return nil
 }
 
-func (s *FactStore) lookup(analyzer, key string, out any) bool {
+// Lookup decodes the fact stored for (analyzer, key) into out, reporting
+// whether one existed. This is the driver-side accessor; analyzers use the
+// Pass methods.
+func (s *FactStore) Lookup(analyzer, key string, out any) bool {
 	raw, ok := s.m[factID{analyzer, key}]
 	if !ok {
 		return false
 	}
 	return json.Unmarshal(raw, out) == nil
-}
-
-// Lookup decodes the fact stored for (analyzer, key) into out, reporting
-// whether one existed. This is the driver-side accessor; analyzers use the
-// Pass methods.
-func (s *FactStore) Lookup(analyzer, key string, out any) bool {
-	return s.lookup(analyzer, key, out)
 }
 
 // Keys returns the sorted object keys holding facts for analyzer.
@@ -85,45 +78,6 @@ func (s *FactStore) Keys(analyzer string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// wireFact is the serialized form of one fact (vetx payload entry).
-type wireFact struct {
-	Analyzer string          `json:"a"`
-	Key      string          `json:"k"`
-	Value    json.RawMessage `json:"v"`
-}
-
-// Encode serializes every fact in the store (the .vetx payload written for
-// dependents in vettool mode).
-func (s *FactStore) Encode() ([]byte, error) {
-	facts := make([]wireFact, 0, len(s.m))
-	for id, raw := range s.m {
-		facts = append(facts, wireFact{Analyzer: id.Analyzer, Key: id.Key, Value: raw})
-	}
-	sort.Slice(facts, func(i, j int) bool {
-		if facts[i].Analyzer != facts[j].Analyzer {
-			return facts[i].Analyzer < facts[j].Analyzer
-		}
-		return facts[i].Key < facts[j].Key
-	})
-	return json.Marshal(facts)
-}
-
-// Decode merges serialized facts (a dependency's .vetx payload) into the
-// store. Empty input is a valid empty store.
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var facts []wireFact
-	if err := json.Unmarshal(data, &facts); err != nil {
-		return fmt.Errorf("decoding facts: %w", err)
-	}
-	for _, f := range facts {
-		s.m[factID{f.Analyzer, f.Key}] = f.Value
-	}
-	return nil
 }
 
 // ExportObjectFact attaches a fact to obj for this pass's analyzer. The
@@ -144,23 +98,5 @@ func (p *Pass) ImportObjectFact(obj types.Object, out any) bool {
 	if p.facts == nil {
 		return false
 	}
-	return p.facts.lookup(p.Analyzer.Name, FactKey(obj), out)
-}
-
-// ImportFactByKey loads a fact by its FactKey string — for enumeration-style
-// consumers that walk AllFactKeys rather than holding a types.Object.
-func (p *Pass) ImportFactByKey(key string, out any) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.lookup(p.Analyzer.Name, key, out)
-}
-
-// AllFactKeys returns the sorted keys of every fact this analyzer has
-// exported so far in the session.
-func (p *Pass) AllFactKeys() []string {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.Keys(p.Analyzer.Name)
+	return p.facts.Lookup(p.Analyzer.Name, FactKey(obj), out)
 }

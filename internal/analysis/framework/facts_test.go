@@ -71,23 +71,10 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	if got := s.Keys("an"); len(got) != 1 || got[0] != "kp.F" {
 		t.Fatalf("Keys = %v", got)
 	}
-
-	// Encode into a fresh store (the vetx path).
-	payload, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewFactStore()
-	if err := s2.Decode(payload); err != nil {
-		t.Fatal(err)
-	}
-	out = testFact{}
-	if !s2.Lookup("an", "kp.F", &out) || out.N != 7 {
-		t.Fatalf("post-decode lookup = %+v", out)
-	}
-	// Empty payload is a valid empty store.
-	if err := NewFactStore().Decode(nil); err != nil {
-		t.Fatal(err)
+	// A lookup decodes a copy: mutating it leaves the stored fact intact.
+	out.N = 0
+	if !s.Lookup("an", "kp.F", &out) || out.N != 7 {
+		t.Fatalf("second lookup = %+v", out)
 	}
 }
 
@@ -103,12 +90,18 @@ func TestSessionFactsAndSuppression(t *testing.T) {
 			return nil
 		},
 	}
+	session := NewSession()
+	fset1, files1, pkg1, info1 := checkPkg(t, "dep", "package dep\n\nfunc Dep() {}\n")
+	if _, err := session.Run(fset1, files1, pkg1, info1, []*Analyzer{exporter}); err != nil {
+		t.Fatal(err)
+	}
+
 	importerAn := &Analyzer{
 		Name: "testan",
 		Doc:  "test analyzer",
 		Run: func(p *Pass) error {
 			var f testFact
-			if !p.ImportFactByKey("dep.Dep", &f) {
+			if !p.ImportObjectFact(pkg1.Scope().Lookup("Dep"), &f) {
 				return nil
 			}
 			// Two findings: line 4 is suppressed in the source below.
@@ -117,12 +110,6 @@ func TestSessionFactsAndSuppression(t *testing.T) {
 			p.Reportf(p.Files[0].Decls[1].Pos(), "unsuppressed")
 			return nil
 		},
-	}
-
-	session := NewSession()
-	fset1, files1, pkg1, info1 := checkPkg(t, "dep", "package dep\n\nfunc Dep() {}\n")
-	if _, err := session.Run(fset1, files1, pkg1, info1, []*Analyzer{exporter}); err != nil {
-		t.Fatal(err)
 	}
 
 	src := `package use

@@ -22,7 +22,7 @@ type Analyzer struct {
 	// Name is the check's identifier, used in output and in
 	// //lint:allow suppressions.
 	Name string
-	// Doc is the one-paragraph description printed by `tebaldivet -help`.
+	// Doc is the one-paragraph description (the SARIF rule text).
 	Doc string
 	// Run performs the check on one package, reporting findings through
 	// pass.Report.
@@ -73,8 +73,8 @@ type Result struct {
 
 // Session runs analyzers over a sequence of packages sharing one fact
 // store. Analyze dependencies before dependents (the driver topologically
-// sorts; the vettool protocol guarantees it) so interprocedural summaries
-// are present when a caller's package is reached.
+// sorts) so interprocedural summaries are present when a caller's package is
+// reached.
 type Session struct {
 	facts *FactStore
 }
@@ -82,8 +82,8 @@ type Session struct {
 // NewSession returns a session with an empty fact store.
 func NewSession() *Session { return &Session{facts: NewFactStore()} }
 
-// Facts exposes the session's fact store (vetx encode/decode in the
-// driver).
+// Facts exposes the session's fact store (the driver derives the
+// escape-point list from it).
 func (s *Session) Facts() *FactStore { return s.facts }
 
 // Run applies the analyzers to one package. Suppressed findings are
@@ -124,16 +124,6 @@ func sortDiags(fset *token.FileSet, diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-}
-
-// Run applies the analyzers to one package in a fresh fact-free session and
-// returns the surviving findings. Single-package convenience wrapper.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := NewSession().Run(fset, files, pkg, info, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diags, nil
 }
 
 // AllowSite is one justified //lint:allow comment, per analyzer named.

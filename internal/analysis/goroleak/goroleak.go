@@ -32,6 +32,7 @@ package goroleak
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"repro/internal/analysis/framework"
@@ -60,21 +61,15 @@ func run(pass *framework.Pass) error {
 	workers := workerAnnotations(pass.Fset, pass.Files)
 
 	// Per-declaration verdicts, exported as facts for cross-package spawns.
-	unsafe := map[*ast.FuncDecl]bool{}
-	declOf := map[*ast.FuncDecl]string{}
+	// A doc-annotated function is managed: it is not unsafe and gets no
+	// fact, so cross-package spawns trust the annotation the same way local
+	// ones do.
+	unsafe := map[*types.Func]bool{}
 	for fn, fd := range decls {
-		bad := unguardedLoops(fd.Body)
-		unsafe[fd] = len(bad) > 0
-		declOf[fd] = fn.FullName()
-		// A doc-annotated function is managed: no fact, so cross-package
-		// spawns trust the annotation the same way local ones do.
-		if len(bad) > 0 && !docAnnotated(fd, workers, pass.Fset) {
+		if len(unguardedLoops(fd.Body)) > 0 && !docAnnotated(fd, workers, pass.Fset) {
+			unsafe[fn] = true
 			pass.ExportObjectFact(fn, &Fact{Unsafe: true})
 		}
-	}
-	byFunc := map[string]*ast.FuncDecl{}
-	for fn, fd := range decls {
-		byFunc[fn.FullName()] = fd
 	}
 
 	pass.Inspect(func(n ast.Node) bool {
@@ -95,14 +90,8 @@ func run(pass *framework.Pass) error {
 			if fn == nil {
 				return true // func value / interface dispatch: assumed terminating
 			}
-			if fd, ok := byFunc[fn.FullName()]; ok {
-				if unsafe[fd] && !docAnnotated(fd, workers, pass.Fset) {
-					pass.Reportf(g.Pos(), "goroutine %s runs an infinite loop with no channel-signaled exit; annotate `// tebaldi:worker <shutdown path>` at the go statement or on the function if shutdown is managed elsewhere", fn.FullName())
-				}
-				return true
-			}
 			var f Fact
-			if pass.ImportObjectFact(fn, &f) && f.Unsafe {
+			if unsafe[fn] || pass.ImportObjectFact(fn, &f) && f.Unsafe {
 				pass.Reportf(g.Pos(), "goroutine %s runs an infinite loop with no channel-signaled exit; annotate `// tebaldi:worker <shutdown path>` at the go statement or on the function if shutdown is managed elsewhere", fn.FullName())
 			}
 		}

@@ -127,8 +127,8 @@ func (x *Exports) add(entries []*listEntry) {
 	}
 }
 
-// NewInfo returns a types.Info with every map the analyzers use.
-func NewInfo() *types.Info {
+// newInfo returns a types.Info with every map the analyzers use.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -143,8 +143,7 @@ func NewInfo() *types.Info {
 // (e.g. "./..."), rooted at moduleDir. Standard-library and dependency-only
 // packages are imported from export data, not analyzed. Test files are
 // included — in-package tests compiled with their package, external _test
-// packages as their own entry — so the standalone driver sees exactly the
-// units `go vet -vettool` sees.
+// packages as their own entry — the same units `go vet` compiles.
 //
 // The load degrades rather than fails: a package that cannot be listed,
 // parsed, or type-checked is returned with Err set and IllTyped true
@@ -185,7 +184,7 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 	// check type-checks one unit, tolerating errors: the returned package
 	// and info are the partial results the checker could produce.
 	check := func(imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
-		info := NewInfo()
+		info := newInfo()
 		var firstErr error
 		conf := types.Config{
 			Importer: imp,
@@ -413,7 +412,7 @@ func (l *SourceLoader) Load(path string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	info := NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: (*sourceFirstImporter)(l)}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {

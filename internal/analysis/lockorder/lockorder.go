@@ -88,7 +88,7 @@ func run(pass *framework.Pass) error {
 		}
 	}
 	for _, file := range pass.Files {
-		for _, fn := range lockset.FunctionsOf(pass.TypesInfo, file) {
+		for _, fn := range lockset.FunctionsOf(file) {
 			lockset.Walk(pass.TypesInfo, fn.Body, lockset.Hooks{
 				OnAcquire: func(c *lockset.Call, held []lockset.Held) {
 					for _, h := range held {

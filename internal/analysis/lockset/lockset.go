@@ -206,7 +206,6 @@ const (
 // path-state); nil hooks are skipped.
 type Hooks struct {
 	OnAcquire func(c *Call, held []Held)
-	OnRelease func(c *Call, held []Held)
 	OnExit    func(pos token.Pos, kind ExitKind, held []Held)
 	OnCall    func(call *ast.CallExpr, held []Held)
 }
@@ -711,9 +710,6 @@ func (w *walker) applyLock(c *Call, in []state) []state {
 				n.held = append(n.held, Held{Call: c, Deferred: n.deferred[c.Key]})
 			}
 		case ReleaseOp:
-			if w.hooks.OnRelease != nil {
-				w.hooks.OnRelease(c, n.held)
-			}
 			for i := len(n.held) - 1; i >= 0; i-- {
 				if n.held[i].Call.Key == c.Key {
 					n.held = append(n.held[:i], n.held[i+1:]...)
@@ -734,29 +730,24 @@ func cloneAll(in []state) []state {
 	return out
 }
 
-// Functions returns every function body in the files: declarations and
-// function literals, each paired with a printable name.
+// Function is one analyzable function body: a declaration's or a function
+// literal's.
 type Function struct {
-	Name string
 	Decl *ast.FuncDecl // nil for literals
 	Body *ast.BlockStmt
-	Obj  *types.Func // nil for literals
 }
 
 // FunctionsOf collects the analyzable function bodies of a file.
-func FunctionsOf(info *types.Info, file *ast.File) []Function {
+func FunctionsOf(file *ast.File) []Function {
 	var out []Function
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
-			if fn.Body == nil {
-				return true
+			if fn.Body != nil {
+				out = append(out, Function{Decl: fn, Body: fn.Body})
 			}
-			name := fn.Name.Name
-			obj, _ := info.Defs[fn.Name].(*types.Func)
-			out = append(out, Function{Name: name, Decl: fn, Body: fn.Body, Obj: obj})
 		case *ast.FuncLit:
-			out = append(out, Function{Name: "func literal", Body: fn.Body})
+			out = append(out, Function{Body: fn.Body})
 		}
 		return true
 	})

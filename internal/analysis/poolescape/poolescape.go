@@ -18,7 +18,7 @@
 //     closed-over variables);
 //   - a composite literal embedding the pointer;
 //   - returning a pointer that was itself loaded from a field or global —
-//     the function hands out a retained reference (core.Tx.Txn's shape).
+//     the function hands out a retained reference.
 //
 // An escape is sanctioned when the same value receives a MarkShared call
 // anywhere in the function (all escapes happen on the owner goroutine before
@@ -434,11 +434,7 @@ func (a *analysis) isOwnerType(t types.Type) bool {
 		return true
 	}
 	var f ownerFact
-	return a.importOwner(tn, &f) && f.Owner
-}
-
-func (a *analysis) importOwner(tn *types.TypeName, f *ownerFact) bool {
-	return a.pass.ImportObjectFact(tn, f)
+	return a.pass.ImportObjectFact(tn, &f) && f.Owner
 }
 
 // ownerTypes collects the package's tebaldi:txnowner-annotated type names.

@@ -49,7 +49,6 @@ func TestEscapePointsMatchDocumentation(t *testing.T) {
 		"(*repro/internal/core.Txn).AddDep",
 		"(*repro/internal/core.Txn).AddWrite",
 		"(*repro/internal/engine.Engine).loadVersion",
-		"(*repro/internal/engine.Tx).Txn",
 		"(*repro/internal/lockmgr.Table).Grant",
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -17,7 +17,7 @@ func TestBuildAndWrite(t *testing.T) {
 
 	analyzers := []*framework.Analyzer{
 		{Name: "poolescape", Doc: "escape checking"},
-		{Name: "ackorder", Doc: "ack ordering"},
+		{Name: "goroleak", Doc: "goroutine termination"},
 	}
 	diags := []framework.Diagnostic{
 		{Analyzer: "poolescape", Pos: pos, Message: "escaped without MarkShared"},
@@ -36,7 +36,7 @@ func TestBuildAndWrite(t *testing.T) {
 	}
 	// Rules sorted by id.
 	if len(run.Tool.Driver.Rules) != 2 ||
-		run.Tool.Driver.Rules[0].ID != "ackorder" ||
+		run.Tool.Driver.Rules[0].ID != "goroleak" ||
 		run.Tool.Driver.Rules[1].ID != "poolescape" {
 		t.Fatalf("rules = %+v", run.Tool.Driver.Rules)
 	}

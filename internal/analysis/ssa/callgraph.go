@@ -3,7 +3,6 @@ package ssa
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // Decls indexes the package's declared functions with bodies, mapping the
@@ -26,11 +25,9 @@ func Decls(info *types.Info, files []*ast.File) map[*types.Func]*ast.FuncDecl {
 	return out
 }
 
-// Callee resolves a call expression to its target function object. iface
-// reports an interface method call — the object describes the abstract
-// method and the concrete dispatch targets come from Implementers (CHA).
-// Function-value calls, builtins, and conversions resolve to nil.
-func Callee(info *types.Info, call *ast.CallExpr) (fn *types.Func, iface bool) {
+// StaticCallee resolves a call to a concrete function or method, or nil for
+// interface dispatch, func values, builtins, and conversions.
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -38,81 +35,16 @@ func Callee(info *types.Info, call *ast.CallExpr) (fn *types.Func, iface bool) {
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return nil, false
+		return nil
 	}
 	obj, ok := info.Uses[id].(*types.Func)
 	if !ok {
-		return nil, false
-	}
-	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if types.IsInterface(sig.Recv().Type()) {
-			return obj, true
-		}
-	}
-	return obj, false
-}
-
-// StaticCallee resolves a call to a concrete function or method, or nil for
-// interface dispatch, func values, and builtins.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	fn, iface := Callee(info, call)
-	if iface {
 		return nil
 	}
-	return fn
-}
-
-// Implementers performs class-hierarchy analysis for one interface method:
-// it returns the corresponding concrete methods of every named type visible
-// from pkg (its own scope and its direct imports' scopes) that implements
-// the method's interface. The result is the CHA dispatch-target set an
-// analyzer joins summaries over; an empty result means no implementation is
-// visible and the analyzer must fall back to its conservative default.
-func Implementers(pkg *types.Package, m *types.Func) []*types.Func {
-	sig, ok := m.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
+	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 		return nil
 	}
-	ifaceT := sig.Recv().Type()
-	iface, ok := ifaceT.Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-
-	var out []*types.Func
-	seen := map[*types.Func]bool{}
-	consider := func(obj types.Object) {
-		tn, ok := obj.(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			return
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok || types.IsInterface(named) {
-			return
-		}
-		ptr := types.NewPointer(named)
-		if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
-			return
-		}
-		ms := types.NewMethodSet(ptr)
-		for i := 0; i < ms.Len(); i++ {
-			if fn, ok := ms.At(i).Obj().(*types.Func); ok && fn.Name() == m.Name() && !seen[fn] {
-				seen[fn] = true
-				out = append(out, fn)
-			}
-		}
-	}
-	scopes := []*types.Scope{pkg.Scope()}
-	for _, imp := range pkg.Imports() {
-		scopes = append(scopes, imp.Scope())
-	}
-	for _, sc := range scopes {
-		for _, name := range sc.Names() {
-			consider(sc.Lookup(name))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
-	return out
+	return obj
 }
 
 // Unparen strips any enclosing parentheses.

@@ -1,10 +1,9 @@
 // Package ssa is the interprocedural substrate of the tebaldivet analyzers:
 // a def-use/value-flow approximation over go/ast and go/types (the
-// stdlib-only stand-in for a full SSA IR), static call resolution, and a
-// CHA-based dispatch-target enumeration. Per-function results are exported
-// through the framework's fact store as summaries, so analysis composes
-// across packages both in the standalone driver (dependency-ordered
-// session) and under `go vet -vettool` (facts ride the .vetx files).
+// stdlib-only stand-in for a full SSA IR) and static call resolution.
+// Per-function results are exported through the framework's fact store as
+// summaries, so analysis composes across the packages of one
+// dependency-ordered driver session.
 //
 // The value-flow model is deliberately modest — and documented, so its
 // approximations are auditable:
@@ -12,8 +11,7 @@
 //   - values are canonicalized by union-find: `a := b` aliases a to b, and
 //     loads spelled identically (`tx.t` twice) are one value;
 //   - flow is insensitive to statement order within a function: a value
-//     marked anywhere in a body counts as marked for all of it (the
-//     analyzers that need ordering, like ackorder, walk paths themselves);
+//     marked anywhere in a body counts as marked for all of it;
 //   - each value carries the set of origins it may come from (parameter,
 //     global, load, call result, fresh literal), which is what the escape
 //     rules dispatch on.
@@ -32,7 +30,7 @@ const (
 	// OriginUnknown: no recorded source (e.g. `var t *T` never assigned).
 	OriginUnknown OriginKind = iota
 	// OriginParam: a parameter or the receiver of the function under
-	// analysis (Index is the flat index: receiver first, then parameters).
+	// analysis (TrackedParams carries its flat index).
 	OriginParam
 	// OriginGlobal: a package-level variable.
 	OriginGlobal
@@ -48,33 +46,6 @@ const (
 	// seen when analyzing a function literal's body in isolation).
 	OriginFree
 )
-
-func (k OriginKind) String() string {
-	switch k {
-	case OriginParam:
-		return "param"
-	case OriginGlobal:
-		return "global"
-	case OriginLoad:
-		return "load"
-	case OriginCall:
-		return "call"
-	case OriginFresh:
-		return "fresh"
-	case OriginFree:
-		return "free"
-	default:
-		return "unknown"
-	}
-}
-
-// Origin is one possible source of a value.
-type Origin struct {
-	Kind OriginKind
-	// Index is the flat parameter index for OriginParam (receiver 0 when
-	// present, then parameters).
-	Index int
-}
 
 // ValueID is the canonical identity of one value within a Flow.
 type ValueID string
@@ -92,7 +63,7 @@ type Flow struct {
 	tracked func(types.Type) bool
 
 	parent  map[string]string
-	origins map[string]map[Origin]bool
+	origins map[string]map[OriginKind]bool
 	params  []ParamRef
 	inFunc  map[types.Object]bool // objects declared in this function (incl. params)
 }
@@ -105,7 +76,7 @@ func BuildFlow(info *types.Info, recv *ast.FieldList, ftype *ast.FuncType, body 
 		info:    info,
 		tracked: tracked,
 		parent:  map[string]string{},
-		origins: map[string]map[Origin]bool{},
+		origins: map[string]map[OriginKind]bool{},
 		inFunc:  map[types.Object]bool{},
 	}
 	flat := 0
@@ -124,7 +95,7 @@ func BuildFlow(info *types.Info, recv *ast.FieldList, ftype *ast.FuncType, body 
 					f.inFunc[obj] = true
 					if tracked(obj.Type()) {
 						f.params = append(f.params, ParamRef{Index: flat, Obj: obj})
-						f.addOrigin(f.objKey(obj), Origin{Kind: OriginParam, Index: flat})
+						f.addOrigin(f.objKey(obj), OriginParam)
 					}
 				}
 				flat++
@@ -160,7 +131,7 @@ func BuildFlow(info *types.Info, recv *ast.FieldList, ftype *ast.FuncType, body 
 					continue
 				}
 				if k, ok := f.keyOf(v); ok {
-					f.addOrigin(k, Origin{Kind: OriginLoad})
+					f.addOrigin(k, OriginLoad)
 				}
 			}
 		case ast.Expr:
@@ -189,40 +160,14 @@ func (f *Flow) ValueOf(e ast.Expr) (ValueID, bool) {
 	return ValueID(f.find(k)), true
 }
 
-// Origins returns the possible sources of a value.
-func (f *Flow) Origins(v ValueID) []Origin {
-	set := f.origins[f.find(string(v))]
-	out := make([]Origin, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	return out
-}
-
 // HasOrigin reports whether any source of v has kind k.
 func (f *Flow) HasOrigin(v ValueID, k OriginKind) bool {
-	for o := range f.origins[f.find(string(v))] {
-		if o.Kind == k {
-			return true
-		}
-	}
-	return false
+	return f.origins[f.find(string(v))][k]
 }
 
 // ValueOfParam canonicalizes a tracked parameter returned by TrackedParams.
 func (f *Flow) ValueOfParam(p ParamRef) ValueID {
 	return ValueID(f.find(f.objKey(p.Obj)))
-}
-
-// ParamIndexOf returns the flat parameter index of v, or -1 when v is not a
-// parameter of the function under analysis.
-func (f *Flow) ParamIndexOf(v ValueID) int {
-	for o := range f.origins[f.find(string(v))] {
-		if o.Kind == OriginParam {
-			return o.Index
-		}
-	}
-	return -1
 }
 
 // assign unions assignable tracked pairs and threads tuple results.
@@ -248,12 +193,12 @@ func (f *Flow) assign(lhs, rhs []ast.Expr) {
 			switch r := Unparen(rhs[0]).(type) {
 			case *ast.CallExpr:
 				f.union(lk, fmt.Sprintf("t:%d#%d", r.Pos(), i))
-				f.addOrigin(lk, Origin{Kind: OriginCall})
+				f.addOrigin(lk, OriginCall)
 			case *ast.TypeAssertExpr:
-				f.addOrigin(lk, Origin{Kind: OriginCall})
+				f.addOrigin(lk, OriginCall)
 			case *ast.IndexExpr, *ast.UnaryExpr:
 				// map load with comma-ok, channel receive
-				f.addOrigin(lk, Origin{Kind: OriginLoad})
+				f.addOrigin(lk, OriginLoad)
 			}
 		}
 	}
@@ -272,19 +217,19 @@ func (f *Flow) recordIntrinsic(key string, e ast.Expr) {
 			// Param origins were added up front; plain locals get their
 			// origins from assignments.
 		case obj.Parent() != nil && obj.Parent().Parent() == types.Universe:
-			f.addOrigin(key, Origin{Kind: OriginGlobal})
+			f.addOrigin(key, OriginGlobal)
 		default:
-			f.addOrigin(key, Origin{Kind: OriginFree})
+			f.addOrigin(key, OriginFree)
 		}
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		f.addOrigin(key, Origin{Kind: OriginLoad})
+		f.addOrigin(key, OriginLoad)
 	case *ast.CallExpr, *ast.TypeAssertExpr:
-		f.addOrigin(key, Origin{Kind: OriginCall})
+		f.addOrigin(key, OriginCall)
 	case *ast.CompositeLit:
-		f.addOrigin(key, Origin{Kind: OriginFresh})
+		f.addOrigin(key, OriginFresh)
 	case *ast.UnaryExpr:
 		if _, ok := x.X.(*ast.CompositeLit); ok {
-			f.addOrigin(key, Origin{Kind: OriginFresh})
+			f.addOrigin(key, OriginFresh)
 		}
 	}
 }
@@ -351,7 +296,7 @@ func (f *Flow) union(a, b string) {
 	if set := f.origins[ra]; set != nil {
 		dst := f.origins[rb]
 		if dst == nil {
-			dst = map[Origin]bool{}
+			dst = map[OriginKind]bool{}
 			f.origins[rb] = dst
 		}
 		for o := range set {
@@ -361,11 +306,11 @@ func (f *Flow) union(a, b string) {
 	}
 }
 
-func (f *Flow) addOrigin(k string, o Origin) {
+func (f *Flow) addOrigin(k string, o OriginKind) {
 	root := f.find(k)
 	set := f.origins[root]
 	if set == nil {
-		set = map[Origin]bool{}
+		set = map[OriginKind]bool{}
 		f.origins[root] = set
 	}
 	set[o] = true

@@ -122,11 +122,8 @@ func TestFlowParamAliasing(t *testing.T) {
 	if got := identVal(t, flow, fd, "chained"); got != pv {
 		t.Fatalf("chained not unified with parameter through u: %q vs %q", got, pv)
 	}
-	if idx := flow.ParamIndexOf(pv); idx != 0 {
-		t.Fatalf("ParamIndexOf = %d, want 0", idx)
-	}
 	if !flow.HasOrigin(pv, OriginParam) {
-		t.Fatalf("parameter value lacks param origin: %v", flow.Origins(pv))
+		t.Fatal("parameter value lacks param origin")
 	}
 }
 
@@ -147,9 +144,9 @@ func TestFlowIntrinsicOrigins(t *testing.T) {
 	for _, tc := range cases {
 		v := identVal(t, flow, fd, tc.local)
 		if !flow.HasOrigin(v, tc.kind) {
-			t.Errorf("%s: origins %v, want %v", tc.local, flow.Origins(v), tc.kind)
+			t.Errorf("%s: lacks origin kind %d", tc.local, tc.kind)
 		}
-		if flow.ParamIndexOf(v) >= 0 {
+		if flow.HasOrigin(v, OriginParam) {
 			t.Errorf("%s: spuriously unified with a parameter", tc.local)
 		}
 	}
@@ -215,12 +212,6 @@ func TestStaticCallee(t *testing.T) {
 	if fn := StaticCallee(info, callAt(t, fd, 1)); fn == nil || fn.FullName() != "(*p.T).M" {
 		t.Fatalf("method call resolved to %v", fn)
 	}
-	// Interface dispatch: Callee sees the method but flags it; StaticCallee
-	// refuses it.
-	fn, iface := Callee(info, callAt(t, fd, 2))
-	if fn == nil || !iface {
-		t.Fatalf("interface call: fn=%v iface=%v", fn, iface)
-	}
 	if StaticCallee(info, callAt(t, fd, 2)) != nil {
 		t.Fatal("StaticCallee resolved an interface dispatch")
 	}
@@ -229,42 +220,25 @@ func TestStaticCallee(t *testing.T) {
 	}
 }
 
-func TestDeclsAndImplementers(t *testing.T) {
+func TestDecls(t *testing.T) {
 	src := `package p
 
-type I interface{ M() }
 type A struct{}
 func (A) M() {}
 type B struct{}
-func (*B) M() {}
-type C struct{} // does not implement
-func (C) N() {}
+func (*B) N()
 func free() {}
 `
-	_, f, info, pkg := checkSrc(t, src)
-	decls := Decls(info, []*ast.File{f})
+	_, f, info, _ := checkSrc(t, src)
 	names := map[string]bool{}
-	for fn := range decls {
+	for fn := range Decls(info, []*ast.File{f}) {
 		names[fn.Name()] = true
 	}
-	if !names["M"] || !names["N"] || !names["free"] {
+	if !names["M"] || !names["free"] {
 		t.Fatalf("Decls missed declarations: %v", names)
 	}
-
-	iface := pkg.Scope().Lookup("I").Type().Underlying().(*types.Interface)
-	m := iface.Method(0)
-	impls := Implementers(pkg, m)
-	got := map[string]bool{}
-	for _, fn := range impls {
-		got[fn.FullName()] = true
-	}
-	if !got["(p.A).M"] || !got["(*p.B).M"] {
-		t.Fatalf("Implementers = %v, want A.M and (*B).M", got)
-	}
-	for name := range got {
-		if name == "(p.C).N" {
-			t.Fatal("non-implementer included")
-		}
+	if names["N"] {
+		t.Fatal("Decls included a declaration without a body")
 	}
 }
 

@@ -1,29 +1,24 @@
 // Package tebaldivet assembles the engine's invariant analyzers into the
 // suite run by cmd/tebaldivet and CI. Each analyzer encodes an invariant
-// this repo has already paid for dynamically (see DESIGN.md, "Invariants
-// as lint"):
+// this repo has already paid for dynamically and that no test or type holds
+// on its own (see DESIGN.md, "Invariants as lint"):
 //
 //   - lockorder:  declared mutex partial order, no undeclared/cyclic nesting
 //   - unlockpath: every Lock released on every return/panic path
 //   - syncerr:    no discarded durability-critical errors (fsync, WAL flush)
-//   - atomicmix:  no mixed atomic/plain access to one field
 //   - detguard:   no wall clock / global rand / map-order dependence in
 //     deterministic schedule drivers
 //
-// The v2 interprocedural analyzers (built on internal/analysis/ssa and the
+// The interprocedural analyzers (built on internal/analysis/ssa and the
 // framework fact store) machine-check the PR-9 hot-path invariants:
 //
 //   - poolescape: every *core.Txn escape edge dominated by MarkShared; the
 //     escape-point list in internal/core/txn.go is derived, not maintained
 //   - goroleak:   every spawned goroutine provably terminates (or carries a
 //     tebaldi:worker annotation naming its shutdown path)
-//   - ackorder:   no commit acked (nil error) on a path that staged WAL
-//     records but skipped the durability wait in sync mode
 package tebaldivet
 
 import (
-	"repro/internal/analysis/ackorder"
-	"repro/internal/analysis/atomicmix"
 	"repro/internal/analysis/detguard"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/goroleak"
@@ -39,10 +34,8 @@ func All() []*framework.Analyzer {
 		lockorder.Analyzer,
 		unlockpath.Analyzer,
 		syncerr.Analyzer,
-		atomicmix.Analyzer,
 		detguard.Analyzer,
 		poolescape.Analyzer,
 		goroleak.Analyzer,
-		ackorder.Analyzer,
 	}
 }

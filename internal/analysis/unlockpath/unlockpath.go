@@ -42,7 +42,7 @@ func run(pass *framework.Pass) error {
 		kind lockset.ExitKind
 	}
 	for _, file := range pass.Files {
-		for _, fn := range lockset.FunctionsOf(pass.TypesInfo, file) {
+		for _, fn := range lockset.FunctionsOf(file) {
 			if fn.Decl != nil && wrapperNames[fn.Decl.Name.Name] {
 				continue
 			}

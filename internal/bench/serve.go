@@ -216,15 +216,21 @@ func startInProcess(keyspace int) (addr string, stop func(), srv *server.Server,
 // starts it as a child process, returning its protocol address once ready.
 func spawnServer(w interface{ Write([]byte) (int, error) }, preload int) (addr string, stop func(), err error) {
 	bin := os.Getenv("TEBALDI_SERVER_BIN")
+	// tmp holds a binary built here; stop removes it, and so does a failed
+	// start.
+	var tmp string
+	defer func() {
+		if err != nil && tmp != "" {
+			os.RemoveAll(tmp)
+		}
+	}()
 	if bin == "" {
-		tmp, err := os.MkdirTemp("", "tebaldi-server")
-		if err != nil {
+		if tmp, err = os.MkdirTemp("", "tebaldi-server"); err != nil {
 			return "", nil, err
 		}
 		bin = filepath.Join(tmp, "tebaldi-server")
 		build := exec.Command("go", "build", "-o", bin, "./cmd/tebaldi-server")
 		if out, err := build.CombinedOutput(); err != nil {
-			os.RemoveAll(tmp)
 			return "", nil, fmt.Errorf("go build ./cmd/tebaldi-server: %v (%s)", err, strings.TrimSpace(string(out)))
 		}
 	}
@@ -268,6 +274,9 @@ func spawnServer(w interface{ Write([]byte) (int, error) }, preload int) (addr s
 		case <-time.After(15 * time.Second):
 			cmd.Process.Kill()
 			<-done
+		}
+		if tmp != "" {
+			os.RemoveAll(tmp)
 		}
 	}
 	return addr, stop, nil

@@ -81,7 +81,6 @@ type WriteRef struct {
 //     version or a lock table — but AddDep re-marks them for robustness).
 //   - lockmgr.Table.Grant (Acquire is a call to it): the lock table's owner
 //     list and blocked waiters retain the pointer.
-//   - engine.Tx.Txn: an external handle escapes to tooling/tests.
 //   - engine.Engine.loadVersion: bulk load installs versions outside any CC
 //     tree, so the synthetic writer is marked at construction. (This one was
 //     missing from the hand-maintained list — the analyzer found it.)

@@ -221,7 +221,9 @@ func (e *Engine) newCC(s *NodeSpec, n *core.Node) (core.CC, error) {
 	}
 }
 
-// Options configure an Engine.
+// Options configure an Engine (tebaldi.Options is this type). The zero value
+// gives sensible defaults: 16 data-server shards, 100ms lock timeout,
+// background GC, no durability, no profiling.
 type Options struct {
 	// Shards is the number of data servers (storage partitions).
 	Shards int
@@ -229,22 +231,20 @@ type Options struct {
 	// the waiter (deadlock resolution, §4.4.1).
 	LockTimeout time.Duration
 	// GCInterval is the period of the version garbage collector
-	// (§4.5.3); 0 disables background GC.
+	// (§4.5.3); 0 means the 50ms default, negative disables background GC.
 	GCInterval time.Duration
 	// Profiling enables the blocking-event profiler (§5.3).
 	Profiling bool
 	// BatchAge bounds SSI/TSO batch lifetimes.
 	BatchAge time.Duration
-	// NetworkDelay, when > 0, is slept on every storage operation to
-	// simulate the TC <-> DS network round trip of the paper's cluster.
-	NetworkDelay time.Duration
 	// DurabilityDir enables the WAL durability module (§4.5.4), logging
 	// to this directory.
 	DurabilityDir string
 	// DurabilitySync forces synchronous flushing (default: asynchronous
 	// GCP-epoch flushing).
 	DurabilitySync bool
-	// GCPEpoch is the GCP epoch length for asynchronous flushing.
+	// GCPEpoch is the GCP epoch length for asynchronous flushing (default
+	// 1s).
 	GCPEpoch time.Duration
 	// CheckpointEvery, when > 0, runs a consistent checkpoint (snapshot at
 	// the GC watermark + log compaction) on this period, bounding both the

@@ -434,13 +434,6 @@ func (e *Engine) Checkpoint() error {
 	return err
 }
 
-// netDelay simulates the TC <-> DS round trip.
-func (e *Engine) netDelay() {
-	if e.opts.NetworkDelay > 0 {
-		time.Sleep(e.opts.NetworkDelay)
-	}
-}
-
 // loadVersion installs a committed version outside any CC tree (bulk load /
 // recovery). The synthetic writer has an empty path, so every CC treats the
 // version as plain committed history.

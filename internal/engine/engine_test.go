@@ -12,6 +12,15 @@ import (
 	"repro/internal/core"
 )
 
+// txnOf hands a test the transaction behind tx. Marking it shared keeps
+// PutTxn from recycling it, so the test may still read it after commit.
+func txnOf(tx *Tx) *core.Txn {
+	if !tx.finished {
+		tx.t.MarkShared()
+	}
+	return tx.t
+}
+
 func u64(v uint64) []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, v)

@@ -118,8 +118,8 @@ func runTransferFuzz(t *testing.T, seed int64, accounts, parts, workers, txnsEac
 					obs.reads = obs.reads[:0]
 					obs.id = tx.ID()
 					obs.typ = typ
-					obs.beginTS = tx.Txn().BeginTS
-					obs.txn = tx.Txn()
+					obs.beginTS = txnOf(tx).BeginTS
+					obs.txn = txnOf(tx)
 					if typ == "audit" {
 						// Read-only scan over a few accounts.
 						n := 2 + rng.Intn(4)

@@ -99,10 +99,10 @@ func runHistory(t *testing.T, cfg *NodeSpec, types []string, keys, workers, txns
 				err := e.RunTxn(typ, uint64(rng.Intn(8)), func(tx *Tx) error {
 					obs.reads = obs.reads[:0]
 					obs.id = tx.ID()
-					obs.typ = tx.Txn().Type
-					obs.beginTS = tx.Txn().BeginTS
-					obs.txn = tx.Txn()
-					obs.snap = fmt.Sprintf("%v", tx.Txn().Slots[0])
+					obs.typ = txnOf(tx).Type
+					obs.beginTS = txnOf(tx).BeginTS
+					obs.txn = txnOf(tx)
+					obs.snap = fmt.Sprintf("%v", txnOf(tx).Slots[0])
 					for _, k := range readSet {
 						key := core.KeyOf("h", k)
 						v, err := tx.Read(key)

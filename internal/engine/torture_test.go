@@ -192,7 +192,7 @@ func TestTortureCrashPointsAcrossCheckpoints(t *testing.T) {
 				var txn *core.Txn
 				var val string
 				err := e.RunTxn("inc", 0, func(tx *Tx) error {
-					txn = tx.Txn()
+					txn = txnOf(tx)
 					val = fmt.Sprintf("a%d", attemptSeq.Add(1))
 					// Ledger entry before the write can reach any log:
 					// recovery may surface any attempted value, but

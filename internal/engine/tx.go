@@ -27,16 +27,6 @@ type Tx struct {
 // ID returns the transaction id.
 func (tx *Tx) ID() uint64 { return tx.id }
 
-// Txn exposes the underlying transaction (tests, tooling). The pointer is
-// valid only until the transaction finishes: exposing it pins the Txn out of
-// the recycling pool, and after commit/abort it must not be dereferenced.
-func (tx *Tx) Txn() *core.Txn {
-	if !tx.finished {
-		tx.t.MarkShared()
-	}
-	return tx.t
-}
-
 func (tx *Tx) check() error {
 	if tx.finished {
 		return fmt.Errorf("engine: transaction %d already finished", tx.id)
@@ -62,7 +52,6 @@ func (tx *Tx) Read(k core.Key) ([]byte, error) {
 		return nil, err
 	}
 	t := tx.t
-	tx.e.netDelay()
 	ch := tx.e.store.Chain(k)
 
 	// Read-your-own-writes fast path. Only transactions that have written
@@ -167,7 +156,6 @@ func (tx *Tx) Write(k core.Key, value []byte) error {
 		return err
 	}
 	t := tx.t
-	tx.e.netDelay()
 
 	for _, n := range t.Path {
 		if err := n.CC.PreWrite(t, k); err != nil {

@@ -59,9 +59,11 @@ func stageTxn(t testing.TB, m *Manager, id uint64, shards int) *Ticket {
 }
 
 // TestOneFsyncAcksEveryQueuedCommitter pins the group commit
-// deterministically: with the appender parked inside its first flush, K
-// multi-shard committers stage their records; on release exactly one further
-// batch carries all of them, and one fsync completes every ticket.
+// deterministically: the first transaction stages only its precommit record,
+// so the batch the appender parks in holds exactly that one record; then its
+// commit record and K multi-shard committers are staged behind it. On release
+// exactly one further batch carries all of them, and one fsync completes
+// every ticket.
 func TestOneFsyncAcksEveryQueuedCommitter(t *testing.T) {
 	const committers, shards = 8, 3
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -90,8 +92,14 @@ func TestOneFsyncAcksEveryQueuedCommitter(t *testing.T) {
 	}
 	defer m.Close()
 
-	first := stageTxn(t, m, 1, 1)
-	<-parked // batch 1 is fsynced, its tickets not yet completed
+	epoch, first, err := m.PrecommitShards(1, [][]KV{{kv("t", "r1-0", "v")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-parked // batch 1, the lone precommit record, is fsynced; its ticket is not completed
+	if err := m.Commit(1, 101, epoch, first); err != nil {
+		t.Fatal(err)
+	}
 	tickets := []*Ticket{first}
 	for id := uint64(2); id < 2+committers; id++ {
 		tickets = append(tickets, stageTxn(t, m, id, shards))
@@ -114,7 +122,7 @@ func TestOneFsyncAcksEveryQueuedCommitter(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if want := []int{2, committers * (shards + 1)}; len(batches) != 2 || batches[0] != want[0] || batches[1] != want[1] {
+	if want := []int{1, 1 + committers*(shards+1)}; len(batches) != 2 || batches[0] != want[0] || batches[1] != want[1] {
 		t.Fatalf("batches carried %v records, want %v", batches, want)
 	}
 }

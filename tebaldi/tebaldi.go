@@ -28,7 +28,6 @@ package tebaldi
 
 import (
 	"math/rand"
-	"time"
 
 	"repro/internal/autoconf"
 	"repro/internal/core"
@@ -88,55 +87,8 @@ var (
 // IsRetryable reports whether err is a system abort that Run would retry.
 func IsRetryable(err error) bool { return core.IsRetryable(err) }
 
-// Options tune a DB. The zero value gives sensible defaults: 16 data-server
-// shards, 100ms lock timeout, background GC, no durability, no profiling.
-type Options struct {
-	// Shards is the number of data servers (storage partitions).
-	Shards int
-	// LockTimeout bounds lock/pipeline/dependency waits (deadlock
-	// resolution by timeout).
-	LockTimeout time.Duration
-	// GCInterval is the version GC period (0 = default, negative =
-	// disabled).
-	GCInterval time.Duration
-	// Profiling enables the blocking-event profiler that powers
-	// automatic configuration.
-	Profiling bool
-	// NetworkDelay simulates the TC<->DS round trip per operation.
-	NetworkDelay time.Duration
-	// DurabilityDir enables write-ahead logging into this directory.
-	DurabilityDir string
-	// DurabilitySync makes commits wait for the flush (default:
-	// asynchronous GCP-epoch flushing).
-	DurabilitySync bool
-	// GCPEpoch is the flush-epoch length (default 1s).
-	GCPEpoch time.Duration
-	// CheckpointEvery, when > 0, periodically snapshots the committed
-	// state and compacts the write-ahead logs, bounding both log size and
-	// restart time. Requires DurabilityDir. DB.Checkpoint triggers one
-	// explicitly at any time.
-	CheckpointEvery time.Duration
-	// DrainTimeout bounds reconfiguration quiescing.
-	DrainTimeout time.Duration
-	// BatchAge bounds SSI/TSO consistent-ordering batch lifetimes.
-	BatchAge time.Duration
-}
-
-func (o Options) engine() engine.Options {
-	return engine.Options{
-		Shards:          o.Shards,
-		LockTimeout:     o.LockTimeout,
-		GCInterval:      o.GCInterval,
-		Profiling:       o.Profiling,
-		NetworkDelay:    o.NetworkDelay,
-		DurabilityDir:   o.DurabilityDir,
-		DurabilitySync:  o.DurabilitySync,
-		GCPEpoch:        o.GCPEpoch,
-		CheckpointEvery: o.CheckpointEvery,
-		DrainTimeout:    o.DrainTimeout,
-		BatchAge:        o.BatchAge,
-	}
-}
+// Options tune a DB; the zero value gives sensible defaults.
+type Options = engine.Options
 
 // Leaf builds a leaf group: the given transaction types regulated by kind.
 func Leaf(kind Kind, types ...string) *Config {
@@ -168,7 +120,7 @@ func Open(opts Options, specs []*Spec, config *Config) (*DB, error) {
 	if config == nil {
 		config = InitialConfig(specs)
 	}
-	eng, err := engine.New(opts.engine(), specs, config)
+	eng, err := engine.New(opts, specs, config)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +133,7 @@ func Recover(opts Options, specs []*Spec, config *Config) (*DB, *wal.RecoveredSt
 	if config == nil {
 		config = InitialConfig(specs)
 	}
-	eng, st, err := engine.Recover(opts.engine(), specs, config)
+	eng, st, err := engine.Recover(opts, specs, config)
 	if err != nil {
 		return nil, nil, err
 	}
