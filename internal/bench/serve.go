@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/loadgen"
 	"repro/internal/server"
 	"repro/tebaldi"
@@ -147,8 +148,9 @@ func runLoad(target string, sp serveParams, closedLoop bool) (*loadgen.Report, e
 }
 
 // kvTxn runs one uniformly random transaction — 80% single-key readonly,
-// 20% read-modify-write — retrying system aborts like an in-process client
-// would; the retry time stays inside the arrival's measured latency.
+// 20% read-modify-write — retrying system aborts after core.RetryBackoff like
+// an in-process client would; the retry time, back-off included, stays
+// inside the arrival's measured latency.
 func kvTxn(sess *server.Sess, rng *rand.Rand, keyspace int) error {
 	row := fmt.Sprintf("k%d", rng.Intn(keyspace))
 	update := rng.Intn(100) < 20
@@ -179,6 +181,7 @@ func kvTxn(sess *server.Sess, rng *rand.Rand, keyspace int) error {
 		if !ok || !server.Retryable(we.Code) {
 			return lastErr
 		}
+		time.Sleep(core.RetryBackoff(attempt, rng.Intn))
 	}
 	return lastErr
 }

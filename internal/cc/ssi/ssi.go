@@ -9,8 +9,9 @@
 //
 // Consistent ordering in the CC tree requires care because SSI decides part
 // of the ordering at start time (the snapshot). As a non-leaf, SSI batches:
-// transactions of the same child group share one start timestamp, delaying
-// their relative order until commit so the child CC is free to order them.
+// transactions of the same child group share one start timestamp
+// (core.Batches, the lifecycle TSO uses too), delaying their relative order
+// until commit so the child CC is free to order them.
 // Batching deliberately "promotes" same-group conflicts that span two
 // batches to cross-group conflicts — the paper's observed cost of batched
 // SSI under write-heavy workloads.
@@ -26,68 +27,42 @@ package ssi
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
 
-// DefaultBatchSize bounds how many transactions share one batch timestamp
-// before the batch rotates.
-const DefaultBatchSize = 64
-
-// DefaultBatchAge rotates a batch after this duration even if not full.
-const DefaultBatchAge = 2 * time.Millisecond
-
 // marks carries the anti-dependency flags of one batch (or of one
-// transaction when SSI runs unbatched), plus a count of committed members:
-// once a member has committed the batch can no longer be aborted, so a
-// transaction that would turn it into a pivot must abort itself instead
-// (Cahill-style SSI at batch granularity).
+// transaction when SSI runs unbatched), plus a count of members that have
+// begun validating: such a member may commit at any moment, so the batch can
+// no longer be aborted, and a transaction that would turn it into a pivot
+// must abort itself instead (Cahill-style SSI at batch granularity).
 type marks struct {
-	in        atomic.Bool
-	out       atomic.Bool
-	committed atomic.Int32
+	in         atomic.Bool
+	out        atomic.Bool
+	validating atomic.Int32
 }
 
 func (m *marks) pivot() bool { return m.in.Load() && m.out.Load() }
 
-// immutable reports that some member already committed, so aborting this
+// immutable reports that some member has begun validating, so aborting this
 // batch is no longer possible.
-func (m *marks) immutable() bool { return m.committed.Load() > 0 }
-
-// batch groups same-child transactions under one start timestamp.
-type batch struct {
-	marks
-	startTS uint64
-	count   int
-	active  int
-	created time.Time
-}
+func (m *marks) immutable() bool { return m.validating.Load() > 0 }
 
 // SSI is a serializable-snapshot-isolation CC node.
 type SSI struct {
 	env       *core.Env
 	node      *core.Node
 	optimized bool
-	batchSize int
-	batchAge  time.Duration
-
-	mu      sync.Mutex
-	current map[*core.Node]*batch // per-child current batch (batched mode)
-	// live holds batches with unfinished members in creation (= startTS)
-	// order: their snapshots bound what GC and reader-record pruning may
-	// discard.
-	live []*batch
+	batches   *core.Batches[marks] // batched mode; a batch's State is its marks
 }
 
 type slot struct {
 	// snapTS is the snapshot timestamp; math.MaxUint64 means
 	// "latest committed" (optimized-mode update transactions).
 	snapTS uint64
-	batch  *batch // nil in optimized mode and for leaf transactions
-	own    marks  // per-transaction marks when batch == nil (value: one allocation per Begin, not two)
+	batch  *core.Batch[marks] // nil in optimized mode and for leaf transactions
+	own    marks              // per-transaction marks when batch == nil (value: one allocation per Begin, not two)
 	// readChains are the chains this transaction read (batched mode):
 	// Validate rescans them so anti-dependencies to writers that
 	// committed after the read are not missed.
@@ -96,37 +71,17 @@ type slot struct {
 
 func (s *slot) flags() *marks {
 	if s.batch != nil {
-		return &s.batch.marks
+		return &s.batch.State
 	}
 	return &s.own
-}
-
-// Options tune an SSI node.
-type Options struct {
-	BatchSize int
-	BatchAge  time.Duration
-	// ForceBatched disables optimized-mode detection (tests).
-	ForceBatched bool
 }
 
 // New creates an SSI mechanism for node. Optimized mode engages
 // automatically when at most one child subtree contains updating transaction
 // types.
-func New(env *core.Env, node *core.Node, opt Options) *SSI {
-	s := &SSI{
-		env:       env,
-		node:      node,
-		batchSize: opt.BatchSize,
-		batchAge:  opt.BatchAge,
-		current:   make(map[*core.Node]*batch),
-	}
-	if s.batchSize <= 0 {
-		s.batchSize = DefaultBatchSize
-	}
-	if s.batchAge <= 0 {
-		s.batchAge = DefaultBatchAge
-	}
-	if len(node.Children) > 0 && !opt.ForceBatched {
+func New(env *core.Env, node *core.Node) *SSI {
+	s := &SSI{env: env, node: node, batches: core.NewBatches[marks](env)}
+	if len(node.Children) > 0 {
 		updating := 0
 		for _, c := range node.Children {
 			upd := false
@@ -146,10 +101,6 @@ func New(env *core.Env, node *core.Node, opt Options) *SSI {
 
 // Name implements core.CC.
 func (s *SSI) Name() string { return "SSI" }
-
-// Optimized reports whether the node runs in the batching-free
-// read-only/update optimized mode.
-func (s *SSI) Optimized() bool { return s.optimized }
 
 func (s *SSI) slotOf(t *core.Txn) *slot {
 	if len(t.Slots) <= s.node.Depth {
@@ -189,19 +140,8 @@ func (s *SSI) Begin(t *core.Txn) error {
 	case len(s.node.Children) == 0:
 		sl.snapTS = t.BeginTS
 	default:
-		child := s.node.ChildFor(t)
-		s.mu.Lock()
-		b := s.current[child]
-		if b == nil || b.count >= s.batchSize || time.Since(b.created) > s.batchAge {
-			b = &batch{startTS: s.env.Oracle.Next(), created: time.Now()}
-			s.current[child] = b
-			s.live = append(s.live, b)
-		}
-		b.count++
-		b.active++
-		s.mu.Unlock()
-		sl.batch = b
-		sl.snapTS = b.startTS
+		sl.batch = s.batches.Join(s.node.ChildFor(t))
+		sl.snapTS = sl.batch.TS
 	}
 	t.Slots[s.node.Depth] = sl
 	return nil
@@ -392,7 +332,8 @@ func (s *SSI) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version
 		// r read a version this write supersedes: r -rw-> t — an
 		// incoming anti-dependency for our group. The reader's
 		// outgoing side becomes dangerous only if we commit first;
-		// its Validate rescan detects that case.
+		// its Validate rescan detects that case, or ours does if r
+		// began validating first.
 		myFlags.in.Store(true)
 	}
 	if myFlags.pivot() {
@@ -405,11 +346,20 @@ func (s *SSI) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version
 // committed after they were read (completing out-edges whose writers were
 // still pending at read time), then abort pivots — groups with both an
 // incoming and an outgoing anti-dependency (§4.4.3).
+//
+// Others validate and commit while the engine stages t's log records, so t
+// counts as committed once it begins validating: its group turns immutable,
+// other rescans take its pending writes as committed, and t sets the
+// out-edge of readers of its writes that began validating first (their
+// rescan may have missed those writes). Each side marks itself before it
+// looks, so of two concurrent validations at least one sees the other.
 func (s *SSI) Validate(t *core.Txn) error {
 	if s.optimized {
 		return nil
 	}
 	sl := s.slotOf(t)
+	mine := sl.flags()
+	mine.validating.Add(1)
 	for _, ch := range sl.readChains {
 		ch.Lock()
 		var err error
@@ -418,16 +368,18 @@ func (s *SSI) Validate(t *core.Txn) error {
 				continue
 			}
 			if v.Pending() {
-				continue
-			}
-			if v.CommitTS() > sl.snapTS {
+				if ws := s.slotOf(v.Writer); ws != nil && ws.flags() != mine && ws.flags().immutable() {
+					err = s.flagAntiDep(sl, v.Writer, true)
+				}
+			} else if v.CommitTS() > sl.snapTS {
 				if s.node.SameChild(t, v.Writer) {
 					err = core.ErrConflict
-					break
+				} else {
+					err = s.flagAntiDep(sl, v.Writer, true)
 				}
-				if err = s.flagAntiDep(sl, v.Writer, true); err != nil {
-					break
-				}
+			}
+			if err != nil {
+				break
 			}
 		}
 		ch.Unlock()
@@ -435,45 +387,42 @@ func (s *SSI) Validate(t *core.Txn) error {
 			return err
 		}
 	}
-	if sl.flags().pivot() {
+	for _, w := range t.Writes() {
+		w.Chain.Lock()
+		var err error
+		for _, r := range w.Chain.Readers() {
+			if f, ok := r.Batch.(*marks); ok && f != mine && r.T != t && f.immutable() && r.T.State() == core.Active {
+				f.out.Store(true)
+				if f.pivot() {
+					err = core.ErrPivot
+					break
+				}
+			}
+		}
+		w.Chain.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	if mine.pivot() {
 		return core.ErrPivot
 	}
 	return nil
 }
 
-// SnapshotLowerBound reports the oldest snapshot any current (or future,
-// via an open batch) transaction of this node may read at. The engine's
-// watermark takes the minimum over all CC nodes, so version GC and
-// reader-record pruning never discard state a live batch snapshot still
-// needs.
-func (s *SSI) SnapshotLowerBound() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.live) > 0 && s.live[0].active == 0 && time.Since(s.live[0].created) > s.batchAge {
-		s.live = s.live[1:]
-	}
-	if len(s.live) == 0 {
-		return ^uint64(0)
-	}
-	return s.live[0].startTS
-}
+// SnapshotLowerBound reports the oldest snapshot a member of an undrained
+// batch reads at; the engine's watermark takes the minimum over all CC
+// nodes, so version GC and reader-record pruning keep what it still needs.
+func (s *SSI) SnapshotLowerBound() uint64 { return s.batches.SnapshotLowerBound() }
 
 func (s *SSI) release(t *core.Txn) {
 	if sl := s.slotOf(t); sl != nil && sl.batch != nil {
-		s.mu.Lock()
-		sl.batch.active--
-		s.mu.Unlock()
+		s.batches.Leave(sl.batch)
 	}
 }
 
-// Commit implements core.CC: record that the batch now has a committed
-// member (it can no longer be chosen as a pivot victim).
-func (s *SSI) Commit(t *core.Txn) {
-	if sl := s.slotOf(t); sl != nil && !s.optimized {
-		sl.flags().committed.Add(1)
-	}
-	s.release(t)
-}
+// Commit implements core.CC.
+func (s *SSI) Commit(t *core.Txn) { s.release(t) }
 
 // Abort implements core.CC.
 func (s *SSI) Abort(t *core.Txn) { s.release(t) }

@@ -36,7 +36,7 @@ func write(o *TSO, tx *core.Txn, ch *core.Chain, val string) (*core.Version, err
 
 func leaf() (*TSO, *core.Node, *core.Chain) {
 	node := &core.Node{}
-	return New(&core.Env{}, node, Options{}), node, core.NewChain(core.K("t", "x"))
+	return New(&core.Env{}, node), node, core.NewChain(core.K("t", "x"))
 }
 
 func TestAmendReadSkipsAbortedWriterStillInChain(t *testing.T) {
@@ -98,7 +98,7 @@ func TestAmendReadSameTimestampTieTakesLaterInstalled(t *testing.T) {
 	left := &core.Node{Depth: 1, Parent: root}
 	right := &core.Node{Depth: 1, Parent: root}
 	root.Children = []*core.Node{left, right}
-	o := New(&core.Env{Oracle: oracle.New()}, root, Options{BatchAge: time.Hour})
+	o := New(&core.Env{Oracle: oracle.New(), BatchAge: time.Hour}, root)
 	ch := core.NewChain(core.K("t", "x"))
 
 	// Two writers of one batch (same child, same timestamp).
@@ -138,7 +138,7 @@ func TestAmendReadBelowCrossSubtreeCommitIsTooLate(t *testing.T) {
 	leafNode := &core.Node{Depth: 1, Parent: root}
 	sibling := &core.Node{Depth: 1, Parent: root}
 	root.Children = []*core.Node{leafNode, sibling}
-	o := New(&core.Env{}, leafNode, Options{})
+	o := New(&core.Env{}, leafNode)
 	ch := core.NewChain(core.K("t", "x"))
 
 	outsider := core.NewTxn(1, "b", 0, 5)
@@ -166,7 +166,7 @@ func TestPostWriteBelowCrossSubtreeReaderCommitIsTooLate(t *testing.T) {
 	leafNode := &core.Node{Depth: 1, Parent: root}
 	sibling := &core.Node{Depth: 1, Parent: root}
 	root.Children = []*core.Node{leafNode, sibling}
-	o := New(&core.Env{}, leafNode, Options{})
+	o := New(&core.Env{}, leafNode)
 	ch := core.NewChain(core.K("t", "x"))
 
 	outsider := core.NewTxn(1, "b", 0, 5)

@@ -14,51 +14,30 @@
 // version block until the value arrives instead of eventually aborting the
 // writer.
 //
-// As a non-leaf, TSO preserves consistent ordering by batching: transactions
-// of the same child share a timestamp, their in-batch order is delegated to
-// the child, and batches commit in timestamp order. As in the paper, TSO is
-// most efficient as a leaf (no batching needed) — e.g. one TSO instance per
-// SEATS flight under a 2PL cross-group parent.
+// As a non-leaf, TSO preserves consistent ordering by batching
+// (core.Batches, the lifecycle SSI uses too): transactions of the same child
+// share a timestamp, their in-batch order is delegated to the child, and
+// batches commit in timestamp order. As in the paper, TSO is most efficient
+// as a leaf (no batching needed) — e.g. one TSO instance per SEATS flight
+// under a 2PL cross-group parent.
 package tso
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core"
 )
 
-// DefaultBatchSize bounds a non-leaf batch.
-const DefaultBatchSize = 64
-
-// DefaultBatchAge rotates a non-leaf batch after this duration.
-const DefaultBatchAge = 2 * time.Millisecond
-
-type batch struct {
-	ts      uint64
-	joined  int // total transactions ever assigned (size limit)
-	active  int // not-yet-finished transactions
-	created time.Time
-	drained chan struct{}
-}
-
 // TSO is a multiversion timestamp ordering CC node.
 type TSO struct {
-	env       *core.Env
-	node      *core.Node
-	batchSize int
-	batchAge  time.Duration
-
-	mu      sync.Mutex
-	current map[*core.Node]*batch
-	// order is the live batch list in ascending timestamp order, used to
-	// commit batches in timestamp order.
-	order []*batch
+	env     *core.Env
+	node    *core.Node
+	batches *core.Batches[struct{}]
 }
 
 type slot struct {
 	ts    uint64
-	batch *batch // nil at leaves
+	batch *core.Batch[struct{}] // nil at leaves
 	// promises are placeholder versions installed at start; unfulfilled
 	// ones are removed at finish.
 	promises []promiseRef
@@ -69,28 +48,9 @@ type promiseRef struct {
 	v  *core.Version
 }
 
-// Options tune a TSO node.
-type Options struct {
-	BatchSize int
-	BatchAge  time.Duration
-}
-
 // New creates a TSO mechanism for node.
-func New(env *core.Env, node *core.Node, opt Options) *TSO {
-	t := &TSO{
-		env:       env,
-		node:      node,
-		batchSize: opt.BatchSize,
-		batchAge:  opt.BatchAge,
-		current:   make(map[*core.Node]*batch),
-	}
-	if t.batchSize <= 0 {
-		t.batchSize = DefaultBatchSize
-	}
-	if t.batchAge <= 0 {
-		t.batchAge = DefaultBatchAge
-	}
-	return t
+func New(env *core.Env, node *core.Node) *TSO {
+	return &TSO{env: env, node: node, batches: core.NewBatches[struct{}](env)}
 }
 
 // Name implements core.CC.
@@ -122,19 +82,8 @@ func (o *TSO) Begin(t *core.Txn) error {
 	if len(o.node.Children) == 0 {
 		s.ts = t.BeginTS
 	} else {
-		child := o.node.ChildFor(t)
-		o.mu.Lock()
-		b := o.current[child]
-		if b == nil || b.joined >= o.batchSize || time.Since(b.created) > o.batchAge {
-			b = &batch{ts: o.env.Oracle.Next(), created: time.Now(), drained: make(chan struct{})}
-			o.current[child] = b
-			o.order = append(o.order, b)
-		}
-		b.joined++
-		b.active++
-		o.mu.Unlock()
-		s.batch = b
-		s.ts = b.ts
+		s.batch = o.batches.Join(o.node.ChildFor(t))
+		s.ts = s.batch.TS
 	}
 	t.Slots[o.node.Depth] = s
 	return nil
@@ -298,19 +247,9 @@ func (o *TSO) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version
 	return nil
 }
 
-// SnapshotLowerBound reports the oldest batch timestamp still live at this
-// node (non-leaf batching), bounding what GC may discard.
-func (o *TSO) SnapshotLowerBound() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for len(o.order) > 0 && o.order[0].active == 0 {
-		o.order = o.order[1:]
-	}
-	if len(o.order) == 0 {
-		return ^uint64(0)
-	}
-	return o.order[0].ts
-}
+// SnapshotLowerBound reports the oldest undrained batch timestamp at this
+// node, bounding what GC may discard.
+func (o *TSO) SnapshotLowerBound() uint64 { return o.batches.SnapshotLowerBound() }
 
 // Validate implements core.CC: at a non-leaf, commit batches in timestamp
 // order — wait until every earlier batch has drained.
@@ -321,27 +260,12 @@ func (o *TSO) Validate(t *core.Txn) error {
 	}
 	var deadline time.Time
 	for {
-		var waitOn *batch
-		o.mu.Lock()
-		// Prune drained batches from the head.
-		for len(o.order) > 0 && o.order[0].active == 0 {
-			o.order = o.order[1:]
-		}
-		for _, b := range o.order {
-			if b.ts >= s.batch.ts {
-				break
-			}
-			if b.active > 0 {
-				waitOn = b
-				break
-			}
-		}
-		o.mu.Unlock()
+		waitOn := o.batches.EarliestBefore(s.batch)
 		if waitOn == nil {
 			return nil
 		}
 		// A batch is not a transaction: no blocker, no block event.
-		if err := o.env.Wait(t, nil, &deadline, waitOn.drained, nil); err != nil {
+		if err := o.env.Wait(t, nil, &deadline, waitOn.Drained(), nil); err != nil {
 			return err
 		}
 	}
@@ -369,14 +293,6 @@ func (o *TSO) finish(t *core.Txn) {
 	}
 	s.promises = nil
 	if s.batch != nil {
-		o.mu.Lock()
-		s.batch.active--
-		if s.batch.active == 0 {
-			close(s.batch.drained)
-			if o.current[o.node.ChildFor(t)] == s.batch {
-				delete(o.current, o.node.ChildFor(t))
-			}
-		}
-		o.mu.Unlock()
+		o.batches.Leave(s.batch)
 	}
 }

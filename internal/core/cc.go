@@ -131,6 +131,9 @@ type Env struct {
 	// LockTimeout bounds lock and pipeline waits; expiry aborts the waiter
 	// (deadlock resolution by timeout, §4.4.1).
 	LockTimeout time.Duration
+	// BatchAge is how long a non-leaf SSI or TSO batch takes new members
+	// (Batches).
+	BatchAge time.Duration
 	// Specs maps transaction type -> static description.
 	Specs map[string]*Spec
 	// Watermark returns the minimum begin timestamp of any active

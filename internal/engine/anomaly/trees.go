@@ -62,13 +62,14 @@ func SerializableTrees() []TreeSpec {
 				engine.G(engine.Kind2PL, even),
 				engine.G(engine.Kind2PL, odd))
 		}},
+		// Run declares every pattern transaction writing and every pattern
+		// has at least two, so both children update and the SSI root
+		// batches.
 		{"ssi-batched", func(types []string) *engine.NodeSpec {
 			even, odd := split(types)
-			s := engine.G(engine.KindSSI, nil,
+			return engine.G(engine.KindSSI, nil,
 				engine.G(engine.Kind2PL, even),
 				engine.G(engine.Kind2PL, odd))
-			s.ForceBatched = true
-			return s
 		}},
 		// Partition-by-instance (§5.4.2): transactions route to clones by
 		// instance partition; the driver assigns each transaction its

@@ -46,11 +46,6 @@ type NodeSpec struct {
 	// Clones expands Children[0] into this many identical children
 	// (requires ByInstance).
 	Clones int
-	// BatchSize overrides the SSI/TSO consistent-ordering batch size.
-	BatchSize int
-	// ForceBatched disables SSI's optimized-mode detection (evaluation of
-	// batching costs).
-	ForceBatched bool
 }
 
 // G is a convenience constructor: G(kind, types, children...).
@@ -72,27 +67,13 @@ func (s *NodeSpec) Clone() *NodeSpec {
 	return &c
 }
 
-// Equal reports structural equality (used by the online-update diff).
+// Equal reports structural equality (the online-update diff finds no change).
 func (s *NodeSpec) Equal(o *NodeSpec) bool {
 	if s == nil || o == nil {
 		return s == o
 	}
-	if s.Kind != o.Kind || s.ByInstance != o.ByInstance || s.Clones != o.Clones ||
-		s.BatchSize != o.BatchSize || s.ForceBatched != o.ForceBatched ||
-		len(s.Types) != len(o.Types) || len(s.Children) != len(o.Children) {
-		return false
-	}
-	for i := range s.Types {
-		if s.Types[i] != o.Types[i] {
-			return false
-		}
-	}
-	for i := range s.Children {
-		if !s.Children[i].Equal(o.Children[i]) {
-			return false
-		}
-	}
-	return true
+	_, equal := diffSpec(s, o)
+	return equal
 }
 
 // AllTypes returns every transaction type assigned in the spec's subtree.
@@ -146,12 +127,9 @@ func (f fakeCC) PostWrite(*core.Txn, core.Key, *core.Chain, *core.Version) error
 
 // Tree is a built, runnable CC tree.
 type Tree struct {
-	Root *Node2
+	Root *core.Node
 	Spec *NodeSpec
 }
-
-// Node2 aliases core.Node (kept distinct in the engine's API surface).
-type Node2 = core.Node
 
 // buildTree materializes a NodeSpec into core Nodes with CC instances.
 func (e *Engine) buildTree(spec *NodeSpec) (*Tree, error) {
@@ -209,13 +187,9 @@ func (e *Engine) newCC(s *NodeSpec, n *core.Node) (core.CC, error) {
 	case KindRP:
 		return rp.New(e.env, n), nil
 	case KindSSI:
-		return ssi.New(e.env, n, ssi.Options{
-			BatchSize:    s.BatchSize,
-			ForceBatched: s.ForceBatched,
-			BatchAge:     e.opts.BatchAge,
-		}), nil
+		return ssi.New(e.env, n), nil
 	case KindTSO:
-		return tso.New(e.env, n, tso.Options{BatchSize: s.BatchSize, BatchAge: e.opts.BatchAge}), nil
+		return tso.New(e.env, n), nil
 	default:
 		return nil, fmt.Errorf("engine: unknown CC kind %q", s.Kind)
 	}
@@ -235,7 +209,8 @@ type Options struct {
 	GCInterval time.Duration
 	// Profiling enables the blocking-event profiler (§5.3).
 	Profiling bool
-	// BatchAge bounds SSI/TSO batch lifetimes.
+	// BatchAge is how long a non-leaf SSI/TSO batch takes new members
+	// (default 2ms).
 	BatchAge time.Duration
 	// DurabilityDir enables the WAL durability module (§4.5.4), logging
 	// to this directory.
@@ -251,9 +226,6 @@ type Options struct {
 	// on-disk log and recovery replay. Requires DurabilityDir. Explicit
 	// checkpoints via Engine.Checkpoint work either way.
 	CheckpointEvery time.Duration
-	// DrainTimeout bounds reconfiguration quiescing before ongoing
-	// transactions are force-aborted (§5.5.1).
-	DrainTimeout time.Duration
 
 	// crashHook, when set (crash-point torture tests only), is passed to
 	// the WAL as its fault-injection hook.
@@ -273,8 +245,8 @@ func (o *Options) withDefaults() Options {
 	} else if out.GCInterval == 0 {
 		out.GCInterval = 50 * time.Millisecond
 	}
-	if out.DrainTimeout <= 0 {
-		out.DrainTimeout = 2 * out.LockTimeout
+	if out.BatchAge <= 0 {
+		out.BatchAge = 2 * time.Millisecond
 	}
 	return out
 }

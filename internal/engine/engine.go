@@ -110,6 +110,7 @@ func New(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, error) {
 		Oracle:      e.oracle,
 		Reporter:    e.prof,
 		LockTimeout: e.opts.LockTimeout,
+		BatchAge:    e.opts.BatchAge,
 		Specs:       e.specs,
 		Watermark:   e.Watermark,
 	}

@@ -179,11 +179,11 @@ func TestBankThreeLayer(t *testing.T) {
 	runBank(t, newBank(t, cfg, 16), 16, 8, 150)
 }
 
+// TestBankBatchedSSIRoot: both children update, so the SSI root batches.
 func TestBankBatchedSSIRoot(t *testing.T) {
-	cfg := &NodeSpec{Kind: KindSSI, ForceBatched: true, Children: []*NodeSpec{
+	cfg := G(KindSSI, nil,
 		G(Kind2PL, []string{"transfer", "audit"}),
-		G(Kind2PL, []string{"deposit"}),
-	}}
+		G(Kind2PL, []string{"deposit"}))
 	runBank(t, newBank(t, cfg, 16), 16, 6, 100)
 }
 

@@ -33,7 +33,7 @@ func (p Protocol) String() string {
 // Reconfigure switches the live MCC configuration to spec using the given
 // protocol. Transactions of gated types are buffered (their Begin blocks)
 // for the duration; ongoing transactions are drained, then force-aborted
-// after Options.DrainTimeout.
+// after twice Options.LockTimeout.
 func (e *Engine) Reconfigure(spec *NodeSpec, protocol Protocol) error {
 	e.treeMu.Lock()
 	defer e.treeMu.Unlock()
@@ -113,7 +113,7 @@ func (e *Engine) tryOnlineUpdate(spec *NodeSpec) (done bool, err error) {
 		e.gate.reopen = make(chan struct{})
 		e.gate.Unlock()
 	}
-	if err := e.drainOutsideGate(func(t *core.Txn) bool { return affected[t.Type] }); err != nil {
+	if err := e.drain(func(t *core.Txn) bool { return affected[t.Type] }); err != nil {
 		reopen()
 		return true, err
 	}
@@ -155,20 +155,12 @@ func (e *Engine) tryOnlineUpdate(spec *NodeSpec) (done bool, err error) {
 }
 
 // drain waits for matching active transactions to finish, force-aborting
-// stragglers after Options.DrainTimeout. Must be called with gate.Lock held
-// when filter is nil (full quiesce).
+// stragglers after twice LockTimeout. With filter nil (full quiesce) the
+// caller holds gate.Lock; an online update drains outside it, so unaffected
+// types keep being admitted.
 func (e *Engine) drain(filter func(*core.Txn) bool) error {
-	return e.drainImpl(filter)
-}
-
-// drainOutsideGate drains without holding the gate write lock (online
-// update: unaffected types must keep being admitted).
-func (e *Engine) drainOutsideGate(filter func(*core.Txn) bool) error {
-	return e.drainImpl(filter)
-}
-
-func (e *Engine) drainImpl(filter func(*core.Txn) bool) error {
-	deadline := time.Now().Add(e.opts.DrainTimeout)
+	timeout := 2 * e.opts.LockTimeout
+	deadline := time.Now().Add(timeout)
 	for e.activeCount(filter) > 0 {
 		if time.Now().After(deadline) {
 			break
@@ -183,7 +175,7 @@ func (e *Engine) drainImpl(filter func(*core.Txn) bool) error {
 		}
 	})
 	// Wait for owner-side cleanup, bounded by waits' own timeouts.
-	final := time.Now().Add(e.opts.DrainTimeout + e.opts.LockTimeout)
+	final := time.Now().Add(timeout + e.opts.LockTimeout)
 	for e.activeCount(filter) > 0 {
 		if time.Now().After(final) {
 			return fmt.Errorf("engine: reconfiguration drain timed out with %d active transactions",
@@ -200,7 +192,6 @@ func (e *Engine) drainImpl(filter func(*core.Txn) bool) error {
 // span multiple children).
 func diffSpec(a, b *NodeSpec) (path []int, equal bool) {
 	if a.Kind != b.Kind || a.ByInstance != b.ByInstance || a.Clones != b.Clones ||
-		a.BatchSize != b.BatchSize || a.ForceBatched != b.ForceBatched ||
 		len(a.Types) != len(b.Types) || len(a.Children) != len(b.Children) {
 		return nil, false
 	}

@@ -151,6 +151,52 @@ func TestTSONonLeafSameBatchRTS(t *testing.T) {
 	}
 }
 
+// TestSSIDrainedBatchIsNotRejoined: a non-leaf SSI batch whose members have
+// all finished is retired. a1's batch drains at its commit; b1, of the other
+// child, then commits a write of y; a2 begins after that commit, so it must
+// open a new batch and read b1's y. Joining a1's drained batch would hand it
+// a1's snapshot, which misses a commit that precedes a2's begin.
+func TestSSIDrainedBatchIsNotRejoined(t *testing.T) {
+	specs := []*core.Spec{
+		{Name: "a", Tables: []string{"t"}, WriteTables: []string{"t"}},
+		{Name: "b", Tables: []string{"t"}, WriteTables: []string{"t"}},
+	}
+	cfg := G(KindSSI, nil, G(Kind2PL, []string{"a"}), G(Kind2PL, []string{"b"}))
+	// BatchAge keeps a1's batch young enough to take a2 by age alone.
+	e, err := New(Options{Shards: 2, LockTimeout: 2 * time.Second, GCInterval: -1, BatchAge: time.Hour}, specs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ky := core.KeyOf("t", 0)
+	e.Load(ky, []byte("old"))
+
+	a1, err := e.Begin("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunTxn("b", 0, func(tx *Tx) error { return tx.Write(ky, []byte("b1")) }); err != nil {
+		t.Fatal(err)
+	}
+	a2, err := e.Begin("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a2.Read(ky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "b1" {
+		t.Fatalf("a2 read %q, want %q: it joined a drained batch whose snapshot misses b1", got, "b1")
+	}
+	if err := a2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFinishReadOfAbortedWriterCascades: abortWith marks the writer Aborted
 // before it removes the versions, so a CC may still propose one. "Not
 // pending" is not "committed": the read must cascade, not return a value

@@ -323,10 +323,9 @@ func serializabilityConfigs() map[string]*NodeSpec {
 		"nexus-2pl-over-rp": G(Kind2PL, nil,
 			G(KindRP, []string{"u1"}),
 			G(Kind2PL, []string{"u2"})),
-		"batched-ssi": {Kind: KindSSI, ForceBatched: true, BatchSize: 8, Children: []*NodeSpec{
+		"batched-ssi": G(KindSSI, nil,
 			G(Kind2PL, []string{"u1"}),
-			G(Kind2PL, []string{"u2"}),
-		}},
+			G(Kind2PL, []string{"u2"})),
 		"tso-nonleaf": G(KindTSO, nil,
 			G(Kind2PL, []string{"u1"}),
 			G(Kind2PL, []string{"u2"})),

@@ -13,28 +13,19 @@ import (
 	"repro/tebaldi"
 )
 
-// Options tune a Server. The zero value is usable.
-type Options struct {
-	// MaxSessionsPerConn bounds the session table of one connection
-	// (default 1024). A BEGIN beyond the cap is rejected with
-	// CodeBadRequest.
-	MaxSessionsPerConn int
-	// SessionQueue is the per-session request buffer (default 16). The
-	// connection reader blocks once a single session has this many
-	// requests outstanding, bounding memory without stalling other
-	// connections.
-	SessionQueue int
-}
+// Options tune a Server. There is nothing to tune yet; the limits are the
+// constants below.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.MaxSessionsPerConn <= 0 {
-		o.MaxSessionsPerConn = 1024
-	}
-	if o.SessionQueue <= 0 {
-		o.SessionQueue = 16
-	}
-	return o
-}
+const (
+	// maxSessionsPerConn bounds the session table of one connection. A BEGIN
+	// beyond the cap is rejected with CodeBadRequest.
+	maxSessionsPerConn = 1024
+	// sessionQueue is the per-session request buffer. The connection reader
+	// blocks once a single session has this many requests outstanding,
+	// bounding memory without stalling other connections.
+	sessionQueue = 16
+)
 
 // Server serves the Tebaldi wire protocol over a listener. One Server
 // multiplexes any number of connections, each multiplexing any number of
@@ -43,7 +34,6 @@ func (o Options) withDefaults() Options {
 // never stalls another.
 type Server struct {
 	db      *tebaldi.DB
-	opts    Options
 	metrics Metrics
 
 	// mu guards conns and listener installation. Leaf lock: no other
@@ -68,10 +58,9 @@ type Server struct {
 
 // New builds a Server over an open database. The caller owns db; Shutdown
 // does not close it.
-func New(db *tebaldi.DB, opts Options) *Server {
+func New(db *tebaldi.DB, _ Options) *Server {
 	return &Server{
 		db:         db,
-		opts:       opts.withDefaults(),
 		conns:      make(map[*conn]struct{}),
 		acceptDone: make(chan struct{}),
 	}
@@ -294,11 +283,11 @@ func (c *conn) dispatch(m *Message) {
 			c.refuse(m, CodeNoTxn, "no transaction: session not started with BEGIN")
 			return
 		}
-		if len(c.sessions) >= c.s.opts.MaxSessionsPerConn {
+		if len(c.sessions) >= maxSessionsPerConn {
 			c.refuse(m, CodeBadRequest, "session limit reached on this connection")
 			return
 		}
-		ss = &session{cn: c, id: m.SID, q: make(chan Message, c.s.opts.SessionQueue)}
+		ss = &session{cn: c, id: m.SID, q: make(chan Message, sessionQueue)}
 		c.sessions[m.SID] = ss
 		c.s.metrics.SessionsActive.Add(1)
 		c.wg.Add(1)

@@ -546,6 +546,52 @@ func TestRawProtocolErrors(t *testing.T) {
 	})
 }
 
+// TestSessionCapPerConn: past maxSessionsPerConn sessions on one connection a
+// BEGIN on a new session id is refused with CodeBadRequest, and the
+// connection and the sessions it already has keep working.
+func TestSessionCapPerConn(t *testing.T) {
+	srv, addr := newTestServer(t, tebaldi.Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var buf []byte
+	for sid := uint32(1); sid <= maxSessionsPerConn; sid++ {
+		buf = appendFrame(buf, &Message{Type: MsgBegin, SID: sid, TxnType: "readonly"})
+	}
+	if _, err := nc.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxSessionsPerConn; i++ {
+		if m, err := ReadFrame(nc); err != nil || m.Type != MsgOK {
+			t.Fatalf("BEGIN %d of %d: got %v / %+v, want OK", i+1, maxSessionsPerConn, err, m)
+		}
+	}
+	over := uint32(maxSessionsPerConn + 1)
+	if _, err := nc.Write(appendFrame(nil, &Message{Type: MsgBegin, SID: over, TxnType: "readonly"})); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ReadFrame(nc); err != nil || m.Type != MsgErr || m.Code != CodeBadRequest || m.SID != over {
+		t.Fatalf("BEGIN past the cap: got %v / %+v, want ERR CodeBadRequest sid %d", err, m, over)
+	}
+	// An existing session still reads and commits, on the same connection.
+	for _, req := range []*Message{
+		{Type: MsgGet, SID: 1, Key: tebaldi.K("kv", "p")},
+		{Type: MsgCommit, SID: 1},
+	} {
+		if _, err := nc.Write(appendFrame(nil, req)); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := ReadFrame(nc); err != nil || m.Type == MsgErr || m.SID != 1 {
+			t.Fatalf("0x%02x on an existing session after the refusal: got %v / %+v", req.Type, err, m)
+		}
+	}
+	if got := srv.Metrics().SessionsActive.Load(); got != maxSessionsPerConn {
+		t.Errorf("SessionsActive = %d, want %d", got, maxSessionsPerConn)
+	}
+}
+
 // TestConflictMapsAcrossWire: a genuine CC conflict must arrive as a
 // retryable wire error that still satisfies errors.Is against core errors —
 // here from a deferred PUT, so it is COMMIT that reports it, once, and the
