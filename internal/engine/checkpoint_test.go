@@ -8,12 +8,15 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/wal"
 )
 
-func logBytes(t *testing.T, dir string) int64 {
+// logBytes is e's logical log size. The log file in dir may run up to one
+// growth step past it (the zeroed tail), no further.
+func logBytes(t *testing.T, e *Engine, dir string) int64 {
 	t.Helper()
-	var n int64
+	var disk int64
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +29,14 @@ func logBytes(t *testing.T, dir string) int64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n += info.Size()
+		disk += info.Size()
+	}
+	n, err := e.Wal().LogBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk > n+kvstore.GrowthStep(n) {
+		t.Fatalf("log file %d bytes for %d logical bytes: more than one growth step of zeroed tail", disk, n)
 	}
 	return n
 }
@@ -71,7 +81,7 @@ func TestCheckpointBoundsLogAndReplay(t *testing.T) {
 		if err := e.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		size := logBytes(t, dir)
+		size := logBytes(t, e, dir)
 		if round == 0 {
 			firstRound = size
 		} else if size > 3*firstRound+8192 {

@@ -1,8 +1,12 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +204,267 @@ func TestRewriteCrashHookPoints(t *testing.T) {
 			t.Fatalf("points %v", points)
 		}
 	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
+// crash drops the store the way a process kill would: no final write, no
+// truncation of the zeroed tail.
+func crash(s *Store) {
+	s.mu.Lock()
+	s.f.Close()
+	s.f = nil
+	s.mu.Unlock()
+}
+
+func mustSet(t *testing.T, s *Store, key, value string) {
+	t.Helper()
+	if err := s.Set(key, []byte(value)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// overwrite writes b at off of the file at path, behind the store's back.
+func overwrite(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTornRecordInZeroedTailDropped: a record whose header made it to disk but
+// whose body is partly still the zeroed tail passes every length check; only
+// its checksum tells it is torn. It is dropped, and the next Set takes its
+// place.
+func TestTornRecordInZeroedTailDropped(t *testing.T) {
+	s, path := tempStore(t)
+	mustSet(t, s, "a", "first")
+	start, _ := s.Size()
+	mustSet(t, s, "b", "a value long enough to be torn halfway through")
+	end, _ := s.Size()
+	crash(s)
+	if fileSize(t, path) <= end {
+		t.Fatalf("no zeroed tail after Sync: file %d bytes, log %d", fileSize(t, path), end)
+	}
+	overwrite(t, path, end-20, make([]byte, 20))
+
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(s2.Get("a")); got != "first" {
+		t.Fatalf("a = %q", got)
+	}
+	if v := s2.Get("b"); v != nil {
+		t.Fatalf("torn record replayed as %q", v)
+	}
+	if n, _ := s2.Size(); n != start {
+		t.Fatalf("log resumes at %d, want %d (the torn record's offset)", n, start)
+	}
+	mustSet(t, s2, "c", "third")
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fileSize(t, path), start+recHeader+int64(len("c")+len("third")); got != want {
+		t.Fatalf("file %d bytes after the next Set, want %d: it did not write over the torn record", got, want)
+	}
+	s3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if string(s3.Get("a")) != "first" || s3.Get("b") != nil || string(s3.Get("c")) != "third" {
+		t.Fatalf("reopened: a=%q b=%q c=%q", s3.Get("a"), s3.Get("b"), s3.Get("c"))
+	}
+}
+
+// TestFlippedByteEndsLog: one flipped bit in a record's value ends the log
+// at that record; the records before it are intact.
+func TestFlippedByteEndsLog(t *testing.T) {
+	s, path := tempStore(t)
+	mustSet(t, s, "a", "one")
+	mid, _ := s.Size()
+	mustSet(t, s, "b", "two")
+	mustSet(t, s, "c", "three")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := mid + recHeader + 1 // the first byte of b's value
+	overwrite(t, path, off, []byte{b[off] ^ 0x01})
+
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := string(s2.Get("a")); got != "one" {
+		t.Fatalf("a = %q", got)
+	}
+	if s2.Get("b") != nil || s2.Get("c") != nil {
+		t.Fatalf("replay went past the corrupt record: b=%q c=%q", s2.Get("b"), s2.Get("c"))
+	}
+	if n, _ := s2.Size(); n != mid {
+		t.Fatalf("log resumes at %d, want %d", n, mid)
+	}
+}
+
+// TestOldFormatRefused: a log of the headerless format (8-byte record
+// headers, no checksum) is refused by name and left exactly as it was.
+func TestOldFormatRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.log")
+	var old []byte
+	for _, kv := range [][2]string{{"e", "12345678"}, {"b/0", "batch"}} {
+		old = binary.LittleEndian.AppendUint32(old, uint32(len(kv[0])))
+		old = binary.LittleEndian.AppendUint32(old, uint32(len(kv[1])))
+		old = append(append(old, kv[0]...), kv[1]...)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("opened a log of the earlier format")
+	}
+	if !strings.Contains(err.Error(), "earlier format") {
+		t.Fatalf("refusal does not name the format: %v", err)
+	}
+	got, rerr := os.ReadFile(path)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !bytes.Equal(got, old) {
+		t.Fatalf("refused log changed: %d bytes, was %d", len(got), len(old))
+	}
+}
+
+// TestCloseTruncatesToLogicalEnd: the zeroed tail does not outlive Close.
+func TestCloseTruncatesToLogicalEnd(t *testing.T) {
+	s, path := tempStore(t)
+	for i := 0; i < 10; i++ {
+		mustSet(t, s, fmt.Sprintf("k%d", i), "value")
+	}
+	n, err := s.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fileSize(t, path) == n {
+		t.Fatal("no zeroed tail while open")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(t, path); got != n {
+		t.Fatalf("file %d bytes after Close, Size() said %d", got, n)
+	}
+}
+
+// TestEmptyKeyRejected: an empty key with an empty value would encode as a
+// zero-length pair, which replay reads as the end of the log — every record
+// after it would be lost.
+func TestEmptyKeyRejected(t *testing.T) {
+	s, path := tempStore(t)
+	if err := s.Set("", nil); err == nil {
+		t.Fatal("Set accepted an empty key")
+	}
+	mustSet(t, s, "after", "kept")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := string(s2.Get("after")); got != "kept" {
+		t.Fatalf("after = %q", got)
+	}
+}
+
+// TestSteadySyncKeepsFileSize is the count behind the sync-commit speed-up: a
+// Sync that overwrites zeroed space does not change the file's size (so the
+// fsync needs no journal commit). After the first growth, 1,000 rounds of a
+// 1.5 KB Set+Sync may change it at most once per growth step written.
+func TestSteadySyncKeepsFileSize(t *testing.T) {
+	s, path := tempStore(t)
+	defer s.Close()
+	val := make([]byte, 1536)
+	mustSet(t, s, "k", string(val))
+	start, _ := s.Size()
+	size := fileSize(t, path)
+	changes := 0
+	for i := 0; i < 1000; i++ {
+		mustSet(t, s, "k", string(val))
+		if n := fileSize(t, path); n != size {
+			changes++
+			size = n
+		}
+	}
+	end, _ := s.Size()
+	if limit := int((end - start) / GrowthStep(0)); changes > limit {
+		t.Fatalf("file size changed %d times in 1000 syncs, more than once per %d-byte growth step (%d)", changes, GrowthStep(0), limit)
+	}
+	if size > end+GrowthStep(end) {
+		t.Fatalf("file %d bytes for a %d-byte log: more than one growth step ahead", size, end)
+	}
+}
+
+// BenchmarkStoreSync is one 1.5 KB Set+Sync per iteration, the shape of a
+// sync-commit group-commit batch. It reports the fsync cost and how often a
+// Sync changed the file's size.
+func BenchmarkStoreSync(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "bench.log")
+	s, err := Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	val := make([]byte, 1536)
+	stat := func() int64 {
+		st, err := os.Stat(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return st.Size()
+	}
+	size, changes := stat(), 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Set("k", val); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := stat(); n != size {
+			changes++
+			size = n
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/sync")
+	b.ReportMetric(float64(changes)/float64(b.N), "size-changes/sync")
 }
 
 // Property: any sequence of sets survives a close/reopen with last-write-wins

@@ -58,6 +58,10 @@ func (s *Server) collect() []metricPoint {
 
 	eng := s.db.Engine()
 	snap := s.db.Stats().Snapshot()
+	walFailed := 0.0
+	if w := eng.Wal(); w != nil && w.Err() != nil {
+		walFailed = 1
+	}
 	pts = append(pts,
 		metricPoint{"tebaldi_engine_commits_total", "counter", "engine transaction commits", float64(snap.Commits)},
 		metricPoint{"tebaldi_engine_aborts_total", "counter", "engine transaction aborts", float64(snap.Aborts)},
@@ -70,6 +74,7 @@ func (s *Server) collect() []metricPoint {
 		metricPoint{"tebaldi_wal_batch_records_total", "counter", "records coalesced into group-commit batches", float64(snap.WalBatchRecords)},
 		metricPoint{"tebaldi_wal_flush_seconds_total", "counter", "cumulative append+flush time", float64(snap.WalFlushNs) / 1e9},
 		metricPoint{"tebaldi_wal_errors_total", "counter", "failed WAL batch flushes", float64(snap.WalErrors)},
+		metricPoint{"tebaldi_wal_failed", "gauge", "1 once the log has failed: every commit fails with ErrDurability until Recover", walFailed},
 		metricPoint{"tebaldi_checkpoints_total", "counter", "checkpoints completed", float64(snap.Checkpoints)},
 		metricPoint{"tebaldi_checkpoint_errors_total", "counter", "failed checkpoint attempts", float64(snap.CheckpointErrors)},
 		metricPoint{"tebaldi_checkpoint_snapshot_bytes", "gauge", "size of the newest checkpoint snapshot", float64(snap.CheckpointSnapshotBytes)},

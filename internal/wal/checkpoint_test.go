@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 )
 
 // dirLogBytes is the log's size in dir (snapshot/manifest excluded).
@@ -26,6 +27,21 @@ func dirLogBytes(t *testing.T, dir string) int64 {
 			t.Fatal(err)
 		}
 		n += info.Size()
+	}
+	return n
+}
+
+// logBytes is m's logical log size. The file in dir may run up to one growth
+// step past it (the zeroed tail), no further.
+func logBytes(t *testing.T, m *Manager, dir string) int64 {
+	t.Helper()
+	disk := dirLogBytes(t, dir)
+	n, err := m.LogBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disk > n+kvstore.GrowthStep(n) {
+		t.Fatalf("log file %d bytes for %d logical bytes: more than one growth step of zeroed tail", disk, n)
 	}
 	return n
 }
@@ -77,7 +93,7 @@ func TestCheckpointCompactsAndBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 2, true)
 	commitN(t, m, 1, 101)
-	sizeBefore := dirLogBytes(t, dir)
+	sizeBefore := logBytes(t, m, dir)
 
 	res, err := m.Checkpoint(100, snapshotFor(2, 100))
 	if err != nil {
@@ -89,7 +105,7 @@ func TestCheckpointCompactsAndBoundsReplay(t *testing.T) {
 	if res.TruncatedBytes() == 0 {
 		t.Fatalf("compaction dropped nothing: %+v", res)
 	}
-	if got := dirLogBytes(t, dir); got >= sizeBefore {
+	if got := logBytes(t, m, dir); got >= sizeBefore {
 		t.Fatalf("log did not shrink: before=%d after=%d", sizeBefore, got)
 	}
 
@@ -141,10 +157,12 @@ func TestRepeatedCheckpointsKeepLogBounded(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		commitN(t, m, id, id+60)
 		id += 60
-		if _, err := m.Checkpoint(id-1, snapshotFor(2, id-1)); err != nil {
+		res, err := m.Checkpoint(id-1, snapshotFor(2, id-1))
+		if err != nil {
 			t.Fatal(err)
 		}
-		size := dirLogBytes(t, dir)
+		size := res.LogBytesAfter
+		logBytes(t, m, dir)
 		if round == 0 {
 			firstRound = size
 			continue

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,8 +140,22 @@ func TestServedCommitFailStops(t *testing.T) {
 		}
 		return s.Commit()
 	}
+	walFailed := func() string {
+		rec := httptest.NewRecorder()
+		srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "tebaldi_wal_failed "); ok {
+				return v
+			}
+		}
+		t.Fatal("no tebaldi_wal_failed in /metrics")
+		return ""
+	}
 	if err := put("before"); err != nil {
 		t.Fatalf("commit before the failure: %v", err)
+	}
+	if got := walFailed(); got != "0" {
+		t.Fatalf("tebaldi_wal_failed %s before the failed flush, want 0", got)
 	}
 	dev.FailNextSync()
 	for _, row := range []string{"failed flush", "poisoned log"} {
@@ -151,5 +167,8 @@ func TestServedCommitFailStops(t *testing.T) {
 		if !errors.Is(err, core.ErrDurability) || core.IsRetryable(err) {
 			t.Fatalf("%s: got %v, want the non-retryable core.ErrDurability", row, err)
 		}
+	}
+	if got := walFailed(); got != "1" {
+		t.Fatalf("tebaldi_wal_failed %s after the failed flush, want 1", got)
 	}
 }

@@ -241,6 +241,10 @@ func (m *Manager) DurableEpoch() uint64 {
 	return m.durableEpoch
 }
 
+// LogBytes returns the log's logical size: its records, not the zeroed space
+// the store keeps allocated past them.
+func (m *Manager) LogBytes() (int64, error) { return m.st.Size() }
+
 // Err returns the sticky log error: nil until the first append or fsync
 // fails, then that failure for the rest of the Manager's life.
 func (m *Manager) Err() error {
