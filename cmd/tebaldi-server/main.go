@@ -17,6 +17,11 @@
 //
 // On SIGINT/SIGTERM the server drains: new transactions are rejected,
 // in-flight commits complete, then connections close.
+//
+// With -durability DIR the server recovers DIR's log when it starts, so a
+// restart serves every write the previous run committed durably (every
+// acknowledged one under -sync). -preload then fills only the keys the log
+// does not hold: preloaded values are not logged.
 package main
 
 import (
@@ -78,7 +83,9 @@ func run(addr, metricsAddr string, preload, shards int, lockTimeout time.Duratio
 		val[i] = 'x'
 	}
 	for i := 0; i < preload; i++ {
-		db.Load(tebaldi.K("kv", fmt.Sprintf("k%d", i)), val)
+		if k := tebaldi.K("kv", fmt.Sprintf("k%d", i)); db.ReadCommitted(k) == nil {
+			db.Load(k, val)
+		}
 	}
 
 	srv := server.New(db, server.Options{})

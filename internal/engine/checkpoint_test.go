@@ -171,7 +171,7 @@ func TestCheckpointEveryRunsInBackground(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := wal.Recover(dir, opts.Shards)
+	st, err := wal.Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +198,106 @@ func TestCheckpointRequiresDurability(t *testing.T) {
 	defer e.Close()
 	if err := e.Checkpoint(); err == nil {
 		t.Fatal("checkpoint without durability must fail")
+	}
+}
+
+// TestTxnIDsResumeAcrossRecover: recovery groups log records by transaction
+// id, so a second life that restarted its ids at 1 would merge its
+// transactions with the first life's, and the merged commit timestamp could
+// let an older value win. Commit a and b, recover, overwrite b, recover: the
+// new b must win every time.
+func TestTxnIDsResumeAcrossRecover(t *testing.T) {
+	put := func(e *Engine, row, val string) uint64 {
+		t.Helper()
+		var id uint64
+		err := e.RunTxn("put", 0, func(tx *Tx) error {
+			id = txnOf(tx).ID
+			return tx.Write(core.Key{Table: "kv", Row: row}, []byte(val))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	for trial := 0; trial < 20; trial++ {
+		opts := ckOptions(t.TempDir())
+		opts.DurabilitySync = true
+		e, err := New(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(e, "a", "a1")
+		put(e, "b", "b1")
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e2, st, err := Recover(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := put(e2, "b", "b2"); id <= st.MaxTxnID {
+			t.Fatalf("first id after recovery %d, not past the log's largest %d", id, st.MaxTxnID)
+		}
+		if err := e2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e3, _, err := Recover(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := string(e3.ReadCommitted(core.Key{Table: "kv", Row: "b"}))
+		e3.Close()
+		if got != "b2" {
+			t.Fatalf("trial %d: b = %q after the second recovery, want the acknowledged b2", trial, got)
+		}
+	}
+}
+
+// TestCheckpointRecoversUnderOtherShardCount: the log and its one snapshot
+// file do not depend on the number of data servers, so a checkpoint taken
+// with 4 shards recovers identically with 2.
+func TestCheckpointRecoversUnderOtherShardCount(t *testing.T) {
+	dir := t.TempDir()
+	e, err := New(ckOptions(dir), ckSpecs, G(Kind2PL, []string{"put"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{}
+	for i := 0; i < 60; i++ {
+		v := fmt.Sprintf("v%d", i)
+		if err := e.RunTxn("put", 0, func(tx *Tx) error { return tx.Write(core.KeyOf("kv", i%20), []byte(v)) }); err != nil {
+			t.Fatal(err)
+		}
+		want[i%20] = v
+		if i == 40 {
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var states []*wal.RecoveredState
+	for _, shards := range []int{4, 2} {
+		opts := ckOptions(dir)
+		opts.Shards = shards
+		e2, st, err := Recover(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+		if err != nil {
+			t.Fatalf("recovery with %d shards: %v", shards, err)
+		}
+		for k, v := range want {
+			if got := string(e2.ReadCommitted(core.KeyOf("kv", k))); got != v {
+				t.Fatalf("recovery with %d shards: kv/%d = %q, want %q", shards, k, got, v)
+			}
+		}
+		if err := e2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, st)
+	}
+	a, b := states[0], states[1]
+	if a.SnapshotTS == 0 || a.SnapshotTS != b.SnapshotTS || a.SnapshotKeys != b.SnapshotKeys || a.Committed != b.Committed || a.MaxTS != b.MaxTS {
+		t.Fatalf("4 shards recovered %+v, 2 shards %+v", *a, *b)
 	}
 }

@@ -94,8 +94,23 @@ type activeShard struct {
 }
 
 // New creates an engine with the given initial CC tree configuration and
-// transaction type specs.
+// transaction type specs. With a DurabilityDir it opens the log there, and
+// whatever the log holds is recovered before New returns (§4.5.4).
 func New(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, error) {
+	e, _, err := open(opts, specs, config)
+	return e, err
+}
+
+// Recover is New on a DurabilityDir, which it requires, also returning what
+// recovery found there.
+func Recover(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, *wal.RecoveredState, error) {
+	if opts.DurabilityDir == "" {
+		return nil, nil, fmt.Errorf("engine: Recover requires DurabilityDir")
+	}
+	return open(opts, specs, config)
+}
+
+func open(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, *wal.RecoveredState, error) {
 	e := &Engine{
 		opts:   opts.withDefaults(),
 		oracle: oracle.New(),
@@ -122,14 +137,13 @@ func New(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, error) {
 	if e.opts.DurabilityDir != "" {
 		m, err := wal.Open(wal.Options{
 			Dir:           e.opts.DurabilityDir,
-			Shards:        e.opts.Shards,
 			EpochInterval: e.opts.GCPEpoch,
 			SyncCommit:    e.opts.DurabilitySync,
 			Observer:      e.stats.recordWalBatch,
 			CrashHook:     e.opts.crashHook,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		e.walMgr = m
 	}
@@ -140,10 +154,24 @@ func New(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, error) {
 			//lint:allow syncerr -- error-path teardown of a WAL that logged nothing yet; the buildTree error is what the caller needs
 			e.walMgr.Close()
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	e.tree = tree
 	e.refreshSnapSources(tree)
+
+	// Recovery, before any client runs: the oracle and the transaction ids
+	// resume past everything in the log, and the surviving writes become
+	// committed history.
+	var st *wal.RecoveredState
+	if e.walMgr != nil {
+		st = e.walMgr.Recovered()
+		e.oracle.AdvanceTo(st.MaxTS)
+		e.txnSeq.Store(st.MaxTxnID)
+		for _, w := range st.Writes {
+			e.loadVersion(w.Key, w.Value, w.CommitTS)
+		}
+		e.stats.recordRecovery(st)
+	}
 
 	if e.opts.GCInterval > 0 {
 		e.stopGC = make(chan struct{})
@@ -155,29 +183,6 @@ func New(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, error) {
 		e.ckDone = make(chan struct{})
 		go e.ckLoop()
 	}
-	return e, nil
-}
-
-// Recover builds an engine whose storage is reconstructed from the WAL in
-// opts.DurabilityDir (the recovery protocol of §4.5.4).
-func Recover(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, *wal.RecoveredState, error) {
-	o := opts.withDefaults()
-	if o.DurabilityDir == "" {
-		return nil, nil, fmt.Errorf("engine: Recover requires DurabilityDir")
-	}
-	st, err := wal.Recover(o.DurabilityDir, o.Shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, err := New(opts, specs, config)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.oracle.AdvanceTo(st.MaxTS + 1)
-	for _, w := range st.Writes {
-		e.loadVersion(w.Key, w.Value, w.CommitTS)
-	}
-	e.stats.recordRecovery(st)
 	return e, st, nil
 }
 
@@ -399,8 +404,8 @@ func (e *Engine) ckLoop() {
 }
 
 // Checkpoint snapshots the committed state at a watermark-consistent cut
-// into per-shard snapshot files, publishes the checkpoint frontier through
-// the WAL pipeline, and compacts the logs down to the post-cut tail
+// into one snapshot file, commits it with the log's checkpoint marker, and
+// compacts the log down to the post-cut tail
 // (§4.5.4's "logs are pruned by log truncation at checkpoints", which the
 // paper outsources to the storage layer). Safe to call concurrently with
 // running transactions: the cut is the GC watermark, below which no
@@ -418,7 +423,7 @@ func (e *Engine) Checkpoint() error {
 	// timestamp — a contradiction. Transactions committing during the scan
 	// draw commit timestamps above the watermark, so the cut is frozen.
 	snapTS := e.Watermark()
-	perShard := make([][]wal.SnapshotEntry, e.store.NumShards())
+	var entries []wal.SnapshotEntry
 	e.store.ForEach(func(c *core.Chain) {
 		c.Lock()
 		v := c.LatestCommittedBefore(snapTS)
@@ -428,9 +433,9 @@ func (e *Engine) Checkpoint() error {
 		}
 		val, cts := v.Value, v.CommitTS()
 		c.Unlock()
-		perShard[c.Shard] = append(perShard[c.Shard], wal.SnapshotEntry{Key: c.Key, Value: val, CommitTS: cts})
+		entries = append(entries, wal.SnapshotEntry{Key: c.Key, Value: val, CommitTS: cts})
 	})
-	res, err := e.walMgr.Checkpoint(snapTS, perShard)
+	res, err := e.walMgr.Checkpoint(snapTS, entries)
 	e.stats.recordCheckpoint(res, err)
 	return err
 }

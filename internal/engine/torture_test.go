@@ -18,8 +18,8 @@ import (
 // Engine-level crash-point torture: the WAL crash hook is driven through
 // the full stack (engine commit protocol + checkpointer), so crash images
 // are captured not only at append/flush/seal boundaries but also inside
-// checkpoints — snapshot publication, frontier markers, manifest rename and
-// the log-compaction write/sync/rename. A crash mid-compaction must leave
+// checkpoints — the snapshot's publication, the checkpoint marker and the
+// log-compaction write/sync/rename. A crash mid-compaction must leave
 // either the complete old log or the complete new one; either way every
 // sync-acknowledged commit must survive recovery, with no torn or
 // double-applied state.
@@ -74,9 +74,10 @@ func TestTortureCrashPointsAcrossCheckpoints(t *testing.T) {
 	const perPoint = 3
 	// ckPauseMu serializes appender-side image captures against whole
 	// checkpoints: a copy taken from an appender goroutine while the
-	// checkpointer concurrently publishes checkpoint n+1 (rename manifest,
-	// compact, delete snap-n) could mix files from two checkpoints into a
-	// state no single-instant crash can produce. Checkpoint-side points
+	// checkpointer concurrently publishes checkpoint n+1 (rename snap-n+1,
+	// stage its marker, compact, delete snap-n) could mix files from two
+	// checkpoints into a state no single-instant crash can produce.
+	// Checkpoint-side points
 	// (ck.*/compact.*) fire on the checkpointer goroutine itself, which
 	// already holds the lock — the copy there IS a single instant of the
 	// checkpoint procedure.
@@ -226,9 +227,9 @@ func TestTortureCrashPointsAcrossCheckpoints(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		imgMu.Lock()
-		enough := captured["compact.renamed"] > 0 && captured["ck.manifest"] > 0
+		enough := captured["compact.renamed"] > 0 && captured["ck.frontier"] > 0
 		ran := 0
-		for _, p := range []string{"ck.snapshot", "ck.frontier", "ck.manifest"} {
+		for _, p := range []string{"ck.snapshot", "ck.frontier"} {
 			ran += hits[p]
 		}
 		imgMu.Unlock()
@@ -261,7 +262,7 @@ func TestTortureCrashPointsAcrossCheckpoints(t *testing.T) {
 	if len(verify) == 0 {
 		t.Fatal("no crash images captured")
 	}
-	for _, must := range []string{"ck.snapshot", "ck.manifest", "compact.written", "compact.synced", "compact.renamed"} {
+	for _, must := range []string{"ck.snapshot", "ck.frontier", "compact.written", "compact.synced", "compact.renamed"} {
 		if !pts[must] {
 			t.Errorf("no crash image captured at the %q boundary", must)
 		}
@@ -271,7 +272,7 @@ func TestTortureCrashPointsAcrossCheckpoints(t *testing.T) {
 		if logs, _ := filepath.Glob(filepath.Join(im.dir, "*.log")); len(logs) != 1 || filepath.Base(logs[0]) != "wal.log" {
 			t.Fatalf("image %s (%s): log files %v, want exactly wal.log", im.dir, im.point, logs)
 		}
-		st, err := wal.Recover(im.dir, shards)
+		st, err := wal.Recover(im.dir)
 		if err != nil {
 			t.Fatalf("image %s (%s): recovery failed: %v", im.dir, im.point, err)
 		}

@@ -119,6 +119,65 @@ func TestCommitVisibleAcrossConnections(t *testing.T) {
 	}
 }
 
+// TestServedRestartRecovers: a server restarted on the same DurabilityDir
+// serves what it acknowledged before the restart — opening the database is
+// the recovery. Write a key over the wire, shut the server down, close the
+// database, reopen and serve it again, and GET the key.
+func TestServedRestartRecovers(t *testing.T) {
+	opts := tebaldi.Options{LockTimeout: 300 * time.Millisecond, DurabilityDir: t.TempDir(), DurabilitySync: true}
+	serve := func() (*Server, *tebaldi.DB, *Client) {
+		t.Helper()
+		db, err := tebaldi.Open(opts, kvSpecs(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(db, Options{})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		return srv, db, dialTest(t, ln.Addr().String())
+	}
+	stop := func(srv *Server, db *tebaldi.DB, c *Client) {
+		t.Helper()
+		c.Close()
+		if err := srv.Shutdown(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv, db, c := serve()
+	s := c.Session()
+	if err := s.Begin("update", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("kv", "a", []byte("before restart")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	stop(srv, db, c)
+
+	srv, db, c = serve()
+	defer stop(srv, db, c)
+	s = c.Session()
+	if err := s.Begin("readonly", 0); err != nil {
+		t.Fatal(err)
+	}
+	v, found, err := s.Get("kv", "a")
+	if err != nil || !found || string(v) != "before restart" {
+		t.Fatalf("Get after restart = %q, %v, %v; want the acknowledged write", v, found, err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDisconnectMidTxnReleasesState is the session-lifecycle core: a client
 // that vanishes mid-transaction must have its transaction aborted (engine
 // stats) and its 2PL locks released (a second client can write the same key

@@ -4,9 +4,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -17,28 +18,27 @@ import (
 //
 //  1. The caller (the engine) snapshots the committed state at a
 //     watermark-consistent cut snapTS — per key, the latest committed
-//     version with commit timestamp <= snapTS — bucketed by data server.
-//     Every per-shard snapshot is written to a temp file, fsynced and
-//     renamed into place, so a snapshot file either exists completely or
-//     not at all.
-//  2. A checkpoint frontier marker is staged through the group-commit
-//     pipeline. FIFO ordering puts the marker after every record staged
-//     before the checkpoint, and the appender fsyncs the whole log prefix
-//     with it, so the frontier stays monotone with the durable epoch: a
-//     durable marker implies every covered record is durable too.
-//  3. The manifest (CHECKPOINT) is written via temp+fsync+rename — the
-//     atomic commit point of the checkpoint. Recovery starts from the
-//     newest manifest's snapshot and replays only the log tail.
-//  4. The log is compacted: records of transactions covered by the snapshot
+//     version with commit timestamp <= snapTS. The snapshot goes into one
+//     file, snap-<id>.kv, written to a temp file, fsynced, renamed into
+//     place, and the directory fsynced: before the next step, the file's
+//     bytes and its name are durable.
+//  2. The checkpoint marker ck (id, snapTS) is staged through the
+//     group-commit pipeline. FIFO ordering puts it after every record
+//     staged before the checkpoint, and the appender fsyncs the whole log
+//     prefix with it. That fsync commits the checkpoint: recovery loads the
+//     snapshot the marker names and replays only the log tail.
+//  3. The log is compacted: records of transactions covered by the snapshot
 //     (commit record present with commitTS <= snapTS) are dropped through
 //     one atomic kvstore rewrite, so a crash mid-compaction leaves either
 //     the complete old log or the complete new one.
+//  4. Older snapshots are deleted.
 //
-// Crashes between the steps are all recoverable: before the manifest rename
-// the previous checkpoint (or full replay) is used and stale snapshot files
-// are ignored; after it, surviving covered records merely replay values the
-// snapshot already holds — recovery merges by commit timestamp, so nothing
-// is double-applied.
+// Crashes between the steps are all recoverable. A durable marker names a
+// durable snapshot (step 1 precedes it). Until the new marker is durable the
+// old one still names the old snapshot, which is deleted only in step 4.
+// Compaction runs only once the marker is durable, and surviving covered
+// records merely replay values the snapshot already holds — recovery merges
+// by commit timestamp, so nothing is double-applied.
 
 // SnapshotEntry is one key's latest committed version at the checkpoint cut.
 type SnapshotEntry struct {
@@ -52,7 +52,7 @@ type CheckpointResult struct {
 	// ID is the checkpoint sequence number.
 	ID uint64
 	// SnapshotTS is the cut: every transaction with commitTS <= SnapshotTS
-	// is covered by the snapshot files.
+	// is covered by the snapshot file.
 	SnapshotTS uint64
 	// SnapshotKeys / SnapshotBytes size the written snapshot.
 	SnapshotKeys  int
@@ -70,40 +70,32 @@ func (r *CheckpointResult) TruncatedBytes() int64 {
 	return 0
 }
 
-const manifestName = "CHECKPOINT"
-
-func snapshotPath(dir string, ck uint64, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%06d-ds-%03d.kv", ck, shard))
+func snapshotPath(dir string, ck uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("snap-%06d.kv", ck))
 }
 
 // Checkpoint writes a consistent checkpoint at cut snapTS and compacts the
-// log. perShard holds, per data server, the latest committed version of
-// every key owned by that server at the cut; the caller guarantees that
-// every transaction with commitTS <= snapTS has fully finished and that its
-// writes are contained in the entries (the engine derives both from the GC
-// watermark). Concurrent commits are safe: their records carry commit
-// timestamps above the cut and stay in the log tail.
-func (m *Manager) Checkpoint(snapTS uint64, perShard [][]SnapshotEntry) (*CheckpointResult, error) {
+// log. entries hold the latest committed version of every key at the cut;
+// the caller guarantees that every transaction with commitTS <= snapTS has
+// fully finished and that its writes are contained in the entries (the
+// engine derives both from the GC watermark). Concurrent commits are safe:
+// their records carry commit timestamps above the cut and stay in the log
+// tail.
+func (m *Manager) Checkpoint(snapTS uint64, entries []SnapshotEntry) (*CheckpointResult, error) {
 	m.ckMu.Lock()
 	defer m.ckMu.Unlock()
-	if len(perShard) != m.opts.Shards {
-		return nil, fmt.Errorf("wal: checkpoint got %d shard snapshots, have %d shards", len(perShard), m.opts.Shards)
-	}
 	ck := m.ckSeq + 1
-	res := &CheckpointResult{ID: ck, SnapshotTS: snapTS}
+	res := &CheckpointResult{ID: ck, SnapshotTS: snapTS, SnapshotKeys: len(entries)}
 
-	// 1. Per-shard snapshot files (temp + fsync + rename).
-	for i, entries := range perShard {
-		n, err := writeSnapshot(m.opts.Dir, ck, i, snapTS, entries)
-		if err != nil {
-			return nil, err
-		}
-		res.SnapshotKeys += len(entries)
-		res.SnapshotBytes += n
+	// 1. The snapshot file, durable with its directory entry.
+	var err error
+	if res.SnapshotBytes, err = writeSnapshot(m.opts.Dir, ck, snapTS, entries); err != nil {
+		return nil, err
 	}
 	m.hook("ck.snapshot")
 
-	// 2. Frontier marker through the group-commit pipeline.
+	// 2. The marker through the group-commit pipeline: its fsync commits
+	// the checkpoint.
 	payload := make([]byte, 16)
 	binary.LittleEndian.PutUint64(payload[0:8], ck)
 	binary.LittleEndian.PutUint64(payload[8:16], snapTS)
@@ -118,20 +110,13 @@ func (m *Manager) Checkpoint(snapTS uint64, perShard [][]SnapshotEntry) (*Checkp
 	if err := tk.Wait(); err != nil {
 		return nil, err
 	}
+	m.ckSeq = ck
 	m.hook("ck.frontier")
 
-	// 3. Manifest: the checkpoint's atomic commit point.
-	if err := writeManifest(m.opts.Dir, ck, snapTS, m.opts.Shards); err != nil {
-		return nil, err
-	}
-	m.ckSeq = ck
-	m.hook("ck.manifest")
-
-	// 4. Compact the log: drop records of covered transactions. Records
+	// 3. Compact the log: drop records of covered transactions. Records
 	// appended between the scan and the rewrite belong to transactions the
 	// scan did not cover, and are kept.
 	covered := m.coveredTxns(snapTS)
-	var err error
 	res.LogBytesBefore, res.LogBytesAfter, err = m.st.Rewrite(func(key string, value []byte) ([]byte, bool) {
 		return compactRecord(key, value, covered)
 	})
@@ -139,7 +124,7 @@ func (m *Manager) Checkpoint(snapTS uint64, perShard [][]SnapshotEntry) (*Checkp
 		return res, err
 	}
 
-	// 5. Older checkpoints' snapshot files are superseded.
+	// 4. Older checkpoints' snapshots are superseded.
 	removeStaleSnapshots(m.opts.Dir, ck)
 	return res, nil
 }
@@ -217,138 +202,55 @@ func compactRecord(key string, value []byte, covered map[uint64]bool) ([]byte, b
 	return appendBatch(nil, kept, len(kept)), true
 }
 
-// manifest is the decoded CHECKPOINT file.
-type manifest struct {
-	ID     uint64
-	SnapTS uint64
-	Shards int
-}
+const (
+	snapMagic   = "TBSN"
+	snapVersion = 2 // 1 had no checksum and one file per data server
+	snapHeader  = 4 + 4 + 8 + 4
+)
 
-// writeManifest atomically publishes the checkpoint via temp+fsync+rename.
-func writeManifest(dir string, ck, snapTS uint64, shards int) error {
-	body := fmt.Sprintf("tebaldi-checkpoint v1\nid %d\nsnapts %d\nshards %d\n", ck, snapTS, shards)
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	if _, err = f.WriteString(body); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, manifestName))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	// Persist the rename: the manifest IS the checkpoint's commit point, so
-	// an unsynced directory entry can un-publish it at the next crash and
-	// replay compacted logs without their snapshot. Failing to open the
-	// directory is tolerated; a failed fsync is not.
-	if d, derr := os.Open(dir); derr == nil {
-		err = d.Sync()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("wal: manifest dir sync: %w", err)
-		}
-	}
-	return nil
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// readManifest returns the newest published checkpoint, or nil when none
-// exists. A malformed manifest is an error: it can only result from outside
-// interference, and silently ignoring it would replay compacted logs without
-// their snapshot.
-func readManifest(dir string) (*manifest, error) {
-	b, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: manifest: %w", err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-	if len(lines) != 4 || lines[0] != "tebaldi-checkpoint v1" {
-		return nil, fmt.Errorf("wal: malformed manifest")
-	}
-	man := &manifest{}
-	for _, ln := range lines[1:] {
-		f := strings.Fields(ln)
-		if len(f) != 2 {
-			return nil, fmt.Errorf("wal: malformed manifest line %q", ln)
-		}
-		v, err := strconv.ParseUint(f[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wal: malformed manifest line %q", ln)
-		}
-		switch f[0] {
-		case "id":
-			man.ID = v
-		case "snapts":
-			man.SnapTS = v
-		case "shards":
-			man.Shards = int(v)
-		default:
-			return nil, fmt.Errorf("wal: malformed manifest line %q", ln)
-		}
-	}
-	if man.ID == 0 || man.Shards < 1 {
-		return nil, fmt.Errorf("wal: malformed manifest")
-	}
-	return man, nil
-}
-
-// Snapshot file format: little-endian binary, written via temp+fsync+rename
-// so a visible file is always complete.
+// Snapshot file format, little-endian:
 //
-//	header:  magic "TBSN" | u32 version=1 | u64 snapTS | u32 count
+//	header:  magic "TBSN" | u32 version=2 | u64 snapTS | u32 count
 //	entry:   u64 commitTS | u32 tlen | table | u32 rlen | row | u32 vlen | value
-func writeSnapshot(dir string, ck uint64, shard int, snapTS uint64, entries []SnapshotEntry) (int64, error) {
-	final := snapshotPath(dir, ck, shard)
+//	trailer: u32 crc32c of everything before it
+//
+// writeSnapshot writes it to a temp file, fsyncs it, renames it into place
+// and fsyncs the directory, so the file and its name are durable before the
+// checkpoint marker that names it is staged.
+func writeSnapshot(dir string, ck, snapTS uint64, entries []SnapshotEntry) (int64, error) {
+	le := binary.LittleEndian
+	final := snapshotPath(dir, ck)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("wal: snapshot: %w", err)
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	var n int64
-	write := func(b []byte) {
-		if err == nil {
-			_, err = w.Write(b)
-			n += int64(len(b))
-		}
-	}
-	var u32 [4]byte
-	var u64 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		write(u32[:])
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		write(u64[:])
-	}
-	write([]byte("TBSN"))
-	put32(1)
-	put64(snapTS)
-	put32(uint32(len(entries)))
+	sum := crc32.New(castagnoli)
+	w := bufio.NewWriterSize(io.MultiWriter(f, sum), 1<<16)
+	buf := le.AppendUint32([]byte(snapMagic), snapVersion)
+	buf = le.AppendUint64(buf, snapTS)
+	buf = le.AppendUint32(buf, uint32(len(entries)))
+	n := int64(len(buf))
+	_, err = w.Write(buf)
 	for _, e := range entries {
-		put64(e.CommitTS)
-		put32(uint32(len(e.Key.Table)))
-		write([]byte(e.Key.Table))
-		put32(uint32(len(e.Key.Row)))
-		write([]byte(e.Key.Row))
-		put32(uint32(len(e.Value)))
-		write(e.Value)
+		if err != nil {
+			break
+		}
+		buf = le.AppendUint64(buf[:0], e.CommitTS)
+		buf = append(le.AppendUint32(buf, uint32(len(e.Key.Table))), e.Key.Table...)
+		buf = append(le.AppendUint32(buf, uint32(len(e.Key.Row))), e.Key.Row...)
+		buf = append(le.AppendUint32(buf, uint32(len(e.Value))), e.Value...)
+		n += int64(len(buf))
+		_, err = w.Write(buf)
 	}
 	if err == nil {
 		err = w.Flush()
+	}
+	if err == nil {
+		_, err = f.Write(le.AppendUint32(nil, sum.Sum32()))
+		n += 4
 	}
 	if err == nil {
 		err = f.Sync()
@@ -363,68 +265,84 @@ func writeSnapshot(dir string, ck uint64, shard int, snapTS uint64, entries []Sn
 		os.Remove(tmp)
 		return 0, fmt.Errorf("wal: snapshot: %w", err)
 	}
+	// Persist the rename: an unsynced directory entry could vanish at a
+	// crash after the marker naming it is durable. Failing to open the
+	// directory is tolerated; a failed fsync is not.
+	if d, derr := os.Open(dir); derr == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return 0, fmt.Errorf("wal: snapshot dir sync: %w", err)
+		}
+	}
 	return n, nil
 }
 
-// readSnapshot loads one shard's snapshot file for checkpoint ck.
-func readSnapshot(dir string, ck uint64, shard int) (uint64, []SnapshotEntry, error) {
-	b, err := os.ReadFile(snapshotPath(dir, ck, shard))
+// readSnapshot loads checkpoint ck's snapshot, which the ck marker says was
+// cut at snapTS. A missing, short, corrupt or differently cut file is an
+// error naming it: the marker is durable only once its snapshot is, so any
+// of these means the directory was changed from outside, and replaying the
+// compacted log without its snapshot would lose data.
+func readSnapshot(dir string, ck, snapTS uint64) ([]SnapshotEntry, error) {
+	le := binary.LittleEndian
+	path := snapshotPath(dir, ck)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, fmt.Errorf("wal: snapshot: %w", err)
+		return nil, fmt.Errorf("wal: snapshot of checkpoint %d: %w", ck, err)
 	}
-	off := 0
-	get := func(n int) ([]byte, bool) {
-		if off+n > len(b) {
+	bad := func(what string) error { return fmt.Errorf("wal: snapshot %s: %s", path, what) }
+	if len(b) < snapHeader+4 {
+		return nil, bad("truncated")
+	}
+	body := b[:len(b)-4]
+	if crc32.Checksum(body, castagnoli) != le.Uint32(b[len(body):]) {
+		return nil, bad("checksum mismatch")
+	}
+	if string(body[0:4]) != snapMagic || le.Uint32(body[4:8]) != snapVersion {
+		return nil, bad("bad magic or version")
+	}
+	if cut := le.Uint64(body[8:16]); cut != snapTS {
+		return nil, bad(fmt.Sprintf("cut %d, but the checkpoint marker says %d", cut, snapTS))
+	}
+	count := int(le.Uint32(body[16:20]))
+	off := snapHeader
+	field := func() ([]byte, bool) {
+		if off+4 > len(body) {
 			return nil, false
 		}
-		s := b[off : off+n]
+		n := int(le.Uint32(body[off:]))
+		off += 4
+		if n > len(body)-off {
+			return nil, false
+		}
 		off += n
-		return s, true
+		return body[off-n : off], true
 	}
-	hdr, ok := get(4)
-	if !ok || string(hdr) != "TBSN" {
-		return 0, nil, fmt.Errorf("wal: snapshot %d/%d: bad magic", ck, shard)
-	}
-	ver, ok := get(4)
-	if !ok || binary.LittleEndian.Uint32(ver) != 1 {
-		return 0, nil, fmt.Errorf("wal: snapshot %d/%d: bad version", ck, shard)
-	}
-	tsb, ok1 := get(8)
-	cntb, ok2 := get(4)
-	if !ok1 || !ok2 {
-		return 0, nil, fmt.Errorf("wal: snapshot %d/%d: truncated header", ck, shard)
-	}
-	snapTS := binary.LittleEndian.Uint64(tsb)
-	count := int(binary.LittleEndian.Uint32(cntb))
-	entries := make([]SnapshotEntry, 0, count)
+	entries := make([]SnapshotEntry, 0, min(count, len(body)/20))
 	for i := 0; i < count; i++ {
-		ctsb, ok := get(8)
-		if !ok {
-			return 0, nil, fmt.Errorf("wal: snapshot %d/%d: truncated entry", ck, shard)
+		if off+8 > len(body) {
+			return nil, bad("truncated entry")
 		}
-		var parts [3][]byte
-		for j := range parts {
-			lb, ok := get(4)
-			if !ok {
-				return 0, nil, fmt.Errorf("wal: snapshot %d/%d: truncated entry", ck, shard)
-			}
-			parts[j], ok = get(int(binary.LittleEndian.Uint32(lb)))
-			if !ok {
-				return 0, nil, fmt.Errorf("wal: snapshot %d/%d: truncated entry", ck, shard)
-			}
+		cts := le.Uint64(body[off:])
+		off += 8
+		tbl, ok1 := field()
+		row, ok2 := field()
+		val, ok3 := field()
+		if !ok1 || !ok2 || !ok3 {
+			return nil, bad("truncated entry")
 		}
-		val := make([]byte, len(parts[2]))
-		copy(val, parts[2])
 		entries = append(entries, SnapshotEntry{
-			Key:      core.Key{Table: string(parts[0]), Row: string(parts[1])},
-			Value:    val,
-			CommitTS: binary.LittleEndian.Uint64(ctsb),
+			Key:      core.Key{Table: string(tbl), Row: string(row)},
+			Value:    append([]byte(nil), val...),
+			CommitTS: cts,
 		})
 	}
-	if off != len(b) {
-		return 0, nil, fmt.Errorf("wal: snapshot %d/%d: trailing bytes", ck, shard)
+	if off != len(body) {
+		return nil, bad("trailing bytes")
 	}
-	return snapTS, entries, nil
+	return entries, nil
 }
 
 // removeStaleSnapshots deletes snapshot files (and temp leftovers) of
@@ -440,7 +358,7 @@ func removeStaleSnapshots(dir string, keep uint64) {
 			continue
 		}
 		var ck uint64
-		if _, err := fmt.Sscanf(name, "snap-%d-", &ck); err != nil {
+		if _, err := fmt.Sscanf(name, "snap-%d", &ck); err != nil {
 			continue
 		}
 		if ck < keep || strings.HasSuffix(name, ".tmp") {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/kvstore"
 )
 
-// dirLogBytes is the log's size in dir (snapshot/manifest excluded).
+// dirLogBytes is the log's size in dir (snapshot excluded).
 func dirLogBytes(t *testing.T, dir string) int64 {
 	t.Helper()
 	var n int64
@@ -65,11 +65,11 @@ func commitN(t *testing.T, m *Manager, from, to uint64) {
 	}
 }
 
-// snapshotFor builds the per-shard snapshot entries matching commitN's
-// state at cut snapTS: key r<k> holds the value of the largest id <= snapTS
-// with id%8 == k.
-func snapshotFor(shards int, snapTS uint64) [][]SnapshotEntry {
-	per := make([][]SnapshotEntry, shards)
+// snapshotFor builds the snapshot entries matching commitN's state at cut
+// snapTS: key r<k> holds the value of the largest id <= snapTS with
+// id%8 == k.
+func snapshotFor(snapTS uint64) []SnapshotEntry {
+	var per []SnapshotEntry
 	for k := uint64(0); k < 8; k++ {
 		var best uint64
 		for id := uint64(1); id <= snapTS; id++ {
@@ -80,7 +80,7 @@ func snapshotFor(shards int, snapTS uint64) [][]SnapshotEntry {
 		if best == 0 {
 			continue
 		}
-		per[0] = append(per[0], SnapshotEntry{
+		per = append(per, SnapshotEntry{
 			Key:      core.Key{Table: "t", Row: fmt.Sprintf("r%d", k)},
 			Value:    []byte(fmt.Sprintf("v%d", best)),
 			CommitTS: best,
@@ -95,7 +95,7 @@ func TestCheckpointCompactsAndBoundsReplay(t *testing.T) {
 	commitN(t, m, 1, 101)
 	sizeBefore := logBytes(t, m, dir)
 
-	res, err := m.Checkpoint(100, snapshotFor(2, 100))
+	res, err := m.Checkpoint(100, snapshotFor(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCheckpointCompactsAndBoundsReplay(t *testing.T) {
 	commitN(t, m, 101, 106)
 	m.Close()
 
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRepeatedCheckpointsKeepLogBounded(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		commitN(t, m, id, id+60)
 		id += 60
-		res, err := m.Checkpoint(id-1, snapshotFor(2, id-1))
+		res, err := m.Checkpoint(id-1, snapshotFor(id-1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestRepeatedCheckpointsKeepLogBounded(t *testing.T) {
 		}
 	}
 	m.Close()
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func TestCheckpointIDResumesAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	commitN(t, m, 1, 9)
-	if res, err := m.Checkpoint(8, snapshotFor(1, 8)); err != nil || res.ID != 1 {
+	if res, err := m.Checkpoint(8, snapshotFor(8)); err != nil || res.ID != 1 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
 	m.Close()
 
 	m2 := open(t, dir, 1, true)
 	commitN(t, m2, 9, 17)
-	res, err := m2.Checkpoint(16, snapshotFor(1, 16))
+	res, err := m2.Checkpoint(16, snapshotFor(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCheckpointIDResumesAcrossReopen(t *testing.T) {
 	}
 	m2.Close()
 
-	st, err := Recover(dir, 1)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +219,13 @@ func TestRecoveryIgnoresUnpublishedSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	commitN(t, m, 1, 9)
-	// Snapshot files written but no manifest: the checkpoint never
-	// committed, so recovery must fall back to full replay.
-	if _, err := writeSnapshot(dir, 1, 0, 8, snapshotFor(1, 8)[0]); err != nil {
+	// The snapshot file is written but no marker is staged: the checkpoint
+	// never committed, so recovery must fall back to full replay.
+	if _, err := writeSnapshot(dir, 1, 8, snapshotFor(8)); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
-	st, err := Recover(dir, 1)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,13 +255,13 @@ func TestCompactionReclaimsAbortedPrecommits(t *testing.T) {
 	_ = tk // the commit slot never completes; nothing waits on it
 	m.Abort(99)
 	commitN(t, m, 1, 9)
-	if _, err := m.Checkpoint(8, snapshotFor(2, 8)); err != nil {
+	if _, err := m.Checkpoint(8, snapshotFor(8)); err != nil {
 		t.Fatal(err)
 	}
 	// The orphan must be gone from the logs: recovery sees neither a
 	// discarded transaction nor any tail records.
 	m.Close()
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,15 +281,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{Key: core.Key{Table: "acct", Row: "alice"}, Value: []byte("100"), CommitTS: 7},
 		{Key: core.Key{Table: "acct", Row: ""}, Value: nil, CommitTS: 9},
 	}
-	if _, err := writeSnapshot(dir, 3, 1, 11, in); err != nil {
+	if _, err := writeSnapshot(dir, 3, 11, in); err != nil {
 		t.Fatal(err)
 	}
-	ts, out, err := readSnapshot(dir, 3, 1)
+	out, err := readSnapshot(dir, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts != 11 || len(out) != 2 {
-		t.Fatalf("ts=%d out=%v", ts, out)
+	if len(out) != 2 {
+		t.Fatalf("out=%v", out)
 	}
 	if out[0].Key != in[0].Key || string(out[0].Value) != "100" || out[0].CommitTS != 7 {
 		t.Fatalf("%+v", out[0])

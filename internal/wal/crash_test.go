@@ -140,12 +140,12 @@ func (c *crashCapture) snapshot() []crashImage {
 
 // verifyImage recovers one crash image and checks both invariants against
 // the global write ledger (key -> value -> commitTS of the writing txn).
-func verifyImage(t *testing.T, img crashImage, shards int, ledger map[string]map[string]uint64) {
+func verifyImage(t *testing.T, img crashImage, ledger map[string]map[string]uint64) {
 	t.Helper()
 	if logs, _ := filepath.Glob(filepath.Join(img.dir, "*.log")); len(logs) != 1 || filepath.Base(logs[0]) != logName {
 		t.Fatalf("image %s (%s): log files %v, want exactly %s", img.dir, img.point, logs, logName)
 	}
-	st, err := Recover(img.dir, shards)
+	st, err := Recover(img.dir)
 	if err != nil {
 		t.Fatalf("image %s (%s): recovery failed: %v", img.dir, img.point, err)
 	}
@@ -264,7 +264,7 @@ func TestCrashPointTorture(t *testing.T) {
 	points := map[string]bool{}
 	for _, img := range imgs {
 		points[img.point] = true
-		verifyImage(t, img, shards, ledger)
+		verifyImage(t, img, ledger)
 	}
 	for _, p := range []string{"append", "flush"} {
 		if !points[p] {

@@ -65,7 +65,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatalf("no coalescing: %d batches for %d records", batches.Load(), records.Load())
 	}
 
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEpochBarrierPersistsStagedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestBatchSeqResumesAcrossReopen(t *testing.T) {
 	}
 	m2.Close()
 
-	st, err := Recover(dir, 1)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSyncCommitRecoverableBeforeEpochTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash now: no Close, no epoch tick — recover from the raw files.
-	st, err := Recover(dir, 3)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

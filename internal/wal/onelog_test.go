@@ -30,7 +30,7 @@ func TestRefusesPerDataServerLayout(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "per-data-server layout") || !strings.Contains(err.Error(), "ds-000.log") {
 		t.Fatalf("Open error does not name the layout: %v", err)
 	}
-	if st, err := Recover(dir, 2); err == nil {
+	if st, err := Recover(dir); err == nil {
 		t.Fatalf("Recover returned %+v from a directory holding ds-*.log files", st)
 	} else if !strings.Contains(err.Error(), "per-data-server layout") {
 		t.Fatalf("Recover error does not name the layout: %v", err)
@@ -184,7 +184,7 @@ func TestLogErrorIsSticky(t *testing.T) {
 	if !errors.Is(m.Err(), ErrInjected) || !errors.Is(m.WaitDurable(m.Epoch()), ErrInjected) {
 		t.Fatalf("Err=%v", m.Err())
 	}
-	if _, cerr := m.Checkpoint(1, make([][]SnapshotEntry, 2)); !errors.Is(cerr, ErrInjected) {
+	if _, cerr := m.Checkpoint(1, nil); !errors.Is(cerr, ErrInjected) {
 		t.Fatalf("Checkpoint on a poisoned log got %v", cerr)
 	}
 	if ferr := m.flushEpoch(); !errors.Is(ferr, ErrInjected) {
@@ -200,7 +200,7 @@ func TestLogErrorIsSticky(t *testing.T) {
 		t.Fatalf("Close of a poisoned log returned %v", cerr)
 	}
 
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

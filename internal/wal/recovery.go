@@ -2,10 +2,12 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 )
 
 // RecoveredWrite is one surviving committed write.
@@ -16,11 +18,16 @@ type RecoveredWrite struct {
 }
 
 // RecoveredState is the outcome of recovery: the latest committed version of
-// every key, and the highest commit timestamp observed (the oracle must be
-// advanced past it).
+// every key, and the highest commit timestamp and transaction id observed
+// (the oracle and the transaction ids must resume past them).
 type RecoveredState struct {
 	Writes []RecoveredWrite
 	MaxTS  uint64
+	// MaxTxnID is the largest transaction id in any precommit, commit or
+	// abort entry, discarded transactions included: a new transaction
+	// reusing one would merge with that transaction's records at the next
+	// recovery.
+	MaxTxnID uint64
 	// Discarded counts transactions dropped by the GCP / 2PC rules
 	// (missing precommits, epoch beyond a durable frontier, or missing
 	// commit record).
@@ -39,12 +46,49 @@ type RecoveredState struct {
 	Replayed int
 }
 
-// Recover performs the three-step recovery procedure of §4.5.4, extended
-// with checkpoint support:
+// logState is what the one pass over an opened log knows: the recovered
+// state, and what Open resumes from.
+type logState struct {
+	rec      *RecoveredState
+	nextSeq  uint64 // past every b/<seq> key
+	frontier uint64 // the epoch marker
+	ckID     uint64 // the checkpoint id in the ck marker, 0 without one
+	// unsealed holds the committed transactions discarded because their
+	// commit record lies past the frontier.
+	unsealed map[uint64]bool
+}
+
+// Recover performs the three-step recovery procedure of §4.5.4 on dir's log
+// and closes it again: Open without the Manager, for tests and tools.
+func Recover(dir string) (*RecoveredState, error) {
+	st, ls, err := load(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.Close(); err != nil {
+		return nil, err
+	}
+	return ls.rec, nil
+}
+
+// load opens dir's log and scans it once.
+func load(dir string) (*kvstore.Store, *logState, error) {
+	st, err := openLog(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	ls, err := scan(dir, st)
+	if err != nil {
+		return nil, nil, errors.Join(err, st.Close())
+	}
+	return st, ls, nil
+}
+
+// scan is recovery, extended with checkpoints:
 //
-//  0. load the newest complete checkpoint snapshot, if one was published
-//     (manifest + per-shard snapshot files): it seeds the latest committed
-//     version of every covered key, and only the log tail remains;
+//  0. if the log holds a ck marker, load the snapshot it names: it seeds the
+//     latest committed version of every covered key, and only the log tail
+//     remains;
 //  1. retrieve the data servers' records from the log;
 //  2. reconstruct database state — discard transactions that are missing a
 //     precommit record of any participant, whose records fall beyond the
@@ -56,43 +100,27 @@ type RecoveredState struct {
 //  3. CC-internal state (indices, version maps, lock tables) is rebuilt by
 //     the caller: recovered writes are re-installed as committed history
 //     that only the root CC needs to know about.
-func Recover(dir string, shards int) (*RecoveredState, error) {
-	if shards < 1 {
-		shards = 1
-	}
+func scan(dir string, st *kvstore.Store) (*logState, error) {
+	le := binary.LittleEndian
 	out := &RecoveredState{}
+	ls := &logState{rec: out, unsealed: map[uint64]bool{}}
 	latest := map[core.Key]RecoveredWrite{}
 
-	man, err := readManifest(dir)
-	if err != nil {
-		return nil, err
+	if b := st.Get(epochKey); len(b) == 8 {
+		ls.frontier = le.Uint64(b)
 	}
-	if man != nil {
-		if man.Shards != shards {
-			return nil, fmt.Errorf("wal: checkpoint has %d shards, recovering %d", man.Shards, shards)
+	if b := st.Get(ckKey); len(b) == 16 {
+		ls.ckID, out.SnapshotTS = le.Uint64(b[0:8]), le.Uint64(b[8:16])
+		entries, err := readSnapshot(dir, ls.ckID, out.SnapshotTS)
+		if err != nil {
+			return nil, err
 		}
-		for i := 0; i < shards; i++ {
-			snapTS, entries, err := readSnapshot(dir, man.ID, i)
-			if err != nil {
-				return nil, err
-			}
-			if snapTS != man.SnapTS {
-				return nil, fmt.Errorf("wal: snapshot %d/%d cut %d != manifest %d", man.ID, i, snapTS, man.SnapTS)
-			}
-			for _, e := range entries {
-				if cur, ok := latest[e.Key]; !ok || e.CommitTS > cur.CommitTS {
-					latest[e.Key] = RecoveredWrite(e)
-				}
-				if e.CommitTS > out.MaxTS {
-					out.MaxTS = e.CommitTS
-				}
-				out.SnapshotKeys++
-			}
+		out.MaxTS = out.SnapshotTS
+		for _, e := range entries {
+			latest[e.Key] = RecoveredWrite(e)
+			out.MaxTS = max(out.MaxTS, e.CommitTS)
 		}
-		out.SnapshotTS = man.SnapTS
-		if man.SnapTS > out.MaxTS {
-			out.MaxTS = man.SnapTS
-		}
+		out.SnapshotKeys = len(entries)
 	}
 
 	type txnInfo struct {
@@ -105,6 +133,7 @@ func Recover(dir string, shards int) (*RecoveredState, error) {
 	}
 	txns := map[uint64]*txnInfo{}
 	get := func(id uint64) *txnInfo {
+		out.MaxTxnID = max(out.MaxTxnID, id)
 		t := txns[id]
 		if t == nil {
 			t = &txnInfo{epochOK: true}
@@ -112,35 +141,15 @@ func Recover(dir string, shards int) (*RecoveredState, error) {
 		}
 		return t
 	}
-
-	st, err := openLog(dir)
-	if err != nil {
-		return nil, err
-	}
-	var frontier uint64
-	if b := st.Get(epochKey); len(b) == 8 {
-		frontier = binary.LittleEndian.Uint64(b)
-	}
-	if man != nil {
-		// The checkpoint frontier marker is staged through the appender
-		// and fsynced BEFORE the manifest is published, so a manifest
-		// always implies a marker at least as new. A log behind the
-		// manifest means the two come from different histories (outside
-		// interference, mixed restores) — recovering would silently drop
-		// the compacted prefix.
-		var id uint64
-		if b := st.Get(ckKey); len(b) == 16 {
-			id = binary.LittleEndian.Uint64(b[0:8])
-		}
-		if id < man.ID {
-			//lint:allow syncerr -- read-only store being abandoned; the frontier-mismatch error below is the diagnosis
-			st.Close()
-			return nil, fmt.Errorf("wal: log's checkpoint frontier marker %d is behind manifest %d (0 = no marker)", id, man.ID)
-		}
-	}
-	err = st.ForEach(func(key string, value []byte) error {
-		if !strings.HasPrefix(key, batchPrefix) {
+	err := st.ForEach(func(key string, value []byte) error {
+		seq, ok := strings.CutPrefix(key, batchPrefix)
+		if !ok {
 			return nil
+		}
+		if n, err := strconv.ParseUint(seq, 10, 64); err == nil && n >= ls.nextSeq {
+			// b/<seq> keys are latest-wins in the kvstore: a restarted
+			// sequence would overwrite earlier batches.
+			ls.nextSeq = n + 1
 		}
 		entries, err := decodeBatch(value)
 		if err != nil {
@@ -158,7 +167,7 @@ func Recover(dir string, shards int) (*RecoveredState, error) {
 				t.precommits++
 				t.nShards = p.nShards
 				t.writes = append(t.writes, p.writes...)
-				if p.epoch > frontier {
+				if p.epoch > ls.frontier {
 					t.epochOK = false
 				}
 			case recCommit:
@@ -166,42 +175,43 @@ func Recover(dir string, shards int) (*RecoveredState, error) {
 					continue
 				}
 				out.Replayed++
-				t := get(binary.LittleEndian.Uint64(e.payload[0:8]))
-				t.commitTS = binary.LittleEndian.Uint64(e.payload[8:16])
-				if binary.LittleEndian.Uint64(e.payload[16:24]) > frontier {
+				t := get(le.Uint64(e.payload[0:8]))
+				t.commitTS = le.Uint64(e.payload[8:16])
+				t.committed = true
+				if le.Uint64(e.payload[16:24]) > ls.frontier {
 					t.epochOK = false
-				} else {
-					t.committed = true
+				}
+			case recAbort:
+				if len(e.payload) >= 8 {
+					out.MaxTxnID = max(out.MaxTxnID, le.Uint64(e.payload))
 				}
 			}
 		}
 		return nil
 	})
-	cerr := st.Close()
 	if err != nil {
 		return nil, err
 	}
-	if cerr != nil {
-		return nil, cerr
-	}
 
-	for _, t := range txns {
+	for id, t := range txns {
 		if !t.committed || !t.epochOK || t.precommits < t.nShards {
 			out.Discarded++
+			if t.committed && !t.epochOK {
+				ls.unsealed[id] = true
+			}
 			continue
 		}
 		out.Committed++
-		if t.commitTS > out.MaxTS {
-			out.MaxTS = t.commitTS
-		}
+		out.MaxTS = max(out.MaxTS, t.commitTS)
 		for _, w := range t.writes {
 			if cur, ok := latest[w.Key]; !ok || t.commitTS > cur.CommitTS {
 				latest[w.Key] = RecoveredWrite{Key: w.Key, Value: w.Value, CommitTS: t.commitTS}
 			}
 		}
 	}
+	out.Writes = make([]RecoveredWrite, 0, len(latest))
 	for _, w := range latest {
 		out.Writes = append(out.Writes, w)
 	}
-	return out, nil
+	return ls, nil
 }

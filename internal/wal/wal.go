@@ -40,12 +40,13 @@
 //	         <seq> is the appender's monotone batch sequence
 //	e        the durable epoch frontier (u64): every record of an epoch at or
 //	         below it is in the log
-//	ck       the checkpoint frontier marker (checkpoint id, snapshot cut)
+//	ck       the checkpoint marker (checkpoint id, snapshot cut): its fsync
+//	         commits the checkpoint whose snapshot is snap-<id>.kv
 //
 // The first append or fsync error poisons the log (Manager.Err): every
 // queued and later request fails with it, and nothing is written after it,
 // so no later successful fsync can vouch for a batch the kernel dropped.
-// Recover is the only way to resume.
+// Reopening the log (Open, or Recover) is the only way to resume.
 package wal
 
 import (
@@ -53,8 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,10 +73,11 @@ var errClosed = errors.New("wal: closed")
 
 // Options configure the durability module.
 type Options struct {
-	// Dir is the directory holding the log, the checkpoint snapshots and
-	// the checkpoint manifest.
+	// Dir is the directory holding the log and the checkpoint snapshot.
 	Dir string
-	// Shards is the number of data servers.
+	// Shards is unused: the log does not depend on the number of data
+	// servers (each precommit record carries its transaction's count). It
+	// is kept only because benchmark/probes.go sets it.
 	Shards int
 	// EpochInterval is the GCP epoch length (the paper uses 1s; tests and
 	// benchmarks use shorter epochs).
@@ -96,11 +96,11 @@ type Options struct {
 	// counters.
 	Observer func(records int, d time.Duration, err error)
 	// CrashHook, when non-nil, is invoked at every durability-critical
-	// boundary (append, flush, seal, checkpoint snapshot/frontier/manifest
-	// and the compaction write/sync/rename inside kvstore). Crash-point
-	// torture tests copy the log directory inside the hook — the copy is
-	// exactly the state a process kill at that boundary would leave — and
-	// assert recovery from it. Nil in production.
+	// boundary (append, flush, seal, checkpoint snapshot/frontier and the
+	// compaction write/sync/rename inside kvstore). Crash-point torture
+	// tests copy the log directory inside the hook — the copy is exactly
+	// the state a process kill at that boundary would leave — and assert
+	// recovery from it. Nil in production.
 	CrashHook func(point string)
 }
 
@@ -117,6 +117,9 @@ type Manager struct {
 	st    *kvstore.Store
 	app   *appender
 	epoch atomic.Uint64
+
+	// recovered is what Open's scan found, until Recovered hands it over.
+	recovered atomic.Pointer[RecoveredState]
 
 	// failed is the sticky log error, set once by the appender.
 	failed atomic.Pointer[error]
@@ -142,7 +145,7 @@ type Manager struct {
 	closed  bool
 
 	// ckMu serializes checkpoints; ckSeq is the last completed checkpoint
-	// id (resumed from the manifest on reopen).
+	// id (resumed from the log's ck marker on reopen).
 	ckMu  sync.Mutex
 	ckSeq uint64
 
@@ -150,71 +153,71 @@ type Manager struct {
 	done chan struct{}
 }
 
-// openLog opens dir's log, for Open and Recover alike. It refuses a directory
-// holding the ds-NNN.log files of the log-per-data-server layout this package
-// replaced: opened or recovered as if it were empty, its history would be
-// silently dropped.
+// oldLayouts are the files of layouts this version cannot read. A directory
+// holding one is refused before anything is opened or created in it: read as
+// the current layout, its history or its checkpoint would be silently lost.
+var oldLayouts = []struct{ glob, layout string }{
+	{"ds-*.log", "per-data-server layout"},
+	{"CHECKPOINT", "manifest checkpoint layout"},
+	{"snap-*-ds-*.kv", "manifest checkpoint layout"},
+}
+
+// openLog opens dir's log, for Open and Recover alike, after refusing the
+// old layouts.
 func openLog(dir string) (*kvstore.Store, error) {
-	if old, _ := filepath.Glob(filepath.Join(dir, "ds-*.log")); len(old) > 0 {
-		return nil, fmt.Errorf("wal: %s holds %d logs of the per-data-server layout (%s, ...); this version keeps one %s and cannot read them",
-			dir, len(old), filepath.Base(old[0]), logName)
+	for _, o := range oldLayouts {
+		if old, _ := filepath.Glob(filepath.Join(dir, o.glob)); len(old) > 0 {
+			return nil, fmt.Errorf("wal: %s holds %d files of the %s (%s, ...); this version keeps one %s with its own checkpoint marker and cannot read them",
+				dir, len(old), o.layout, filepath.Base(old[0]), logName)
+		}
 	}
 	return kvstore.Open(filepath.Join(dir, logName))
 }
 
-// Open creates or reopens the durability module.
+// Open opens dir's log and recovers it in one scan (recovery.go): the state
+// it finds waits in Recovered, and the Manager resumes the batch sequence,
+// the epoch marker and the checkpoint id from the same pass. The epoch
+// counter starts past the frontier marker, so no record staged from now on
+// belongs to an epoch the log already calls sealed.
 func Open(opts Options) (*Manager, error) {
-	if opts.Shards < 1 {
-		opts.Shards = 1
-	}
 	if opts.EpochInterval <= 0 {
 		opts.EpochInterval = time.Second
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 256
 	}
-	// A malformed manifest means outside interference; resuming with ckSeq
-	// 0 would republish low checkpoint ids over newer snapshot files. Fail
-	// loudly, like Recover does.
-	man, err := readManifest(opts.Dir)
+	st, ls, err := load(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	st, err := openLog(opts.Dir)
-	if err != nil {
-		return nil, err
+	if len(ls.unsealed) > 0 {
+		// Committed transactions whose epoch the frontier does not cover
+		// were discarded; once this life seals past their epoch they would
+		// look durable. Drop them before anything is appended.
+		if _, _, err := st.Rewrite(func(key string, value []byte) ([]byte, bool) {
+			return compactRecord(key, value, ls.unsealed)
+		}); err != nil {
+			return nil, errors.Join(err, st.Close())
+		}
 	}
 	if opts.CrashHook != nil {
 		st.SetCrashHook(opts.CrashHook)
 	}
-	m := &Manager{opts: opts, st: st, stop: make(chan struct{}), done: make(chan struct{})}
+	m := &Manager{opts: opts, st: st, ckSeq: ls.ckID, durableEpoch: ls.frontier, stop: make(chan struct{}), done: make(chan struct{})}
 	m.durableCond = sync.NewCond(&m.mu)
-	if man != nil {
-		m.ckSeq = man.ID
-	}
+	m.recovered.Store(ls.rec)
 	m.app = newAppender(m, st)
-	if b := st.Get(epochKey); len(b) == 8 {
-		// Resume monotone from the reopened log's marker.
-		m.app.marker = binary.LittleEndian.Uint64(b)
-	}
-	// Resume the batch sequence past every existing batch record: b/<seq>
-	// keys are latest-wins in the kvstore, so a restarted counter would
-	// silently overwrite earlier batches and lose their transactions at
-	// recovery.
-	st.ForEach(func(key string, _ []byte) error {
-		if !strings.HasPrefix(key, batchPrefix) {
-			return nil
-		}
-		if seq, err := strconv.ParseUint(key[len(batchPrefix):], 10, 64); err == nil && seq >= m.app.seq {
-			m.app.seq = seq + 1
-		}
-		return nil
-	})
-	m.epoch.Store(1)
+	m.app.seq, m.app.marker = ls.nextSeq, ls.frontier
+	m.epoch.Store(ls.frontier + 1)
 	go m.app.run()
 	go m.flusher()
 	return m, nil
 }
+
+// Recovered hands over the state Open recovered from the log. It does so
+// once — later calls return nil — so the Manager does not keep the
+// recovered writes alive.
+func (m *Manager) Recovered() *RecoveredState { return m.recovered.Swap(nil) }
 
 // Synchronous reports whether commits wait for their flush.
 func (m *Manager) Synchronous() bool { return m.opts.SyncCommit }

@@ -47,7 +47,7 @@ func TestPrecommitCommitRecover(t *testing.T) {
 	}
 	m.Close()
 
-	st, err := Recover(dir, 3)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRecoverDiscardsMissingCommitRecord(t *testing.T) {
 	// No commit record: the transaction never reached commit.
 	m.flushEpoch()
 	m.Close()
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRecoverDiscardsIncompletePrecommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Close()
-	st, err := Recover(dir, 2)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLatestVersionWinsAcrossTxns(t *testing.T) {
 	e2, tk2, _ := m.Precommit(2, map[int][]KV{0: {kv("t", "k", "new")}})
 	m.Commit(2, 20, e2, tk2)
 	m.Close()
-	st, err := Recover(dir, 1)
+	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

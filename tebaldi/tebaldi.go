@@ -115,7 +115,8 @@ type DB struct {
 // Open creates a database with the given transaction type specs and initial
 // CC tree configuration. If config is nil, the initial configuration of
 // §5.2 is used: SSI at the root separating a read-only group from a 2PL
-// update group.
+// update group. With opts.DurabilityDir set, Open recovers the write-ahead
+// log already in that directory, if any, before it returns.
 func Open(opts Options, specs []*Spec, config *Config) (*DB, error) {
 	if config == nil {
 		config = InitialConfig(specs)
@@ -127,8 +128,8 @@ func Open(opts Options, specs []*Spec, config *Config) (*DB, error) {
 	return &DB{eng: eng}, nil
 }
 
-// Recover opens a database whose state is reconstructed from the write-ahead
-// logs in opts.DurabilityDir.
+// Recover is Open on opts.DurabilityDir, which it requires, also returning
+// what recovery found in the write-ahead log there.
 func Recover(opts Options, specs []*Spec, config *Config) (*DB, *wal.RecoveredState, error) {
 	if config == nil {
 		config = InitialConfig(specs)

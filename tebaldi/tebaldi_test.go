@@ -225,6 +225,37 @@ func TestCheckpointBoundedRestart(t *testing.T) {
 	}
 }
 
+// TestOpenRecoversExistingLog: Open on a directory that already holds a log
+// is a recovery. Started empty, the database would hide the old writes and
+// append new ones whose timestamps restart below them, so the older records
+// would win at the next recovery.
+func TestOpenRecoversExistingLog(t *testing.T) {
+	opts := tebaldi.Options{DurabilityDir: t.TempDir(), DurabilitySync: true}
+	k := tebaldi.K("kv", "x")
+	reopen := func() *tebaldi.DB {
+		t.Helper()
+		db, err := tebaldi.Open(opts, specs(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := reopen()
+	for _, val := range []string{"old", "new"} {
+		if err := db.Run("put", 0, func(tx *tebaldi.Tx) error { return tx.Write(k, []byte(val)) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = reopen()
+		if got := string(db.ReadCommitted(k)); got != val {
+			t.Fatalf("reopened database reads %q, want %q", got, val)
+		}
+	}
+	db.Close()
+}
+
 func TestIsRetryable(t *testing.T) {
 	if !tebaldi.IsRetryable(tebaldi.ErrAborted) {
 		t.Fatal("ErrAborted should be retryable")
