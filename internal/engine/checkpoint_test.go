@@ -113,16 +113,16 @@ func TestCheckpointBoundsLogAndReplay(t *testing.T) {
 	if st.SnapshotTS == 0 {
 		t.Fatal("recovery did not start from the checkpoint snapshot")
 	}
-	// The tail holds only the 10 post-checkpoint transactions (one
-	// precommit + one commit record each); everything older is covered by
-	// the snapshot. Allow a little slack for commit records of
-	// pre-checkpoint transactions that were still queued at the cut.
+	// The tail holds only the 10 post-checkpoint transactions, one record
+	// each; everything older is covered by the snapshot. Allow slack for
+	// records above the cut of transactions committed before the
+	// checkpoint.
 	replayed := e2.Stats().Snapshot().RecoveryReplayed
 	if replayed != uint64(st.Replayed) {
 		t.Fatalf("stats counter %d != recovered state %d", replayed, st.Replayed)
 	}
 	if replayed == 0 || replayed > 60 {
-		t.Fatalf("replayed %d records — not a tail-only recovery of ~20", replayed)
+		t.Fatalf("replayed %d records — not a tail-only recovery of ~10", replayed)
 	}
 	for i := 0; i < keys; i++ {
 		got := string(e2.ReadCommitted(core.KeyOf("kv", i)))

@@ -230,6 +230,9 @@ type Options struct {
 	// crashHook, when set (crash-point torture tests only), is passed to
 	// the WAL as its fault-injection hook.
 	crashHook func(point string)
+	// afterCommitPoint, when set (tests only), runs in Tx.Commit right
+	// after a transaction's commit point, before its CC commit phase.
+	afterCommitPoint func()
 }
 
 func (o *Options) withDefaults() Options {

@@ -127,14 +127,16 @@ type Snapshot struct {
 	AbortConflict uint64
 	AbortPivot    uint64
 	AbortCascade  uint64
-	// WAL group-commit pipeline counters (zero when durability is off).
+	// WAL group-commit pipeline counters (zero when durability is off). A
+	// record is one transaction.
 	WalBatches      uint64
 	WalBatchRecords uint64
 	WalFlushNs      uint64
 	WalErrors       uint64
 	// Checkpoint / recovery counters (zero when durability is off or no
-	// checkpoint ran). RecoveryReplayed is the number of log records the
-	// last Recover replayed — with checkpointing, the post-frontier tail.
+	// checkpoint ran). RecoveryReplayed is the number of transaction
+	// records the last Recover replayed — with checkpointing, the
+	// post-checkpoint tail.
 	Checkpoints              uint64
 	CheckpointErrors         uint64
 	CheckpointSnapshotBytes  uint64

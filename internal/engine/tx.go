@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -251,44 +250,40 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	// Durability: stage one precommit record per participating data
-	// server, then the coordinator's commit record (§4.5.4), on the log's
-	// group-commit appender. Staging is asynchronous — records from
-	// concurrent committers coalesce into one append+flush per appender
-	// turn — so the log never serializes the commit path; under SyncCommit
-	// the wait happens on the ticket, below, on the whole batch's single
-	// fsync.
-	var epoch uint64
+	// The commit point, and with it the durability protocol (§4.5.4): a
+	// writing transaction's one log record is staged in the same exclusive
+	// section of the log as its commit point, so any transaction that saw
+	// its writes — possible only after the commit point — stages behind it.
+	// Staging is asynchronous: records from concurrent committers coalesce
+	// into one append+flush per appender turn, so the log never serializes
+	// the commit path; under SyncCommit the wait happens on the ticket,
+	// below, on the whole batch's single fsync.
 	var ticket *wal.Ticket
+	var committed bool
 	if tx.e.walMgr != nil && t.HasWrites() {
-		b := groupByShard(t.Writes(), tx.e.store.NumShards())
 		var err error
-		epoch, ticket, err = tx.e.walMgr.PrecommitShards(t.ID, b.groups)
-		b.release() // the log copied the writes
+		ticket, err = tx.e.walMgr.Stage(t.ID, t.Writes(), func() (uint64, bool) {
+			return t.MarkCommittedNext(tx.e.oracle)
+		})
 		if err != nil {
-			// Nothing was staged: the log is poisoned or closed. The
-			// transaction aborts cleanly, and retrying cannot help.
+			// The log is poisoned or closed, and the commit point never
+			// ran: the transaction aborts cleanly, and retrying cannot
+			// help.
 			return tx.abortWith(fmt.Errorf("%w: %v", core.ErrDurability, err))
 		}
+		committed = ticket != nil
+	} else {
+		_, committed = t.MarkCommittedNext(tx.e.oracle)
 	}
-
-	commitTS, ok := t.MarkCommittedNext(tx.e.oracle)
-	if !ok {
-		// Force-aborted while committing. The staged precommit records
-		// will never get a commit record; stage an abort marker so
-		// checkpoint compaction can reclaim them (recovery discards the
-		// transaction either way).
-		if ticket != nil {
-			tx.e.walMgr.Abort(t.ID)
-		}
+	if !committed {
+		// Force-aborted while committing; nothing was logged.
 		return tx.abortWith(core.ErrReconfiguring)
 	}
 	// From here the transaction is committed in memory, and other
 	// transactions may already depend on it; a log failure can no longer
 	// abort it, only withhold the commit notification.
-	var logErr error
-	if ticket != nil {
-		logErr = tx.e.walMgr.Commit(t.ID, commitTS, epoch, ticket)
+	if h := tx.e.opts.afterCommitPoint; h != nil {
+		h()
 	}
 
 	// Commit phase, chained leaf -> root, uninterrupted.
@@ -298,16 +293,15 @@ func (tx *Tx) Commit() error {
 	tx.e.unregister(t)
 
 	// Synchronous durability: block until the group-commit batch holding
-	// this transaction's records is flushed — AFTER the CC tree released
+	// this transaction's record is flushed — AFTER the CC tree released
 	// its state, so the log wait never throttles concurrency control
 	// (committed-but-not-yet-durable transactions are indistinguishable
 	// from durable ones to the CC mechanisms, §4.5.4). Only the client's
 	// commit notification is delayed to coincide with the durable
 	// notification.
+	var logErr error
 	if ticket != nil && tx.e.walMgr.Synchronous() {
-		if err := ticket.Wait(); logErr == nil {
-			logErr = err
-		}
+		logErr = ticket.Wait()
 	}
 	tx.e.stats.recordCommit(t)
 	tx.finished = true
@@ -315,57 +309,12 @@ func (tx *Tx) Commit() error {
 	// transactions whose pointer escaped (see core.Txn's reclamation rule).
 	core.PutTxn(t)
 	if logErr != nil {
-		// Fail stop: the log lost (or never took) this transaction's
-		// records, so the client is not told "committed". The WAL batch
+		// Fail stop: the log lost this transaction's record, so the
+		// client is not told "committed". The WAL batch
 		// observer already counted the failed flush into stats.walErrors.
 		return fmt.Errorf("%w: %v", core.ErrDurability, logErr)
 	}
 	return nil
-}
-
-// stageBuf is reused scratch for grouping a transaction's writes by data
-// server on the way into the log.
-type stageBuf struct {
-	end    []int // per shard: end of its run in kvs
-	kvs    []wal.KV
-	groups [][]wal.KV // one element per participating data server
-}
-
-var stageBufs = sync.Pool{New: func() any { return new(stageBuf) }}
-
-// groupByShard groups ws by data server with a counting sort on the shard
-// index memoized on each chain. The caller releases the result.
-func groupByShard(ws []core.WriteRef, shards int) *stageBuf {
-	b := stageBufs.Get().(*stageBuf)
-	b.end = append(b.end[:0], make([]int, shards)...)
-	for _, w := range ws {
-		b.end[w.Chain.Shard]++
-	}
-	sum := 0
-	for s, n := range b.end {
-		b.end[s] = sum // start of shard s's run; advanced to its end below
-		sum += n
-	}
-	b.kvs = append(b.kvs[:0], make([]wal.KV, len(ws))...)
-	for _, w := range ws {
-		b.kvs[b.end[w.Chain.Shard]] = wal.KV{Key: w.Chain.Key, Value: w.V.Value}
-		b.end[w.Chain.Shard]++
-	}
-	b.groups = b.groups[:0]
-	start := 0
-	for _, end := range b.end {
-		if end > start {
-			b.groups = append(b.groups, b.kvs[start:end])
-			start = end
-		}
-	}
-	return b
-}
-
-// release returns b to the pool without pinning the writes' values there.
-func (b *stageBuf) release() {
-	clear(b.kvs)
-	stageBufs.Put(b)
 }
 
 // Rollback aborts the transaction. cause is recorded in the abort stats

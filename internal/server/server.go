@@ -138,6 +138,11 @@ func (s *Server) Addr() net.Addr {
 // connections. Sessions idle at the deadline with a transaction still open
 // are force-disconnected (their transactions roll back through the normal
 // disconnect path). Returns nil on a clean drain, an error on timeout.
+//
+// A failed log (the database's Wal().Err()) ends the drain at once: no
+// commit can be acknowledged any more, so there is nothing to wait for.
+// Shutdown then closes the connections and returns an error wrapping the
+// log failure.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
 	s.draining.Store(true)
@@ -150,7 +155,11 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 
 	deadline := time.Now().Add(timeout)
 	drained := false
+	var logErr error
 	for time.Now().Before(deadline) {
+		if logErr = s.logErr(); logErr != nil {
+			break
+		}
 		if s.txnsOpen.Load() == 0 && s.reqsInFlight.Load() == 0 {
 			drained = true
 			break
@@ -172,9 +181,21 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	for _, c := range conns {
 		c.wg.Wait()
 	}
+	if logErr != nil {
+		return fmt.Errorf("server: shutdown without drain: %w", logErr)
+	}
 	if !drained {
 		return fmt.Errorf("server: drain timed out with %d open txns, %d in-flight requests",
 			s.txnsOpen.Load(), s.reqsInFlight.Load())
+	}
+	return nil
+}
+
+// logErr is the database log's sticky failure, nil without one (or without
+// a log).
+func (s *Server) logErr() error {
+	if w := s.db.Engine().Wal(); w != nil {
+		return w.Err()
 	}
 	return nil
 }

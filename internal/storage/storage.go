@@ -41,9 +41,6 @@ func New(n int) *Store {
 	return s
 }
 
-// NumShards returns the shard (data server) count.
-func (s *Store) NumShards() int { return len(s.shards) }
-
 // ShardIndex returns the data server owning key k. The FNV-1a hash is
 // inlined (core.Key.Hash32) so the lookup is allocation-free; it computes
 // the same placement as the previous hash/fnv implementation.

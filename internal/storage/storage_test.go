@@ -213,8 +213,8 @@ func TestGCKeepsPendingAndWatermarkVersion(t *testing.T) {
 
 func TestZeroShardsClamped(t *testing.T) {
 	s := New(0)
-	if s.NumShards() != 1 {
-		t.Fatalf("shards %d", s.NumShards())
+	if len(s.shards) != 1 {
+		t.Fatalf("shards %d", len(s.shards))
 	}
 	s.Chain(core.K("a", "b")) // must not panic
 }

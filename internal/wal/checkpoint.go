@@ -27,10 +27,10 @@ import (
 //     staged before the checkpoint, and the appender fsyncs the whole log
 //     prefix with it. That fsync commits the checkpoint: recovery loads the
 //     snapshot the marker names and replays only the log tail.
-//  3. The log is compacted: records of transactions covered by the snapshot
-//     (commit record present with commitTS <= snapTS) are dropped through
-//     one atomic kvstore rewrite, so a crash mid-compaction leaves either
-//     the complete old log or the complete new one.
+//  3. The log is compacted: records the snapshot covers (commitTS <= snapTS,
+//     read off each record itself) are dropped through one atomic kvstore
+//     rewrite, so a crash mid-compaction leaves either the complete old log
+//     or the complete new one.
 //  4. Older snapshots are deleted.
 //
 // Crashes between the steps are all recoverable. A durable marker names a
@@ -99,26 +99,25 @@ func (m *Manager) Checkpoint(snapTS uint64, entries []SnapshotEntry) (*Checkpoin
 	payload := make([]byte, 16)
 	binary.LittleEndian.PutUint64(payload[0:8], ck)
 	binary.LittleEndian.PutUint64(payload[8:16], snapTS)
-	tk := newTicket(1)
-	m.closeMu.RLock()
+	tk := newTicket()
+	m.stageMu.Lock()
 	if err := m.unusable(); err != nil {
-		m.closeMu.RUnlock()
+		m.stageMu.Unlock()
 		return nil, err
 	}
 	m.app.ch <- appendReq{kind: recCheckpoint, payload: payload, epoch: m.epoch.Load(), tk: tk}
-	m.closeMu.RUnlock()
+	m.stageMu.Unlock()
 	if err := tk.Wait(); err != nil {
 		return nil, err
 	}
 	m.ckSeq = ck
 	m.hook("ck.frontier")
 
-	// 3. Compact the log: drop records of covered transactions. Records
-	// appended between the scan and the rewrite belong to transactions the
-	// scan did not cover, and are kept.
-	covered := m.coveredTxns(snapTS)
+	// 3. Compact the log: drop the records the snapshot covers. Every
+	// transaction at or below the cut finished before the checkpoint, so
+	// its record was staged ahead of the marker and is in the log by now.
 	res.LogBytesBefore, res.LogBytesAfter, err = m.st.Rewrite(func(key string, value []byte) ([]byte, bool) {
-		return compactRecord(key, value, covered)
+		return compactRecord(key, value, func(commitTS, _ uint64) bool { return commitTS <= snapTS })
 	})
 	if err != nil {
 		return res, err
@@ -129,66 +128,21 @@ func (m *Manager) Checkpoint(snapTS uint64, entries []SnapshotEntry) (*Checkpoin
 	return res, nil
 }
 
-// coveredTxns scans the log for transactions whose records may all be
-// dropped by compaction:
-//
-//   - committed with commitTS <= snapTS: fully contained in the snapshot
-//     (the caller guarantees every such transaction finished before the
-//     cut);
-//   - aborted after staging precommits (an abort marker exists and no
-//     commit record): the commit record can never arrive — the abort marker
-//     is staged after the precommits, on the mutually exclusive abort path
-//     — so the orphaned records would otherwise survive every checkpoint.
-func (m *Manager) coveredTxns(snapTS uint64) map[uint64]bool {
-	covered := map[uint64]bool{}
-	aborted := map[uint64]bool{}
-	committed := map[uint64]bool{} // any commit record, regardless of TS
-	m.st.ForEach(func(key string, value []byte) error {
-		if !strings.HasPrefix(key, batchPrefix) {
-			return nil
-		}
-		entries, err := decodeBatch(value)
-		if err != nil {
-			return nil
-		}
-		for _, e := range entries {
-			switch {
-			case e.kind == recCommit && len(e.payload) >= 24:
-				id := binary.LittleEndian.Uint64(e.payload[0:8])
-				committed[id] = true
-				if binary.LittleEndian.Uint64(e.payload[8:16]) <= snapTS {
-					covered[id] = true
-				}
-			case e.kind == recAbort && len(e.payload) >= 8:
-				aborted[binary.LittleEndian.Uint64(e.payload[0:8])] = true
-			}
-		}
-		return nil
-	})
-	for id := range aborted {
-		if !committed[id] {
-			covered[id] = true
-		}
-	}
-	return covered
-}
-
-// compactRecord decides one log record's fate under compaction: filter
-// covered entries out of coalesced batch records, keep everything else (the
-// epoch and checkpoint markers). Precommit, commit and abort payloads all
-// lead with the transaction id.
-func compactRecord(key string, value []byte, covered map[uint64]bool) ([]byte, bool) {
+// compactRecord decides one log key's fate under compaction: it filters the
+// records for which drop(commitTS, epoch) holds out of a coalesced batch, and
+// keeps everything else (the epoch and checkpoint markers).
+func compactRecord(key string, value []byte, drop func(commitTS, epoch uint64) bool) ([]byte, bool) {
 	if !strings.HasPrefix(key, batchPrefix) {
 		return value, true
 	}
 	entries, err := decodeBatch(value)
 	if err != nil {
-		return value, true // undecodable: keep as-is, recovery skips it
+		return value, true // undecodable: keep as-is, recovery reports it
 	}
 	n := len(entries)
 	kept := entries[:0]
 	for _, e := range entries {
-		if len(e.payload) >= 8 && covered[binary.LittleEndian.Uint64(e.payload[0:8])] {
+		if len(e.payload) >= recHeader && drop(binary.LittleEndian.Uint64(e.payload[8:]), binary.LittleEndian.Uint64(e.payload[16:])) {
 			continue
 		}
 		kept = append(kept, e)

@@ -123,9 +123,9 @@ func TestCheckpointCompactsAndBoundsReplay(t *testing.T) {
 	if st.SnapshotKeys != 8 {
 		t.Fatalf("snapshot keys %d", st.SnapshotKeys)
 	}
-	// Only the 5 tail transactions replay: 5 precommits + 5 commits.
-	if st.Replayed != 10 {
-		t.Fatalf("replayed %d records, want 10 (tail only)", st.Replayed)
+	// Only the 5 tail transactions replay, one record each.
+	if st.Replayed != 5 {
+		t.Fatalf("replayed %d records, want 5 (tail only)", st.Replayed)
 	}
 	if st.MaxTS != 105 {
 		t.Fatalf("maxTS %d", st.MaxTS)
@@ -234,44 +234,6 @@ func TestRecoveryIgnoresUnpublishedSnapshots(t *testing.T) {
 	}
 	if st.Committed != 8 {
 		t.Fatalf("committed %d", st.Committed)
-	}
-}
-
-// TestCompactionReclaimsAbortedPrecommits: a transaction force-aborted
-// after staging precommits leaves commit-less records; the abort marker
-// lets compaction drop them instead of carrying them across every
-// checkpoint forever.
-func TestCompactionReclaimsAbortedPrecommits(t *testing.T) {
-	dir := t.TempDir()
-	m := open(t, dir, 2, true)
-	// Orphaned precommit on both shards, then the abort marker.
-	_, tk, err := m.Precommit(99, map[int][]KV{
-		0: {kv("t", "x", "orphan")},
-		1: {kv("t", "y", "orphan")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tk // the commit slot never completes; nothing waits on it
-	m.Abort(99)
-	commitN(t, m, 1, 9)
-	if _, err := m.Checkpoint(8, snapshotFor(8)); err != nil {
-		t.Fatal(err)
-	}
-	// The orphan must be gone from the logs: recovery sees neither a
-	// discarded transaction nor any tail records.
-	m.Close()
-	st, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Discarded != 0 || st.Replayed != 0 {
-		t.Fatalf("orphaned precommit survived compaction: discarded=%d replayed=%d", st.Discarded, st.Replayed)
-	}
-	for _, w := range st.Writes {
-		if string(w.Value) == "orphan" {
-			t.Fatalf("aborted write recovered: %+v", w)
-		}
 	}
 }
 

@@ -190,7 +190,6 @@ func TestCrashPointTorture(t *testing.T) {
 		Shards:        shards,
 		EpochInterval: 2 * time.Millisecond,
 		SyncCommit:    true,
-		MaxBatch:      8,
 		CrashHook:     capt.hook,
 	})
 	if err != nil {

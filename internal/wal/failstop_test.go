@@ -99,7 +99,9 @@ func TestEngineFailStopsOnLogError(t *testing.T) {
 // TestServedCommitFailStops carries the fail-stop contract across the wire:
 // a COMMIT whose fsync failed, and every COMMIT after it, reaches the client
 // as the non-retryable core.ErrDurability under its own code — not as
-// CodeInternal, which a client cannot tell from a server bug. The test lives
+// CodeInternal, which a client cannot tell from a server bug. Shutdown then
+// does not wait for a write transaction held open on another session, which
+// could never commit: it returns at once with the log failure. The test lives
 // here, not in package server, because the fault-injection seam does.
 func TestServedCommitFailStops(t *testing.T) {
 	specs := []*tebaldi.Spec{{Name: "update", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
@@ -154,6 +156,16 @@ func TestServedCommitFailStops(t *testing.T) {
 	if err := put("before"); err != nil {
 		t.Fatalf("commit before the failure: %v", err)
 	}
+	held := c.Session()
+	if err := held.Begin("update", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Put("kv", "held", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := held.Get("kv", "held"); err != nil { // sends the queued BEGIN and PUT
+		t.Fatal(err)
+	}
 	if got := walFailed(); got != "0" {
 		t.Fatalf("tebaldi_wal_failed %s before the failed flush, want 0", got)
 	}
@@ -170,5 +182,13 @@ func TestServedCommitFailStops(t *testing.T) {
 	}
 	if got := walFailed(); got != "1" {
 		t.Fatalf("tebaldi_wal_failed %s after the failed flush, want 1", got)
+	}
+	start := time.Now()
+	err = srv.Shutdown(10 * time.Second)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Shutdown of a server on a failed log took %v waiting for the held transaction", took)
+	}
+	if !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("Shutdown of a server on a failed log returned %v, want the log failure", err)
 	}
 }

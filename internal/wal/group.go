@@ -2,70 +2,58 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 )
 
-// Record kinds inside the pipeline. Seals and checkpoint markers never reach
-// the log as batch entries; a seal instructs the appender to flush and
-// advance the epoch marker, a checkpoint marker to persist the checkpoint
-// frontier.
+// Request kinds inside the pipeline. A seal instructs the appender to flush
+// and advance the epoch marker, a checkpoint marker to persist the checkpoint
+// frontier; neither reaches the log as a batch entry. A transaction record is
+// the log's only batch entry. Kinds 1, 2 and 4 were the precommit, commit and
+// abort records of the two-phase format (decodeBatch refuses them by name).
 const (
 	recSeal       byte = 0 // no payload; epoch = the GCP epoch to seal
-	recPrecommit  byte = 1 // payload = appendPrecommit(...)
-	recCommit     byte = 2 // payload = 24 bytes: txnID, commitTS, epoch
 	recCheckpoint byte = 3 // payload = 16 bytes: checkpoint id, snapshot TS
-	recAbort      byte = 4 // payload = 8 bytes: txnID (commit will never come)
+	recTxn        byte = 5 // payload = encodeRecord(...)
 )
 
-// Ticket tracks one transaction's log records through the group-commit
-// pipeline. It completes once every enqueued record (the precommit record
-// on each participating data server plus the coordinator's commit record)
-// has been appended — and, under SyncCommit, flushed. With asynchronous
-// durability nothing waits on a ticket: commit notification stays decoupled
-// from durable notification (§4.5.4), and WaitDurable remains the durable
-// notification.
+// errTwoPhaseFormat names the record format this version cannot read.
+var errTwoPhaseFormat = errors.New("wal: the log holds precommit/commit/abort records of the two-phase record format (a precommit record per data server and a coordinator commit record); this version logs one record per transaction and cannot read them")
+
+// maxBatch bounds how many requests the appender coalesces into one batch.
+const maxBatch = 256
+
+// Ticket tracks one request — a transaction's record, a seal or a checkpoint
+// marker — through the group-commit pipeline. It completes once the request
+// is appended and, under SyncCommit, flushed. With asynchronous durability
+// nothing waits on a transaction's ticket: commit notification stays
+// decoupled from durable notification (§4.5.4), and WaitDurable remains the
+// durable notification.
 type Ticket struct {
-	remaining atomic.Int32
-	done      chan struct{}
-	errp      atomic.Pointer[error]
+	done chan struct{}
+	err  error // written once, before done closes
+	// writes are Precommit's, until Commit encodes them.
+	writes []KV
 }
 
-func newTicket(n int32) *Ticket {
-	tk := &Ticket{done: make(chan struct{})}
-	tk.remaining.Store(n)
-	return tk
-}
+func newTicket() *Ticket { return &Ticket{done: make(chan struct{})} }
 
-// complete marks one of the ticket's records as appended. The first error
-// wins; the done channel closes when all records are in.
+// complete finishes the ticket with err (nil on success).
 func (tk *Ticket) complete(err error) {
-	if err != nil {
-		tk.errp.CompareAndSwap(nil, &err)
-	}
-	if tk.remaining.Add(-1) == 0 {
-		close(tk.done)
-	}
+	tk.err = err
+	close(tk.done)
 }
 
-// Done returns a channel closed when every record has been appended (and
+// Done returns a channel closed when the request has been appended (and
 // flushed, under SyncCommit).
 func (tk *Ticket) Done() <-chan struct{} { return tk.done }
 
-// Wait blocks until the ticket completes and returns the first append error.
+// Wait blocks until the ticket completes and returns its append error.
 func (tk *Ticket) Wait() error {
 	<-tk.done
-	return tk.Err()
-}
-
-// Err returns the first append error observed so far (non-blocking).
-func (tk *Ticket) Err() error {
-	if p := tk.errp.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return tk.err
 }
 
 // appendReq is one request handed to the appender. Entries decoded back out
@@ -105,9 +93,8 @@ func newAppender(m *Manager, dev logDevice) *appender {
 	return &appender{
 		m:   m,
 		dev: dev,
-		// Deep enough that stagers, who send while holding the stage/seal
-		// lock, do not block behind an fsync: a few hundred committers
-		// times the records of one transaction each.
+		// Deep enough that stagers, who send while holding the stage
+		// lock, do not block behind an fsync.
 		ch:     make(chan appendReq, 4096),
 		exited: make(chan struct{}),
 	}
@@ -121,7 +108,7 @@ const maxBatchBytes = 8 << 20
 
 // run is the appender loop. Batching is "natural": while one batch is being
 // appended (and fsynced), new requests pile up in the channel; the next
-// iteration takes them all, bounded by MaxBatch records and maxBatchBytes
+// iteration takes them all, bounded by maxBatch requests and maxBatchBytes
 // payload. The loop exits when the channel is closed and drained.
 func (a *appender) run() {
 	defer close(a.exited)
@@ -135,7 +122,7 @@ func (a *appender) run() {
 		bytes := len(req.payload)
 		closed := false
 	drain:
-		for len(batch) < a.m.opts.MaxBatch && bytes < maxBatchBytes {
+		for len(batch) < maxBatch && bytes < maxBatchBytes {
 			select {
 			case r, ok := <-a.ch:
 				if !ok {
@@ -172,7 +159,7 @@ func (a *appender) flush(batch []appendReq) {
 			maxEpoch = max(maxEpoch, r.epoch)
 		case recCheckpoint:
 			ck, sync = r.payload, true
-		default:
+		case recTxn:
 			records++
 			if a.m.opts.SyncCommit {
 				sync = true
@@ -209,9 +196,9 @@ func (a *appender) flush(batch []appendReq) {
 //   - under SyncCommit every batch carries its records' epochs forward in
 //     the same fsync, so an acknowledged commit is recoverable immediately
 //     rather than at the next epoch tick. A record of the same epoch still
-//     queued at crash time is simply absent and its transaction is
-//     discarded by the missing-record rules — and its committer was never
-//     acknowledged.
+//     queued at crash time is simply absent — and its committer was never
+//     acknowledged, nor was any transaction that read from it, since those
+//     queued behind it.
 //
 // Both markers are appended after the records they cover, so a torn tail
 // can lose a marker (conservative) but never persist one ahead of its
@@ -245,21 +232,13 @@ func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, ck []b
 	return nil
 }
 
-// batchEntryKind reports whether a pipeline record kind is persisted as a
-// coalesced batch entry (seals and checkpoint markers are control requests,
-// not log content).
-func batchEntryKind(k byte) bool {
-	return k == recPrecommit || k == recCommit || k == recAbort
-}
-
-// appendBatch packs the batch's `records` payload-bearing records into one
-// value:
+// appendBatch packs the batch's `records` transaction records into one value:
 //
 //	u32 count | repeat: u8 kind, u32 len, payload
 func appendBatch(buf []byte, batch []appendReq, records int) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(records))
 	for _, r := range batch {
-		if batchEntryKind(r.kind) {
+		if r.kind == recTxn {
 			buf = append(buf, r.kind)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.payload)))
 			buf = append(buf, r.payload...)
@@ -268,8 +247,8 @@ func appendBatch(buf []byte, batch []appendReq, records int) []byte {
 	return buf
 }
 
-// decodeBatch unpacks a coalesced batch record; recovery replays each entry
-// as an individual precommit/commit record. Payloads alias buf.
+// decodeBatch unpacks a coalesced batch record into its transaction records.
+// Payloads alias buf. A batch of the two-phase format is refused by name.
 func decodeBatch(buf []byte) ([]appendReq, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("wal: truncated batch record")
@@ -282,6 +261,13 @@ func decodeBatch(buf []byte) ([]appendReq, error) {
 			return nil, fmt.Errorf("wal: truncated batch entry")
 		}
 		kind := buf[off]
+		switch kind {
+		case recTxn:
+		case 1, 2, 4:
+			return nil, errTwoPhaseFormat
+		default:
+			return nil, fmt.Errorf("wal: batch entry of unknown kind %d", kind)
+		}
 		n := int(binary.LittleEndian.Uint32(buf[off+1:]))
 		off += 5
 		if n > len(buf)-off {

@@ -58,8 +58,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	wg.Wait()
 	m.Close()
 
-	if got := records.Load(); got != 2*n {
-		t.Fatalf("observer saw %d records, want %d", got, 2*n)
+	if got := records.Load(); got != n {
+		t.Fatalf("observer saw %d records, want one per transaction, %d", got, n)
 	}
 	if batches.Load() >= records.Load() {
 		t.Fatalf("no coalescing: %d batches for %d records", batches.Load(), records.Load())
@@ -192,8 +192,8 @@ func TestSyncCommitRecoverableBeforeEpochTick(t *testing.T) {
 	}
 }
 
-// TestTicketCompletion checks ticket bookkeeping: it completes only after
-// the precommit records AND the commit record are appended.
+// TestTicketCompletion checks ticket bookkeeping: Precommit stages nothing,
+// so the ticket completes only once Commit's record is appended.
 func TestTicketCompletion(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 2, false)
@@ -221,35 +221,36 @@ func TestTicketCompletion(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip exercises the coalesced record encoding directly.
+// TestBatchRoundTrip exercises the coalesced record encoding directly:
+// control requests are not batch entries.
 func TestBatchRoundTrip(t *testing.T) {
-	pre := appendPrecommit(nil, 7, 3, 2, []KV{kv("t", "r", "v")})
-	commit := make([]byte, 24)
 	reqs := []appendReq{
-		{kind: recPrecommit, payload: pre},
+		{kind: recTxn, payload: rawRecord(7, 70, 3, kv("t", "r", "v"))},
 		{kind: recSeal},
-		{kind: recCommit, payload: commit},
+		{kind: recTxn, payload: rawRecord(8, 80, 3)},
+		{kind: recCheckpoint, payload: make([]byte, 16)},
 	}
 	buf := appendBatch(nil, reqs, 2)
 	entries, err := decodeBatch(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("%d entries", len(entries))
+	if len(entries) != 2 || entries[0].kind != recTxn || entries[1].kind != recTxn {
+		t.Fatalf("entries %+v", entries)
 	}
-	if entries[0].kind != recPrecommit || entries[1].kind != recCommit {
-		t.Fatalf("kinds %d %d", entries[0].kind, entries[1].kind)
-	}
-	p, err := decodePrecommit(entries[0].payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.txnID != 7 || p.nShards != 2 {
-		t.Fatalf("%+v", p)
+	for i, want := range []uint64{7, 8} {
+		r, err := decodeRecord(entries[i].payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.txnID != want || r.commitTS != 10*want {
+			t.Fatalf("entry %d: %+v", i, r)
+		}
 	}
 	// Truncations must error, not panic.
 	for cut := 0; cut < len(buf); cut++ {
-		decodeBatch(buf[:cut])
+		if _, err := decodeBatch(buf[:cut]); err == nil {
+			t.Fatalf("batch truncated at %d decoded", cut)
+		}
 	}
 }

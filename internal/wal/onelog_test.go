@@ -40,8 +40,8 @@ func TestRefusesPerDataServerLayout(t *testing.T) {
 	}
 }
 
-// stageTxn stages a whole transaction — one precommit record on each of
-// `shards` data servers plus the commit record — without waiting.
+// stageTxn stages a transaction with one write on each of `shards` data
+// servers — one record — without waiting.
 func stageTxn(t testing.TB, m *Manager, id uint64, shards int) *Ticket {
 	t.Helper()
 	writes := map[int][]KV{}
@@ -59,11 +59,11 @@ func stageTxn(t testing.TB, m *Manager, id uint64, shards int) *Ticket {
 }
 
 // TestOneFsyncAcksEveryQueuedCommitter pins the group commit
-// deterministically: the first transaction stages only its precommit record,
-// so the batch the appender parks in holds exactly that one record; then its
-// commit record and K multi-shard committers are staged behind it. On release
-// exactly one further batch carries all of them, and one fsync completes
-// every ticket.
+// deterministically: the first transaction's record is staged alone, so the
+// batch the appender parks in holds exactly that one record; then K
+// multi-shard committers are staged behind it. On release exactly one
+// further batch carries all of their records, one per transaction, and one
+// fsync completes every ticket.
 func TestOneFsyncAcksEveryQueuedCommitter(t *testing.T) {
 	const committers, shards = 8, 3
 	parked, release := make(chan struct{}), make(chan struct{})
@@ -92,14 +92,8 @@ func TestOneFsyncAcksEveryQueuedCommitter(t *testing.T) {
 	}
 	defer m.Close()
 
-	epoch, first, err := m.PrecommitShards(1, [][]KV{{kv("t", "r1-0", "v")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-parked // batch 1, the lone precommit record, is fsynced; its ticket is not completed
-	if err := m.Commit(1, 101, epoch, first); err != nil {
-		t.Fatal(err)
-	}
+	first := stageTxn(t, m, 1, 1)
+	<-parked // batch 1, the lone first record, is fsynced; its ticket is not completed
 	tickets := []*Ticket{first}
 	for id := uint64(2); id < 2+committers; id++ {
 		tickets = append(tickets, stageTxn(t, m, id, shards))
@@ -122,7 +116,7 @@ func TestOneFsyncAcksEveryQueuedCommitter(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if want := []int{1, 1 + committers*(shards+1)}; len(batches) != 2 || batches[0] != want[0] || batches[1] != want[1] {
+	if want := []int{1, committers}; len(batches) != 2 || batches[0] != want[0] || batches[1] != want[1] {
 		t.Fatalf("batches carried %v records, want %v", batches, want)
 	}
 }
@@ -178,7 +172,7 @@ func TestLogErrorIsSticky(t *testing.T) {
 	if _, _, perr := m.Precommit(5, map[int][]KV{0: {kv("t", "late", "v")}}); !errors.Is(perr, ErrInjected) {
 		t.Fatalf("later Precommit got %v", perr)
 	}
-	if cerr := m.Commit(6, 106, m.Epoch(), newTicket(1)); !errors.Is(cerr, ErrInjected) {
+	if cerr := m.Commit(6, 106, m.Epoch(), newTicket()); !errors.Is(cerr, ErrInjected) {
 		t.Fatalf("later Commit got %v", cerr)
 	}
 	if !errors.Is(m.Err(), ErrInjected) || !errors.Is(m.WaitDurable(m.Epoch()), ErrInjected) {
@@ -219,11 +213,9 @@ func TestLogErrorIsSticky(t *testing.T) {
 }
 
 // TestAllocBudgetPrecommitCommit: staging, appending and flushing a 3-shard
-// transaction through the frozen map-keyed entry point. Committer side: the
-// map adapter's slice, one buffer for all three precommit payloads, the
-// ticket and its channel, the commit payload. Appender side, per batch (the
-// commit record can miss the precommits' batch): the key string, kvstore's
-// copy of the value, the epoch marker.
+// transaction through the frozen two-call entry point. Committer side: the
+// ticket, its channel and its write slice, the record. Appender side, per
+// batch: the key string, kvstore's copy of the value, the epoch marker.
 func TestAllocBudgetPrecommitCommit(t *testing.T) {
 	m, err := Open(Options{Dir: t.TempDir(), Shards: 4, EpochInterval: time.Hour, SyncCommit: true})
 	if err != nil {
@@ -258,13 +250,13 @@ func TestAllocBudgetPrecommitCommit(t *testing.T) {
 }
 
 // BenchmarkSyncCommit is the log on its own: closed-loop committers, each
-// staging a transaction that spans shards_per_txn data servers and waiting
-// for its fsync. records/batch and fsyncs/txn say how much of the fsync the
-// committers shared.
+// staging a transaction of writes_per_txn writes and waiting for its fsync.
+// records/batch (one record per transaction) and fsyncs/txn say how much of
+// the fsync the committers shared.
 func BenchmarkSyncCommit(b *testing.B) {
 	for _, committers := range []int{1, 8} {
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("committers=%d/shards_per_txn=%d", committers, shards), func(b *testing.B) {
+		for _, writes := range []int{1, 4} {
+			b.Run(fmt.Sprintf("committers=%d/writes_per_txn=%d", committers, writes), func(b *testing.B) {
 				var batches, records atomic.Int64
 				m, err := Open(Options{
 					Dir: b.TempDir(), Shards: 16, EpochInterval: time.Hour, SyncCommit: true,
@@ -287,12 +279,12 @@ func BenchmarkSyncCommit(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						perShard := make([][]KV, shards)
 						for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
-							for s := range perShard {
-								perShard[s] = []KV{{Key: core.KeyOf("t", int(i)*shards+s), Value: val}}
+							kvs := make([]KV, writes)
+							for w := range kvs {
+								kvs[w] = KV{Key: core.KeyOf("t", int(i)*writes+w), Value: val}
 							}
-							epoch, tk, err := m.PrecommitShards(uint64(i), perShard)
+							epoch, tk, err := m.Precommit(uint64(i), map[int][]KV{0: kvs})
 							if err == nil {
 								err = m.Commit(uint64(i), uint64(i), epoch, tk)
 							}
@@ -316,5 +308,39 @@ func BenchmarkSyncCommit(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestStageCommitPointContract: Stage runs the caller's commit point only on
+// a usable log, and stages a record only if the commit point succeeded — a
+// force-aborted transaction leaves nothing in the log, and on a closed log
+// the transaction is never committed at all.
+func TestStageCommitPointContract(t *testing.T) {
+	dir := t.TempDir()
+	m := open(t, dir, 1, true)
+	writes := []core.WriteRef{{Chain: core.NewChain(core.Key{Table: "t", Row: "x"}), V: &core.Version{Value: []byte("v")}}}
+	if tk, err := m.Stage(1, writes, func() (uint64, bool) { return 0, false }); tk != nil || err != nil {
+		t.Fatalf("refused commit point: Stage returned %v, %v; want nothing staged", tk, err)
+	}
+	tk, err := m.Stage(2, writes, func() (uint64, bool) { return 20, true })
+	if err != nil || tk == nil {
+		t.Fatalf("Stage returned %v, %v", tk, err)
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	if tk, err := m.Stage(3, writes, func() (uint64, bool) { ran = true; return 30, true }); tk != nil || !errors.Is(err, errClosed) || ran {
+		t.Fatalf("closed log: Stage returned %v, %v with the commit point run=%v", tk, err, ran)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Replayed != 1 || st.MaxTxnID != 2 || len(st.Writes) != 1 || st.Writes[0].CommitTS != 20 || string(st.Writes[0].Value) != "v" {
+		t.Fatalf("recovered %+v", st)
 	}
 }

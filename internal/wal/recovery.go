@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -23,14 +24,11 @@ type RecoveredWrite struct {
 type RecoveredState struct {
 	Writes []RecoveredWrite
 	MaxTS  uint64
-	// MaxTxnID is the largest transaction id in any precommit, commit or
-	// abort entry, discarded transactions included: a new transaction
-	// reusing one would merge with that transaction's records at the next
-	// recovery.
+	// MaxTxnID is the largest transaction id in any record, discarded
+	// ones included: transaction ids stay unique across the log's lives.
 	MaxTxnID uint64
-	// Discarded counts transactions dropped by the GCP / 2PC rules
-	// (missing precommits, epoch beyond a durable frontier, or missing
-	// commit record).
+	// Discarded counts transactions dropped by the GCP rule: their
+	// record's epoch is beyond the durable frontier.
 	Discarded int
 	Committed int
 	// SnapshotTS is the checkpoint cut recovery started from (0 when no
@@ -39,10 +37,9 @@ type RecoveredState struct {
 	// SnapshotKeys is the number of keys seeded from the checkpoint
 	// snapshot.
 	SnapshotKeys int
-	// Replayed counts the individual log records (precommit and commit,
-	// batch entries included) replayed from the log tail. With
-	// checkpointing enabled this stays proportional to the post-frontier
-	// tail, not to the full history.
+	// Replayed counts the transaction records replayed from the log tail,
+	// discarded ones included. With checkpointing enabled this stays
+	// proportional to the post-checkpoint tail, not to the full history.
 	Replayed int
 }
 
@@ -53,9 +50,6 @@ type logState struct {
 	nextSeq  uint64 // past every b/<seq> key
 	frontier uint64 // the epoch marker
 	ckID     uint64 // the checkpoint id in the ck marker, 0 without one
-	// unsealed holds the committed transactions discarded because their
-	// commit record lies past the frontier.
-	unsealed map[uint64]bool
 }
 
 // Recover performs the three-step recovery procedure of §4.5.4 on dir's log
@@ -89,21 +83,22 @@ func load(dir string) (*kvstore.Store, *logState, error) {
 //  0. if the log holds a ck marker, load the snapshot it names: it seeds the
 //     latest committed version of every covered key, and only the log tail
 //     remains;
-//  1. retrieve the data servers' records from the log;
-//  2. reconstruct database state — discard transactions that are missing a
-//     precommit record of any participant, whose records fall beyond the
-//     durable epoch frontier, or that lack a coordinator commit record;
-//     merge the survivors into the snapshot base, keeping the latest
-//     committed version of each key (merging is by commit timestamp, so
-//     records of snapshot-covered transactions that escaped compaction
-//     replay idempotently);
+//  1. retrieve the transaction records from the log;
+//  2. reconstruct database state — discard records whose epoch lies beyond
+//     the durable frontier, and merge the rest into the snapshot base,
+//     keeping the latest committed version of each key (merging is by commit
+//     timestamp, so records of snapshot-covered transactions that escaped
+//     compaction replay idempotently);
 //  3. CC-internal state (indices, version maps, lock tables) is rebuilt by
 //     the caller: recovered writes are re-installed as committed history
 //     that only the root CC needs to know about.
+//
+// A batch that does not decode fails the scan: the store's records are
+// checksummed, so it is no torn tail but a format this version cannot read.
 func scan(dir string, st *kvstore.Store) (*logState, error) {
 	le := binary.LittleEndian
 	out := &RecoveredState{}
-	ls := &logState{rec: out, unsealed: map[uint64]bool{}}
+	ls := &logState{rec: out}
 	latest := map[core.Key]RecoveredWrite{}
 
 	if b := st.Get(epochKey); len(b) == 8 {
@@ -123,24 +118,6 @@ func scan(dir string, st *kvstore.Store) (*logState, error) {
 		out.SnapshotKeys = len(entries)
 	}
 
-	type txnInfo struct {
-		precommits int
-		nShards    int
-		epochOK    bool
-		writes     []KV
-		commitTS   uint64
-		committed  bool
-	}
-	txns := map[uint64]*txnInfo{}
-	get := func(id uint64) *txnInfo {
-		out.MaxTxnID = max(out.MaxTxnID, id)
-		t := txns[id]
-		if t == nil {
-			t = &txnInfo{epochOK: true}
-			txns[id] = t
-		}
-		return t
-	}
 	err := st.ForEach(func(key string, value []byte) error {
 		seq, ok := strings.CutPrefix(key, batchPrefix)
 		if !ok {
@@ -153,37 +130,26 @@ func scan(dir string, st *kvstore.Store) (*logState, error) {
 		}
 		entries, err := decodeBatch(value)
 		if err != nil {
-			return nil // torn batch: skip
+			return fmt.Errorf("%w (in %s of %s)", err, key, logName)
 		}
 		for _, e := range entries {
-			switch e.kind {
-			case recPrecommit:
-				p, err := decodePrecommit(e.payload)
-				if err != nil {
-					continue // torn record: skip
-				}
-				out.Replayed++
-				t := get(p.txnID)
-				t.precommits++
-				t.nShards = p.nShards
-				t.writes = append(t.writes, p.writes...)
-				if p.epoch > ls.frontier {
-					t.epochOK = false
-				}
-			case recCommit:
-				if len(e.payload) < 24 {
-					continue
-				}
-				out.Replayed++
-				t := get(le.Uint64(e.payload[0:8]))
-				t.commitTS = le.Uint64(e.payload[8:16])
-				t.committed = true
-				if le.Uint64(e.payload[16:24]) > ls.frontier {
-					t.epochOK = false
-				}
-			case recAbort:
-				if len(e.payload) >= 8 {
-					out.MaxTxnID = max(out.MaxTxnID, le.Uint64(e.payload))
+			r, err := decodeRecord(e.payload)
+			if err != nil {
+				return fmt.Errorf("%w (in %s of %s)", err, key, logName)
+			}
+			out.Replayed++
+			out.MaxTxnID = max(out.MaxTxnID, r.txnID)
+			if r.epoch > ls.frontier {
+				out.Discarded++
+				continue
+			}
+			out.Committed++
+			out.MaxTS = max(out.MaxTS, r.commitTS)
+			for _, w := range r.writes {
+				if cur, ok := latest[w.Key]; !ok || r.commitTS > cur.CommitTS {
+					v := make([]byte, len(w.Value))
+					copy(v, w.Value)
+					latest[w.Key] = RecoveredWrite{Key: w.Key, Value: v, CommitTS: r.commitTS}
 				}
 			}
 		}
@@ -191,23 +157,6 @@ func scan(dir string, st *kvstore.Store) (*logState, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	for id, t := range txns {
-		if !t.committed || !t.epochOK || t.precommits < t.nShards {
-			out.Discarded++
-			if t.committed && !t.epochOK {
-				ls.unsealed[id] = true
-			}
-			continue
-		}
-		out.Committed++
-		out.MaxTS = max(out.MaxTS, t.commitTS)
-		for _, w := range t.writes {
-			if cur, ok := latest[w.Key]; !ok || t.commitTS > cur.CommitTS {
-				latest[w.Key] = RecoveredWrite{Key: w.Key, Value: w.Value, CommitTS: t.commitTS}
-			}
-		}
 	}
 	out.Writes = make([]RecoveredWrite, 0, len(latest))
 	for _, w := range latest {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/kvstore"
 )
 
 // TestEpochResumesPastFrontier: a reopened log's epoch counter starts past
@@ -49,12 +51,8 @@ func TestUnsealedCommitStaysDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	commitN(t, m, 1, 3)
-	// Transaction 7's records claim epoch 50; the frontier stays at 1.
-	stageRaw(t, m, recPrecommit, appendPrecommit(nil, 7, 50, 1, []KV{kv("t", "ghost", "unsealed")}))
-	commit := binary.LittleEndian.AppendUint64(nil, 7)
-	commit = binary.LittleEndian.AppendUint64(commit, 1000)
-	commit = binary.LittleEndian.AppendUint64(commit, 50)
-	stageRaw(t, m, recCommit, commit)
+	// Transaction 7's record claims epoch 50; the frontier stays low.
+	stageRaw(t, m, recTxn, rawRecord(7, 1000, 50, kv("t", "ghost", "unsealed")))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +88,17 @@ func TestUnsealedCommitStaysDiscarded(t *testing.T) {
 	}
 }
 
-// TestMaxTxnIDCountsEveryEntry: MaxTxnID covers discarded and aborted
-// transactions too — a new life must not reuse any id in the log.
+// TestMaxTxnIDCountsEveryEntry: MaxTxnID covers discarded transactions too
+// — a new life must not reuse any id in the log.
 func TestMaxTxnIDCountsEveryEntry(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	commitN(t, m, 1, 3)
-	if _, _, err := m.Precommit(9, map[int][]KV{0: {kv("t", "x", "orphan")}}); err != nil {
-		t.Fatal(err) // no commit record: discarded
+	// Transaction 12's record lies past the frontier: discarded.
+	stageRaw(t, m, recTxn, rawRecord(12, 1000, 50, kv("t", "x", "unsealed")))
+	if _, _, err := m.Precommit(14, map[int][]KV{0: {kv("t", "x", "orphan")}}); err != nil {
+		t.Fatal(err) // never committed: logs nothing
 	}
-	stageRaw(t, m, recAbort, binary.LittleEndian.AppendUint64(nil, 12))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -273,4 +272,87 @@ func TestSnapshotCutMustMatchMarker(t *testing.T) {
 	if st, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "cut 8") {
 		t.Fatalf("Recover returned %+v, %v; want the cut mismatch", st, err)
 	}
+}
+
+// TestRefusesTwoPhaseRecordFormat: a log holding a batch of the two-phase
+// record format — precommit (kind 1), commit (2) or abort (4) entries — is
+// refused by name in both entry points. Read as the one-record format, its
+// transactions would silently be gone. The store's records are unchanged.
+func TestRefusesTwoPhaseRecordFormat(t *testing.T) {
+	le := binary.LittleEndian
+	precommit := le.AppendUint64(nil, 20) // txnID | epoch | nShards | count=0
+	precommit = le.AppendUint64(precommit, 1)
+	precommit = le.AppendUint32(le.AppendUint32(precommit, 1), 0)
+	commit := le.AppendUint64(le.AppendUint64(le.AppendUint64(nil, 20), 30), 1)
+	for _, tc := range []struct {
+		name    string
+		kind    byte
+		payload []byte
+	}{
+		{"precommit", 1, precommit},
+		{"commit", 2, commit},
+		{"abort", 4, le.AppendUint64(nil, 21)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m := open(t, dir, 1, true)
+			commitN(t, m, 1, 5)
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			batch := le.AppendUint32(nil, 1)
+			batch = append(batch, tc.kind)
+			batch = append(le.AppendUint32(batch, uint32(len(tc.payload))), tc.payload...)
+			st, err := kvstore.Open(filepath.Join(dir, logName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Set(batchPrefix+"100", batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := storeRecords(t, dir)
+
+			if m, err := Open(Options{Dir: dir}); err == nil {
+				m.Close()
+				t.Fatal("Open accepted a log of the two-phase record format")
+			} else if !strings.Contains(err.Error(), "two-phase record format") {
+				t.Fatalf("Open error does not name the format: %v", err)
+			}
+			if rec, err := Recover(dir); err == nil {
+				t.Fatalf("Recover returned %+v from a log of the two-phase record format", rec)
+			} else if !strings.Contains(err.Error(), "two-phase record format") {
+				t.Fatalf("Recover error does not name the format: %v", err)
+			}
+			after := storeRecords(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("refused log changed: %d keys before, %d after", len(before), len(after))
+			}
+			for k, v := range before {
+				if string(after[k]) != string(v) {
+					t.Fatalf("refused log changed: %s differs", k)
+				}
+			}
+		})
+	}
+}
+
+// storeRecords reads every key/value pair of dir's log.
+func storeRecords(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	st, err := kvstore.Open(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	st.ForEach(func(k string, v []byte) error {
+		out[k] = append([]byte(nil), v...)
+		return nil
+	})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

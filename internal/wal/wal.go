@@ -1,43 +1,48 @@
-// Package wal implements Tebaldi's durability module (§4.5.4): write-ahead
-// precommit logs per data server, a two-phase-commit shaped protocol, global
-// checkpoint (GCP) epochs, asynchronous flushing, and the three-step
-// recovery procedure.
+// Package wal implements Tebaldi's durability module (§4.5.4): a write-ahead
+// log of committed transactions, global checkpoint (GCP) epochs,
+// asynchronous flushing, group commit, checkpoints and recovery.
 //
-// Protocol summary (mirroring the paper):
+// Protocol summary:
 //
-//   - During commit, each participating data server appends a precommit
-//     record carrying the transaction's writes on that server, the number of
-//     participating servers, and the server's current GCP epoch id.
-//   - The coordinator appends a commit record (transaction id, commit
-//     timestamp, global epoch id = max of participant epochs).
+//   - A writing transaction logs ONE record, txnID | commitTS | epoch |
+//     writes. It is encoded before the commit point and staged inside the
+//     same exclusive section as the commit point itself (Manager.Stage), so
+//     log order contains visibility order: a transaction that read another's
+//     writes passed its commit point after the other's, and its record
+//     follows the other's in the log.
 //   - With asynchronous flushing, commit notification is decoupled from
-//     durable notification: logs are batched and flushed in GCP epochs;
+//     durable notification: records are batched and flushed in GCP epochs;
 //     committed-but-not-yet-durable transactions are indistinguishable from
 //     durable ones to the CC mechanisms, so durability never blocks
 //     concurrency control.
-//   - Recovery retrieves the log, discards transactions with a missing
-//     precommit record, a missing commit record or an epoch beyond the
+//   - Recovery retrieves the log, discards records whose epoch is beyond the
 //     durable frontier, and reconstructs the latest committed version of
 //     every key; CC-internal state is rebuilt implicitly (the fresh CC tree
 //     treats recovered data as committed history).
 //
-// Logical logs, one physical device. The paper keeps a log per data server
-// because its data servers are separate machines, each with a disk of its
-// own. Here every data server lives in one process on one disk, where N log
-// files mean N fsyncs that the device serialises: a transaction touching
-// three servers plus its coordinator waited on four of them, and concurrent
-// committers spread over 16 files shared almost none. So the records stay
-// the paper's — one precommit record per participating data server, one
-// coordinator commit record — but they all go through ONE group-commit
-// appender (group.go) into ONE kvstore file, wal.log: whatever queued while
-// the previous batch was being written becomes the next batch, written with
-// one Set and — under SyncCommit — acknowledged by one fsync.
+// The recovered state is closed under reads-from. Suppose B read A. B's
+// commit point follows A's, so B's record follows A's in the one FIFO, and
+// B's epoch is at least A's. Under SyncCommit, B's acknowledgement means an
+// fsync covered B's batch, hence A's record too. Asynchronously, B's epoch
+// at or below the frontier puts A's there as well, and A was staged before
+// that epoch's seal.
+//
+// One record, one device. The paper logs a precommit record per data server
+// and a coordinator commit record because its data servers are separate
+// machines, each with a disk of its own, whose precommits can be lost one by
+// one. Here every data server lives in one process on one disk, and every
+// record goes through ONE group-commit appender (group.go) into ONE kvstore
+// file, wal.log, behind one checksummed prefix: no participant's part can be
+// lost on its own, so one record per transaction carries all that recovery
+// needs. Whatever queued while the previous batch was being written becomes
+// the next batch, written with one Set and — under SyncCommit — acknowledged
+// by one fsync.
 //
 // Keys in wal.log (persistence is outsourced to internal/kvstore through a
 // key-value interface, as the paper outsources it to Redis/RocksDB):
 //
-//	b/<seq>  one coalesced batch of precommit, commit and abort records;
-//	         <seq> is the appender's monotone batch sequence
+//	b/<seq>  one coalesced batch of transaction records; <seq> is the
+//	         appender's monotone batch sequence
 //	e        the durable epoch frontier (u64): every record of an epoch at or
 //	         below it is in the log
 //	ck       the checkpoint marker (checkpoint id, snapshot cut): its fsync
@@ -76,24 +81,20 @@ type Options struct {
 	// Dir is the directory holding the log and the checkpoint snapshot.
 	Dir string
 	// Shards is unused: the log does not depend on the number of data
-	// servers (each precommit record carries its transaction's count). It
-	// is kept only because benchmark/probes.go sets it.
+	// servers. It is kept only because benchmark/probes.go sets it.
 	Shards int
 	// EpochInterval is the GCP epoch length (the paper uses 1s; tests and
 	// benchmarks use shorter epochs).
 	EpochInterval time.Duration
 	// SyncCommit forces a flush before commit returns (durability
 	// notification == commit notification). Default is asynchronous
-	// flushing. A synchronous commit waits for the batch its records were
+	// flushing. A synchronous commit waits for the batch its record was
 	// coalesced into — one fsync serves every committer in the batch.
 	SyncCommit bool
-	// MaxBatch bounds how many records the appender coalesces into a
-	// single batch append (default 256).
-	MaxBatch int
 	// Observer, when non-nil, is called after every coalesced batch
-	// append with the number of records, the append(+flush) latency and
-	// any error. The engine wires this to its batch-size / flush-latency
-	// counters.
+	// append with the number of transaction records, the append(+flush)
+	// latency and any error. The engine wires this to its batch-size /
+	// flush-latency counters.
 	Observer func(records int, d time.Duration, err error)
 	// CrashHook, when non-nil, is invoked at every durability-critical
 	// boundary (append, flush, seal, checkpoint snapshot/frontier and the
@@ -128,20 +129,24 @@ type Manager struct {
 	durableEpoch uint64
 	durableCond  *sync.Cond
 
-	// closeMu serializes pipeline submission against epoch seals and
-	// Close. Stagers (Precommit/Commit/Abort/Checkpoint) hold the read side
-	// across the epoch read AND the channel send, so a record carrying
-	// epoch e is always in the appender's queue before flushEpoch — which
-	// holds the write side while advancing the epoch and enqueueing the
-	// seal — can seal e; FIFO then guarantees the record is flushed before
-	// the durable frontier covers it. Close holds the write side while
-	// marking the pipeline closed and closing the queue, so nobody sends on
-	// a closed channel; later submissions fail with errClosed. Checkpoint
-	// stages its frontier marker while holding ckMu, so the read side nests
-	// inside it.
+	// stageMu is the stage lock: one exclusive section for each commit
+	// point with its record's staging, each epoch seal, each checkpoint
+	// marker and Close. Inside it a stager runs the caller's commit point,
+	// reads the epoch and sends the record, so
+	//
+	//   - records reach the appender's FIFO in commit-point order: a reader
+	//     of a transaction's writes stages behind it;
+	//   - a record carrying epoch e is in the queue before flushEpoch —
+	//     which advances the epoch and enqueues the seal under the same lock
+	//     — can seal e, so it is flushed before the frontier covers it;
+	//   - nobody sends on the queue after Close closed it; later stagers
+	//     fail with errClosed.
+	//
+	// Checkpoint stages its frontier marker while holding ckMu, so the stage
+	// lock nests inside it.
 	//
 	// tebaldi:locks after wal.Manager.ckMu
-	closeMu sync.RWMutex
+	stageMu sync.Mutex
 	closed  bool
 
 	// ckMu serializes checkpoints; ckSeq is the last completed checkpoint
@@ -183,19 +188,16 @@ func Open(opts Options) (*Manager, error) {
 	if opts.EpochInterval <= 0 {
 		opts.EpochInterval = time.Second
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 256
-	}
 	st, ls, err := load(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(ls.unsealed) > 0 {
-		// Committed transactions whose epoch the frontier does not cover
-		// were discarded; once this life seals past their epoch they would
-		// look durable. Drop them before anything is appended.
+	if ls.rec.Discarded > 0 {
+		// Records whose epoch the frontier does not cover were discarded;
+		// once this life seals past their epoch they would look durable.
+		// Drop them by their own epoch before anything is appended.
 		if _, _, err := st.Rewrite(func(key string, value []byte) ([]byte, bool) {
-			return compactRecord(key, value, ls.unsealed)
+			return compactRecord(key, value, func(_, epoch uint64) bool { return epoch > ls.frontier })
 		}); err != nil {
 			return nil, errors.Join(err, st.Close())
 		}
@@ -269,7 +271,7 @@ func (m *Manager) fail(err error) error {
 }
 
 // unusable reports why nothing may be staged: the log is poisoned or
-// closed. Called with closeMu held.
+// closed. Called with stageMu held.
 func (m *Manager) unusable() error {
 	if err := m.Err(); err != nil {
 		return err
@@ -280,97 +282,88 @@ func (m *Manager) unusable() error {
 	return nil
 }
 
-// Precommit is PrecommitShards for callers that hold the transaction's
-// writes keyed by data server index.
-func (m *Manager) Precommit(txnID uint64, writesByShard map[int][]KV) (uint64, *Ticket, error) {
-	perShard := make([][]KV, 0, len(writesByShard))
-	for _, kvs := range writesByShard {
-		perShard = append(perShard, kvs)
+// Stage logs a committing transaction: it encodes the transaction's one
+// record from its write set, then, inside the stage lock, runs commitPoint,
+// stamps the record with the commit timestamp it returns and the current
+// epoch, and hands it to the appender. It never waits for the record: commit
+// notification is decoupled from durable notification (§4.5.4) even under
+// SyncCommit, where the caller decides when to block on the returned ticket —
+// the engine releases CC state first, then waits, so the log never throttles
+// concurrency control. The ticket completes once the record is appended, and
+// flushed under SyncCommit.
+//
+// On a poisoned or closed log commitPoint never runs and the error is
+// returned: the transaction can still abort cleanly. If commitPoint reports
+// false (the transaction was force-aborted), nothing is staged and Stage
+// returns a nil ticket and a nil error.
+func (m *Manager) Stage(txnID uint64, writes []core.WriteRef, commitPoint func() (uint64, bool)) (*Ticket, error) {
+	rec := encodeRecord(txnID, len(writes), func(i int) (core.Key, []byte) {
+		return writes[i].Chain.Key, writes[i].V.Value
+	})
+	tk := newTicket()
+	if ok, err := m.stage(rec, 0, tk, commitPoint); !ok {
+		return nil, err
 	}
-	return m.PrecommitShards(txnID, perShard)
+	return tk, nil
 }
 
-// PrecommitShards stages one precommit record per participating data server
-// and returns the transaction's global epoch id (max of participant epochs —
-// with one process-wide epoch counter they coincide) plus the Ticket
-// tracking the transaction's records through the pipeline. perShard holds
-// one element per participating data server: the transaction's writes owned
-// by that server. The ticket is sized for the precommit records plus the
-// coordinator commit record that Commit enqueues later. The writes are
-// copied; the caller may reuse perShard as soon as the call returns.
-func (m *Manager) PrecommitShards(txnID uint64, perShard [][]KV) (uint64, *Ticket, error) {
-	n := len(perShard)
-	size := 0
-	for _, kvs := range perShard {
-		size += precommitSize(kvs)
-	}
-	buf := make([]byte, 0, size)
-	tk := newTicket(int32(n) + 1)
-	m.closeMu.RLock()
-	if err := m.unusable(); err != nil {
-		m.closeMu.RUnlock()
+// Precommit and Commit are Stage in two calls, for callers without a commit
+// point of their own. Precommit stages nothing: it returns the current epoch
+// and a ticket that holds the writes (their data-server keys do not matter to
+// the log) until Commit. The writes' values are not copied before Commit.
+func (m *Manager) Precommit(txnID uint64, writesByShard map[int][]KV) (uint64, *Ticket, error) {
+	if err := m.Err(); err != nil {
 		return 0, nil, err
 	}
-	// The epoch MUST be read under the stage/seal lock: otherwise a seal
-	// of this epoch could slip between the read and the sends, and the
-	// records would miss the flush their epoch promises.
-	epoch := m.epoch.Load()
-	for _, kvs := range perShard {
-		start := len(buf)
-		buf = appendPrecommit(buf, txnID, epoch, n, kvs)
-		m.app.ch <- appendReq{kind: recPrecommit, payload: buf[start:], epoch: epoch, tk: tk}
+	n := 0
+	for _, kvs := range writesByShard {
+		n += len(kvs)
 	}
-	m.closeMu.RUnlock()
-	return epoch, tk, nil
+	tk := newTicket()
+	tk.writes = make([]KV, 0, n)
+	for _, kvs := range writesByShard {
+		tk.writes = append(tk.writes, kvs...)
+	}
+	return m.Epoch(), tk, nil
 }
 
-// Commit stages the coordinator's commit record and returns without
-// waiting: commit notification is decoupled from durable notification
-// (§4.5.4) even under SyncCommit, where the caller decides when to block on
-// the ticket — the engine releases CC state first, then waits, so the log
-// never throttles concurrency control. Ticket.Wait returns once the
-// transaction's whole record set — precommit records included, since the
-// appender is FIFO — is appended, and flushed under SyncCommit. An error
-// means the record was not staged (the log is poisoned or closed); the
-// ticket completes with it.
+// Commit stages txnID's one record, holding the writes Precommit left in tk,
+// at commitTS. epoch is a lower bound only: the record carries the epoch
+// current when it is staged, or epoch if that is larger. An error means the
+// record was not staged (the log is poisoned or closed); the ticket
+// completes with it.
 func (m *Manager) Commit(txnID, commitTS, epoch uint64, tk *Ticket) error {
-	payload := make([]byte, 24)
-	binary.LittleEndian.PutUint64(payload[0:8], txnID)
-	binary.LittleEndian.PutUint64(payload[8:16], commitTS)
-	m.closeMu.RLock()
-	if err := m.unusable(); err != nil {
-		m.closeMu.RUnlock()
+	rec := encodeRecord(txnID, len(tk.writes), func(i int) (core.Key, []byte) {
+		return tk.writes[i].Key, tk.writes[i].Value
+	})
+	tk.writes = nil
+	_, err := m.stage(rec, epoch, tk, func() (uint64, bool) { return commitTS, true })
+	if err != nil {
 		tk.complete(err)
-		return err
 	}
-	// The participant epoch from Precommit may already be sealed by the
-	// time the commit record is staged; bump the record to the current
-	// epoch (read under the stage/seal lock) so the epoch-frontier rule
-	// stays sound — recovery becomes conservative (the transaction is
-	// classified into a later, possibly unsealed epoch), never wrong.
-	if cur := m.epoch.Load(); cur > epoch {
-		epoch = cur
-	}
-	binary.LittleEndian.PutUint64(payload[16:24], epoch)
-	m.app.ch <- appendReq{kind: recCommit, payload: payload, epoch: epoch, tk: tk}
-	m.closeMu.RUnlock()
-	return nil
+	return err
 }
 
-// Abort stages an abort marker for a transaction whose precommit records
-// were staged but whose commit record will never be (the engine's
-// force-abort between precommit staging and the commit point). Recovery
-// discards commit-less transactions either way; the marker exists so
-// checkpoint compaction can reclaim the orphaned precommit records instead
-// of carrying them forever. Fire-and-forget: nothing waits on the staged
-// record, and on a poisoned or closed log there is nothing to reclaim.
-func (m *Manager) Abort(txnID uint64) {
-	payload := binary.LittleEndian.AppendUint64(nil, txnID)
-	m.closeMu.RLock()
-	if m.unusable() == nil {
-		m.app.ch <- appendReq{kind: recAbort, payload: payload, epoch: m.epoch.Load(), tk: newTicket(1)}
+// stage is the exclusive section behind Stage and Commit. It reports whether
+// the record was staged.
+func (m *Manager) stage(rec []byte, minEpoch uint64, tk *Ticket, commitPoint func() (uint64, bool)) (bool, error) {
+	m.stageMu.Lock()
+	defer m.stageMu.Unlock()
+	if err := m.unusable(); err != nil {
+		return false, err
 	}
-	m.closeMu.RUnlock()
+	commitTS, ok := commitPoint()
+	if !ok {
+		return false, nil
+	}
+	// The epoch MUST be read under the stage lock: otherwise a seal of this
+	// epoch could slip between the read and the send, and the record would
+	// miss the flush its epoch promises.
+	epoch := max(minEpoch, m.epoch.Load())
+	binary.LittleEndian.PutUint64(rec[8:16], commitTS)
+	binary.LittleEndian.PutUint64(rec[16:24], epoch)
+	m.app.ch <- appendReq{kind: recTxn, payload: rec, epoch: epoch, tk: tk}
+	return true, nil
 }
 
 // WaitDurable blocks until epoch is fully persisted (the durable
@@ -408,20 +401,19 @@ func (m *Manager) flusher() {
 }
 
 func (m *Manager) flushEpoch() error {
-	// Advance the epoch and enqueue the seal under the write side of the
-	// stage/seal lock: stagers read the epoch and send their records under
-	// the read side, so every record carrying epoch <= cur is already in
-	// the appender's queue (FIFO, ahead of the seal) — otherwise
-	// WaitDurable(cur) would lie.
-	m.closeMu.Lock()
+	// Advance the epoch and enqueue the seal under the stage lock: stagers
+	// read the epoch and send their records under it too, so every record
+	// carrying epoch <= cur is already in the appender's queue (FIFO, ahead
+	// of the seal) — otherwise WaitDurable(cur) would lie.
+	m.stageMu.Lock()
 	if err := m.unusable(); err != nil {
-		m.closeMu.Unlock()
+		m.stageMu.Unlock()
 		return err
 	}
 	cur := m.epoch.Add(1) - 1 // seal epoch `cur`, open the next
-	tk := newTicket(1)
+	tk := newTicket()
 	m.app.ch <- appendReq{kind: recSeal, epoch: cur, tk: tk}
-	m.closeMu.Unlock()
+	m.stageMu.Unlock()
 	// Wait outside the lock: the appender does the flushing, and stagers
 	// must be free to pile the next epoch's records in behind the seal
 	// meanwhile.
@@ -446,12 +438,12 @@ func (m *Manager) Close() error {
 		close(m.stop)
 	}
 	<-m.done // flusher has run the final flushEpoch
-	m.closeMu.Lock()
+	m.stageMu.Lock()
 	if !m.closed {
 		m.closed = true
 		close(m.app.ch)
 	}
-	m.closeMu.Unlock()
+	m.stageMu.Unlock()
 	<-m.app.exited
 	err := m.st.Close()
 	if ferr := m.Err(); ferr != nil {
@@ -460,93 +452,75 @@ func (m *Manager) Close() error {
 	return err
 }
 
-func precommitSize(kvs []KV) int {
-	size := 8 + 8 + 4 + 4
-	for _, kv := range kvs {
-		size += 4 + len(kv.Key.Table) + 4 + len(kv.Key.Row) + 4 + len(kv.Value)
-	}
-	return size
-}
+// recHeader is the fixed part of a transaction record; commitTS and epoch
+// sit at fixed offsets so the stager can fill them in at the commit point.
+const recHeader = 8 + 8 + 8 + 4
 
-// appendPrecommit appends one data server's precommit record to buf:
+// encodeRecord encodes a transaction's log record with commitTS and epoch
+// left zero; write(i) is its i-th write of n:
 //
-//	u64 txnID | u64 epoch | u32 nShards | u32 count |
+//	u64 txnID | u64 commitTS | u64 epoch | u32 count |
 //	repeat: u32 len, table | u32 len, row | u32 len, value
-func appendPrecommit(buf []byte, txnID, epoch uint64, nShards int, kvs []KV) []byte {
+func encodeRecord(txnID uint64, n int, write func(i int) (core.Key, []byte)) []byte {
+	size := recHeader
+	for i := 0; i < n; i++ {
+		k, v := write(i)
+		size += 12 + len(k.Table) + len(k.Row) + len(v)
+	}
 	le := binary.LittleEndian
-	buf = le.AppendUint64(buf, txnID)
-	buf = le.AppendUint64(buf, epoch)
-	buf = le.AppendUint32(buf, uint32(nShards))
-	buf = le.AppendUint32(buf, uint32(len(kvs)))
-	for _, kv := range kvs {
-		buf = append(le.AppendUint32(buf, uint32(len(kv.Key.Table))), kv.Key.Table...)
-		buf = append(le.AppendUint32(buf, uint32(len(kv.Key.Row))), kv.Key.Row...)
-		buf = append(le.AppendUint32(buf, uint32(len(kv.Value))), kv.Value...)
+	rec := make([]byte, recHeader, size)
+	le.PutUint64(rec, txnID)
+	le.PutUint32(rec[24:], uint32(n))
+	for i := 0; i < n; i++ {
+		k, v := write(i)
+		rec = append(le.AppendUint32(rec, uint32(len(k.Table))), k.Table...)
+		rec = append(le.AppendUint32(rec, uint32(len(k.Row))), k.Row...)
+		rec = append(le.AppendUint32(rec, uint32(len(v))), v...)
 	}
-	return buf
+	return rec
 }
 
-type precommit struct {
-	txnID   uint64
-	epoch   uint64
-	nShards int
-	writes  []KV
+// record is one decoded transaction record. Its values alias the buffer it
+// was decoded from.
+type record struct {
+	txnID, commitTS, epoch uint64
+	writes                 []KV
 }
 
-func decodePrecommit(buf []byte) (*precommit, error) {
-	p := &precommit{}
-	off := 0
-	get64 := func() (uint64, bool) {
-		if off+8 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		return v, true
+var errTruncatedRecord = errors.New("wal: truncated transaction record")
+
+func decodeRecord(buf []byte) (record, error) {
+	le := binary.LittleEndian
+	if len(buf) < recHeader {
+		return record{}, errTruncatedRecord
 	}
-	get32 := func() (uint32, bool) {
+	r := record{txnID: le.Uint64(buf), commitTS: le.Uint64(buf[8:]), epoch: le.Uint64(buf[16:])}
+	count := int(le.Uint32(buf[24:]))
+	off := recHeader
+	field := func() ([]byte, bool) {
 		if off+4 > len(buf) {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(buf[off:])
-		off += 4
-		return v, true
-	}
-	getBytes := func() ([]byte, bool) {
-		n, ok := get32()
-		if !ok || off+int(n) > len(buf) {
 			return nil, false
 		}
-		b := buf[off : off+int(n)]
-		off += int(n)
-		return b, true
-	}
-	var ok bool
-	if p.txnID, ok = get64(); !ok {
-		return nil, fmt.Errorf("wal: truncated precommit")
-	}
-	if p.epoch, ok = get64(); !ok {
-		return nil, fmt.Errorf("wal: truncated precommit")
-	}
-	ns, ok := get32()
-	if !ok {
-		return nil, fmt.Errorf("wal: truncated precommit")
-	}
-	p.nShards = int(ns)
-	nw, ok := get32()
-	if !ok {
-		return nil, fmt.Errorf("wal: truncated precommit")
-	}
-	for i := 0; i < int(nw); i++ {
-		tbl, ok1 := getBytes()
-		row, ok2 := getBytes()
-		val, ok3 := getBytes()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("wal: truncated precommit write")
+		n := int(le.Uint32(buf[off:]))
+		off += 4
+		if n > len(buf)-off {
+			return nil, false
 		}
-		v := make([]byte, len(val))
-		copy(v, val)
-		p.writes = append(p.writes, KV{Key: core.Key{Table: string(tbl), Row: string(row)}, Value: v})
+		off += n
+		return buf[off-n : off], true
 	}
-	return p, nil
+	r.writes = make([]KV, 0, min(count, len(buf)/12))
+	for i := 0; i < count; i++ {
+		tbl, ok1 := field()
+		row, ok2 := field()
+		val, ok3 := field()
+		if !ok1 || !ok2 || !ok3 {
+			return record{}, errTruncatedRecord
+		}
+		r.writes = append(r.writes, KV{Key: core.Key{Table: string(tbl), Row: string(row)}, Value: val})
+	}
+	if off != len(buf) {
+		return record{}, errors.New("wal: trailing bytes after a transaction record")
+	}
+	return r, nil
 }

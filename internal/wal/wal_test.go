@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -16,15 +17,23 @@ func open(t *testing.T, dir string, shards int, sync bool) *Manager {
 	return m
 }
 
-// stageRaw pushes one hand-built record through the appender and waits for
+// stageRaw pushes one hand-built request through the appender and waits for
 // it, for tests that need a log no well-behaved committer would write.
 func stageRaw(t *testing.T, m *Manager, kind byte, payload []byte) {
 	t.Helper()
-	tk := newTicket(1)
+	tk := newTicket()
 	m.app.ch <- appendReq{kind: kind, payload: payload, epoch: m.Epoch(), tk: tk}
 	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rawRecord builds a transaction record with the given stamps.
+func rawRecord(txnID, commitTS, epoch uint64, kvs ...KV) []byte {
+	rec := encodeRecord(txnID, len(kvs), func(i int) (core.Key, []byte) { return kvs[i].Key, kvs[i].Value })
+	binary.LittleEndian.PutUint64(rec[8:], commitTS)
+	binary.LittleEndian.PutUint64(rec[16:], epoch)
+	return rec
 }
 
 func kv(table, row, val string) KV {
@@ -66,40 +75,24 @@ func TestPrecommitCommitRecover(t *testing.T) {
 	}
 }
 
+// TestRecoverDiscardsMissingCommitRecord: a transaction that never reached
+// its commit point logged nothing — Precommit stages no record — so
+// recovery has nothing of it to replay or discard.
 func TestRecoverDiscardsMissingCommitRecord(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 2, true)
 	if _, _, err := m.Precommit(1, map[int][]KV{0: {kv("t", "x", "v")}}); err != nil {
 		t.Fatal(err)
 	}
-	// No commit record: the transaction never reached commit.
+	// No Commit: the transaction never reached its commit point.
 	m.flushEpoch()
 	m.Close()
 	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Committed != 0 || st.Discarded != 1 {
-		t.Fatalf("committed=%d discarded=%d", st.Committed, st.Discarded)
-	}
-}
-
-func TestRecoverDiscardsIncompletePrecommits(t *testing.T) {
-	dir := t.TempDir()
-	m := open(t, dir, 2, true)
-	// Claim two participating shards but only log one precommit (as if
-	// the second data server crashed before persisting).
-	stageRaw(t, m, recPrecommit, appendPrecommit(nil, 5, m.Epoch(), 2, []KV{kv("t", "x", "v")}))
-	if err := m.Commit(5, 50, m.Epoch(), newTicket(1)); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	st, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Committed != 0 || st.Discarded != 1 {
-		t.Fatalf("2PC rule violated: committed=%d discarded=%d", st.Committed, st.Discarded)
+	if st.Committed != 0 || st.Discarded != 0 || st.Replayed != 0 || len(st.Writes) != 0 {
+		t.Fatalf("committed=%d discarded=%d replayed=%d writes=%v", st.Committed, st.Discarded, st.Replayed, st.Writes)
 	}
 }
 
@@ -148,30 +141,33 @@ func TestAsyncDurableNotification(t *testing.T) {
 	}
 }
 
-func TestPrecommitRoundTripEncoding(t *testing.T) {
+func TestRecordRoundTripEncoding(t *testing.T) {
 	in := []KV{kv("table", "row", "value"), kv("t2", "r2", "")}
-	rec := appendPrecommit(nil, 42, 7, 3, in)
-	p, err := decodePrecommit(rec)
+	r, err := decodeRecord(rawRecord(42, 9, 7, in...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.txnID != 42 || p.epoch != 7 || p.nShards != 3 || len(p.writes) != 2 {
-		t.Fatalf("%+v", p)
+	if r.txnID != 42 || r.commitTS != 9 || r.epoch != 7 || len(r.writes) != 2 {
+		t.Fatalf("%+v", r)
 	}
-	if p.writes[0].Key.Table != "table" || string(p.writes[0].Value) != "value" {
-		t.Fatalf("%+v", p.writes[0])
+	if r.writes[0].Key.Table != "table" || r.writes[0].Key.Row != "row" || string(r.writes[0].Value) != "value" {
+		t.Fatalf("%+v", r.writes[0])
+	}
+	if r.writes[1].Key != in[1].Key || len(r.writes[1].Value) != 0 {
+		t.Fatalf("%+v", r.writes[1])
 	}
 }
 
+// TestDecodeTruncated: every strict prefix of a record fails to decode, and
+// so does a record with trailing bytes.
 func TestDecodeTruncated(t *testing.T) {
-	rec := appendPrecommit(nil, 1, 1, 1, []KV{kv("t", "r", "v")})
-	for cut := 0; cut < len(rec); cut += 5 {
-		if _, err := decodePrecommit(rec[:cut]); err == nil && cut < len(rec) {
-			// Short prefixes may decode iff they form a complete
-			// record; the full record is the only valid length.
-			if cut != len(rec) {
-				t.Fatalf("truncated record at %d decoded", cut)
-			}
+	rec := rawRecord(1, 1, 1, kv("t", "r", "v"), kv("t", "s", "w"))
+	for cut := 0; cut < len(rec); cut++ {
+		if _, err := decodeRecord(rec[:cut]); err == nil {
+			t.Fatalf("record truncated at %d of %d bytes decoded", cut, len(rec))
 		}
+	}
+	if _, err := decodeRecord(append(rec, 0)); err == nil {
+		t.Fatal("record with a trailing byte decoded")
 	}
 }
