@@ -198,14 +198,19 @@ func (s *SSI) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.
 			// The same-group exemption applies only to PENDING
 			// versions: those conflicts are the descendant's to
 			// regulate, surfaced through the proposal.
-			if s.sameGroup(t, v.Writer) || s.optimized {
+			if s.sameGroup(t, v.Writer) {
 				continue
 			}
 			if cts := v.Writer.CommitTS(); cts != 0 && cts <= sl.snapTS {
 				// The writer is mid-commit with a timestamp our
-				// snapshot must include: wait for it to finish,
-				// then re-run the read.
+				// snapshot must include (or one it is still
+				// drawing): wait for it to finish, then re-run the
+				// read. Optimized mode too: a read-only reader
+				// must not skip a writer ordered before it.
 				return nil, &core.WaitFor{V: v}
+			}
+			if s.optimized {
+				continue
 			}
 			if s.node.InSubtree(v.Writer) {
 				// A concurrent pending write this snapshot will

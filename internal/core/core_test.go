@@ -392,3 +392,44 @@ func TestRecordReaderPrunes(t *testing.T) {
 		t.Fatalf("live readers were pruned: %d", len(c2.Readers()))
 	}
 }
+
+// heldOracle draws a timestamp and then holds it back until release is
+// closed, signalling entered: a committer is caught between its draw and its
+// publication with no hook in the code under test.
+type heldOracle struct {
+	last             uint64
+	entered, release chan struct{}
+}
+
+func (o *heldOracle) Next() uint64 {
+	o.last++
+	ts := o.last
+	close(o.entered)
+	<-o.release
+	return ts
+}
+
+func (o *heldOracle) Last() uint64 { return o.last }
+
+// TestCommitTSVisibleWhileDrawing: from the moment MarkCommittedNext draws
+// its timestamp until it publishes it, the still-pending writer's CommitTS
+// is non-zero and at or below any later snapshot, so a reader that began
+// after the draw waits for the writer instead of skipping its writes.
+func TestCommitTSVisibleWhileDrawing(t *testing.T) {
+	w := NewTxn(1, "w", 0, 1)
+	o := &heldOracle{last: 5, entered: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan uint64)
+	go func() {
+		ts, _ := w.MarkCommittedNext(o)
+		done <- ts
+	}()
+	<-o.entered
+	snapshot := o.last + 1 // a reader that began after the draw
+	if cts := w.CommitTS(); w.State() != Active || cts == 0 || cts > snapshot {
+		t.Errorf("while drawing: state %v, CommitTS %d; want a pending writer with 0 < CommitTS <= %d", w.State(), cts, snapshot)
+	}
+	close(o.release)
+	if ts := <-done; ts != 6 || w.CommitTS() != 6 || w.State() != Committed {
+		t.Fatalf("committed at %d, CommitTS %d, state %v; want 6, 6, committed", ts, w.CommitTS(), w.State())
+	}
+}

@@ -200,7 +200,8 @@ func (t *Txn) Shared() bool { return t.shared.Load() }
 // State returns the transaction's current lifecycle state.
 func (t *Txn) State() TxnState { return TxnState(t.state.Load()) }
 
-// CommitTS returns the commit timestamp, or 0 if not committed.
+// CommitTS returns the commit timestamp: 0 before the transaction commits,
+// drawingTS while MarkCommittedNext draws it.
 func (t *Txn) CommitTS() uint64 { return t.commitTS.Load() }
 
 // Done returns a channel closed when the transaction commits or aborts. The
@@ -233,11 +234,18 @@ func (t *Txn) wake() {
 // Finished reports whether the transaction has committed or aborted.
 func (t *Txn) Finished() bool { return t.State() != Active }
 
+// drawingTS is what CommitTS reads while MarkCommittedNext draws the commit
+// timestamp. It lies at or below every snapshot, so a reader that sees the
+// writer still pending waits for it (SSI's committing-version wait) instead
+// of skipping a write whose timestamp may come out below its snapshot.
+const drawingTS = 1
+
 // MarkCommittedNext draws the commit timestamp from the oracle and publishes
-// it in one breath, minimizing the window in which a reader's snapshot can
-// postdate the timestamp while the version still looks pending (see SSI's
-// committing-version wait).
+// it. CommitTS reads drawingTS from before the draw until the publication,
+// so no reader whose snapshot postdates the timestamp sees the version
+// pending with no commit timestamp.
 func (t *Txn) MarkCommittedNext(o Oracle) (uint64, bool) {
+	t.commitTS.Store(drawingTS)
 	ts := o.Next()
 	t.commitTS.Store(ts)
 	if !t.state.CompareAndSwap(int32(Active), int32(Committed)) {

@@ -250,8 +250,9 @@ func (e *Engine) Begin(typ string, part uint64) (*Tx, error) {
 			continue
 		}
 		// Pooled transaction: Path/Slots keep their backing arrays from a
-		// previous life (see core.PutTxn's reclamation rule).
-		t = core.GetTxn(e.txnSeq.Add(1), typ, part, e.oracle.Next())
+		// previous life (see core.PutTxn's reclamation rule). register
+		// draws its begin timestamp.
+		t = core.GetTxn(e.txnSeq.Add(1), typ, part, 0)
 		t.Path = e.tree.Root.AppendPath(t, t.Path)
 		if cap(t.Slots) >= len(t.Path) {
 			t.Slots = t.Slots[:len(t.Path)]
@@ -297,9 +298,15 @@ func (e *Engine) RunTxn(typ string, part uint64, fn func(*Tx) error) error {
 	}
 }
 
+// register publishes t in the active registry and draws its begin timestamp
+// in the same critical section. Watermark reads the oracle before it scans
+// the registry, so it either finds t there or read a timestamp below t's:
+// a version t's snapshot needs is never pruned between the draw and the
+// publication.
 func (e *Engine) register(t *core.Txn) {
 	s := &e.active[t.ID%64]
 	s.mu.Lock()
+	t.BeginTS = e.oracle.Next()
 	//lint:allow poolescape -- the active registry is mu-guarded and unregister removes the entry before release/PutTxn, so no reference survives into the next pool life
 	s.txns[t.ID] = t
 	s.mu.Unlock()
@@ -343,10 +350,12 @@ func (e *Engine) ActiveTxns() int { return e.activeCount(nil) }
 // Watermark is the lower bound of any snapshot a current or future
 // transaction may read at: the minimum of active transactions' begin
 // timestamps and the CC tree's open batch snapshots (an SSI/TSO batch
-// snapshot can predate every active transaction's begin). It is the GC
+// snapshot can predate every active transaction's begin), and of the
+// oracle's last timestamp, read first: a transaction that registers during
+// the scan draws its begin timestamp above it (see register). It is the GC
 // horizon and the reader-record pruning bound.
 func (e *Engine) Watermark() uint64 {
-	wm := uint64(math.MaxUint64)
+	wm := e.oracle.Last()
 	e.forEachActive(func(t *core.Txn) {
 		if t.BeginTS < wm {
 			wm = t.BeginTS
@@ -358,9 +367,6 @@ func (e *Engine) Watermark() uint64 {
 				wm = b
 			}
 		}
-	}
-	if wm == math.MaxUint64 {
-		return e.oracle.Last()
 	}
 	return wm
 }

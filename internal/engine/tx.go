@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -266,10 +267,14 @@ func (tx *Tx) Commit() error {
 			return t.MarkCommittedNext(tx.e.oracle)
 		})
 		if err != nil {
-			// The log is poisoned or closed, and the commit point never
-			// ran: the transaction aborts cleanly, and retrying cannot
-			// help.
-			return tx.abortWith(fmt.Errorf("%w: %v", core.ErrDurability, err))
+			// The log is poisoned or closed, or the record is too large
+			// for it, and the commit point never ran: the transaction
+			// aborts cleanly, and retrying cannot help. Only the first
+			// two are a failure of the log.
+			if !errors.Is(err, wal.ErrTooLarge) {
+				err = fmt.Errorf("%w: %v", core.ErrDurability, err)
+			}
+			return tx.abortWith(err)
 		}
 		committed = ticket != nil
 	} else {

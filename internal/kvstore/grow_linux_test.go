@@ -47,12 +47,7 @@ func TestFailedGrowthFailsSync(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, got := reopen(t, path)
 	defer s2.Close()
-	if string(s2.Get("a")) != "before the limit" || len(s2.Get("b")) != int(3*GrowthStep(0)/4) {
-		t.Fatalf("a=%q, %d bytes of b", s2.Get("a"), len(s2.Get("b")))
-	}
+	wantRecords(t, got, record{"a", "before the limit"}, record{"b", string(make([]byte, 3*GrowthStep(0)/4))})
 }

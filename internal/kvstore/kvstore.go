@@ -1,19 +1,22 @@
-// Package kvstore is a minimal persistent key-value store used as Tebaldi's
-// underlying durable storage. The paper outsources persistence to Redis or
-// RocksDB through a plain key-value interface (§4.5.4); this package is the
-// stdlib-only substitute: an append-only log file with an in-memory index.
-// Tebaldi stores transaction logs — not materialized rows — in this store,
-// exactly as described in the paper ("the underlying storage has all the
-// data ... in the form of transaction logs").
+// Package kvstore is the append-only log file under Tebaldi's write-ahead
+// log. The paper outsources persistence to Redis or RocksDB through a plain
+// key-value interface (§4.5.4) and needs three things of it: append records,
+// read them back in order at recovery, and truncate the log at checkpoints.
+// This package is the stdlib-only substitute that does exactly that: Set
+// appends a checksummed (key, value) record, Sync makes the records durable,
+// Scan visits them in file order, and Rewrite drops the records a checkpoint
+// covers. It keeps no copy of the records in memory, and a key may occur any
+// number of times; what a key means is the caller's business.
 //
 // Format. The file starts with an 8-byte header, "TBKV" and a little-endian
 // u32 version (2). Records follow it back to back:
 //
 //	u32 klen | u32 vlen | u32 crc32c(klen|vlen|key|value) | key | value
 //
-// The latest record for a key wins; an empty value deletes the key. Keys are
-// never empty, so a record header with klen = vlen = 0 cannot be written: it
-// is what the zeroed tail reads as.
+// Keys are never empty, so a record header with klen = vlen = 0 cannot be
+// written: it is what the zeroed tail reads as. Keys are at most MaxKeyLen
+// and values at most MaxValueLen bytes; Set refuses larger ones, because
+// replay reads a larger length as the end of the log.
 //
 // Zeroed tail. Records are written into zero-filled space allocated ahead of
 // the logical end of the file, so that a steady-state Sync overwrites blocks
@@ -24,10 +27,10 @@
 // from 64 KiB up to 4 MiB (GrowthStep). Close truncates the file to its
 // logical end; Size and Rewrite report logical bytes.
 //
-// Replay stops at the first record that is short, reads as zeros or fails its
-// checksum, and Open truncates the file there. Records are written in order,
-// and an acknowledged record was covered by a completed fsync, so every
-// acknowledged record precedes the first bad one.
+// Replay stops at the first record that is short, reads as zeros, exceeds
+// the limits or fails its checksum, and Open truncates the file there.
+// Records are written in order, and an acknowledged record was covered by a
+// completed fsync, so every acknowledged record precedes the first bad one.
 //
 // A non-empty file without the header is a log of the earlier format (8-byte
 // record headers, no checksum). Open refuses it and leaves it as it is.
@@ -43,6 +46,13 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+)
+
+// MaxKeyLen and MaxValueLen bound one record. Set refuses a larger key or
+// value; replay reads a larger length as the end of the log.
+const (
+	MaxKeyLen   = 1 << 20
+	MaxValueLen = 1 << 26
 )
 
 const (
@@ -70,11 +80,11 @@ var (
 // most 4 MiB.
 func GrowthStep(n int64) int64 { return min(max(n, minStep), maxStep) }
 
-// Store is an append-only persistent key-value store. Writes append records;
-// the latest record for a key wins. Sync writes the buffered records and
-// fsyncs. Rewrite compacts the log in place (Tebaldi's checkpoint truncation,
-// §4.5.4): the file is atomically replaced by one holding only the records
-// the caller keeps, so the log stays bounded across checkpoints.
+// Store is an append-only log of (key, value) records. Set appends; Sync
+// writes the buffered records and fsyncs. Rewrite compacts the log in place
+// (Tebaldi's checkpoint truncation, §4.5.4): the file is atomically replaced
+// by one holding only the records the caller keeps, in their order, so the
+// log stays bounded across checkpoints.
 type Store struct {
 	mu   sync.Mutex
 	f    *os.File // nil once closed
@@ -84,16 +94,14 @@ type Store struct {
 	// end is the logical end of the records written to the file; alloc is
 	// the file's size. [end, alloc) is zeros.
 	end, alloc int64
-	// index maps key -> latest value.
-	index map[string][]byte
 	// crashHook, when set, is invoked at durability-critical boundaries
 	// (compaction write/sync/rename). Crash-point tests snapshot the
 	// on-disk state inside the hook to simulate a process kill there.
 	crashHook func(point string)
 }
 
-// Open opens (creating if necessary) the store at path, replaying any
-// existing records into the index.
+// Open opens (creating if necessary) the store at path. It reads the log
+// once to find its logical end, and truncates a torn tail there.
 func Open(path string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)
@@ -105,7 +113,7 @@ func Open(path string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)
 	}
-	s := &Store{f: f, path: path, index: make(map[string][]byte)}
+	s := &Store{f: f, path: path}
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -113,8 +121,8 @@ func Open(path string) (*Store, error) {
 	return s, nil
 }
 
-// load checks the file header, replays the records and truncates the file
-// after the last valid one (a crash mid-append, or the zeroed tail).
+// load checks the file header, finds the end of the valid records and
+// truncates the file there (a crash mid-append, or the zeroed tail).
 func (s *Store) load() error {
 	st, err := s.f.Stat()
 	if err != nil {
@@ -141,7 +149,7 @@ func (s *Store) load() error {
 	case binary.LittleEndian.Uint32(hdr[4:]) != version:
 		return fmt.Errorf("kvstore: %s is format version %d, this version reads %d", s.path, binary.LittleEndian.Uint32(hdr[4:]), version)
 	default:
-		if valid, err = s.replay(st.Size()); err != nil {
+		if valid, err = readRecords(s.f, st.Size(), nil); err != nil {
 			return fmt.Errorf("kvstore: replay: %w", err)
 		}
 		if err := s.f.Truncate(valid); err != nil {
@@ -158,36 +166,40 @@ func header() (h [headerLen]byte) {
 	return h
 }
 
-// replay loads every valid record of a file of the given size and returns
-// the offset after the last one.
-func (s *Store) replay(size int64) (int64, error) {
-	r := bufio.NewReaderSize(io.NewSectionReader(s.f, headerLen, size-headerLen), 1<<16)
+// readRecords visits, in order, the valid records of f that lie before
+// offset size, and returns the offset after the last one. visit (nil to only
+// find the end) gets each record encoded, header included, in a buffer that
+// the next record reuses.
+func readRecords(f *os.File, size int64, visit func(rec []byte) error) (int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(f, headerLen, size-headerLen), 1<<16)
 	off := int64(headerLen)
-	var hdr [recHeader]byte
+	rec := make([]byte, recHeader, 1<<10)
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, rec[:recHeader]); err != nil {
 			return off, endOfLog(err)
 		}
-		klen := binary.LittleEndian.Uint32(hdr[0:4])
-		vlen := binary.LittleEndian.Uint32(hdr[4:8])
-		if klen == 0 || klen > 1<<20 || vlen > 1<<26 {
+		klen := binary.LittleEndian.Uint32(rec[0:4])
+		vlen := binary.LittleEndian.Uint32(rec[4:8])
+		if klen == 0 || klen > MaxKeyLen || vlen > MaxValueLen {
 			return off, nil // the zeroed tail, or a corrupt length
 		}
-		buf := make([]byte, int(klen)+int(vlen))
-		if _, err := io.ReadFull(r, buf); err != nil {
+		n := recHeader + int(klen) + int(vlen)
+		if cap(rec) < n {
+			rec = append(make([]byte, 0, n), rec[:recHeader]...)
+		}
+		rec = rec[:n]
+		if _, err := io.ReadFull(r, rec[recHeader:]); err != nil {
 			return off, endOfLog(err)
 		}
-		if crc32.Update(crc32.Checksum(hdr[:8], castagnoli), castagnoli, buf) != binary.LittleEndian.Uint32(hdr[8:12]) {
+		if checksum(rec) != binary.LittleEndian.Uint32(rec[8:12]) {
 			return off, nil // torn or corrupt record
 		}
-		key := string(buf[:klen])
-		val := buf[klen:]
-		if vlen == 0 {
-			delete(s.index, key)
-		} else {
-			s.index[key] = val
+		if visit != nil {
+			if err := visit(rec); err != nil {
+				return off, err
+			}
 		}
-		off += recHeader + int64(len(buf))
+		off += int64(n)
 	}
 }
 
@@ -201,6 +213,11 @@ func endOfLog(err error) error {
 	return err
 }
 
+// checksum is the crc32c an encoded record carries.
+func checksum(rec []byte) uint32 {
+	return crc32.Update(crc32.Checksum(rec[:8], castagnoli), castagnoli, rec[recHeader:])
+}
+
 // appendRecord encodes one record onto buf.
 func appendRecord(buf []byte, key string, value []byte) []byte {
 	start := len(buf)
@@ -209,16 +226,25 @@ func appendRecord(buf []byte, key string, value []byte) []byte {
 	buf = append(buf, 0, 0, 0, 0)
 	buf = append(append(buf, key...), value...)
 	rec := buf[start:]
-	crc := crc32.Update(crc32.Checksum(rec[:8], castagnoli), castagnoli, rec[recHeader:])
-	binary.LittleEndian.PutUint32(rec[8:12], crc)
+	binary.LittleEndian.PutUint32(rec[8:12], checksum(rec))
 	return buf
 }
 
-// Set stores value under key (buffered; call Sync for durability). The key
-// must not be empty.
+// split returns an encoded record's key and value; the value aliases rec.
+func split(rec []byte) (string, []byte) {
+	klen := recHeader + int(binary.LittleEndian.Uint32(rec[0:4]))
+	return string(rec[recHeader:klen]), rec[klen:]
+}
+
+// Set appends a record (buffered; call Sync for durability). The key must
+// not be empty, and neither key nor value may exceed its limit (MaxKeyLen,
+// MaxValueLen): a refused record is not buffered.
 func (s *Store) Set(key string, value []byte) error {
 	if key == "" {
 		return errEmptyKey
+	}
+	if len(key) > MaxKeyLen || len(value) > MaxValueLen {
+		return fmt.Errorf("kvstore: a %d-byte key with a %d-byte value exceeds the record limit (%d-byte keys, %d-byte values): replay would end the log there", len(key), len(value), MaxKeyLen, MaxValueLen)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -227,13 +253,8 @@ func (s *Store) Set(key string, value []byte) error {
 	}
 	s.buf = appendRecord(s.buf, key, value)
 	if len(s.buf) >= flushAt {
-		if err := s.flush(); err != nil {
-			return err
-		}
+		return s.flush()
 	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	s.index[key] = cp
 	return nil
 }
 
@@ -276,34 +297,23 @@ func (s *Store) grow() error {
 	return nil
 }
 
-// Get returns the latest value for key (nil if absent).
-func (s *Store) Get(key string) []byte {
+// Scan visits every record in file order, buffered ones included. The value
+// is valid only during the call to f; f must not call into the store. Scan
+// stops at f's first error and returns it.
+func (s *Store) Scan(f func(key string, value []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.index[key]
-}
-
-// ForEach visits every live key-value pair.
-func (s *Store) ForEach(f func(key string, value []byte) error) error {
-	s.mu.Lock()
-	snapshot := make(map[string][]byte, len(s.index))
-	for k, v := range s.index {
-		snapshot[k] = v
+	if s.f == nil {
+		return errClosed
 	}
-	s.mu.Unlock()
-	for k, v := range snapshot {
-		if err := f(k, v); err != nil {
-			return err
-		}
+	if err := s.flush(); err != nil {
+		return err
 	}
-	return nil
-}
-
-// Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.index)
+	end, err := readRecords(s.f, s.end, func(rec []byte) error { return f(split(rec)) })
+	if err == nil && end != s.end {
+		err = fmt.Errorf("kvstore: %s: the record at offset %d no longer reads back", s.path, end)
+	}
+	return err
 }
 
 // Sync writes the buffered records, allocates the next growth step when due,
@@ -356,16 +366,16 @@ func (s *Store) Size() (int64, error) {
 
 const compactSuffix = ".compact"
 
-// Rewrite compacts the log: every live key is offered to transform, which
-// returns the value to keep (possibly rewritten; must be non-empty) and
-// whether to keep the key at all. The surviving records are written to a
-// temp file, fsynced, and atomically renamed over the log, so a crash at any
-// point leaves either the complete old log or the complete new one — never a
-// mix. Returns the log's logical size before and after.
+// Rewrite compacts the log: every record is offered to keep in file order,
+// and the ones it keeps are written, in that order, to a temp file, which is
+// fsynced and atomically renamed over the log, so a crash at any point
+// leaves either the complete old log or the complete new one — never a mix.
+// The value passed to keep is valid only during the call. Returns the log's
+// logical size before and after.
 //
 // The store mutex is held for the duration: concurrent Sets block until the
-// rewrite completes, which keeps the index and the file in lockstep.
-func (s *Store) Rewrite(transform func(key string, value []byte) ([]byte, bool)) (before, after int64, err error) {
+// rewrite completes, and then append to the new file.
+func (s *Store) Rewrite(keep func(key string, value []byte) bool) (before, after int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -382,25 +392,22 @@ func (s *Store) Rewrite(transform func(key string, value []byte) ([]byte, bool))
 		return before, before, fmt.Errorf("kvstore: rewrite: %w", err)
 	}
 	tw := bufio.NewWriterSize(tmp, 1<<16)
-	next := make(map[string][]byte, len(s.index))
 	hdr := header()
 	_, err = tw.Write(hdr[:])
 	after = headerLen
-	var rec []byte
-	for k, v := range s.index {
-		if err != nil {
-			break
+	if err == nil {
+		var end int64
+		end, err = readRecords(s.f, s.end, func(rec []byte) error {
+			if !keep(split(rec)) {
+				return nil
+			}
+			after += int64(len(rec))
+			_, err := tw.Write(rec)
+			return err
+		})
+		if err == nil && end != s.end {
+			err = fmt.Errorf("the record at offset %d no longer reads back", end)
 		}
-		nv, keep := transform(k, v)
-		if !keep {
-			continue
-		}
-		rec = appendRecord(rec[:0], k, nv)
-		_, err = tw.Write(rec)
-		cp := make([]byte, len(nv))
-		copy(cp, nv)
-		next[k] = cp
-		after += int64(len(rec))
 	}
 	if err == nil {
 		if err = tw.Flush(); err == nil {
@@ -424,7 +431,7 @@ func (s *Store) Rewrite(transform func(key string, value []byte) ([]byte, bool))
 	// Persist the rename itself. Failing to open the directory is tolerated
 	// (some filesystems refuse it), but once we hold the handle a failed
 	// fsync means the rename may not survive a crash — the old, compacted-
-	// away log could resurface with its latest-wins duplicates gone.
+	// away log could resurface.
 	var dirErr error
 	if d, derr := os.Open(filepath.Dir(s.path)); derr == nil {
 		dirErr = d.Sync()
@@ -444,9 +451,8 @@ func (s *Store) Rewrite(transform func(key string, value []byte) ([]byte, bool))
 	s.f.Close()
 	s.f = f
 	s.end, s.alloc = after, after
-	s.index = next
-	// Report the directory-sync failure only after the in-memory swap: the
-	// store keeps working against the renamed file either way.
+	// Report the directory-sync failure only after the swap: the store
+	// keeps working against the renamed file either way.
 	if dirErr != nil {
 		return before, after, fmt.Errorf("kvstore: rewrite dir sync: %w", dirErr)
 	}

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,24 +22,50 @@ func tempStore(t *testing.T) (*Store, string) {
 	return s, path
 }
 
-func TestSetGet(t *testing.T) {
+// record is one (key, value) pair as Scan visits it.
+type record struct{ key, value string }
+
+// scanAll returns every record of s in file order.
+func scanAll(t testing.TB, s *Store) []record {
+	t.Helper()
+	var out []record
+	if err := s.Scan(func(k string, v []byte) error {
+		out = append(out, record{k, string(v)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// reopen opens the store at path again and returns its records.
+func reopen(t testing.TB, path string) (*Store, []record) {
+	t.Helper()
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, scanAll(t, s)
+}
+
+func wantRecords(t testing.TB, got []record, want ...record) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("records %v, want %v", got, want)
+	}
+}
+
+// TestSetKeepsEveryRecord: a key set twice is two records, both visited, in
+// the order they were set; there is no latest-wins index.
+func TestSetKeepsEveryRecord(t *testing.T) {
 	s, _ := tempStore(t)
 	defer s.Close()
-	if err := s.Set("a", []byte("1")); err != nil {
-		t.Fatal(err)
+	for _, v := range []string{"1", "2", ""} {
+		if err := s.Set("a", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := string(s.Get("a")); got != "1" {
-		t.Fatalf("got %q", got)
-	}
-	if s.Get("missing") != nil {
-		t.Fatal("missing key returned value")
-	}
-	if err := s.Set("a", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(s.Get("a")); got != "2" {
-		t.Fatalf("overwrite: got %q", got)
-	}
+	wantRecords(t, scanAll(t, s), record{"a", "1"}, record{"a", "2"}, record{"a", ""})
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {
@@ -49,20 +76,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, got := reopen(t, path)
 	defer s2.Close()
-	if got := string(s2.Get("x")); got != "xyz" {
-		t.Fatalf("x = %q", got)
-	}
-	if got := string(s2.Get("y")); got != "def" {
-		t.Fatalf("y = %q", got)
-	}
-	if s2.Len() != 2 {
-		t.Fatalf("len %d", s2.Len())
-	}
+	wantRecords(t, got, record{"x", "abc"}, record{"y", "def"}, record{"x", "xyz"})
 }
 
 func TestTornTailTruncated(t *testing.T) {
@@ -76,14 +92,9 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	f.Write([]byte{9, 0, 0, 0, 200}) // header promises more than present
 	f.Close()
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, got := reopen(t, path)
 	defer s2.Close()
-	if got := string(s2.Get("good")); got != "value" {
-		t.Fatalf("good = %q", got)
-	}
+	wantRecords(t, got, record{"good", "value"})
 	// The store must still accept writes after truncation.
 	if err := s2.Set("more", []byte("data")); err != nil {
 		t.Fatal(err)
@@ -93,36 +104,46 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
+// TestScanInFileOrder: Scan visits written and buffered records alike, in
+// the order they were set, and stops at its callback's first error.
+func TestScanInFileOrder(t *testing.T) {
 	s, _ := tempStore(t)
 	defer s.Close()
-	s.Set("a", []byte("1"))
-	s.Set("b", []byte("2"))
-	seen := map[string]string{}
-	s.ForEach(func(k string, v []byte) error {
-		seen[k] = string(v)
-		return nil
-	})
-	if len(seen) != 2 || seen["a"] != "1" || seen["b"] != "2" {
-		t.Fatalf("seen %v", seen)
+	mustSet(t, s, "b", "1")
+	s.Set("a", []byte("2")) // still buffered
+	wantRecords(t, scanAll(t, s), record{"b", "1"}, record{"a", "2"})
+	stop := errors.New("stop")
+	n := 0
+	if err := s.Scan(func(string, []byte) error { n++; return stop }); err != stop || n != 1 {
+		t.Fatalf("Scan returned %v after %d records, want the callback's error after 1", err, n)
 	}
 }
 
+// TestRewriteCompacts: Rewrite keeps exactly the records keep accepts, in
+// their order, and the compacted log takes new records after them.
 func TestRewriteCompacts(t *testing.T) {
 	s, path := tempStore(t)
+	var want []record
 	for i := 0; i < 100; i++ {
-		s.Set("hot", []byte("version-with-some-length-"+string(rune('a'+i%26))))
+		v := fmt.Sprintf("version-with-some-length-%02d", i)
+		s.Set("hot", []byte(v))
+		if i%10 == 0 {
+			want = append(want, record{"hot", v})
+		}
+		if i == 50 {
+			s.Set("keep", []byte("kept"))
+			s.Set("drop", []byte("dropped"))
+			want = append(want, record{"keep", "kept"})
+		}
 	}
-	s.Set("keep", []byte("kept"))
-	s.Set("drop", []byte("dropped"))
-	before, after, err := s.Rewrite(func(key string, value []byte) ([]byte, bool) {
-		if key == "drop" {
-			return nil, false
+	before, after, err := s.Rewrite(func(key string, value []byte) bool {
+		switch key {
+		case "drop":
+			return false
+		case "hot":
+			return strings.HasSuffix(string(value), "0")
 		}
-		if key == "hot" {
-			return []byte("rewritten"), true
-		}
-		return value, true
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +151,10 @@ func TestRewriteCompacts(t *testing.T) {
 	if after >= before {
 		t.Fatalf("rewrite did not shrink the log: before=%d after=%d", before, after)
 	}
-	if got := string(s.Get("hot")); got != "rewritten" {
-		t.Fatalf("hot = %q", got)
+	if n, _ := s.Size(); n != after {
+		t.Fatalf("Size %d after a rewrite to %d bytes", n, after)
 	}
-	if s.Get("drop") != nil {
-		t.Fatal("dropped key survived in the index")
-	}
+	wantRecords(t, scanAll(t, s), want...)
 	// The rewritten log must still accept and persist writes.
 	if err := s.Set("post", []byte("after-rewrite")); err != nil {
 		t.Fatal(err)
@@ -143,23 +162,9 @@ func TestRewriteCompacts(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, got := reopen(t, path)
 	defer s2.Close()
-	if got := string(s2.Get("hot")); got != "rewritten" {
-		t.Fatalf("reopened hot = %q", got)
-	}
-	if got := string(s2.Get("post")); got != "after-rewrite" {
-		t.Fatalf("reopened post = %q", got)
-	}
-	if s2.Get("drop") != nil {
-		t.Fatal("dropped key resurrected on reopen")
-	}
-	if s2.Len() != 3 {
-		t.Fatalf("len %d", s2.Len())
-	}
+	wantRecords(t, got, append(want, record{"post", "after-rewrite"})...)
 }
 
 func TestRewriteLeftoverTempIgnoredOnOpen(t *testing.T) {
@@ -171,14 +176,9 @@ func TestRewriteLeftoverTempIgnoredOnOpen(t *testing.T) {
 	if err := os.WriteFile(path+compactSuffix, []byte("half-written garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, got := reopen(t, path)
 	defer s2.Close()
-	if got := string(s2.Get("a")); got != "1" {
-		t.Fatalf("a = %q", got)
-	}
+	wantRecords(t, got, record{"a", "1"})
 	if _, err := os.Stat(path + compactSuffix); !os.IsNotExist(err) {
 		t.Fatal("leftover compaction temp file not removed")
 	}
@@ -190,9 +190,7 @@ func TestRewriteCrashHookPoints(t *testing.T) {
 	s.Set("k", []byte("v"))
 	var points []string
 	s.SetCrashHook(func(p string) { points = append(points, p) })
-	if _, _, err := s.Rewrite(func(key string, value []byte) ([]byte, bool) {
-		return value, true
-	}); err != nil {
+	if _, _, err := s.Rewrite(func(string, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"compact.written", "compact.synced", "compact.renamed"}
@@ -263,16 +261,8 @@ func TestTornRecordInZeroedTailDropped(t *testing.T) {
 	}
 	overwrite(t, path, end-20, make([]byte, 20))
 
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(s2.Get("a")); got != "first" {
-		t.Fatalf("a = %q", got)
-	}
-	if v := s2.Get("b"); v != nil {
-		t.Fatalf("torn record replayed as %q", v)
-	}
+	s2, got := reopen(t, path)
+	wantRecords(t, got, record{"a", "first"})
 	if n, _ := s2.Size(); n != start {
 		t.Fatalf("log resumes at %d, want %d (the torn record's offset)", n, start)
 	}
@@ -283,14 +273,9 @@ func TestTornRecordInZeroedTailDropped(t *testing.T) {
 	if got, want := fileSize(t, path), start+recHeader+int64(len("c")+len("third")); got != want {
 		t.Fatalf("file %d bytes after the next Set, want %d: it did not write over the torn record", got, want)
 	}
-	s3, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3, got := reopen(t, path)
 	defer s3.Close()
-	if string(s3.Get("a")) != "first" || s3.Get("b") != nil || string(s3.Get("c")) != "third" {
-		t.Fatalf("reopened: a=%q b=%q c=%q", s3.Get("a"), s3.Get("b"), s3.Get("c"))
-	}
+	wantRecords(t, got, record{"a", "first"}, record{"c", "third"})
 }
 
 // TestFlippedByteEndsLog: one flipped bit in a record's value ends the log
@@ -311,17 +296,9 @@ func TestFlippedByteEndsLog(t *testing.T) {
 	off := mid + recHeader + 1 // the first byte of b's value
 	overwrite(t, path, off, []byte{b[off] ^ 0x01})
 
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, got := reopen(t, path)
 	defer s2.Close()
-	if got := string(s2.Get("a")); got != "one" {
-		t.Fatalf("a = %q", got)
-	}
-	if s2.Get("b") != nil || s2.Get("c") != nil {
-		t.Fatalf("replay went past the corrupt record: b=%q c=%q", s2.Get("b"), s2.Get("c"))
-	}
+	wantRecords(t, got, record{"a", "one"})
 	if n, _ := s2.Size(); n != mid {
 		t.Fatalf("log resumes at %d, want %d", n, mid)
 	}
@@ -390,14 +367,9 @@ func TestEmptyKeyRejected(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, got := reopen(t, path)
 	defer s2.Close()
-	if got := string(s2.Get("after")); got != "kept" {
-		t.Fatalf("after = %q", got)
-	}
+	wantRecords(t, got, record{"after", "kept"})
 }
 
 // TestSteadySyncKeepsFileSize is the count behind the sync-commit speed-up: a
@@ -467,46 +439,82 @@ func BenchmarkStoreSync(b *testing.B) {
 	b.ReportMetric(float64(changes)/float64(b.N), "size-changes/sync")
 }
 
-// Property: any sequence of sets survives a close/reopen with last-write-wins
-// semantics.
+// Property: any sequence of sets survives a close/reopen, record for record
+// and in order.
 func TestRoundTripProperty(t *testing.T) {
 	type op struct {
 		Key byte
 		Val []byte
 	}
 	f := func(ops []op) bool {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "p.log")
+		path := filepath.Join(t.TempDir(), "p.log")
 		s, err := Open(path)
 		if err != nil {
 			return false
 		}
-		want := map[string][]byte{}
+		var want []record
 		for _, o := range ops {
-			k := string('a' + o.Key%8)
-			v := o.Val
-			if len(v) == 0 {
-				continue // empty value = tombstone semantics, skip
-			}
-			if err := s.Set(k, v); err != nil {
+			k := string(rune('a' + o.Key%8))
+			if err := s.Set(k, o.Val); err != nil {
 				return false
 			}
-			want[k] = v
+			want = append(want, record{k, string(o.Val)})
 		}
-		s.Close()
-		s2, err := Open(path)
-		if err != nil {
+		if s.Close() != nil {
 			return false
 		}
+		s2, got := reopen(t, path)
 		defer s2.Close()
-		for k, v := range want {
-			if string(s2.Get(k)) != string(v) {
-				return false
-			}
-		}
-		return true
+		return fmt.Sprint(got) == fmt.Sprint(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordLimit: Set refuses a key or value over its limit and buffers
+// nothing of it, so the records after it are neither cut off by replay nor
+// preceded by a record replay cannot read. A record exactly at the limits
+// round-trips.
+func TestRecordLimit(t *testing.T) {
+	s, path := tempStore(t)
+	mustSet(t, s, "before", "1")
+	big := make([]byte, MaxValueLen+1)
+	big[MaxValueLen-1] = 7
+	for _, tc := range []struct {
+		key   string
+		value []byte
+	}{{"v", big}, {strings.Repeat("k", MaxKeyLen+1), nil}} {
+		if err := s.Set(tc.key, tc.value); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Fatalf("Set of a %d-byte key and a %d-byte value returned %v, want the limit", len(tc.key), len(tc.value), err)
+		}
+	}
+	if n, _ := s.Size(); n != headerLen+recHeader+int64(len("before1")) {
+		t.Fatalf("log is %d bytes after the refused Sets: something was buffered", n)
+	}
+	if err := s.Set(strings.Repeat("k", MaxKeyLen), big[:MaxValueLen]); err != nil {
+		t.Fatalf("Set at the limits: %v", err)
+	}
+	mustSet(t, s, "after", "2")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var keys []string
+	if err := s2.Scan(func(k string, v []byte) error {
+		keys = append(keys, fmt.Sprintf("%d/%d", len(k), len(v)))
+		if len(v) == MaxValueLen && v[MaxValueLen-1] != 7 {
+			t.Error("the value at the limit read back changed")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprint([]string{"6/1", fmt.Sprintf("%d/%d", MaxKeyLen, MaxValueLen), "5/1"}); fmt.Sprint(keys) != want {
+		t.Fatalf("records (key/value bytes) %v, want %v", keys, want)
 	}
 }

@@ -27,9 +27,11 @@ import (
 //     staged before the checkpoint, and the appender fsyncs the whole log
 //     prefix with it. That fsync commits the checkpoint: recovery loads the
 //     snapshot the marker names and replays only the log tail.
-//  3. The log is compacted: records the snapshot covers (commitTS <= snapTS,
-//     read off each record itself) are dropped through one atomic kvstore
-//     rewrite, so a crash mid-compaction leaves either the complete old log
+//  3. The log is compacted through one atomic kvstore rewrite, which keeps
+//     the order of the records it keeps: transaction records the snapshot
+//     covers (commitTS <= snapTS, read off each record itself), epoch
+//     markers below the durable frontier and earlier checkpoints' markers
+//     are dropped. A crash mid-compaction leaves either the complete old log
 //     or the complete new one.
 //  4. Older snapshots are deleted.
 //
@@ -82,6 +84,9 @@ func snapshotPath(dir string, ck uint64) string {
 // their records carry commit timestamps above the cut and stay in the log
 // tail.
 func (m *Manager) Checkpoint(snapTS uint64, entries []SnapshotEntry) (*CheckpointResult, error) {
+	// The log holds an epoch marker at or above the durable frontier, so
+	// compaction may drop every marker below it.
+	frontier := m.DurableEpoch()
 	m.ckMu.Lock()
 	defer m.ckMu.Unlock()
 	ck := m.ckSeq + 1
@@ -116,9 +121,8 @@ func (m *Manager) Checkpoint(snapTS uint64, entries []SnapshotEntry) (*Checkpoin
 	// 3. Compact the log: drop the records the snapshot covers. Every
 	// transaction at or below the cut finished before the checkpoint, so
 	// its record was staged ahead of the marker and is in the log by now.
-	res.LogBytesBefore, res.LogBytesAfter, err = m.st.Rewrite(func(key string, value []byte) ([]byte, bool) {
-		return compactRecord(key, value, func(commitTS, _ uint64) bool { return commitTS <= snapTS })
-	})
+	c := compaction{cut: snapTS, frontier: frontier, ckID: ck}
+	res.LogBytesBefore, res.LogBytesAfter, err = m.st.Rewrite(c.keep)
 	if err != nil {
 		return res, err
 	}
@@ -128,32 +132,27 @@ func (m *Manager) Checkpoint(snapTS uint64, entries []SnapshotEntry) (*Checkpoin
 	return res, nil
 }
 
-// compactRecord decides one log key's fate under compaction: it filters the
-// records for which drop(commitTS, epoch) holds out of a coalesced batch, and
-// keeps everything else (the epoch and checkpoint markers).
-func compactRecord(key string, value []byte, drop func(commitTS, epoch uint64) bool) ([]byte, bool) {
-	if !strings.HasPrefix(key, batchPrefix) {
-		return value, true
+// compaction is what one log rewrite drops, each record by its own content.
+// The newest epoch marker always survives, since the log holds one at or
+// above frontier; so does the newest checkpoint marker, which names ckID.
+type compaction struct {
+	cut      uint64 // transaction records with commitTS <= cut
+	unsealed bool   // and, if set, those with epoch > frontier (Open's discard)
+	frontier uint64 // epoch markers below it
+	ckID     uint64 // checkpoint markers of checkpoints before it
+}
+
+func (c compaction) keep(key string, value []byte) bool {
+	le := binary.LittleEndian
+	switch {
+	case key == txnKey && len(value) >= recHeader:
+		return le.Uint64(value[8:]) > c.cut && !(c.unsealed && le.Uint64(value[16:]) > c.frontier)
+	case key == epochKey && len(value) == 8:
+		return le.Uint64(value) >= c.frontier
+	case key == ckKey && len(value) == 16:
+		return le.Uint64(value) >= c.ckID
 	}
-	entries, err := decodeBatch(value)
-	if err != nil {
-		return value, true // undecodable: keep as-is, recovery reports it
-	}
-	n := len(entries)
-	kept := entries[:0]
-	for _, e := range entries {
-		if len(e.payload) >= recHeader && drop(binary.LittleEndian.Uint64(e.payload[8:]), binary.LittleEndian.Uint64(e.payload[16:])) {
-			continue
-		}
-		kept = append(kept, e)
-	}
-	switch len(kept) {
-	case 0:
-		return nil, false
-	case n:
-		return value, true
-	}
-	return appendBatch(nil, kept, len(kept)), true
+	return true // undecodable: kept as is, recovery reports it
 }
 
 const (

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
@@ -258,5 +260,123 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if out[1].Key != in[1].Key || len(out[1].Value) != 0 || out[1].CommitTS != 9 {
 		t.Fatalf("%+v", out[1])
+	}
+}
+
+// TestCompactionKeepsRecordOrder: compaction drops the records the cut
+// covers and keeps the others in their log order, which here is not their
+// commit-timestamp order.
+func TestCompactionKeepsRecordOrder(t *testing.T) {
+	dir := t.TempDir()
+	m := open(t, dir, 1, true)
+	defer m.Close()
+	commitTS := []uint64{7, 2, 9, 4, 12, 1, 10, 5, 11, 3, 8, 6}
+	for i, ts := range commitTS {
+		id := uint64(i + 1)
+		epoch, tk, err := m.Precommit(id, map[int][]KV{0: {kv("t", fmt.Sprintf("r%d", id), "v")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Commit(id, ts, epoch, tk); err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Checkpoint(6, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, r := range logRecords(t, dir) {
+		if r.key == txnKey {
+			rec, err := decodeRecord(r.value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, rec.commitTS)
+		}
+	}
+	if want := "[7 9 12 10 11 8]"; fmt.Sprint(got) != want {
+		t.Fatalf("commit timestamps of the compacted log's records %v, want %s", got, want)
+	}
+}
+
+// TestCompactionKeepsNewestMarkers: after two checkpoints the log holds
+// exactly one checkpoint marker, the second's, and no epoch marker below
+// the durable frontier.
+func TestCompactionKeepsNewestMarkers(t *testing.T) {
+	dir := t.TempDir()
+	m := open(t, dir, 1, false)
+	var frontier uint64 // the durable frontier as the last checkpoint starts
+	for ck := uint64(1); ck <= 2; ck++ {
+		commitN(t, m, 8*ck-7, 8*ck+1)
+		if err := m.WaitDurable(m.Epoch()); err != nil {
+			t.Fatal(err)
+		}
+		frontier = m.DurableEpoch()
+		if _, err := m.Checkpoint(8*ck, snapshotFor(8*ck)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cks, epochs []uint64
+	for _, r := range logRecords(t, dir) {
+		switch r.key {
+		case ckKey:
+			cks = append(cks, binary.LittleEndian.Uint64(r.value))
+		case epochKey:
+			epochs = append(epochs, binary.LittleEndian.Uint64(r.value))
+		}
+	}
+	if fmt.Sprint(cks) != "[2]" {
+		t.Fatalf("checkpoint markers %v after two checkpoints, want [2]", cks)
+	}
+	if len(epochs) == 0 {
+		t.Fatal("compaction dropped every epoch marker")
+	}
+	for _, e := range epochs {
+		if e < frontier {
+			t.Fatalf("epoch markers %v: %d is below the durable frontier %d at compaction", epochs, e, frontier)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotTS != 16 || st.Committed != 0 {
+		t.Fatalf("recovered snapshotTS=%d committed=%d, want 16 and 0", st.SnapshotTS, st.Committed)
+	}
+}
+
+// TestTornTailKeepsRecordPrefix: a crash inside a run of records keeps the
+// records before the torn one — a prefix of the one FIFO — and recovery
+// replays every one of them whose epoch a marker covers.
+func TestTornTailKeepsRecordPrefix(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Options{Dir: dir, EpochInterval: time.Hour, SyncCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, m, 1, 5) // one epoch: the first batch's marker covers them all
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, logName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)-3], 0o644); err != nil { // tear transaction 4's record
+		t.Fatal(err)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Committed != 3 || st.Discarded != 0 || st.MaxTS != 3 {
+		t.Fatalf("committed=%d discarded=%d maxTS=%d, want 3, 0, 3", st.Committed, st.Discarded, st.MaxTS)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/kvstore"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/tebaldi"
@@ -93,6 +94,52 @@ func TestEngineFailStopsOnLogError(t *testing.T) {
 		if v := e2.ReadCommitted(core.KeyOf("kv", 100+i)); v != nil {
 			t.Fatalf("kv/%d = %q: written after the log was poisoned", 100+i, v)
 		}
+	}
+}
+
+// TestEngineRefusesOversizedRecord: a transaction whose log record would
+// exceed the store's record limit is refused before its commit point, with a
+// non-retryable error that names the limit, and the log stays usable. Were
+// it acknowledged, replay would end the log at its record and lose it and
+// every record after it.
+func TestEngineRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir()
+	opts := engine.Options{Shards: 4, LockTimeout: 2 * time.Second, DurabilityDir: dir, DurabilitySync: true}
+	specs := []*core.Spec{{Name: "put", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
+	cfg := engine.G(engine.Kind2PL, []string{"put"})
+	e, err := engine.New(opts, specs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(row string, v []byte) error {
+		return e.RunTxn("put", 0, func(tx *engine.Tx) error { return tx.Write(core.Key{Table: "kv", Row: row}, v) })
+	}
+	err = put("big", make([]byte, kvstore.MaxValueLen))
+	if err == nil || !errors.Is(err, wal.ErrTooLarge) || core.IsRetryable(err) || errors.Is(err, core.ErrDurability) {
+		t.Fatalf("oversized commit returned %v, want the non-retryable wal.ErrTooLarge", err)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprint(kvstore.MaxValueLen)) {
+		t.Fatalf("refusal does not name the limit: %v", err)
+	}
+	if err := e.Wal().Err(); err != nil {
+		t.Fatalf("the refusal poisoned the log: %v", err)
+	}
+	if err := put("small", []byte("after")); err != nil {
+		t.Fatalf("commit after the refusal: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, _, err := engine.Recover(opts, specs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := string(e2.ReadCommitted(core.Key{Table: "kv", Row: "small"})); got != "after" {
+		t.Fatalf("the commit after the refusal recovered as %q", got)
+	}
+	if v := e2.ReadCommitted(core.Key{Table: "kv", Row: "big"}); v != nil {
+		t.Fatalf("the refused write recovered, %d bytes", len(v))
 	}
 }
 

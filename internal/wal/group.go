@@ -2,25 +2,17 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"strconv"
 	"time"
 )
 
-// Request kinds inside the pipeline. A seal instructs the appender to flush
-// and advance the epoch marker, a checkpoint marker to persist the checkpoint
-// frontier; neither reaches the log as a batch entry. A transaction record is
-// the log's only batch entry. Kinds 1, 2 and 4 were the precommit, commit and
-// abort records of the two-phase format (decodeBatch refuses them by name).
+// Request kinds inside the pipeline. A transaction record becomes one store
+// record under the key t. A seal instructs the appender to flush and advance
+// the epoch marker e, a checkpoint request to write the checkpoint marker ck.
 const (
-	recSeal       byte = 0 // no payload; epoch = the GCP epoch to seal
-	recCheckpoint byte = 3 // payload = 16 bytes: checkpoint id, snapshot TS
-	recTxn        byte = 5 // payload = encodeRecord(...)
+	recTxn        byte = iota // payload = encodeRecord(...)
+	recSeal                   // no payload; epoch = the GCP epoch to seal
+	recCheckpoint             // payload = 16 bytes: checkpoint id, snapshot TS
 )
-
-// errTwoPhaseFormat names the record format this version cannot read.
-var errTwoPhaseFormat = errors.New("wal: the log holds precommit/commit/abort records of the two-phase record format (a precommit record per data server and a coordinator commit record); this version logs one record per transaction and cannot read them")
 
 // maxBatch bounds how many requests the appender coalesces into one batch.
 const maxBatch = 256
@@ -56,8 +48,7 @@ func (tk *Ticket) Wait() error {
 	return tk.err
 }
 
-// appendReq is one request handed to the appender. Entries decoded back out
-// of a batch record carry only kind and payload.
+// appendReq is one request handed to the appender.
 type appendReq struct {
 	kind    byte
 	payload []byte
@@ -72,19 +63,15 @@ type logDevice interface {
 	Sync() error
 }
 
-// appender is the log's single writer: it drains its queue, coalesces
-// everything waiting into one batch record, appends it with one Set and —
-// under SyncCommit — one fsync shared by every waiter in the batch
-// (leader/follower group commit; the "leader" is the appender goroutine,
-// committers are all followers).
+// appender is the log's single writer: it drains its queue, appends every
+// record waiting in it — one store record per transaction — and, under
+// SyncCommit, fsyncs once for all of them (leader/follower group commit; the
+// "leader" is the appender goroutine, committers are all followers).
 type appender struct {
 	m      *Manager
 	dev    logDevice
 	ch     chan appendReq
-	seq    uint64 // next batch key
 	marker uint64 // newest epoch marker written to the log
-	key    []byte // reused batch-key, batch-value and marker buffers
-	enc    []byte
 	mark   [8]byte
 	exited chan struct{}
 }
@@ -100,16 +87,10 @@ func newAppender(m *Manager, dev logDevice) *appender {
 	}
 }
 
-// maxBatchBytes bounds one coalesced batch record's payload bytes, well
-// under the kvstore replay cap (64MiB per value) — a batch value crossing
-// that cap would be treated as a torn tail at recovery and silently
-// discard acknowledged commits.
-const maxBatchBytes = 8 << 20
-
 // run is the appender loop. Batching is "natural": while one batch is being
 // appended (and fsynced), new requests pile up in the channel; the next
-// iteration takes them all, bounded by maxBatch requests and maxBatchBytes
-// payload. The loop exits when the channel is closed and drained.
+// iteration takes them all, up to maxBatch. The loop exits when the channel
+// is closed and drained.
 func (a *appender) run() {
 	defer close(a.exited)
 	var buf []appendReq
@@ -119,10 +100,9 @@ func (a *appender) run() {
 			return
 		}
 		batch := append(buf[:0], req)
-		bytes := len(req.payload)
 		closed := false
 	drain:
-		for len(batch) < maxBatch && bytes < maxBatchBytes {
+		for len(batch) < maxBatch {
 			select {
 			case r, ok := <-a.ch:
 				if !ok {
@@ -130,7 +110,6 @@ func (a *appender) run() {
 					break drain
 				}
 				batch = append(batch, r)
-				bytes += len(r.payload)
 			default:
 				break drain
 			}
@@ -143,10 +122,9 @@ func (a *appender) run() {
 	}
 }
 
-// flush appends the batch's records as one coalesced batch record, advances
-// the epoch marker when required, fsyncs once for the whole batch, and
-// completes every ticket. Once the log is poisoned it only completes
-// tickets, with the sticky error.
+// flush appends the batch's records, advances the epoch marker when
+// required, fsyncs once for the whole batch, and completes every ticket.
+// Once the log is poisoned it only completes tickets, with the sticky error.
 func (a *appender) flush(batch []appendReq) {
 	var records int
 	var sealed, sync bool
@@ -186,8 +164,10 @@ func (a *appender) flush(batch []appendReq) {
 	}
 }
 
-// write puts one batch on the device. The appender is the sole writer of the
-// epoch marker, so the marker is monotone by construction:
+// write puts one batch on the device: every transaction record, then each
+// marker the batch advances, then — once — the fsync. The appender is the
+// sole writer of the epoch marker, so the marker is monotone by
+// construction:
 //
 //   - a seal request (the GCP epoch tick, §4.5.4) flushes everything
 //     appended so far and advances the marker to the sealed epoch — FIFO
@@ -205,13 +185,14 @@ func (a *appender) flush(batch []appendReq) {
 // records; a checkpoint frontier marker follows every record staged before
 // it (FIFO), and the sync makes the whole log prefix durable with it.
 func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, ck []byte, sync bool) error {
-	if records > 0 {
-		a.key = strconv.AppendUint(append(a.key[:0], batchPrefix...), a.seq, 10)
-		a.seq++
-		a.enc = appendBatch(a.enc[:0], batch, records)
-		if err := a.dev.Set(string(a.key), a.enc); err != nil {
-			return err
+	for _, r := range batch {
+		if r.kind == recTxn {
+			if err := a.dev.Set(txnKey, r.payload); err != nil {
+				return err
+			}
 		}
+	}
+	if records > 0 {
 		a.m.hook("append")
 	}
 	if maxEpoch > a.marker {
@@ -230,51 +211,4 @@ func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, ck []b
 		return a.dev.Sync()
 	}
 	return nil
-}
-
-// appendBatch packs the batch's `records` transaction records into one value:
-//
-//	u32 count | repeat: u8 kind, u32 len, payload
-func appendBatch(buf []byte, batch []appendReq, records int) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(records))
-	for _, r := range batch {
-		if r.kind == recTxn {
-			buf = append(buf, r.kind)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.payload)))
-			buf = append(buf, r.payload...)
-		}
-	}
-	return buf
-}
-
-// decodeBatch unpacks a coalesced batch record into its transaction records.
-// Payloads alias buf. A batch of the two-phase format is refused by name.
-func decodeBatch(buf []byte) ([]appendReq, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("wal: truncated batch record")
-	}
-	count := int(binary.LittleEndian.Uint32(buf))
-	off := 4
-	out := make([]appendReq, 0, min(count, len(buf)/5))
-	for i := 0; i < count; i++ {
-		if off+5 > len(buf) {
-			return nil, fmt.Errorf("wal: truncated batch entry")
-		}
-		kind := buf[off]
-		switch kind {
-		case recTxn:
-		case 1, 2, 4:
-			return nil, errTwoPhaseFormat
-		default:
-			return nil, fmt.Errorf("wal: batch entry of unknown kind %d", kind)
-		}
-		n := int(binary.LittleEndian.Uint32(buf[off+1:]))
-		off += 5
-		if n > len(buf)-off {
-			return nil, fmt.Errorf("wal: truncated batch payload")
-		}
-		out = append(out, appendReq{kind: kind, payload: buf[off : off+n]})
-		off += n
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -109,11 +110,9 @@ func TestEpochBarrierPersistsStagedRecords(t *testing.T) {
 	}
 }
 
-// TestBatchSeqResumesAcrossReopen: batch record keys are latest-wins in
-// the kvstore, so a reopened Manager must continue the batch
-// sequence where the previous incarnation stopped — a restarted counter
-// would overwrite old batches and silently lose their transactions.
-func TestBatchSeqResumesAcrossReopen(t *testing.T) {
+// TestReopenKeepsEarlierRecords: a reopened Manager appends after the
+// records of the previous life and loses none of them.
+func TestReopenKeepsEarlierRecords(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	e1, tk1, err := m.Precommit(1, map[int][]KV{0: {kv("t", "first", "a")}})
@@ -146,7 +145,7 @@ func TestBatchSeqResumesAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Committed != 2 {
-		t.Fatalf("reopen overwrote earlier batches: committed=%d discarded=%d", st.Committed, st.Discarded)
+		t.Fatalf("reopen lost earlier records: committed=%d discarded=%d", st.Committed, st.Discarded)
 	}
 	got := map[string]string{}
 	for _, w := range st.Writes {
@@ -221,36 +220,50 @@ func TestTicketCompletion(t *testing.T) {
 	}
 }
 
-// TestBatchRoundTrip exercises the coalesced record encoding directly:
-// control requests are not batch entries.
-func TestBatchRoundTrip(t *testing.T) {
-	reqs := []appendReq{
-		{kind: recTxn, payload: rawRecord(7, 70, 3, kv("t", "r", "v"))},
-		{kind: recSeal},
-		{kind: recTxn, payload: rawRecord(8, 80, 3)},
-		{kind: recCheckpoint, payload: make([]byte, 16)},
-	}
-	buf := appendBatch(nil, reqs, 2)
-	entries, err := decodeBatch(buf)
+// TestOneStoreRecordPerTransaction: the log holds one t record per
+// transaction, in staging order, with no batch framing around it. The first
+// batch's records precede the epoch marker it advances, and the markers
+// cover every record.
+func TestOneStoreRecordPerTransaction(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Options{Dir: dir, EpochInterval: time.Hour, SyncCommit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 || entries[0].kind != recTxn || entries[1].kind != recTxn {
-		t.Fatalf("entries %+v", entries)
+	var tks []*Ticket
+	for id := uint64(1); id <= 4; id++ {
+		tks = append(tks, stageTxn(t, m, id, 2))
 	}
-	for i, want := range []uint64{7, 8} {
-		r, err := decodeRecord(entries[i].payload)
-		if err != nil {
+	for _, tk := range tks {
+		if err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if r.txnID != want || r.commitTS != 10*want {
-			t.Fatalf("entry %d: %+v", i, r)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	var maxRecord, maxMarker uint64
+	recs := logRecords(t, dir)
+	for _, r := range recs {
+		switch r.key {
+		case txnKey:
+			rec, err := decodeRecord(r.value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.writes) != 2 {
+				t.Fatalf("transaction %d's record holds %d writes, want 2", rec.txnID, len(rec.writes))
+			}
+			ids = append(ids, rec.txnID)
+			maxRecord = max(maxRecord, rec.epoch)
+		case epochKey:
+			maxMarker = max(maxMarker, binary.LittleEndian.Uint64(r.value))
+		default:
+			t.Fatalf("unexpected key %q in the log", r.key)
 		}
 	}
-	// Truncations must error, not panic.
-	for cut := 0; cut < len(buf); cut++ {
-		if _, err := decodeBatch(buf[:cut]); err == nil {
-			t.Fatalf("batch truncated at %d decoded", cut)
-		}
+	if fmt.Sprint(ids) != "[1 2 3 4]" || recs[0].key != txnKey || maxRecord > maxMarker {
+		t.Fatalf("transaction records in log order %v, want [1 2 3 4]; first key %q; records up to epoch %d, markers up to %d", ids, recs[0].key, maxRecord, maxMarker)
 	}
 }

@@ -1,10 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -47,10 +47,12 @@ type RecoveredState struct {
 // state, and what Open resumes from.
 type logState struct {
 	rec      *RecoveredState
-	nextSeq  uint64 // past every b/<seq> key
-	frontier uint64 // the epoch marker
-	ckID     uint64 // the checkpoint id in the ck marker, 0 without one
+	frontier uint64 // the largest epoch marker
+	ckID     uint64 // the checkpoint id in the last ck marker, 0 without one
 }
+
+// errBatchedFormat names the log format this version cannot read.
+var errBatchedFormat = errors.New("wal: " + logName + " holds b/<seq> records of the batched format (one store record per group-commit batch, whose entries may also be precommit/commit/abort records of the two-phase record format); this version writes one store record per transaction and cannot read them")
 
 // Recover performs the three-step recovery procedure of §4.5.4 on dir's log
 // and closes it again: Open without the Manager, for tests and tools.
@@ -78,85 +80,92 @@ func load(dir string) (*kvstore.Store, *logState, error) {
 	return st, ls, nil
 }
 
-// scan is recovery, extended with checkpoints:
+// scan is recovery, extended with checkpoints, in one pass over the log:
 //
-//  0. if the log holds a ck marker, load the snapshot it names: it seeds the
-//     latest committed version of every covered key, and only the log tail
-//     remains;
-//  1. retrieve the transaction records from the log;
-//  2. reconstruct database state — discard records whose epoch lies beyond
-//     the durable frontier, and merge the rest into the snapshot base,
-//     keeping the latest committed version of each key (merging is by commit
-//     timestamp, so records of snapshot-covered transactions that escaped
-//     compaction replay idempotently);
+//  1. retrieve the records in file order. The frontier is the largest epoch
+//     marker, the checkpoint the last ck marker;
+//  2. reconstruct database state — merge every transaction record whose
+//     epoch the frontier covers, keeping the latest committed version of
+//     each key, and discard the rest. Merging is by commit timestamp, so
+//     order does not matter: a record whose epoch no marker read so far
+//     covers is held aside until one does, or discarded at the end. If a
+//     checkpoint marker was read, the snapshot it names is merged the same
+//     way; records of transactions it covers that escaped compaction
+//     replay idempotently;
 //  3. CC-internal state (indices, version maps, lock tables) is rebuilt by
 //     the caller: recovered writes are re-installed as committed history
 //     that only the root CC needs to know about.
 //
-// A batch that does not decode fails the scan: the store's records are
+// A record that does not decode fails the scan: the store's records are
 // checksummed, so it is no torn tail but a format this version cannot read.
 func scan(dir string, st *kvstore.Store) (*logState, error) {
 	le := binary.LittleEndian
 	out := &RecoveredState{}
 	ls := &logState{rec: out}
 	latest := map[core.Key]RecoveredWrite{}
-
-	if b := st.Get(epochKey); len(b) == 8 {
-		ls.frontier = le.Uint64(b)
+	apply := func(r record) {
+		out.Committed++
+		out.MaxTS = max(out.MaxTS, r.commitTS)
+		for _, w := range r.writes {
+			if cur, ok := latest[w.Key]; !ok || r.commitTS > cur.CommitTS {
+				latest[w.Key] = RecoveredWrite{Key: w.Key, Value: bytes.Clone(w.Value), CommitTS: r.commitTS}
+			}
+		}
 	}
-	if b := st.Get(ckKey); len(b) == 16 {
-		ls.ckID, out.SnapshotTS = le.Uint64(b[0:8]), le.Uint64(b[8:16])
-		entries, err := readSnapshot(dir, ls.ckID, out.SnapshotTS)
-		if err != nil {
-			return nil, err
-		}
-		out.MaxTS = out.SnapshotTS
-		for _, e := range entries {
-			latest[e.Key] = RecoveredWrite(e)
-			out.MaxTS = max(out.MaxTS, e.CommitTS)
-		}
-		out.SnapshotKeys = len(entries)
-	}
-
-	err := st.ForEach(func(key string, value []byte) error {
-		seq, ok := strings.CutPrefix(key, batchPrefix)
-		if !ok {
-			return nil
-		}
-		if n, err := strconv.ParseUint(seq, 10, 64); err == nil && n >= ls.nextSeq {
-			// b/<seq> keys are latest-wins in the kvstore: a restarted
-			// sequence would overwrite earlier batches.
-			ls.nextSeq = n + 1
-		}
-		entries, err := decodeBatch(value)
-		if err != nil {
-			return fmt.Errorf("%w (in %s of %s)", err, key, logName)
-		}
-		for _, e := range entries {
-			r, err := decodeRecord(e.payload)
+	var held []record // epoch past every marker read so far; values owned
+	err := st.Scan(func(key string, value []byte) error {
+		switch {
+		case key == txnKey:
+			r, err := decodeRecord(value)
 			if err != nil {
-				return fmt.Errorf("%w (in %s of %s)", err, key, logName)
+				return fmt.Errorf("%w (in %s)", err, logName)
 			}
 			out.Replayed++
 			out.MaxTxnID = max(out.MaxTxnID, r.txnID)
-			if r.epoch > ls.frontier {
-				out.Discarded++
-				continue
+			if r.epoch <= ls.frontier {
+				apply(r)
+			} else {
+				r, _ = decodeRecord(bytes.Clone(value)) // Scan reuses value
+				held = append(held, r)
 			}
-			out.Committed++
-			out.MaxTS = max(out.MaxTS, r.commitTS)
-			for _, w := range r.writes {
-				if cur, ok := latest[w.Key]; !ok || r.commitTS > cur.CommitTS {
-					v := make([]byte, len(w.Value))
-					copy(v, w.Value)
-					latest[w.Key] = RecoveredWrite{Key: w.Key, Value: v, CommitTS: r.commitTS}
+		case key == epochKey && len(value) == 8:
+			ls.frontier = max(ls.frontier, le.Uint64(value))
+			kept := held[:0]
+			for _, r := range held {
+				if r.epoch <= ls.frontier {
+					apply(r)
+				} else {
+					kept = append(kept, r)
 				}
 			}
+			clear(held[len(kept):])
+			held = kept
+		case key == ckKey && len(value) == 16:
+			ls.ckID, out.SnapshotTS = le.Uint64(value), le.Uint64(value[8:])
+		case strings.HasPrefix(key, "b/"):
+			return errBatchedFormat
+		default:
+			return fmt.Errorf("wal: %s holds a record under the unknown key %q", logName, key)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	out.Discarded = len(held)
+	if ls.ckID != 0 {
+		entries, err := readSnapshot(dir, ls.ckID, out.SnapshotTS)
+		if err != nil {
+			return nil, err
+		}
+		out.MaxTS = max(out.MaxTS, out.SnapshotTS)
+		for _, e := range entries {
+			if cur, ok := latest[e.Key]; !ok || e.CommitTS > cur.CommitTS {
+				latest[e.Key] = RecoveredWrite(e)
+			}
+			out.MaxTS = max(out.MaxTS, e.CommitTS)
+		}
+		out.SnapshotKeys = len(entries)
 	}
 	out.Writes = make([]RecoveredWrite, 0, len(latest))
 	for _, w := range latest {

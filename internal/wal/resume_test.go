@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -277,7 +278,7 @@ func TestSnapshotCutMustMatchMarker(t *testing.T) {
 // TestRefusesTwoPhaseRecordFormat: a log holding a batch of the two-phase
 // record format — precommit (kind 1), commit (2) or abort (4) entries — is
 // refused by name in both entry points. Read as the one-record format, its
-// transactions would silently be gone. The store's records are unchanged.
+// transactions would silently be gone. The log is left as it was.
 func TestRefusesTwoPhaseRecordFormat(t *testing.T) {
 	le := binary.LittleEndian
 	precommit := le.AppendUint64(nil, 20) // txnID | epoch | nShards | count=0
@@ -294,63 +295,89 @@ func TestRefusesTwoPhaseRecordFormat(t *testing.T) {
 		{"abort", 4, le.AppendUint64(nil, 21)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			m := open(t, dir, 1, true)
-			commitN(t, m, 1, 5)
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-			batch := le.AppendUint32(nil, 1)
-			batch = append(batch, tc.kind)
-			batch = append(le.AppendUint32(batch, uint32(len(tc.payload))), tc.payload...)
-			st, err := kvstore.Open(filepath.Join(dir, logName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Set(batchPrefix+"100", batch); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			before := storeRecords(t, dir)
-
-			if m, err := Open(Options{Dir: dir}); err == nil {
-				m.Close()
-				t.Fatal("Open accepted a log of the two-phase record format")
-			} else if !strings.Contains(err.Error(), "two-phase record format") {
-				t.Fatalf("Open error does not name the format: %v", err)
-			}
-			if rec, err := Recover(dir); err == nil {
-				t.Fatalf("Recover returned %+v from a log of the two-phase record format", rec)
-			} else if !strings.Contains(err.Error(), "two-phase record format") {
-				t.Fatalf("Recover error does not name the format: %v", err)
-			}
-			after := storeRecords(t, dir)
-			if len(after) != len(before) {
-				t.Fatalf("refused log changed: %d keys before, %d after", len(before), len(after))
-			}
-			for k, v := range before {
-				if string(after[k]) != string(v) {
-					t.Fatalf("refused log changed: %s differs", k)
-				}
-			}
+			refusesBatch(t, tc.kind, tc.payload, "two-phase record format")
 		})
 	}
 }
 
-// storeRecords reads every key/value pair of dir's log.
-func storeRecords(t *testing.T, dir string) map[string][]byte {
+// TestRefusesBatchedFormat: a log of the batched format, where one store
+// record b/<seq> held a whole group-commit batch of transaction records
+// (kind 5), is refused by name in both entry points, and its bytes are left
+// as they were.
+func TestRefusesBatchedFormat(t *testing.T) {
+	refusesBatch(t, 5, rawRecord(20, 30, 1, kv("t", "old", "v")), "batched format")
+}
+
+// refusesBatch appends one batch of the old format, holding one entry of the
+// given kind, to a log of this version, and checks that Open and Recover
+// refuse the log with an error naming the format, leaving the directory
+// byte for byte as it was.
+func refusesBatch(t *testing.T, kind byte, payload []byte, format string) {
+	t.Helper()
+	le := binary.LittleEndian
+	dir := t.TempDir()
+	m := open(t, dir, 1, true)
+	commitN(t, m, 1, 5)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batch := le.AppendUint32(nil, 1)
+	batch = append(batch, kind)
+	batch = append(le.AppendUint32(batch, uint32(len(payload))), payload...)
+	st, err := kvstore.Open(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Set("b/100", batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, dir)
+
+	if m, err := Open(Options{Dir: dir}); err == nil {
+		m.Close()
+		t.Fatalf("Open accepted a log of the %s", format)
+	} else if !strings.Contains(err.Error(), format) {
+		t.Fatalf("Open error does not name the %s: %v", format, err)
+	}
+	if rec, err := Recover(dir); err == nil {
+		t.Fatalf("Recover returned %+v from a log of the %s", rec, format)
+	} else if !strings.Contains(err.Error(), format) {
+		t.Fatalf("Recover error does not name the %s: %v", format, err)
+	}
+	after := readDir(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused directory changed: %d files before, %d after", len(before), len(after))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("refused directory changed: %s differs", name)
+		}
+	}
+}
+
+// logRecord is one record of dir's log, as the store reads it back.
+type logRecord struct {
+	key   string
+	value []byte
+}
+
+// logRecords reads every record of dir's log, in file order.
+func logRecords(t *testing.T, dir string) []logRecord {
 	t.Helper()
 	st, err := kvstore.Open(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string][]byte{}
-	st.ForEach(func(k string, v []byte) error {
-		out[k] = append([]byte(nil), v...)
+	var out []logRecord
+	if err := st.Scan(func(k string, v []byte) error {
+		out = append(out, logRecord{k, bytes.Clone(v)})
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -35,18 +35,19 @@
 // file, wal.log, behind one checksummed prefix: no participant's part can be
 // lost on its own, so one record per transaction carries all that recovery
 // needs. Whatever queued while the previous batch was being written becomes
-// the next batch, written with one Set and — under SyncCommit — acknowledged
-// by one fsync.
+// the next batch: one store record per transaction, then the markers, and —
+// under SyncCommit — one fsync that acknowledges them all.
 //
-// Keys in wal.log (persistence is outsourced to internal/kvstore through a
-// key-value interface, as the paper outsources it to Redis/RocksDB):
+// Records in wal.log (persistence is outsourced to internal/kvstore, an
+// append-only log of key-value records, as the paper outsources it to
+// Redis/RocksDB). A key occurs once per record of its kind; recovery reads
+// the records in file order, and compaction keeps that order:
 //
-//	b/<seq>  one coalesced batch of transaction records; <seq> is the
-//	         appender's monotone batch sequence
-//	e        the durable epoch frontier (u64): every record of an epoch at or
-//	         below it is in the log
-//	ck       the checkpoint marker (checkpoint id, snapshot cut): its fsync
-//	         commits the checkpoint whose snapshot is snap-<id>.kv
+//	t   one transaction record (encodeRecord)
+//	e   an epoch marker (u64): every record of an epoch at or below it
+//	    precedes it; the largest is the durable frontier
+//	ck  a checkpoint marker (checkpoint id, snapshot cut): its fsync commits
+//	    the checkpoint whose snapshot is snap-<id>.kv; the last one counts
 //
 // The first append or fsync error poisons the log (Manager.Err): every
 // queued and later request fails with it, and nothing is written after it,
@@ -68,13 +69,18 @@ import (
 )
 
 const (
-	logName     = "wal.log"
-	batchPrefix = "b/"
-	epochKey    = "e"
-	ckKey       = "ck"
+	logName  = "wal.log"
+	txnKey   = "t"
+	epochKey = "e"
+	ckKey    = "ck"
 )
 
 var errClosed = errors.New("wal: closed")
+
+// ErrTooLarge refuses a transaction whose record exceeds the log store's
+// record limit: replay would end the log at it, and lose every record after
+// it. The log stays usable.
+var ErrTooLarge = fmt.Errorf("wal: a transaction record is limited to %d bytes (kvstore.MaxValueLen)", kvstore.MaxValueLen)
 
 // Options configure the durability module.
 type Options struct {
@@ -180,8 +186,8 @@ func openLog(dir string) (*kvstore.Store, error) {
 }
 
 // Open opens dir's log and recovers it in one scan (recovery.go): the state
-// it finds waits in Recovered, and the Manager resumes the batch sequence,
-// the epoch marker and the checkpoint id from the same pass. The epoch
+// it finds waits in Recovered, and the Manager resumes the epoch marker and
+// the checkpoint id from the same pass. The epoch
 // counter starts past the frontier marker, so no record staged from now on
 // belongs to an epoch the log already calls sealed.
 func Open(opts Options) (*Manager, error) {
@@ -196,9 +202,8 @@ func Open(opts Options) (*Manager, error) {
 		// Records whose epoch the frontier does not cover were discarded;
 		// once this life seals past their epoch they would look durable.
 		// Drop them by their own epoch before anything is appended.
-		if _, _, err := st.Rewrite(func(key string, value []byte) ([]byte, bool) {
-			return compactRecord(key, value, func(_, epoch uint64) bool { return epoch > ls.frontier })
-		}); err != nil {
+		c := compaction{unsealed: true, frontier: ls.frontier, ckID: ls.ckID}
+		if _, _, err := st.Rewrite(c.keep); err != nil {
 			return nil, errors.Join(err, st.Close())
 		}
 	}
@@ -209,7 +214,7 @@ func Open(opts Options) (*Manager, error) {
 	m.durableCond = sync.NewCond(&m.mu)
 	m.recovered.Store(ls.rec)
 	m.app = newAppender(m, st)
-	m.app.seq, m.app.marker = ls.nextSeq, ls.frontier
+	m.app.marker = ls.frontier
 	m.epoch.Store(ls.frontier + 1)
 	go m.app.run()
 	go m.flusher()
@@ -292,14 +297,18 @@ func (m *Manager) unusable() error {
 // concurrency control. The ticket completes once the record is appended, and
 // flushed under SyncCommit.
 //
-// On a poisoned or closed log commitPoint never runs and the error is
-// returned: the transaction can still abort cleanly. If commitPoint reports
-// false (the transaction was force-aborted), nothing is staged and Stage
-// returns a nil ticket and a nil error.
+// On a poisoned or closed log, and for a record over the limit (ErrTooLarge),
+// commitPoint never runs and the error is returned: the transaction can
+// still abort cleanly. If commitPoint reports false (the transaction was
+// force-aborted), nothing is staged and Stage returns a nil ticket and a nil
+// error.
 func (m *Manager) Stage(txnID uint64, writes []core.WriteRef, commitPoint func() (uint64, bool)) (*Ticket, error) {
-	rec := encodeRecord(txnID, len(writes), func(i int) (core.Key, []byte) {
+	rec, err := encodeRecord(txnID, len(writes), func(i int) (core.Key, []byte) {
 		return writes[i].Chain.Key, writes[i].V.Value
 	})
+	if err != nil {
+		return nil, err
+	}
 	tk := newTicket()
 	if ok, err := m.stage(rec, 0, tk, commitPoint); !ok {
 		return nil, err
@@ -330,14 +339,16 @@ func (m *Manager) Precommit(txnID uint64, writesByShard map[int][]KV) (uint64, *
 // Commit stages txnID's one record, holding the writes Precommit left in tk,
 // at commitTS. epoch is a lower bound only: the record carries the epoch
 // current when it is staged, or epoch if that is larger. An error means the
-// record was not staged (the log is poisoned or closed); the ticket
-// completes with it.
+// record was not staged (the log is poisoned or closed, or the record is
+// over the limit); the ticket completes with it.
 func (m *Manager) Commit(txnID, commitTS, epoch uint64, tk *Ticket) error {
-	rec := encodeRecord(txnID, len(tk.writes), func(i int) (core.Key, []byte) {
+	rec, err := encodeRecord(txnID, len(tk.writes), func(i int) (core.Key, []byte) {
 		return tk.writes[i].Key, tk.writes[i].Value
 	})
 	tk.writes = nil
-	_, err := m.stage(rec, epoch, tk, func() (uint64, bool) { return commitTS, true })
+	if err == nil {
+		_, err = m.stage(rec, epoch, tk, func() (uint64, bool) { return commitTS, true })
+	}
 	if err != nil {
 		tk.complete(err)
 	}
@@ -461,11 +472,16 @@ const recHeader = 8 + 8 + 8 + 4
 //
 //	u64 txnID | u64 commitTS | u64 epoch | u32 count |
 //	repeat: u32 len, table | u32 len, row | u32 len, value
-func encodeRecord(txnID uint64, n int, write func(i int) (core.Key, []byte)) []byte {
+//
+// A record over the store's limit is refused before anything is encoded.
+func encodeRecord(txnID uint64, n int, write func(i int) (core.Key, []byte)) ([]byte, error) {
 	size := recHeader
 	for i := 0; i < n; i++ {
 		k, v := write(i)
 		size += 12 + len(k.Table) + len(k.Row) + len(v)
+	}
+	if size > kvstore.MaxValueLen {
+		return nil, fmt.Errorf("%w: transaction %d's would be %d", ErrTooLarge, txnID, size)
 	}
 	le := binary.LittleEndian
 	rec := make([]byte, recHeader, size)
@@ -477,7 +493,7 @@ func encodeRecord(txnID uint64, n int, write func(i int) (core.Key, []byte)) []b
 		rec = append(le.AppendUint32(rec, uint32(len(k.Row))), k.Row...)
 		rec = append(le.AppendUint32(rec, uint32(len(v))), v...)
 	}
-	return rec
+	return rec, nil
 }
 
 // record is one decoded transaction record. Its values alias the buffer it

@@ -30,7 +30,10 @@ func stageRaw(t *testing.T, m *Manager, kind byte, payload []byte) {
 
 // rawRecord builds a transaction record with the given stamps.
 func rawRecord(txnID, commitTS, epoch uint64, kvs ...KV) []byte {
-	rec := encodeRecord(txnID, len(kvs), func(i int) (core.Key, []byte) { return kvs[i].Key, kvs[i].Value })
+	rec, err := encodeRecord(txnID, len(kvs), func(i int) (core.Key, []byte) { return kvs[i].Key, kvs[i].Value })
+	if err != nil {
+		panic(err)
+	}
 	binary.LittleEndian.PutUint64(rec[8:], commitTS)
 	binary.LittleEndian.PutUint64(rec[16:], epoch)
 	return rec
