@@ -2,9 +2,10 @@
 // asynchronous GCP-epoch flushing (§4.5.4), simulate a crash by discarding
 // the in-memory state, and recover the database from the logs — verifying
 // that every durable transaction survived with its latest committed value.
-// Then checkpoint: snapshot the committed state, compact the logs, and show
-// that the next restart is bounded — it replays only the post-checkpoint
-// tail instead of the whole history.
+// Then checkpoint: rewrite the log as a snapshot of the committed state
+// followed by the records the snapshot does not cover, and show that the
+// next restart is bounded — it replays only the post-checkpoint tail instead
+// of the whole history. The program exits non-zero if a write is lost.
 package main
 
 import (
@@ -89,15 +90,16 @@ func main() {
 	}
 	fmt.Println("all durable writes recovered correctly")
 
-	// Checkpoint: snapshot the committed state at a consistent cut and
-	// compact the logs. The next restart loads the snapshot and replays
-	// only records committed after it — bounded restart, however long the
-	// database has been running.
+	// Checkpoint: snapshot the committed state at a consistent cut into the
+	// log, in place of the history it covers. The next restart loads the
+	// snapshot and replays only records committed after it — bounded
+	// restart, however long the database has been running.
 	before := logBytes(db2)
 	if err := db2.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("checkpoint: log %d -> %d bytes\n", before, logBytes(db2))
+	fmt.Printf("checkpoint: log %d -> %d bytes, which hold the snapshot and the records after it\n",
+		before, logBytes(db2))
 	for i := 0; i < 50; i++ { // a short tail after the checkpoint
 		i := i
 		if err := db2.Run("put", 0, func(tx *tebaldi.Tx) error {

@@ -181,8 +181,8 @@ func dirBytes(dir string) int64 {
 // recovery measures bounded-log restart: N committed update transactions
 // under sync group commit, then a cold restart. Without checkpoints the log
 // holds the full history and recovery replays all of it; with periodic
-// checkpoints the log is compacted to the post-frontier tail and recovery
-// replays only that. Reports on-disk log size, restart time, and the
+// checkpoints the log is rewritten as the snapshot plus the post-cut tail,
+// and recovery loads the snapshot and replays only the tail. Reports on-disk log size, restart time, and the
 // records-replayed counter.
 func recovery(x *Experiment, p Params) error {
 	w := p.Out

@@ -177,8 +177,7 @@ func kvTxn(sess *server.Sess, rng *rand.Rand, keyspace int) error {
 		if lastErr == nil {
 			return nil
 		}
-		we, ok := lastErr.(*server.WireError)
-		if !ok || !server.Retryable(we.Code) {
+		if !core.IsRetryable(lastErr) {
 			return lastErr
 		}
 		time.Sleep(core.RetryBackoff(attempt, rng.Intn))

@@ -102,9 +102,6 @@ func New(env *core.Env, node *core.Node) *RP {
 // Name implements core.CC.
 func (r *RP) Name() string { return "RP" }
 
-// Pipeline exposes the analysis result (diagnostics, tests).
-func (r *RP) Pipeline() *Analysis { return r.analysis }
-
 // Begin implements core.CC.
 func (r *RP) Begin(t *core.Txn) error {
 	t.Slots[r.node.Depth] = &slot{}

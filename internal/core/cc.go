@@ -90,9 +90,6 @@ type Spec struct {
 	// partition cleanly by Txn.Part over this many instances (e.g. SEATS
 	// flights) — enabling the partition-by-instance optimization.
 	InstanceDomain int
-	// Weight is the type's share in the workload mix (informational; used
-	// by autoconf candidate ordering).
-	Weight float64
 }
 
 // BlockEvent records one data-contention blocking interval: Blocked waited

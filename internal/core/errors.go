@@ -42,6 +42,11 @@ var (
 	// and is not acknowledged. It does not wrap ErrAborted — the log stays
 	// failed until the database is recovered, so a retry cannot succeed.
 	ErrDurability = errors.New("durability failure: write-ahead log failed")
+
+	// ErrUnknownType is returned by Begin for a transaction type that no
+	// node of the CC tree lists: run under the CCs its path happens to
+	// cross, it would be regulated against no one. It is NOT retried.
+	ErrUnknownType = errors.New("unknown transaction type")
 )
 
 // IsRetryable reports whether err is a system-initiated abort that the client

@@ -84,7 +84,6 @@ func TestPutTxnEligibility(t *testing.T) {
 // channel that blocks again.
 func TestGetTxnReset(t *testing.T) {
 	old := GetTxn(20, "old", 7, 9)
-	old.Epoch = 3
 	old.Path = append(old.Path, &Node{}, &Node{})
 	old.Slots = append(old.Slots, "slot0", "slot1")
 	// A waiter allocated the done channel; commit closes it.
@@ -109,9 +108,6 @@ func TestGetTxnReset(t *testing.T) {
 	}
 	if fresh.HasDeps() || fresh.HasWrites() {
 		t.Fatal("fresh txn has stale deps/writes")
-	}
-	if fresh.Epoch != 0 {
-		t.Fatalf("fresh txn has stale Epoch %d", fresh.Epoch)
 	}
 	select {
 	case <-fresh.Done():

@@ -108,8 +108,6 @@ type Txn struct {
 	Slots []any
 	// Start is the wall-clock begin time (profiling and latency stats).
 	Start time.Time
-	// Epoch is the reconfiguration epoch the transaction was admitted in.
-	Epoch uint64
 
 	state    atomic.Int32
 	commitTS atomic.Uint64
@@ -167,7 +165,7 @@ func PutTxn(t *Txn) bool {
 	if t.State() == Active || t.shared.Load() {
 		return false
 	}
-	t.ID, t.Type, t.Part, t.BeginTS, t.Epoch = 0, "", 0, 0, 0
+	t.ID, t.Type, t.Part, t.BeginTS = 0, "", 0, 0
 	t.Start = time.Time{}
 	// Zero the elements before truncating so stale CC slot state and node
 	// pointers don't survive into the next life via the shared backing array.

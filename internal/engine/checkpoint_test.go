@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,5 +301,75 @@ func TestCheckpointRecoversUnderOtherShardCount(t *testing.T) {
 	a, b := states[0], states[1]
 	if a.SnapshotTS == 0 || a.SnapshotTS != b.SnapshotTS || a.SnapshotKeys != b.SnapshotKeys || a.Committed != b.Committed || a.MaxTS != b.MaxTS {
 		t.Fatalf("4 shards recovered %+v, 2 shards %+v", *a, *b)
+	}
+}
+
+// TestFailedCheckpointLeavesLogUnchanged: a checkpoint is one step, the log
+// rewrite, so a rewrite that fails — here its temp file vanishes before the
+// rename — leaves wal.log byte for byte as it was. The failure is returned
+// and counted, later sync commits and checkpoints succeed, and a crash
+// image taken afterwards recovers every acknowledged commit.
+func TestFailedCheckpointLeavesLogUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	var fail atomic.Bool
+	opts := ckOptions(dir)
+	opts.DurabilitySync = true
+	opts.GCPEpoch = time.Hour // no epoch ticks: the log changes only when told to
+	opts.crashHook = func(point string) {
+		if point == "compact.synced" && fail.Load() {
+			os.Remove(path + ".compact")
+		}
+	}
+	e, err := New(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	want := map[int]string{}
+	commit := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			v := fmt.Sprintf("v%d", i)
+			if err := e.RunTxn("put", 0, func(tx *Tx) error { return tx.Write(core.KeyOf("kv", i%16), []byte(v)) }); err != nil {
+				t.Fatal(err)
+			}
+			want[i%16] = v
+		}
+	}
+	commit(0, 40)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail.Store(true)
+	if err := e.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded though its rewrite could not rename")
+	}
+	fail.Store(false)
+	if snap := e.Stats().Snapshot(); snap.CheckpointErrors != 1 || snap.Checkpoints != 0 {
+		t.Fatalf("checkpoints=%d errors=%d, want 0 and 1", snap.Checkpoints, snap.CheckpointErrors)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("wal.log changed by the failed checkpoint (%d bytes, was %d; %v)", len(after), len(before), err)
+	}
+	commit(40, 60)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the failed one: %v", err)
+	}
+	commit(60, 70)
+
+	img := filepath.Join(t.TempDir(), "crash")
+	tortureCopyDir(t, dir, img)
+	recOpts := ckOptions(img)
+	e2, _, err := Recover(recOpts, ckSpecs, G(Kind2PL, []string{"put"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	for k, v := range want {
+		if got := string(e2.ReadCommitted(core.KeyOf("kv", k))); got != v {
+			t.Fatalf("kv/%d = %q after recovery, want the acknowledged %q", k, got, v)
+		}
 	}
 }

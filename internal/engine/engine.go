@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,17 +209,6 @@ func (e *Engine) Spec(name string) *core.Spec {
 	return e.specs[name]
 }
 
-// Specs returns all registered specs.
-func (e *Engine) Specs() []*core.Spec {
-	e.specMu.RLock()
-	defer e.specMu.RUnlock()
-	out := make([]*core.Spec, 0, len(e.specs))
-	for _, s := range e.specs {
-		out = append(out, s)
-	}
-	return out
-}
-
 // Config returns (a copy of) the current CC tree configuration.
 func (e *Engine) Config() *NodeSpec {
 	e.gate.RLock()
@@ -235,7 +225,8 @@ func (e *Engine) ConfigString() string {
 
 // Begin starts a transaction of the given registered type. part is the
 // instance-partition input (0 when unused). Begin blocks while a
-// reconfiguration has gated this type.
+// reconfiguration has gated this type. A type whose routed path does not end
+// at a node listing it is refused with core.ErrUnknownType.
 func (e *Engine) Begin(typ string, part uint64) (*Tx, error) {
 	if e.closed.Load() {
 		return nil, fmt.Errorf("engine: closed")
@@ -254,6 +245,10 @@ func (e *Engine) Begin(typ string, part uint64) (*Tx, error) {
 		// draws its begin timestamp.
 		t = core.GetTxn(e.txnSeq.Add(1), typ, part, 0)
 		t.Path = e.tree.Root.AppendPath(t, t.Path)
+		if !slices.Contains(t.Path[len(t.Path)-1].Types, typ) {
+			e.gate.RUnlock()
+			return nil, fmt.Errorf("engine: %w %q: no node of the CC tree lists it", core.ErrUnknownType, typ)
+		}
 		if cap(t.Slots) >= len(t.Path) {
 			t.Slots = t.Slots[:len(t.Path)]
 		} else {
@@ -410,11 +405,10 @@ func (e *Engine) ckLoop() {
 }
 
 // Checkpoint snapshots the committed state at a watermark-consistent cut
-// into one snapshot file, commits it with the log's checkpoint marker, and
-// compacts the log down to the post-cut tail
-// (§4.5.4's "logs are pruned by log truncation at checkpoints", which the
-// paper outsources to the storage layer). Safe to call concurrently with
-// running transactions: the cut is the GC watermark, below which no
+// and atomically rewrites wal.log as that snapshot followed by the post-cut
+// tail (§4.5.4's "logs are pruned by log truncation at checkpoints", which
+// the paper outsources to the storage layer). Safe to call concurrently
+// with running transactions: the cut is the GC watermark, below which no
 // transaction is still active, so the snapshot is a consistent prefix of
 // the commit order; everything above it stays in the log.
 func (e *Engine) Checkpoint() error {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -296,5 +297,46 @@ func TestNestedTSOWriteUnderCrossChildReadIsTooLate(t *testing.T) {
 	// The retry's timestamp is above the reader's commit.
 	if err := e.RunTxn("a", 0, func(tx *Tx) error { return tx.Write(kx, []byte("retry")) }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBeginRefusesUnplacedType: a transaction type that no node of the CC
+// tree lists — unregistered, or registered but left out of the
+// configuration — would run under the CCs its path happens to cross (here
+// the SSI root alone, which lets two read-modify-writes of one key both
+// commit) and lose updates. Begin refuses it with the non-retryable
+// core.ErrUnknownType, naming the type, and RunTxn does not retry it.
+func TestBeginRefusesUnplacedType(t *testing.T) {
+	specs := []*core.Spec{
+		{Name: "inc", Tables: []string{"kv"}, WriteTables: []string{"kv"}},
+		{Name: "orphan", Tables: []string{"kv"}, WriteTables: []string{"kv"}},
+	}
+	e, err := New(Options{Shards: 2, LockTimeout: 2 * time.Second}, specs,
+		G(KindSSI, nil, G(Kind2PL, []string{"inc"}), G(KindNone, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, typ := range []string{"orphan", "no-such-type"} {
+		tx, err := e.Begin(typ, 0)
+		if tx != nil || !errors.Is(err, core.ErrUnknownType) || !strings.Contains(err.Error(), typ) {
+			t.Fatalf("Begin(%q) = %v, %v; want core.ErrUnknownType naming the type", typ, tx, err)
+		}
+		if core.IsRetryable(err) {
+			t.Fatalf("Begin(%q): %v is retryable", typ, err)
+		}
+		runs := 0
+		err = e.RunTxn(typ, 0, func(*Tx) error { runs++; return nil })
+		if !errors.Is(err, core.ErrUnknownType) || runs != 0 {
+			t.Fatalf("RunTxn(%q) = %v after %d runs of its body; want core.ErrUnknownType and none", typ, err, runs)
+		}
+	}
+	// The placed type still runs, and no refused Begin left a transaction
+	// registered that would hold the watermark back.
+	if err := e.RunTxn("inc", 0, func(tx *Tx) error { return tx.Write(core.KeyOf("kv", 1), []byte("v")) }); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.ActiveTxns(); n != 0 {
+		t.Fatalf("%d transactions still registered", n)
 	}
 }

@@ -19,7 +19,6 @@ type Stats struct {
 	abortConflict atomic.Uint64
 	abortPivot    atomic.Uint64
 	abortCascade  atomic.Uint64
-	abortUser     atomic.Uint64
 	walErrors     atomic.Uint64
 
 	// Group-commit pipeline counters (fed by the WAL batch observer):
@@ -33,13 +32,12 @@ type Stats struct {
 	// snapshot's size, cumulative log bytes dropped by compaction, failed
 	// checkpoint attempts, and — set once at Recover — how many log
 	// records the last recovery replayed (with checkpointing, the
-	// post-frontier tail only) and the snapshot cut it started from.
-	checkpoints        atomic.Uint64
-	checkpointErrors   atomic.Uint64
-	ckSnapshotBytes    atomic.Uint64
-	ckTruncatedBytes   atomic.Uint64
-	recoveryReplayed   atomic.Uint64
-	recoverySnapshotTS atomic.Uint64
+	// post-checkpoint tail only).
+	checkpoints      atomic.Uint64
+	checkpointErrors atomic.Uint64
+	ckSnapshotBytes  atomic.Uint64
+	ckTruncatedBytes atomic.Uint64
+	recoveryReplayed atomic.Uint64
 
 	mu      sync.Mutex
 	perType map[string]*TypeStats
@@ -85,8 +83,6 @@ func (s *Stats) recordAbort(t *core.Txn, cause error) {
 		s.abortCascade.Add(1)
 	case errors.Is(cause, core.ErrConflict):
 		s.abortConflict.Add(1)
-	default:
-		s.abortUser.Add(1)
 	}
 }
 
@@ -104,7 +100,6 @@ func (s *Stats) recordCheckpoint(res *wal.CheckpointResult, err error) {
 // recordRecovery publishes the last recovery's replay counters.
 func (s *Stats) recordRecovery(st *wal.RecoveredState) {
 	s.recoveryReplayed.Store(uint64(st.Replayed))
-	s.recoverySnapshotTS.Store(st.SnapshotTS)
 }
 
 // recordWalBatch is the WAL group-commit observer: one coalesced batch of
@@ -142,7 +137,6 @@ type Snapshot struct {
 	CheckpointSnapshotBytes  uint64
 	CheckpointTruncatedBytes uint64
 	RecoveryReplayed         uint64
-	RecoverySnapshotTS       uint64
 	PerType                  map[string]TypeSnapshot
 }
 
@@ -172,7 +166,6 @@ func (s *Stats) Snapshot() Snapshot {
 		CheckpointSnapshotBytes:  s.ckSnapshotBytes.Load(),
 		CheckpointTruncatedBytes: s.ckTruncatedBytes.Load(),
 		RecoveryReplayed:         s.recoveryReplayed.Load(),
-		RecoverySnapshotTS:       s.recoverySnapshotTS.Load(),
 		PerType:                  map[string]TypeSnapshot{},
 	}
 	s.mu.Lock()

@@ -4,12 +4,13 @@
 // read them back in order at recovery, and truncate the log at checkpoints.
 // This package is the stdlib-only substitute that does exactly that: Set
 // appends a checksummed (key, value) record, Sync makes the records durable,
-// Scan visits them in file order, and Rewrite drops the records a checkpoint
-// covers. It keeps no copy of the records in memory, and a key may occur any
-// number of times; what a key means is the caller's business.
+// Scan visits them in file order, and Rewrite replaces the records a
+// checkpoint covers with the checkpoint's own. It keeps no copy of the
+// records in memory, and a key may occur any number of times; what a key
+// means is the caller's business.
 //
-// Format. The file starts with an 8-byte header, "TBKV" and a little-endian
-// u32 version (2). Records follow it back to back:
+// Format. The file starts with a 16-byte header, "TBKV", a little-endian u32
+// version (3) and a u64 seal. Records follow it back to back:
 //
 //	u32 klen | u32 vlen | u32 crc32c(klen|vlen|key|value) | key | value
 //
@@ -27,13 +28,21 @@
 // from 64 KiB up to 4 MiB (GrowthStep). Close truncates the file to its
 // logical end; Size and Rewrite report logical bytes.
 //
-// Replay stops at the first record that is short, reads as zeros, exceeds
-// the limits or fails its checksum, and Open truncates the file there.
-// Records are written in order, and an acknowledged record was covered by a
-// completed fsync, so every acknowledged record precedes the first bad one.
+// Sealed prefix. Rewrite writes the whole new file, fsyncs it and only then
+// renames it over the log, so every byte of it was durable before the log
+// named it. Its header's seal records that length; a log Open creates holds
+// seal 0. Below the seal a record cannot be torn: one that is short, reads
+// as zeros, exceeds the limits or fails its checksum there is damage, and
+// Open fails, naming the file and the offset, and leaves the file as it is.
+//
+// Torn tail. Past the seal, replay stops at the first such record, and Open
+// truncates the file there. Records are written in order, and an
+// acknowledged record was covered by a completed fsync, so every
+// acknowledged record precedes the first bad one.
 //
 // A non-empty file without the header is a log of the earlier format (8-byte
-// record headers, no checksum). Open refuses it and leaves it as it is.
+// record headers, no checksum), and a file of version 2 has the 8-byte
+// header without a seal. Open refuses both and leaves them as they are.
 package kvstore
 
 import (
@@ -57,8 +66,8 @@ const (
 
 const (
 	magic     = "TBKV"
-	version   = 2 // 1 is the headerless format of earlier versions
-	headerLen = 8
+	version   = 3 // 1 is the headerless format, 2 the header without a seal
+	headerLen = 16
 	recHeader = 12
 
 	minStep = 64 << 10
@@ -83,12 +92,17 @@ func GrowthStep(n int64) int64 { return min(max(n, minStep), maxStep) }
 // Store is an append-only log of (key, value) records. Set appends; Sync
 // writes the buffered records and fsyncs. Rewrite compacts the log in place
 // (Tebaldi's checkpoint truncation, §4.5.4): the file is atomically replaced
-// by one holding only the records the caller keeps, in their order, so the
-// log stays bounded across checkpoints.
+// by one holding the caller's new records and then the old records it
+// keeps, in their order, so the log stays bounded across checkpoints.
 type Store struct {
-	mu   sync.Mutex
-	f    *os.File // nil once closed
-	path string
+	mu sync.Mutex
+	// fileMu keeps f open while a Sync fsyncs it outside mu: Sync takes it
+	// for reading before it releases mu, and whoever closes f (Rewrite's
+	// swap, Close) takes it for writing under mu.
+	// tebaldi:locks after kvstore.Store.mu
+	fileMu sync.RWMutex
+	f      *os.File // nil once closed
+	path   string
 	// buf holds encoded records not yet written; they go to offset end.
 	buf []byte
 	// end is the logical end of the records written to the file; alloc is
@@ -106,9 +120,6 @@ func Open(path string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)
 	}
-	// A leftover rewrite temp file means a crash hit mid-compaction before
-	// the rename: the original log is still the authoritative one.
-	os.Remove(path + compactSuffix)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %w", err)
@@ -118,11 +129,15 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
+	// A leftover rewrite temp file means a crash hit mid-compaction before
+	// the rename: the log just loaded is still the authoritative one.
+	os.Remove(path + compactSuffix)
 	return s, nil
 }
 
 // load checks the file header, finds the end of the valid records and
-// truncates the file there (a crash mid-append, or the zeroed tail).
+// truncates the file there (a crash mid-append, or the zeroed tail). A bad
+// record below the seal fails it, with the file untouched.
 func (s *Store) load() error {
 	st, err := s.f.Stat()
 	if err != nil {
@@ -140,17 +155,20 @@ func (s *Store) load() error {
 		if err := s.f.Truncate(0); err != nil {
 			return fmt.Errorf("kvstore: truncate: %w", err)
 		}
-		hdr = header()
+		hdr = header(0)
 		if _, err := s.f.WriteAt(hdr[:], 0); err != nil {
 			return fmt.Errorf("kvstore: %w", err)
 		}
 	case string(hdr[:4]) != magic:
 		return fmt.Errorf("kvstore: %s has no %q header: it is a log of the earlier format (8-byte record headers, no checksum), which this version cannot read", s.path, magic)
-	case binary.LittleEndian.Uint32(hdr[4:]) != version:
-		return fmt.Errorf("kvstore: %s is format version %d, this version reads %d", s.path, binary.LittleEndian.Uint32(hdr[4:]), version)
+	case binary.LittleEndian.Uint32(hdr[4:8]) != version:
+		return fmt.Errorf("kvstore: %s is format version %d, this version reads %d", s.path, binary.LittleEndian.Uint32(hdr[4:8]), version)
 	default:
 		if valid, err = readRecords(s.f, st.Size(), nil); err != nil {
 			return fmt.Errorf("kvstore: replay: %w", err)
+		}
+		if sealed := int64(binary.LittleEndian.Uint64(hdr[8:])); valid < sealed {
+			return fmt.Errorf("kvstore: %s is damaged: the record at offset %d is short, zeroed or fails its checksum, but a rewrite fsynced the first %d bytes before it renamed the file into place; the file is left as it is", s.path, valid, sealed)
 		}
 		if err := s.f.Truncate(valid); err != nil {
 			return fmt.Errorf("kvstore: truncate: %w", err)
@@ -160,9 +178,11 @@ func (s *Store) load() error {
 	return nil
 }
 
-func header() (h [headerLen]byte) {
+// header is the file header of a log whose first sealed bytes are durable.
+func header(sealed int64) (h [headerLen]byte) {
 	copy(h[:], magic)
-	binary.LittleEndian.PutUint32(h[4:], version)
+	binary.LittleEndian.PutUint32(h[4:8], version)
+	binary.LittleEndian.PutUint64(h[8:], uint64(sealed))
 	return h
 }
 
@@ -236,15 +256,23 @@ func split(rec []byte) (string, []byte) {
 	return string(rec[recHeader:klen]), rec[klen:]
 }
 
-// Set appends a record (buffered; call Sync for durability). The key must
-// not be empty, and neither key nor value may exceed its limit (MaxKeyLen,
-// MaxValueLen): a refused record is not buffered.
-func (s *Store) Set(key string, value []byte) error {
+// checkRecord refuses a record that replay would read as the end of the log.
+func checkRecord(key string, value []byte) error {
 	if key == "" {
 		return errEmptyKey
 	}
 	if len(key) > MaxKeyLen || len(value) > MaxValueLen {
 		return fmt.Errorf("kvstore: a %d-byte key with a %d-byte value exceeds the record limit (%d-byte keys, %d-byte values): replay would end the log there", len(key), len(value), MaxKeyLen, MaxValueLen)
+	}
+	return nil
+}
+
+// Set appends a record (buffered; call Sync for durability). The key must
+// not be empty, and neither key nor value may exceed its limit (MaxKeyLen,
+// MaxValueLen): a refused record is not buffered.
+func (s *Store) Set(key string, value []byte) error {
+	if err := checkRecord(key, value); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -319,7 +347,8 @@ func (s *Store) Scan(f func(key string, value []byte) error) error {
 // Sync writes the buffered records, allocates the next growth step when due,
 // and fsyncs the file. The fsync happens outside the store mutex so
 // concurrent Sets are not stalled for the disk's latency (asynchronous
-// flushing would otherwise block the commit path).
+// flushing would otherwise block the commit path); a Rewrite that swaps the
+// file meanwhile waits for it before it closes the old one.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	if s.f == nil {
@@ -330,11 +359,14 @@ func (s *Store) Sync() error {
 	if err == nil {
 		err = s.grow()
 	}
-	f := s.f
-	s.mu.Unlock()
 	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
+	f := s.f
+	s.fileMu.RLock()
+	defer s.fileMu.RUnlock()
+	s.mu.Unlock()
 	return f.Sync()
 }
 
@@ -366,54 +398,78 @@ func (s *Store) Size() (int64, error) {
 
 const compactSuffix = ".compact"
 
-// Rewrite compacts the log: every record is offered to keep in file order,
-// and the ones it keeps are written, in that order, to a temp file, which is
-// fsynced and atomically renamed over the log, so a crash at any point
-// leaves either the complete old log or the complete new one — never a mix.
-// The value passed to keep is valid only during the call. Returns the log's
+// Rewrite compacts the log. The new file holds the records of prefix, then
+// every record of the log that keep keeps, in file order. It is written to
+// a temp file, sealed (its header records its whole length), fsynced and
+// atomically renamed over the log, so a crash at any point leaves either the
+// complete old log or the complete new one — never a mix. Returns the log's
 // logical size before and after.
 //
-// The store mutex is held for the duration: concurrent Sets block until the
-// rewrite completes, and then append to the new file.
-func (s *Store) Rewrite(keep func(key string, value []byte) bool) (before, after int64, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return 0, 0, errClosed
-	}
-	if err := s.flush(); err != nil {
-		return 0, 0, err
-	}
-	before = s.end
-
+// prefix (nil for none) is written to the temp file before the store mutex
+// is taken, so appends go on meanwhile: it calls add once per record, in
+// order, and add copies the record before it returns. An error from add or
+// from prefix fails the rewrite. The mutex is held from the pass over the
+// log's records to the swap: concurrent Sets block until the rewrite
+// completes, and then append to the new file. The value passed to keep is
+// valid only during the call. Rewrites must not overlap: a second one finds
+// the temp file and fails.
+func (s *Store) Rewrite(prefix func(add func(key string, value []byte) error) error, keep func(key string, value []byte) bool) (before, after int64, err error) {
 	tmpPath := s.path + compactSuffix
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		return before, before, fmt.Errorf("kvstore: rewrite: %w", err)
+		return 0, 0, fmt.Errorf("kvstore: rewrite: %w", err)
 	}
 	tw := bufio.NewWriterSize(tmp, 1<<16)
-	hdr := header()
+	var hdr [headerLen]byte // the seal is written last
 	_, err = tw.Write(hdr[:])
 	after = headerLen
+	write := func(rec []byte) error {
+		after += int64(len(rec))
+		_, err := tw.Write(rec)
+		return err
+	}
+	if prefix != nil && err == nil {
+		var rec []byte
+		err = prefix(func(key string, value []byte) error {
+			if err := checkRecord(key, value); err != nil {
+				return err
+			}
+			rec = appendRecord(rec[:0], key, value)
+			return write(rec)
+		})
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil && s.f == nil {
+		err = errClosed
+	}
+	if err == nil {
+		err = s.flush()
+	}
+	before = s.end
 	if err == nil {
 		var end int64
 		end, err = readRecords(s.f, s.end, func(rec []byte) error {
 			if !keep(split(rec)) {
 				return nil
 			}
-			after += int64(len(rec))
-			_, err := tw.Write(rec)
-			return err
+			return write(rec)
 		})
 		if err == nil && end != s.end {
 			err = fmt.Errorf("the record at offset %d no longer reads back", end)
 		}
 	}
 	if err == nil {
-		if err = tw.Flush(); err == nil {
-			s.hook("compact.written")
-			err = tmp.Sync()
-		}
+		err = tw.Flush()
+	}
+	if err == nil {
+		hdr = header(after)
+		_, err = tmp.WriteAt(hdr[:], 0)
+	}
+	if err == nil {
+		s.hook("compact.written")
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -440,16 +496,17 @@ func (s *Store) Rewrite(keep func(key string, value []byte) bool) (before, after
 		}
 	}
 
+	// The old file object points at the renamed-over inode; writing through
+	// it would be silent data loss. If the new file cannot be opened, f is
+	// nil and the store fails instead.
 	f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
-	if err != nil {
-		// The old file object points at the renamed-over inode; writing
-		// through it would be silent data loss. Fail the store instead.
-		s.f.Close()
-		s.f = nil
-		return before, after, fmt.Errorf("kvstore: rewrite reopen: %w", err)
-	}
+	s.fileMu.Lock() // an fsync of the old file in flight completes first
 	s.f.Close()
 	s.f = f
+	s.fileMu.Unlock()
+	if err != nil {
+		return before, after, fmt.Errorf("kvstore: rewrite reopen: %w", err)
+	}
 	s.end, s.alloc = after, after
 	// Report the directory-sync failure only after the swap: the store
 	// keeps working against the renamed file either way.
@@ -471,9 +528,11 @@ func (s *Store) Close() error {
 	if err == nil && s.alloc > s.end {
 		err = s.f.Truncate(s.end)
 	}
+	s.fileMu.Lock()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
 	s.f = nil
+	s.fileMu.Unlock()
 	return err
 }

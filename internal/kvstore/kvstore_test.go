@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func tempStore(t *testing.T) (*Store, string) {
@@ -119,11 +120,12 @@ func TestScanInFileOrder(t *testing.T) {
 	}
 }
 
-// TestRewriteCompacts: Rewrite keeps exactly the records keep accepts, in
-// their order, and the compacted log takes new records after them.
+// TestRewriteCompacts: Rewrite writes the prefix records first, then exactly
+// the records keep accepts, in their order, and the compacted log takes new
+// records after them.
 func TestRewriteCompacts(t *testing.T) {
 	s, path := tempStore(t)
-	var want []record
+	want := []record{{"cut", "100"}, {"snap", "hot=99"}}
 	for i := 0; i < 100; i++ {
 		v := fmt.Sprintf("version-with-some-length-%02d", i)
 		s.Set("hot", []byte(v))
@@ -136,7 +138,7 @@ func TestRewriteCompacts(t *testing.T) {
 			want = append(want, record{"keep", "kept"})
 		}
 	}
-	before, after, err := s.Rewrite(func(key string, value []byte) bool {
+	before, after, err := s.Rewrite(records(want[:2]...), func(key string, value []byte) bool {
 		switch key {
 		case "drop":
 			return false
@@ -167,6 +169,184 @@ func TestRewriteCompacts(t *testing.T) {
 	wantRecords(t, got, append(want, record{"post", "after-rewrite"})...)
 }
 
+// records is a Rewrite prefix of the given records.
+func records(recs ...record) func(func(string, []byte) error) error {
+	return func(add func(string, []byte) error) error {
+		for _, r := range recs {
+			if err := add(r.key, []byte(r.value)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func keepAll(string, []byte) bool { return true }
+
+// TestRewritePrefixDoesNotBlockAppends: the prefix is written before the
+// store mutex is taken, so a Set issued while it is being written completes
+// at once and lands in the new log after the prefix. A second Rewrite
+// overlapping the first fails instead of writing into its temp file.
+func TestRewritePrefixDoesNotBlockAppends(t *testing.T) {
+	s, path := tempStore(t)
+	mustSet(t, s, "old", "1")
+	prefix := func(add func(string, []byte) error) error {
+		if err := add("p", []byte("first")); err != nil {
+			return err
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.Set("during", []byte("2")) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("a Set blocked while the prefix was written")
+		}
+		if _, _, err := s.Rewrite(nil, keepAll); err == nil {
+			t.Error("an overlapping Rewrite succeeded")
+		}
+		return add("p", []byte("second"))
+	}
+	if _, _, err := s.Rewrite(prefix, keepAll); err != nil {
+		t.Fatal(err)
+	}
+	want := []record{{"p", "first"}, {"p", "second"}, {"old", "1"}, {"during", "2"}}
+	wantRecords(t, scanAll(t, s), want...)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, got := reopen(t, path)
+	defer s2.Close()
+	wantRecords(t, got, want...)
+}
+
+// sealedLog writes the log of the sealed-prefix tests: a rewrite sealed five
+// records, then one more was synced after it. It returns the log's bytes
+// and the offsets of the first record and of the unsealed one.
+func sealedLog(t *testing.T, path string) (b []byte, first, unsealed int64) {
+	t.Helper()
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSet(t, s, "gone", "covered")
+	var recs []record
+	for i := 0; i < 5; i++ {
+		recs = append(recs, record{fmt.Sprintf("k%d", i), "sealed"})
+	}
+	if _, unsealed, err = s.Rewrite(records(recs...), func(string, []byte) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	mustSet(t, s, "k5", "after the seal")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return b, headerLen, unsealed
+}
+
+// TestSealedPrefixDamageRefused: below the seal a record cannot be torn, so a
+// flipped byte, a zeroed record or a truncation there fails Open, naming the
+// file and the offset, and leaves the file byte for byte as it was: read as
+// a torn tail, it would truncate the log there and lose every record after
+// it.
+func TestSealedPrefixDamageRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		harm func(b []byte, first, unsealed int64) ([]byte, int64)
+	}{
+		{"flipped byte", func(b []byte, first, _ int64) ([]byte, int64) {
+			b[first+recHeader] ^= 0x01
+			return b, first
+		}},
+		{"zeroed record", func(b []byte, first, _ int64) ([]byte, int64) {
+			second := first + int64(recHeader+len("k0sealed"))
+			clear(b[second : second+second-first])
+			return b, second
+		}},
+		{"truncated", func(b []byte, _, unsealed int64) ([]byte, int64) {
+			return b[:unsealed-3], unsealed - int64(recHeader+len("k4sealed"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "s.log")
+			b, first, unsealed := sealedLog(t, path)
+			damaged, off := tc.harm(b, first, unsealed)
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(path)
+			if err == nil {
+				recs := scanAll(t, s)
+				s.Close()
+				t.Fatalf("opened a log damaged below its seal, with records %v", recs)
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d", off)) {
+				t.Fatalf("error does not name %s and offset %d: %v", path, off, err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, damaged) {
+				t.Fatalf("refused log changed: %d bytes, was %d", len(got), len(damaged))
+			}
+		})
+	}
+}
+
+// TestTornTailAboveSealTruncated: past the seal a bad record is a torn tail,
+// truncated as before; every sealed record and every synced record before
+// the torn one survives.
+func TestTornTailAboveSealTruncated(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.log")
+	b, _, _ := sealedLog(t, path)
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSet(t, s, "k6", "torn")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, full[:len(full)-2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, got := reopen(t, path)
+	defer s2.Close()
+	want := []record{{"k0", "sealed"}, {"k1", "sealed"}, {"k2", "sealed"}, {"k3", "sealed"}, {"k4", "sealed"}, {"k5", "after the seal"}}
+	wantRecords(t, got, want...)
+	if n, _ := s2.Size(); n != int64(len(b)) {
+		t.Fatalf("log resumes at %d, want %d", n, len(b))
+	}
+}
+
+// TestVersion2Refused: a log of version 2 (the 8-byte header without a seal)
+// is refused by name and left byte for byte as it was.
+func TestVersion2Refused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.log")
+	v2 := binary.LittleEndian.AppendUint32([]byte(magic), 2)
+	v2 = appendRecord(v2, "t", []byte("a transaction"))
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("opened a log of version 2")
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("refusal does not name the file and the version: %v", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, v2) {
+		t.Fatalf("refused log changed: %d bytes, was %d", len(got), len(v2))
+	}
+}
+
 func TestRewriteLeftoverTempIgnoredOnOpen(t *testing.T) {
 	s, path := tempStore(t)
 	s.Set("a", []byte("1"))
@@ -190,7 +370,7 @@ func TestRewriteCrashHookPoints(t *testing.T) {
 	s.Set("k", []byte("v"))
 	var points []string
 	s.SetCrashHook(func(p string) { points = append(points, p) })
-	if _, _, err := s.Rewrite(func(string, []byte) bool { return true }); err != nil {
+	if _, _, err := s.Rewrite(nil, keepAll); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"compact.written", "compact.synced", "compact.renamed"}
@@ -201,6 +381,77 @@ func TestRewriteCrashHookPoints(t *testing.T) {
 		if points[i] != want[i] {
 			t.Fatalf("points %v", points)
 		}
+	}
+}
+
+// TestRewritePrefixErrorLeavesLog: an error from the prefix fails the
+// rewrite before the log is touched; the temp file is removed and the store
+// goes on appending to the old log.
+func TestRewritePrefixErrorLeavesLog(t *testing.T) {
+	s, path := tempStore(t)
+	mustSet(t, s, "old", "1")
+	boom := errors.New("boom")
+	prefix := func(add func(string, []byte) error) error {
+		if err := add("p", []byte("first")); err != nil {
+			return err
+		}
+		return boom
+	}
+	if _, _, err := s.Rewrite(prefix, keepAll); !errors.Is(err, boom) {
+		t.Fatalf("Rewrite returned %v, want the prefix's error", err)
+	}
+	if _, err := os.Stat(path + compactSuffix); !os.IsNotExist(err) {
+		t.Fatal("a failed rewrite left its temp file")
+	}
+	mustSet(t, s, "new", "2")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, got := reopen(t, path)
+	defer s2.Close()
+	wantRecords(t, got, record{"old", "1"}, record{"new", "2"})
+}
+
+// TestSyncAcrossRewrites: Sync fsyncs outside the store mutex, and a Rewrite
+// may swap the file meanwhile; the swap waits for the fsync before it closes
+// the old file, so no Sync fails and every record survives the rewrites.
+func TestSyncAcrossRewrites(t *testing.T) {
+	s, path := tempStore(t)
+	const n = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := s.Set(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+				done <- err
+				return
+			}
+			if err := s.Sync(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+			if _, _, err := s.Rewrite(nil, keepAll); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, got := reopen(t, path)
+	defer s2.Close()
+	if len(got) != n {
+		t.Fatalf("%d records after the rewrites, want %d", len(got), n)
 	}
 }
 

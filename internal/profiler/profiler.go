@@ -39,9 +39,6 @@ func New(enabled bool) *Profiler {
 	return &Profiler{enabled: enabled}
 }
 
-// SetEnabled toggles collection (the profiling-overhead experiment).
-func (p *Profiler) SetEnabled(on bool) { p.enabled = on }
-
 // Enabled reports whether collection is on.
 func (p *Profiler) Enabled() bool { return p.enabled }
 

@@ -111,11 +111,6 @@ func TestProfilerDisabled(t *testing.T) {
 	if len(p.Window()) != 0 {
 		t.Fatal("disabled profiler recorded")
 	}
-	p.SetEnabled(true)
-	p.ReportBlock(ev(1, "A", 2, "B", 0, 1))
-	if len(p.Window()) != 1 {
-		t.Fatal("enable failed")
-	}
 }
 
 func TestScoresSelfEdge(t *testing.T) {

@@ -180,6 +180,7 @@ func TestWireErrorMapsToCoreErrors(t *testing.T) {
 		{CodeTxnOpen, nil, false},
 		{CodeShutdown, nil, false},
 		{CodeDurability, core.ErrDurability, false},
+		{CodeUnknownType, core.ErrUnknownType, false},
 	}
 	for _, c := range cases {
 		we := &WireError{Code: c.code, Msg: "x"}
@@ -189,9 +190,6 @@ func TestWireErrorMapsToCoreErrors(t *testing.T) {
 		if got := core.IsRetryable(we); got != c.retryable {
 			t.Errorf("code 0x%02x: IsRetryable = %v, want %v", c.code, got, c.retryable)
 		}
-		if got := Retryable(c.code); got != c.retryable {
-			t.Errorf("code 0x%02x: Retryable = %v, want %v", c.code, got, c.retryable)
-		}
 	}
 }
 
@@ -199,7 +197,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 	for _, err := range []error{
 		core.ErrConflict, core.ErrTimeout, core.ErrCascade,
 		core.ErrPivot, core.ErrReconfiguring, core.ErrUserAbort,
-		core.ErrDurability,
+		core.ErrDurability, core.ErrUnknownType,
 	} {
 		code := ErrorCode(err)
 		if back := CodeError(code); !errors.Is(err, back) {

@@ -89,7 +89,7 @@ const (
 	CodeBadRequest  = 0x10 // malformed or out-of-place message
 	CodeNoTxn       = 0x11 // GET/PUT/COMMIT/ABORT without an open transaction
 	CodeTxnOpen     = 0x12 // BEGIN while the session already has a transaction
-	CodeUnknownType = 0x13 // BEGIN with an unregistered transaction type
+	CodeUnknownType = 0x13 // core.ErrUnknownType: BEGIN with a type the CC tree does not place
 	CodeShutdown    = 0x14 // server is draining; no new transactions
 	CodeInternal    = 0x15 // unexpected server-side failure
 	CodeDurability  = 0x16 // core.ErrDurability — the log failed; no commit is acknowledged until recovery
@@ -168,6 +168,8 @@ func ErrorCode(err error) byte {
 		return CodeAborted
 	case errors.Is(err, core.ErrDurability):
 		return CodeDurability
+	case errors.Is(err, core.ErrUnknownType):
+		return CodeUnknownType
 	default:
 		return CodeInternal
 	}
@@ -193,17 +195,9 @@ func CodeError(code byte) error {
 		return core.ErrUserAbort
 	case CodeDurability:
 		return core.ErrDurability
+	case CodeUnknownType:
+		return core.ErrUnknownType
 	default:
 		return nil
 	}
-}
-
-// Retryable reports whether a wire code stands for a system abort the
-// client should retry (the remote analogue of core.IsRetryable).
-func Retryable(code byte) bool {
-	switch code {
-	case CodeConflict, CodeTimeout, CodeCascade, CodePivot, CodeReconfig, CodeAborted:
-		return true
-	}
-	return false
 }

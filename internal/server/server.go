@@ -389,14 +389,15 @@ func (ss *session) handle(m *Message) Message {
 		if s.draining.Load() {
 			return errMsg(CodeShutdown, "server is draining")
 		}
-		if s.db.Engine().Spec(m.TxnType) == nil {
-			s.metrics.ProtocolErrors.Add(1)
-			return errMsg(CodeUnknownType, fmt.Sprintf("unknown transaction type %q", m.TxnType))
-		}
 		tx, err := s.db.Begin(m.TxnType, m.Part)
 		if err != nil {
-			s.metrics.TxnAborts.Add(1)
-			return errMsg(ErrorCode(err), err.Error())
+			code := ErrorCode(err)
+			if code == CodeUnknownType {
+				s.metrics.ProtocolErrors.Add(1)
+			} else {
+				s.metrics.TxnAborts.Add(1)
+			}
+			return errMsg(code, err.Error())
 		}
 		ss.tx = tx
 		s.txnsOpen.Add(1)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/tebaldi"
 )
 
@@ -337,6 +338,41 @@ func TestBeginUnknownTypeRejected(t *testing.T) {
 	_, _, err := s.Get("kv", "a")
 	wantCode(t, "GET after BEGIN of an unknown type", err, CodeUnknownType)
 	// Reported once: the session is idle now.
+	wantCode(t, "COMMIT on the idle session", s.Commit(), CodeNoTxn)
+}
+
+// TestBeginUnplacedTypeRejected: a registered type that the configuration
+// leaves unplaced is refused by the engine's Begin (run, it would be
+// regulated by the root CC alone), and the refusal reaches the client as
+// CodeUnknownType — a non-retryable error that is core.ErrUnknownType.
+func TestBeginUnplacedTypeRejected(t *testing.T) {
+	specs := append(kvSpecs(), &tebaldi.Spec{Name: "orphan", Tables: []string{"kv"}, WriteTables: []string{"kv"}})
+	db, err := tebaldi.Open(tebaldi.Options{LockTimeout: 300 * time.Millisecond}, specs, tebaldi.InitialConfig(kvSpecs()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := New(db, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Shutdown(2 * time.Second)
+	c := dialTest(t, ln.Addr().String())
+	defer c.Close()
+	s := c.Session()
+	if err := s.Begin("orphan", 0); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = s.Get("kv", "a")
+	wantCode(t, "GET after BEGIN of an unplaced type", err, CodeUnknownType)
+	if !errors.Is(err, core.ErrUnknownType) || core.IsRetryable(err) || !strings.Contains(err.Error(), "orphan") {
+		t.Fatalf("BEGIN of an unplaced type: %v; want non-retryable core.ErrUnknownType naming the type", err)
+	}
+	if n := srv.Metrics().ProtocolErrors.Load(); n != 1 {
+		t.Fatalf("%d protocol errors counted, want 1", n)
+	}
 	wantCode(t, "COMMIT on the idle session", s.Commit(), CodeNoTxn)
 }
 
@@ -681,10 +717,6 @@ func TestConflictMapsAcrossWire(t *testing.T) {
 	}
 	if !tebaldi.IsRetryable(err) {
 		t.Fatalf("wire conflict %v is not retryable via tebaldi.IsRetryable", err)
-	}
-	var we *WireError
-	if !errors.As(err, &we) || !Retryable(we.Code) {
-		t.Fatalf("wire conflict %v: code not retryable", err)
 	}
 	if err := holder.Commit(); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,32 +13,15 @@ import (
 	"repro/internal/kvstore"
 )
 
-// dirLogBytes is the log's size in dir (snapshot excluded).
-func dirLogBytes(t *testing.T, dir string) int64 {
-	t.Helper()
-	var n int64
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range ents {
-		if filepath.Ext(de.Name()) != ".log" {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += info.Size()
-	}
-	return n
-}
-
 // logBytes is m's logical log size. The file in dir may run up to one growth
 // step past it (the zeroed tail), no further.
 func logBytes(t *testing.T, m *Manager, dir string) int64 {
 	t.Helper()
-	disk := dirLogBytes(t, dir)
+	info, err := os.Stat(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := info.Size()
 	n, err := m.LogBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +85,7 @@ func TestCheckpointCompactsAndBoundsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != 1 || res.SnapshotTS != 100 {
+	if res.SnapshotTS != 100 || res.SnapshotKeys != 8 {
 		t.Fatalf("result %+v", res)
 	}
 	if res.TruncatedBytes() == 0 {
@@ -188,45 +172,73 @@ func TestRepeatedCheckpointsKeepLogBounded(t *testing.T) {
 	}
 }
 
-func TestCheckpointIDResumesAcrossReopen(t *testing.T) {
+// TestCheckpointReplacesEarlierAcrossReopen: a checkpoint in a later life
+// replaces the earlier life's cut and snapshot records; the log holds one
+// cut, and recovery starts from it.
+func TestCheckpointReplacesEarlierAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	commitN(t, m, 1, 9)
-	if res, err := m.Checkpoint(8, snapshotFor(8)); err != nil || res.ID != 1 {
-		t.Fatalf("res=%+v err=%v", res, err)
+	if _, err := m.Checkpoint(8, snapshotFor(8)); err != nil {
+		t.Fatal(err)
 	}
 	m.Close()
 
 	m2 := open(t, dir, 1, true)
 	commitN(t, m2, 9, 17)
-	res, err := m2.Checkpoint(16, snapshotFor(16))
-	if err != nil {
+	if _, err := m2.Checkpoint(16, snapshotFor(16)); err != nil {
 		t.Fatal(err)
-	}
-	if res.ID != 2 {
-		t.Fatalf("checkpoint id %d after reopen, want 2", res.ID)
 	}
 	m2.Close()
 
+	var cuts []uint64
+	snaps := 0
+	for _, r := range logRecords(t, dir) {
+		switch r.key {
+		case cutKey:
+			cuts = append(cuts, binary.LittleEndian.Uint64(r.value))
+		case txnKey:
+			if binary.LittleEndian.Uint64(r.value) == 0 { // transaction id 0
+				snaps++
+			}
+		}
+	}
+	if fmt.Sprint(cuts) != "[16]" || snaps != 8 {
+		t.Fatalf("cut records %v and %d snapshot records, want [16] and 8", cuts, snaps)
+	}
 	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SnapshotTS != 16 || st.Replayed != 0 {
-		t.Fatalf("snapshotTS=%d replayed=%d", st.SnapshotTS, st.Replayed)
+	if st.SnapshotTS != 16 || st.SnapshotKeys != 8 || st.Replayed != 0 {
+		t.Fatalf("snapshotTS=%d snapshotKeys=%d replayed=%d", st.SnapshotTS, st.SnapshotKeys, st.Replayed)
 	}
 }
 
+// TestRecoveryIgnoresUnpublishedSnapshots: a checkpoint's rewrite that
+// crashed before its rename left a temp file holding the new log; the log
+// itself is unchanged, so recovery replays it in full and ignores the temp
+// file's snapshot.
 func TestRecoveryIgnoresUnpublishedSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	commitN(t, m, 1, 9)
-	// The snapshot file is written but no marker is staged: the checkpoint
-	// never committed, so recovery must fall back to full replay.
-	if _, err := writeSnapshot(dir, 1, 8, snapshotFor(8)); err != nil {
+	before, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(8, snapshotFor(8)); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
+	// The checkpointed log becomes the temp file, the old log the log.
+	path := filepath.Join(dir, logName)
+	if err := os.Rename(path, path+".compact"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -239,27 +251,33 @@ func TestRecoveryIgnoresUnpublishedSnapshots(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip: a snapshot entry is the record of a transaction of
+// id 0 and epoch 0 with the entry's one write at its commit timestamp.
 func TestSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	in := []SnapshotEntry{
+	for _, in := range []SnapshotEntry{
 		{Key: core.Key{Table: "acct", Row: "alice"}, Value: []byte("100"), CommitTS: 7},
 		{Key: core.Key{Table: "acct", Row: ""}, Value: nil, CommitTS: 9},
-	}
-	if _, err := writeSnapshot(dir, 3, 11, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := readSnapshot(dir, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("out=%v", out)
-	}
-	if out[0].Key != in[0].Key || string(out[0].Value) != "100" || out[0].CommitTS != 7 {
-		t.Fatalf("%+v", out[0])
-	}
-	if out[1].Key != in[1].Key || len(out[1].Value) != 0 || out[1].CommitTS != 9 {
-		t.Fatalf("%+v", out[1])
+	} {
+		rec, err := snapshotRecord(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := decodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.txnID != 0 || out.epoch != 0 || out.commitTS != in.CommitTS || len(out.writes) != 1 ||
+			out.writes[0].Key != in.Key || string(out.writes[0].Value) != string(in.Value) {
+			t.Fatalf("%+v round-tripped to %+v", in, out)
+		}
+		for n := 0; n < len(rec); n++ {
+			if _, err := decodeRecord(rec[:n]); err == nil {
+				t.Fatalf("decoded a %d-byte prefix of a %d-byte snapshot record", n, len(rec))
+			}
+		}
+		if _, err := decodeRecord(append(rec, 0)); err == nil {
+			t.Fatal("decoded a snapshot record with a trailing byte")
+		}
 	}
 }
 
@@ -303,8 +321,8 @@ func TestCompactionKeepsRecordOrder(t *testing.T) {
 }
 
 // TestCompactionKeepsNewestMarkers: after two checkpoints the log holds
-// exactly one checkpoint marker, the second's, and no epoch marker below
-// the durable frontier.
+// exactly one cut, the second's, first, and no epoch marker below the
+// durable frontier.
 func TestCompactionKeepsNewestMarkers(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, false)
@@ -319,17 +337,18 @@ func TestCompactionKeepsNewestMarkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var cks, epochs []uint64
-	for _, r := range logRecords(t, dir) {
+	var cuts, epochs []uint64
+	recs := logRecords(t, dir)
+	for _, r := range recs {
 		switch r.key {
-		case ckKey:
-			cks = append(cks, binary.LittleEndian.Uint64(r.value))
+		case cutKey:
+			cuts = append(cuts, binary.LittleEndian.Uint64(r.value))
 		case epochKey:
 			epochs = append(epochs, binary.LittleEndian.Uint64(r.value))
 		}
 	}
-	if fmt.Sprint(cks) != "[2]" {
-		t.Fatalf("checkpoint markers %v after two checkpoints, want [2]", cks)
+	if fmt.Sprint(cuts) != "[16]" || recs[0].key != cutKey {
+		t.Fatalf("cut records %v after two checkpoints, want [16] as the first record", cuts)
 	}
 	if len(epochs) == 0 {
 		t.Fatal("compaction dropped every epoch marker")
@@ -378,5 +397,78 @@ func TestTornTailKeepsRecordPrefix(t *testing.T) {
 	}
 	if st.Committed != 3 || st.Discarded != 0 || st.MaxTS != 3 {
 		t.Fatalf("committed=%d discarded=%d maxTS=%d, want 3, 0, 3", st.Committed, st.Discarded, st.MaxTS)
+	}
+}
+
+// TestCheckpointDropsQueuedCoveredRecords: a checkpoint taken right after
+// asynchronous commits finds some of their records still in the appender's
+// queue. It seals the open epoch first, so those records are in the log when
+// the rewrite reads it, and the cut drops them: the checkpointed log holds
+// the snapshot and no transaction record.
+func TestCheckpointDropsQueuedCoveredRecords(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var appends atomic.Int32
+	dir := t.TempDir()
+	m, err := Open(Options{
+		Dir: dir, EpochInterval: time.Hour,
+		CrashHook: func(point string) {
+			if point == "append" && appends.Add(1) == 1 {
+				close(parked)
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(id uint64, row, val string) {
+		epoch, tk, err := m.Precommit(id, map[int][]KV{0: {kv("t", row, val)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Commit(id, id, epoch, tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(1, "a", "a1")
+	<-parked // transaction 1's record is in the log; the appender waits
+	commit(2, "b", "b2")
+	snapshot := []SnapshotEntry{
+		{Key: core.Key{Table: "t", Row: "a"}, Value: []byte("a1"), CommitTS: 1},
+		{Key: core.Key{Table: "t", Row: "b"}, Value: []byte("b2"), CommitTS: 2},
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Checkpoint(2, snapshot)
+		done <- err
+	}()
+	for len(m.app.ch) < 2 { // transaction 2's record, then the checkpoint's seal
+		select {
+		case err := <-done:
+			close(release)
+			t.Fatalf("Checkpoint returned (%v) while a record it covers was still queued", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotTS != 2 || st.SnapshotKeys != 2 || st.Replayed != 0 || st.MaxTS != 2 {
+		t.Fatalf("recovered %+v, want cut 2, 2 snapshot keys and no transaction record", st)
+	}
+	got := map[string]string{}
+	for _, w := range st.Writes {
+		got[w.Key.Row] = fmt.Sprintf("%s@%d", w.Value, w.CommitTS)
+	}
+	if fmt.Sprint(got) != "map[a:a1@1 b:b2@2]" {
+		t.Fatalf("recovered %v", got)
 	}
 }

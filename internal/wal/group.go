@@ -7,22 +7,20 @@ import (
 
 // Request kinds inside the pipeline. A transaction record becomes one store
 // record under the key t. A seal instructs the appender to flush and advance
-// the epoch marker e, a checkpoint request to write the checkpoint marker ck.
+// the epoch marker e.
 const (
-	recTxn        byte = iota // payload = encodeRecord(...)
-	recSeal                   // no payload; epoch = the GCP epoch to seal
-	recCheckpoint             // payload = 16 bytes: checkpoint id, snapshot TS
+	recTxn  byte = iota // payload = encodeRecord(...)
+	recSeal             // no payload; epoch = the GCP epoch to seal
 )
 
 // maxBatch bounds how many requests the appender coalesces into one batch.
 const maxBatch = 256
 
-// Ticket tracks one request — a transaction's record, a seal or a checkpoint
-// marker — through the group-commit pipeline. It completes once the request
-// is appended and, under SyncCommit, flushed. With asynchronous durability
-// nothing waits on a transaction's ticket: commit notification stays
-// decoupled from durable notification (§4.5.4), and WaitDurable remains the
-// durable notification.
+// Ticket tracks one request — a transaction's record or a seal — through the
+// group-commit pipeline. It completes once the request is appended and,
+// under SyncCommit, flushed. With asynchronous durability nothing waits on a
+// transaction's ticket: commit notification stays decoupled from durable
+// notification (§4.5.4), and WaitDurable remains the durable notification.
 type Ticket struct {
 	done chan struct{}
 	err  error // written once, before done closes
@@ -129,14 +127,11 @@ func (a *appender) flush(batch []appendReq) {
 	var records int
 	var sealed, sync bool
 	var maxEpoch uint64
-	var ck []byte
 	for _, r := range batch {
 		switch r.kind {
 		case recSeal:
 			sealed, sync = true, true
 			maxEpoch = max(maxEpoch, r.epoch)
-		case recCheckpoint:
-			ck, sync = r.payload, true
 		case recTxn:
 			records++
 			if a.m.opts.SyncCommit {
@@ -148,7 +143,7 @@ func (a *appender) flush(batch []appendReq) {
 	start := time.Now()
 	err := a.m.Err()
 	if err == nil {
-		if err = a.write(batch, records, maxEpoch, ck, sync); err != nil {
+		if err = a.write(batch, records, maxEpoch, sync); err != nil {
 			err = a.m.fail(err)
 		} else if sealed {
 			a.m.hook("seal")
@@ -164,10 +159,10 @@ func (a *appender) flush(batch []appendReq) {
 	}
 }
 
-// write puts one batch on the device: every transaction record, then each
-// marker the batch advances, then — once — the fsync. The appender is the
-// sole writer of the epoch marker, so the marker is monotone by
-// construction:
+// write puts one batch on the device: every transaction record, then the
+// epoch marker if the batch advances it, then — once — the fsync. The
+// appender is the sole writer of the epoch marker, so the marker is monotone
+// by construction:
 //
 //   - a seal request (the GCP epoch tick, §4.5.4) flushes everything
 //     appended so far and advances the marker to the sealed epoch — FIFO
@@ -180,11 +175,9 @@ func (a *appender) flush(batch []appendReq) {
 //     acknowledged, nor was any transaction that read from it, since those
 //     queued behind it.
 //
-// Both markers are appended after the records they cover, so a torn tail
-// can lose a marker (conservative) but never persist one ahead of its
-// records; a checkpoint frontier marker follows every record staged before
-// it (FIFO), and the sync makes the whole log prefix durable with it.
-func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, ck []byte, sync bool) error {
+// Either way the marker is appended after the records it covers, so a torn
+// tail can lose it (conservative) but never persist it ahead of its records.
+func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, sync bool) error {
 	for _, r := range batch {
 		if r.kind == recTxn {
 			if err := a.dev.Set(txnKey, r.payload); err != nil {
@@ -201,11 +194,6 @@ func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, ck []b
 			return err
 		}
 		a.marker = maxEpoch
-	}
-	if ck != nil {
-		if err := a.dev.Set(ckKey, ck); err != nil {
-			return err
-		}
 	}
 	if sync {
 		return a.dev.Sync()

@@ -31,15 +31,16 @@ type RecoveredState struct {
 	// record's epoch is beyond the durable frontier.
 	Discarded int
 	Committed int
-	// SnapshotTS is the checkpoint cut recovery started from (0 when no
-	// checkpoint existed and the whole history was replayed).
+	// SnapshotTS is the cut of the checkpoint the log starts with (0 when
+	// no checkpoint existed and the whole history was replayed).
 	SnapshotTS uint64
-	// SnapshotKeys is the number of keys seeded from the checkpoint
-	// snapshot.
+	// SnapshotKeys is the number of snapshot records the log holds: the
+	// transaction records of id 0, one per key of the checkpoint.
 	SnapshotKeys int
-	// Replayed counts the transaction records replayed from the log tail,
-	// discarded ones included. With checkpointing enabled this stays
-	// proportional to the post-checkpoint tail, not to the full history.
+	// Replayed counts the transaction records replayed from the log,
+	// discarded ones included — snapshot records are not transactions. With
+	// checkpointing enabled this stays proportional to the post-checkpoint
+	// tail, not to the full history.
 	Replayed int
 }
 
@@ -48,7 +49,6 @@ type RecoveredState struct {
 type logState struct {
 	rec      *RecoveredState
 	frontier uint64 // the largest epoch marker
-	ckID     uint64 // the checkpoint id in the last ck marker, 0 without one
 }
 
 // errBatchedFormat names the log format this version cannot read.
@@ -73,7 +73,7 @@ func load(dir string) (*kvstore.Store, *logState, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ls, err := scan(dir, st)
+	ls, err := scan(st)
 	if err != nil {
 		return nil, nil, errors.Join(err, st.Close())
 	}
@@ -83,34 +83,37 @@ func load(dir string) (*kvstore.Store, *logState, error) {
 // scan is recovery, extended with checkpoints, in one pass over the log:
 //
 //  1. retrieve the records in file order. The frontier is the largest epoch
-//     marker, the checkpoint the last ck marker;
-//  2. reconstruct database state — merge every transaction record whose
-//     epoch the frontier covers, keeping the latest committed version of
-//     each key, and discard the rest. Merging is by commit timestamp, so
-//     order does not matter: a record whose epoch no marker read so far
-//     covers is held aside until one does, or discarded at the end. If a
-//     checkpoint marker was read, the snapshot it names is merged the same
-//     way; records of transactions it covers that escaped compaction
-//     replay idempotently;
+//     marker; a checkpointed log starts with its cut and snapshot records
+//     (transaction records of id 0 and epoch 0);
+//  2. reconstruct database state — merge every snapshot record and every
+//     transaction record whose epoch the frontier covers, keeping the latest
+//     committed version of each key, and discard the rest. Merging is by
+//     commit timestamp, so order does not matter: a record whose epoch no
+//     marker read so far covers is held aside until one does, or discarded
+//     at the end. A record of a transaction the snapshot covers, appended
+//     after the checkpoint's rewrite, replays idempotently;
 //  3. CC-internal state (indices, version maps, lock tables) is rebuilt by
 //     the caller: recovered writes are re-installed as committed history
 //     that only the root CC needs to know about.
 //
 // A record that does not decode fails the scan: the store's records are
 // checksummed, so it is no torn tail but a format this version cannot read.
-func scan(dir string, st *kvstore.Store) (*logState, error) {
+func scan(st *kvstore.Store) (*logState, error) {
 	le := binary.LittleEndian
 	out := &RecoveredState{}
 	ls := &logState{rec: out}
 	latest := map[core.Key]RecoveredWrite{}
-	apply := func(r record) {
-		out.Committed++
+	merge := func(r record) {
 		out.MaxTS = max(out.MaxTS, r.commitTS)
 		for _, w := range r.writes {
 			if cur, ok := latest[w.Key]; !ok || r.commitTS > cur.CommitTS {
 				latest[w.Key] = RecoveredWrite{Key: w.Key, Value: bytes.Clone(w.Value), CommitTS: r.commitTS}
 			}
 		}
+	}
+	apply := func(r record) {
+		out.Committed++
+		merge(r)
 	}
 	var held []record // epoch past every marker read so far; values owned
 	err := st.Scan(func(key string, value []byte) error {
@@ -119,6 +122,11 @@ func scan(dir string, st *kvstore.Store) (*logState, error) {
 			r, err := decodeRecord(value)
 			if err != nil {
 				return fmt.Errorf("%w (in %s)", err, logName)
+			}
+			if r.txnID == 0 { // a snapshot record (snapshotRecord)
+				out.SnapshotKeys++
+				merge(r)
+				return nil
 			}
 			out.Replayed++
 			out.MaxTxnID = max(out.MaxTxnID, r.txnID)
@@ -140,8 +148,9 @@ func scan(dir string, st *kvstore.Store) (*logState, error) {
 			}
 			clear(held[len(kept):])
 			held = kept
-		case key == ckKey && len(value) == 16:
-			ls.ckID, out.SnapshotTS = le.Uint64(value), le.Uint64(value[8:])
+		case key == cutKey && len(value) == 8:
+			out.SnapshotTS = le.Uint64(value)
+			out.MaxTS = max(out.MaxTS, out.SnapshotTS)
 		case strings.HasPrefix(key, "b/"):
 			return errBatchedFormat
 		default:
@@ -153,20 +162,6 @@ func scan(dir string, st *kvstore.Store) (*logState, error) {
 		return nil, err
 	}
 	out.Discarded = len(held)
-	if ls.ckID != 0 {
-		entries, err := readSnapshot(dir, ls.ckID, out.SnapshotTS)
-		if err != nil {
-			return nil, err
-		}
-		out.MaxTS = max(out.MaxTS, out.SnapshotTS)
-		for _, e := range entries {
-			if cur, ok := latest[e.Key]; !ok || e.CommitTS > cur.CommitTS {
-				latest[e.Key] = RecoveredWrite(e)
-			}
-			out.MaxTS = max(out.MaxTS, e.CommitTS)
-		}
-		out.SnapshotKeys = len(entries)
-	}
 	out.Writes = make([]RecoveredWrite, 0, len(latest))
 	for _, w := range latest {
 		out.Writes = append(out.Writes, w)

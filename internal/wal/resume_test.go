@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -132,17 +134,21 @@ func TestOpenHandsOverRecoveredStateOnce(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotFailsRecovery: the snapshot the checkpoint marker
-// names is checksummed. Truncated or with one byte flipped, recovery fails
-// naming the file and seeds nothing — replaying the compacted log without it
-// would silently lose every covered write.
+// TestCorruptSnapshotFailsRecovery: the snapshot lives in the part of
+// wal.log that the checkpoint's rewrite sealed. Truncated or with one byte
+// flipped there, Open and Recover fail naming the file and the offset, seed
+// nothing and leave the directory byte for byte as it was — replaying the
+// records before the damage would silently lose every covered write.
 func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		harm func(b []byte) []byte
+		// harm damages the log, whose records start at offs and whose
+		// sealed part ends at offs[seal], and returns the offset the error
+		// must name.
+		harm func(b []byte, offs []int, seal int) ([]byte, int)
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
+		{"truncated", func(b []byte, offs []int, seal int) ([]byte, int) { return b[:offs[seal]-1], offs[seal-1] }},
+		{"flipped byte", func(b []byte, offs []int, seal int) ([]byte, int) { b[offs[3]-2] ^= 0x40; return b, offs[2] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -154,32 +160,105 @@ func TestCorruptSnapshotFailsRecovery(t *testing.T) {
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			path := snapshotPath(dir, 1)
+			path := filepath.Join(dir, logName)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.harm(b), 0o644); err != nil {
+			// The rewrite sealed the cut, 8 snapshot records and the epoch
+			// markers at or above the frontier; the epochs sealed after it
+			// appended their markers past the seal.
+			offs := recordOffsets(b)
+			seal := slices.Index(offs, int(binary.LittleEndian.Uint64(b[8:16])))
+			if seal < 10 || offs[len(offs)-1] != len(b) {
+				t.Fatalf("record offsets %v in a %d-byte log sealed at %d", offs, len(b), binary.LittleEndian.Uint64(b[8:16]))
+			}
+			harmed, off := tc.harm(b, offs, seal)
+			if err := os.WriteFile(path, harmed, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			before := readDir(t, dir)
+			want := fmt.Sprintf("offset %d", off)
 			st, err := Recover(dir)
-			if err == nil || !strings.Contains(err.Error(), filepath.Base(path)) {
-				t.Fatalf("Recover returned %+v, %v; want an error naming %s", st, err, filepath.Base(path))
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Recover returned %+v, %v; want an error naming %s and %s", st, err, path, want)
 			}
 			if st != nil {
-				t.Fatalf("Recover seeded state from a corrupt snapshot: %+v", st)
+				t.Fatalf("Recover seeded state from a damaged log: %+v", st)
 			}
 			if m, err := Open(Options{Dir: dir}); err == nil {
 				m.Close()
-				t.Fatal("Open accepted a corrupt snapshot")
+				t.Fatal("Open accepted a damaged log")
+			} else if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open error does not name %s and %s: %v", path, want, err)
 			}
+			sameDir(t, dir, before)
 		})
 	}
 }
 
-// TestOneSnapshotFilePerCheckpoint: each checkpoint writes one file, and the
-// previous checkpoint's file is gone once the next one is committed.
-func TestOneSnapshotFilePerCheckpoint(t *testing.T) {
+// recordOffsets returns the offset of every record of a log's bytes b, and
+// the offset past the last: each record is u32 klen | u32 vlen | u32 crc |
+// key | value, after the store's 16-byte header.
+func recordOffsets(b []byte) []int {
+	offs := []int{16}
+	for off := 16; off+12 <= len(b); {
+		off += 12 + int(binary.LittleEndian.Uint32(b[off:])) + int(binary.LittleEndian.Uint32(b[off+4:]))
+		offs = append(offs, off)
+	}
+	return offs
+}
+
+// TestTornTailPastSealTruncated: records appended after a checkpoint lie
+// past the seal, so a torn one there is truncated as before, and every
+// acknowledged commit — in the snapshot or in the tail — survives.
+func TestTornTailPastSealTruncated(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(Options{Dir: dir, EpochInterval: time.Hour, SyncCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, m, 1, 9)
+	if _, err := m.Checkpoint(8, snapshotFor(8)); err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, m, 9, 14)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, logName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)-3], 0o644); err != nil { // tear transaction 13's record
+		t.Fatal(err)
+	}
+	st, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SnapshotTS != 8 || st.Committed != 4 || st.MaxTS != 12 {
+		t.Fatalf("snapshotTS=%d committed=%d maxTS=%d, want 8, 4, 12", st.SnapshotTS, st.Committed, st.MaxTS)
+	}
+	got := map[string]string{}
+	for _, w := range st.Writes {
+		got[w.Key.Row] = string(w.Value)
+	}
+	for k := 0; k < 8; k++ {
+		id := 8 + k // the last of ids 1..12 with id%8 == k
+		if id > 12 {
+			id -= 8
+		}
+		if want := fmt.Sprintf("v%d", id); got[fmt.Sprintf("r%d", k)] != want {
+			t.Fatalf("r%d = %q, want %s (all: %v)", k, got[fmt.Sprintf("r%d", k)], want, got)
+		}
+	}
+}
+
+// TestCheckpointLeavesOnlyTheLog: a checkpoint is one rewrite of wal.log,
+// which is the only file in the directory after it.
+func TestCheckpointLeavesOnlyTheLog(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 4, true)
 	defer m.Close()
@@ -188,9 +267,12 @@ func TestOneSnapshotFilePerCheckpoint(t *testing.T) {
 		if _, err := m.Checkpoint(8*ck, snapshotFor(8*ck)); err != nil {
 			t.Fatal(err)
 		}
-		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
-		if len(snaps) != 1 || snaps[0] != snapshotPath(dir, ck) {
-			t.Fatalf("after checkpoint %d: snapshot files %v", ck, snaps)
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Name() != logName {
+			t.Fatalf("after checkpoint %d the directory holds %v, want only %s", ck, ents, logName)
 		}
 	}
 }
@@ -204,39 +286,68 @@ func TestRefusesManifestCheckpointLayout(t *testing.T) {
 		{"CHECKPOINT"},
 		{"snap-000002-ds-000.kv"},
 	} {
-		dir := t.TempDir()
-		m := open(t, dir, 2, true)
-		commitN(t, m, 1, 9)
-		if err := m.Close(); err != nil {
+		refusesLayout(t, files, "manifest checkpoint layout")
+	}
+}
+
+// TestRefusesSnapshotFileLayout: a directory of the layout whose checkpoint
+// was a snapshot file snap-<id>.kv beside the log is refused by name in both
+// entry points, and left byte for byte as it was.
+func TestRefusesSnapshotFileLayout(t *testing.T) {
+	refusesLayout(t, []string{"snap-000003.kv"}, "snapshot-file checkpoint layout")
+}
+
+// refusesLayout adds files to a log directory of this version and checks
+// that Open and Recover refuse it with an error naming layout, leaving the
+// directory byte for byte as it was.
+func refusesLayout(t *testing.T, files []string, layout string) {
+	t.Helper()
+	dir := t.TempDir()
+	m := open(t, dir, 2, true)
+	commitN(t, m, 1, 9)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("old "+name), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range files {
-			if err := os.WriteFile(filepath.Join(dir, name), []byte("old "+name), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := readDir(t, dir)
-		if m, err := Open(Options{Dir: dir}); err == nil {
-			m.Close()
-			t.Fatalf("Open accepted a directory holding %v", files)
-		} else if !strings.Contains(err.Error(), "manifest checkpoint layout") {
-			t.Fatalf("Open error does not name the layout: %v", err)
-		}
-		if st, err := Recover(dir); err == nil {
-			t.Fatalf("Recover returned %+v from a directory holding %v", st, files)
-		} else if !strings.Contains(err.Error(), "manifest checkpoint layout") {
-			t.Fatalf("Recover error does not name the layout: %v", err)
-		}
-		after := readDir(t, dir)
-		if len(after) != len(before) {
-			t.Fatalf("refused directory changed: %d files before, %d after", len(before), len(after))
-		}
-		for name, b := range before {
-			if string(after[name]) != string(b) {
-				t.Fatalf("refused directory changed: %s differs", name)
-			}
-		}
 	}
+	before := readDir(t, dir)
+	if m, err := Open(Options{Dir: dir}); err == nil {
+		m.Close()
+		t.Fatalf("Open accepted a directory holding %v", files)
+	} else if !strings.Contains(err.Error(), layout) {
+		t.Fatalf("Open error does not name the %s: %v", layout, err)
+	}
+	if st, err := Recover(dir); err == nil {
+		t.Fatalf("Recover returned %+v from a directory holding %v", st, files)
+	} else if !strings.Contains(err.Error(), layout) {
+		t.Fatalf("Recover error does not name the %s: %v", layout, err)
+	}
+	sameDir(t, dir, before)
+}
+
+// TestRefusesVersion2Log: a wal.log of store version 2 (the header without a
+// seal, written by the snapshot-file layout and earlier) is refused by name
+// in both entry points, and left byte for byte as it was.
+func TestRefusesVersion2Log(t *testing.T) {
+	dir := t.TempDir()
+	v2 := binary.LittleEndian.AppendUint32([]byte("TBKV"), 2)
+	if err := os.WriteFile(filepath.Join(dir, logName), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, dir)
+	if m, err := Open(Options{Dir: dir}); err == nil {
+		m.Close()
+		t.Fatal("Open accepted a log of version 2")
+	} else if !strings.Contains(err.Error(), logName) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("Open error does not name the log and its version: %v", err)
+	}
+	if st, err := Recover(dir); err == nil {
+		t.Fatalf("Recover returned %+v from a log of version 2", st)
+	}
+	sameDir(t, dir, before)
 }
 
 func readDir(t *testing.T, dir string) map[string][]byte {
@@ -256,22 +367,18 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// TestSnapshotCutMustMatchMarker: recovery loads the snapshot the ck marker
-// names only if the file was cut where the marker says.
-func TestSnapshotCutMustMatchMarker(t *testing.T) {
-	dir := t.TempDir()
-	m := open(t, dir, 1, true)
-	commitN(t, m, 1, 9)
-	if _, err := writeSnapshot(dir, 1, 8, snapshotFor(8)); err != nil {
-		t.Fatal(err)
+// sameDir fails the test unless dir holds exactly the files of before, byte
+// for byte.
+func sameDir(t *testing.T, dir string, before map[string][]byte) {
+	t.Helper()
+	after := readDir(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused directory changed: %d files before, %d after", len(before), len(after))
 	}
-	marker := binary.LittleEndian.AppendUint64(nil, 1)
-	stageRaw(t, m, recCheckpoint, binary.LittleEndian.AppendUint64(marker, 6))
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st, err := Recover(dir); err == nil || !strings.Contains(err.Error(), "cut 8") {
-		t.Fatalf("Recover returned %+v, %v; want the cut mismatch", st, err)
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("refused directory changed: %s differs", name)
+		}
 	}
 }
 
@@ -347,15 +454,7 @@ func refusesBatch(t *testing.T, kind byte, payload []byte, format string) {
 	} else if !strings.Contains(err.Error(), format) {
 		t.Fatalf("Recover error does not name the %s: %v", format, err)
 	}
-	after := readDir(t, dir)
-	if len(after) != len(before) {
-		t.Fatalf("refused directory changed: %d files before, %d after", len(before), len(after))
-	}
-	for name, b := range before {
-		if !bytes.Equal(after[name], b) {
-			t.Fatalf("refused directory changed: %s differs", name)
-		}
-	}
+	sameDir(t, dir, before)
 }
 
 // logRecord is one record of dir's log, as the store reads it back.

@@ -43,11 +43,16 @@
 // Redis/RocksDB). A key occurs once per record of its kind; recovery reads
 // the records in file order, and compaction keeps that order:
 //
-//	t   one transaction record (encodeRecord)
+//	t   one transaction record (encodeRecord). Those of transaction id 0
+//	    are a checkpoint's snapshot records: epoch 0, one write each, the
+//	    key's latest committed version at the cut; they follow the c record
 //	e   an epoch marker (u64): every record of an epoch at or below it
 //	    precedes it; the largest is the durable frontier
-//	ck  a checkpoint marker (checkpoint id, snapshot cut): its fsync commits
-//	    the checkpoint whose snapshot is snap-<id>.kv; the last one counts
+//	c   a checkpoint's cut (u64): the first record of a checkpointed log
+//
+// A checkpoint (checkpoint.go) is one rewrite of the log, which the store
+// seals: corruption in the rewritten part fails Open by name, while a torn
+// tail past it is truncated.
 //
 // The first append or fsync error poisons the log (Manager.Err): every
 // queued and later request fails with it, and nothing is written after it,
@@ -72,7 +77,7 @@ const (
 	logName  = "wal.log"
 	txnKey   = "t"
 	epochKey = "e"
-	ckKey    = "ck"
+	cutKey   = "c"
 )
 
 var errClosed = errors.New("wal: closed")
@@ -84,7 +89,7 @@ var ErrTooLarge = fmt.Errorf("wal: a transaction record is limited to %d bytes (
 
 // Options configure the durability module.
 type Options struct {
-	// Dir is the directory holding the log and the checkpoint snapshot.
+	// Dir is the directory holding the log.
 	Dir string
 	// Shards is unused: the log does not depend on the number of data
 	// servers. It is kept only because benchmark/probes.go sets it.
@@ -103,11 +108,11 @@ type Options struct {
 	// flush-latency counters.
 	Observer func(records int, d time.Duration, err error)
 	// CrashHook, when non-nil, is invoked at every durability-critical
-	// boundary (append, flush, seal, checkpoint snapshot/frontier and the
-	// compaction write/sync/rename inside kvstore). Crash-point torture
-	// tests copy the log directory inside the hook — the copy is exactly
-	// the state a process kill at that boundary would leave — and assert
-	// recovery from it. Nil in production.
+	// boundary (append, flush, seal, and the checkpoint rewrite's
+	// write/sync/rename inside kvstore). Crash-point torture tests copy the
+	// log directory inside the hook — the copy is exactly the state a
+	// process kill at that boundary would leave — and assert recovery from
+	// it. Nil in production.
 	CrashHook func(point string)
 }
 
@@ -136,9 +141,9 @@ type Manager struct {
 	durableCond  *sync.Cond
 
 	// stageMu is the stage lock: one exclusive section for each commit
-	// point with its record's staging, each epoch seal, each checkpoint
-	// marker and Close. Inside it a stager runs the caller's commit point,
-	// reads the epoch and sends the record, so
+	// point with its record's staging, each epoch seal and Close. Inside it
+	// a stager runs the caller's commit point, reads the epoch and sends the
+	// record, so
 	//
 	//   - records reach the appender's FIFO in commit-point order: a reader
 	//     of a transaction's writes stages behind it;
@@ -147,18 +152,8 @@ type Manager struct {
 	//     — can seal e, so it is flushed before the frontier covers it;
 	//   - nobody sends on the queue after Close closed it; later stagers
 	//     fail with errClosed.
-	//
-	// Checkpoint stages its frontier marker while holding ckMu, so the stage
-	// lock nests inside it.
-	//
-	// tebaldi:locks after wal.Manager.ckMu
 	stageMu sync.Mutex
 	closed  bool
-
-	// ckMu serializes checkpoints; ckSeq is the last completed checkpoint
-	// id (resumed from the log's ck marker on reopen).
-	ckMu  sync.Mutex
-	ckSeq uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -171,6 +166,7 @@ var oldLayouts = []struct{ glob, layout string }{
 	{"ds-*.log", "per-data-server layout"},
 	{"CHECKPOINT", "manifest checkpoint layout"},
 	{"snap-*-ds-*.kv", "manifest checkpoint layout"},
+	{"snap-*.kv", "snapshot-file checkpoint layout"},
 }
 
 // openLog opens dir's log, for Open and Recover alike, after refusing the
@@ -178,7 +174,7 @@ var oldLayouts = []struct{ glob, layout string }{
 func openLog(dir string) (*kvstore.Store, error) {
 	for _, o := range oldLayouts {
 		if old, _ := filepath.Glob(filepath.Join(dir, o.glob)); len(old) > 0 {
-			return nil, fmt.Errorf("wal: %s holds %d files of the %s (%s, ...); this version keeps one %s with its own checkpoint marker and cannot read them",
+			return nil, fmt.Errorf("wal: %s holds %d files of the %s (%s, ...); this version keeps its checkpoints inside one %s and cannot read them",
 				dir, len(old), o.layout, filepath.Base(old[0]), logName)
 		}
 	}
@@ -186,10 +182,10 @@ func openLog(dir string) (*kvstore.Store, error) {
 }
 
 // Open opens dir's log and recovers it in one scan (recovery.go): the state
-// it finds waits in Recovered, and the Manager resumes the epoch marker and
-// the checkpoint id from the same pass. The epoch
-// counter starts past the frontier marker, so no record staged from now on
-// belongs to an epoch the log already calls sealed.
+// it finds waits in Recovered, and the Manager resumes the epoch marker from
+// the same pass. The epoch counter starts past the frontier marker, so no
+// record staged from now on belongs to an epoch the log already calls
+// sealed.
 func Open(opts Options) (*Manager, error) {
 	if opts.EpochInterval <= 0 {
 		opts.EpochInterval = time.Second
@@ -202,15 +198,15 @@ func Open(opts Options) (*Manager, error) {
 		// Records whose epoch the frontier does not cover were discarded;
 		// once this life seals past their epoch they would look durable.
 		// Drop them by their own epoch before anything is appended.
-		c := compaction{unsealed: true, frontier: ls.frontier, ckID: ls.ckID}
-		if _, _, err := st.Rewrite(c.keep); err != nil {
+		c := compaction{unsealed: true, frontier: ls.frontier}
+		if _, _, err := st.Rewrite(nil, c.keep); err != nil {
 			return nil, errors.Join(err, st.Close())
 		}
 	}
 	if opts.CrashHook != nil {
 		st.SetCrashHook(opts.CrashHook)
 	}
-	m := &Manager{opts: opts, st: st, ckSeq: ls.ckID, durableEpoch: ls.frontier, stop: make(chan struct{}), done: make(chan struct{})}
+	m := &Manager{opts: opts, st: st, durableEpoch: ls.frontier, stop: make(chan struct{}), done: make(chan struct{})}
 	m.durableCond = sync.NewCond(&m.mu)
 	m.recovered.Store(ls.rec)
 	m.app = newAppender(m, st)

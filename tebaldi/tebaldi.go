@@ -197,10 +197,10 @@ func (db *DB) Config() *Config { return db.eng.Config() }
 // "SSI[ NoCC{order_status,stock_level} 2PL[ RP{new_order,payment} RP{delivery} ] ]".
 func (db *DB) ConfigString() string { return db.eng.ConfigString() }
 
-// Checkpoint snapshots the committed state at a consistent cut and compacts
-// the write-ahead logs down to the post-cut tail, so restart replays only
-// records committed after the newest checkpoint. Requires DurabilityDir;
-// safe to call while transactions run.
+// Checkpoint snapshots the committed state at a consistent cut and rewrites
+// the write-ahead log as that snapshot plus the post-cut tail, so restart
+// replays only records committed after the checkpoint. Requires
+// DurabilityDir; safe to call while transactions run.
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // Stats exposes commit/abort counters and per-type latency.

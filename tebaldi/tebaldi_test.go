@@ -1,7 +1,11 @@
 package tebaldi_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,6 +226,65 @@ func TestCheckpointBoundedRestart(t *testing.T) {
 		if v == nil {
 			t.Fatalf("kv/%d lost across checkpointed restart", i)
 		}
+	}
+}
+
+// TestOpenRefusesDamagedCheckpoint: a checkpoint rewrites wal.log and seals
+// what it wrote. A flipped byte or a truncation inside that part fails
+// Open, naming the file and the offset, and leaves the directory byte for
+// byte as it was; replaying the records before the damage would open a
+// database that silently lost every write after it.
+func TestOpenRefusesDamagedCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		harm func(b []byte) []byte
+	}{
+		{"flipped byte", func(b []byte) []byte { b[16+12] ^= 0x01; return b }},
+		{"truncated", func(b []byte) []byte { return b[:16+5] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := tebaldi.Options{DurabilityDir: dir, DurabilitySync: true}
+			db, err := tebaldi.Open(opts, specs(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if err := db.Run("put", 0, func(tx *tebaldi.Tx) error { return tx.Write(tebaldi.KeyOf("kv", i), u64(uint64(i))) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Run("put", 0, func(tx *tebaldi.Tx) error { return tx.Write(tebaldi.KeyOf("kv", 5), u64(5)) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "wal.log")
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := tc.harm(b)
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := tebaldi.Open(opts, specs(), nil)
+			if err == nil {
+				db2.Close()
+				t.Fatal("opened a log damaged inside its checkpoint")
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "offset 16") {
+				t.Fatalf("error does not name %s and offset 16: %v", path, err)
+			}
+			ents, _ := os.ReadDir(dir)
+			if got, _ := os.ReadFile(path); len(ents) != 1 || !bytes.Equal(got, damaged) {
+				t.Fatalf("refused directory changed: %v", ents)
+			}
+		})
 	}
 }
 

@@ -49,30 +49,26 @@ func Specs(sc Scale) []*tebaldi.Spec {
 			Tables:         []string{"flight", "seat_idx", "reservation", "cust_idx"},
 			WriteTables:    []string{"flight", "seat_idx", "reservation", "cust_idx"},
 			InstanceDomain: sc.Flights,
-			Weight:         0.35,
 		},
 		{
 			Name:           TxnDeleteReservation,
 			Tables:         []string{"cust_idx", "reservation", "seat_idx", "flight"},
 			WriteTables:    []string{"cust_idx", "reservation", "seat_idx", "flight"},
 			InstanceDomain: sc.Flights,
-			Weight:         0.15,
 		},
 		{
 			Name:           TxnUpdateReservation,
 			Tables:         []string{"cust_idx", "reservation"},
 			WriteTables:    []string{"reservation"},
 			InstanceDomain: sc.Flights,
-			Weight:         0.10,
 		},
 		{
 			Name:        TxnUpdateCustomer,
 			Tables:      []string{"customer"},
 			WriteTables: []string{"customer"},
-			Weight:      0.10,
 		},
-		{Name: TxnFindFlights, ReadOnly: true, Tables: []string{"flight"}, Weight: 0.15},
-		{Name: TxnFindOpenSeats, ReadOnly: true, Tables: []string{"flight", "seat_idx"}, Weight: 0.15},
+		{Name: TxnFindFlights, ReadOnly: true, Tables: []string{"flight"}},
+		{Name: TxnFindOpenSeats, ReadOnly: true, Tables: []string{"flight", "seat_idx"}},
 	}
 }
 

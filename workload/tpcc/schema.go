@@ -52,31 +52,26 @@ func Specs(withHotItem bool) []*tebaldi.Spec {
 			Name:        TxnNewOrder,
 			Tables:      []string{"warehouse", "district", "customer", "order", "new_order", "cust_idx", "item", "stock", "order_line"},
 			WriteTables: []string{"district", "order", "new_order", "cust_idx", "stock", "order_line"},
-			Weight:      0.45,
 		},
 		{
 			Name:        TxnPayment,
 			Tables:      []string{"warehouse", "district", "customer", "history"},
 			WriteTables: []string{"warehouse", "district", "customer", "history"},
-			Weight:      0.43,
 		},
 		{
 			Name:        TxnDelivery,
 			Tables:      []string{"new_order", "order", "order_line", "customer"},
 			WriteTables: []string{"new_order", "order", "customer"},
-			Weight:      0.04,
 		},
 		{
 			Name:     TxnOrderStatus,
 			ReadOnly: true,
 			Tables:   []string{"cust_idx", "customer", "order", "order_line"},
-			Weight:   0.04,
 		},
 		{
 			Name:     TxnStockLevel,
 			ReadOnly: true,
 			Tables:   []string{"district", "order", "order_line", "stock"},
-			Weight:   0.04,
 		},
 	}
 	if withHotItem {
@@ -84,7 +79,6 @@ func Specs(withHotItem bool) []*tebaldi.Spec {
 			Name:        TxnHotItem,
 			Tables:      []string{"district", "order", "order_line", "item_stats"},
 			WriteTables: []string{"item_stats"},
-			Weight:      0.041,
 		})
 	}
 	return specs
