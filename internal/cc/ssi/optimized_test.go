@@ -50,7 +50,7 @@ func TestOptimizedReaderWaitsForCommittingWriter(t *testing.T) {
 	}
 	begin := func(id uint64, typ string) *core.Txn {
 		tx := core.NewTxn(id, typ, 0, o.Next())
-		tx.Path = root.PathFor(tx)
+		tx.Path = root.AppendPath(tx, nil)
 		tx.Slots = make([]any, len(tx.Path))
 		if err := s.Begin(tx); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -145,9 +146,6 @@ func TestChainLatestCommitted(t *testing.T) {
 	if got := c.LatestCommittedBefore(4); got != nil {
 		t.Fatalf("snapshot(4) = %v", got)
 	}
-	if !c.HasNewerCommitted(8) || c.HasNewerCommitted(9) {
-		t.Fatal("HasNewerCommitted wrong")
-	}
 }
 
 func TestChainRemoveAndVersionBy(t *testing.T) {
@@ -281,8 +279,8 @@ func TestNodeRoutingAndPaths(t *testing.T) {
 	root, left, right, _ := buildTestTree()
 	ta := NewTxn(1, "a", 0, 1)
 	tc := NewTxn(2, "c", 0, 2)
-	ta.Path = root.PathFor(ta)
-	tc.Path = root.PathFor(tc)
+	ta.Path = root.AppendPath(ta, nil)
+	tc.Path = root.AppendPath(tc, nil)
 	if len(ta.Path) != 2 || ta.Path[1] != left {
 		t.Fatalf("a path %v", ta.Path)
 	}
@@ -293,7 +291,7 @@ func TestNodeRoutingAndPaths(t *testing.T) {
 		t.Fatal("InSubtree wrong")
 	}
 	tb := NewTxn(3, "b", 0, 3)
-	tb.Path = root.PathFor(tb)
+	tb.Path = root.AppendPath(tb, nil)
 	if !root.SameChild(ta, tb) {
 		t.Fatal("a,b should share the left child")
 	}
@@ -314,7 +312,7 @@ func TestNodeByInstanceRouting(t *testing.T) {
 	root.FinalizeRouting()
 	for part := uint64(0); part < 8; part++ {
 		tx := NewTxn(part, "t", part, 1)
-		tx.Path = root.PathFor(tx)
+		tx.Path = root.AppendPath(tx, nil)
 		want := root.Children[part%4]
 		if tx.Path[1] != want {
 			t.Fatalf("part %d routed to %d", part, tx.Path[1].ID)
@@ -348,7 +346,7 @@ func (f fakeNamed) AmendRead(t *Txn, k Key, c *Chain, p *Version) (*Version, err
 }
 
 func TestIsRetryable(t *testing.T) {
-	for _, err := range []error{ErrConflict, ErrTimeout, ErrCascade, ErrPivot, ErrReconfiguring} {
+	for _, err := range []error{ErrConflict, ErrTimeout, ErrCascade, ErrPivot} {
 		if !IsRetryable(err) {
 			t.Fatalf("%v should be retryable", err)
 		}
@@ -420,7 +418,7 @@ func TestCommitTSVisibleWhileDrawing(t *testing.T) {
 	o := &heldOracle{last: 5, entered: make(chan struct{}), release: make(chan struct{})}
 	done := make(chan uint64)
 	go func() {
-		ts, _ := w.MarkCommittedNext(o)
+		ts := w.MarkCommittedNext(o)
 		done <- ts
 	}()
 	<-o.entered
@@ -432,4 +430,21 @@ func TestCommitTSVisibleWhileDrawing(t *testing.T) {
 	if ts := <-done; ts != 6 || w.CommitTS() != 6 || w.State() != Committed {
 		t.Fatalf("committed at %d, CommitTS %d, state %v; want 6, 6, committed", ts, w.CommitTS(), w.State())
 	}
+}
+
+// TestMarkCommittedNextPanicsOnFinished: only a transaction's owner ends it,
+// so a commit point reached by a transaction that is no longer Active is a
+// bug, and it names the transaction instead of committing nothing quietly.
+func TestMarkCommittedNextPanicsOnFinished(t *testing.T) {
+	w := NewTxn(7, "w", 0, 1)
+	w.MarkAborted()
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "transaction 7") || !strings.Contains(msg, "aborted") {
+			t.Fatalf("recovered %v, want a panic naming aborted transaction 7", r)
+		}
+	}()
+	o := &heldOracle{entered: make(chan struct{}), release: make(chan struct{})}
+	close(o.release)
+	w.MarkCommittedNext(o)
 }

@@ -29,10 +29,6 @@ var (
 	// and chose this transaction as the victim.
 	ErrPivot = fmt.Errorf("%w: SSI pivot (dangerous structure)", ErrAborted)
 
-	// ErrReconfiguring indicates the transaction was admitted or force-
-	// aborted while the MCC configuration was being switched.
-	ErrReconfiguring = fmt.Errorf("%w: concurrency control reconfiguration in progress", ErrAborted)
-
 	// ErrUserAbort is returned when the application's transaction function
 	// requested an abort; it is NOT retried.
 	ErrUserAbort = errors.New("user abort")

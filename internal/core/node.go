@@ -65,12 +65,6 @@ func (n *Node) Route(t *Txn) *Node {
 	return n.typeToChild[t.Type]
 }
 
-// PathFor computes the root..leaf node path for transaction t starting at n
-// (which must be the root).
-func (n *Node) PathFor(t *Txn) []*Node {
-	return n.AppendPath(t, make([]*Node, 0, 4))
-}
-
 // AppendPath appends t's root..leaf path to path, reusing its backing array
 // (the engine threads a pooled transaction's previous Path through here so
 // steady-state begins allocate nothing).

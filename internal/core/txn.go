@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,25 +239,25 @@ func (t *Txn) Finished() bool { return t.State() != Active }
 // of skipping a write whose timestamp may come out below its snapshot.
 const drawingTS = 1
 
-// MarkCommittedNext draws the commit timestamp from the oracle and publishes
-// it. CommitTS reads drawingTS from before the draw until the publication,
-// so no reader whose snapshot postdates the timestamp sees the version
-// pending with no commit timestamp.
-func (t *Txn) MarkCommittedNext(o Oracle) (uint64, bool) {
+// MarkCommittedNext draws the commit timestamp from the oracle, publishes it
+// and commits t, which must be Active: only its owner ends a transaction, so
+// nothing else can have finished it. CommitTS reads drawingTS from before
+// the draw until the publication, so no reader whose snapshot postdates the
+// timestamp sees the version pending with no commit timestamp.
+func (t *Txn) MarkCommittedNext(o Oracle) uint64 {
 	t.commitTS.Store(drawingTS)
 	ts := o.Next()
 	t.commitTS.Store(ts)
 	if !t.state.CompareAndSwap(int32(Active), int32(Committed)) {
-		t.commitTS.Store(0)
-		return 0, false
+		panic(fmt.Sprintf("core: commit of transaction %d, which is %s", t.ID, t.State()))
 	}
 	t.wake()
-	return ts, true
+	return ts
 }
 
 // MarkCommitted transitions Active -> Committed with the given commit
 // timestamp and wakes all waiters. It reports false if the transaction was
-// already finished (e.g. force-aborted concurrently).
+// already finished.
 func (t *Txn) MarkCommitted(ts uint64) bool {
 	// The timestamp must be visible before the state flips: readers check
 	// State() first and then read CommitTS.

@@ -197,17 +197,6 @@ func (c *Chain) LatestCommittedBefore(ts uint64) *Version {
 	return best
 }
 
-// HasNewerCommitted reports whether a committed version exists with commit
-// timestamp > ts. The chain mutex must be held.
-func (c *Chain) HasNewerCommitted(ts uint64) bool {
-	for _, v := range c.versions {
-		if v.Committed() && v.CommitTS() > ts {
-			return true
-		}
-	}
-	return false
-}
-
 // RecordReader registers a read for anti-dependency / RTS bookkeeping.
 // Records are pruned only when provably irrelevant to any current or future
 // writer: aborted readers, and committed readers whose commit timestamp is

@@ -203,24 +203,25 @@ func TestCheckpointRequiresDurability(t *testing.T) {
 	}
 }
 
-// TestTxnIDsResumeAcrossRecover: recovery groups log records by transaction
-// id, so a second life that restarted its ids at 1 would merge its
-// transactions with the first life's, and the merged commit timestamp could
-// let an older value win. Commit a and b, recover, overwrite b, recover: the
-// new b must win every time.
-func TestTxnIDsResumeAcrossRecover(t *testing.T) {
-	put := func(e *Engine, row, val string) uint64 {
-		t.Helper()
-		var id uint64
-		err := e.RunTxn("put", 0, func(tx *Tx) error {
-			id = txnOf(tx).ID
-			return tx.Write(core.Key{Table: "kv", Row: row}, []byte(val))
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return id
+// putKV commits one write of row in a "put" transaction and returns the
+// transaction's id.
+func putKV(t *testing.T, e *Engine, row, val string) uint64 {
+	t.Helper()
+	var id uint64
+	err := e.RunTxn("put", 0, func(tx *Tx) error {
+		id = tx.ID()
+		return tx.Write(core.Key{Table: "kv", Row: row}, []byte(val))
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return id
+}
+
+// TestTxnIDsResumeAcrossRecover: transaction ids stay unique across the
+// log's lives. Commit a and b, recover, overwrite b, recover: the second
+// life's id lies past the first life's, and the new b wins every time.
+func TestTxnIDsResumeAcrossRecover(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		opts := ckOptions(t.TempDir())
 		opts.DurabilitySync = true
@@ -228,17 +229,16 @@ func TestTxnIDsResumeAcrossRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		put(e, "a", "a1")
-		put(e, "b", "b1")
+		last := max(putKV(t, e, "a", "a1"), putKV(t, e, "b", "b1"))
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		e2, st, err := Recover(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+		e2, _, err := Recover(opts, ckSpecs, G(Kind2PL, []string{"put"}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id := put(e2, "b", "b2"); id <= st.MaxTxnID {
-			t.Fatalf("first id after recovery %d, not past the log's largest %d", id, st.MaxTxnID)
+		if id := putKV(t, e2, "b", "b2"); id <= last {
+			t.Fatalf("first id after recovery %d, not past the first life's %d", id, last)
 		}
 		if err := e2.Close(); err != nil {
 			t.Fatal(err)
@@ -252,6 +252,41 @@ func TestTxnIDsResumeAcrossRecover(t *testing.T) {
 		if got != "b2" {
 			t.Fatalf("trial %d: b = %q after the second recovery, want the acknowledged b2", trial, got)
 		}
+	}
+}
+
+// TestTxnIDsResumePastFullCheckpoint: a checkpoint whose cut covers every
+// record leaves no transaction id in the log, yet the next life's ids still
+// lie past every id the first life handed out: an id is an oracle timestamp
+// below its transaction's commit timestamp, and the oracle resumes past the
+// cut.
+func TestTxnIDsResumePastFullCheckpoint(t *testing.T) {
+	opts := ckOptions(t.TempDir())
+	opts.DurabilitySync = true
+	e, err := New(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for i := 0; i < 8; i++ {
+		last = max(last, putKV(t, e, fmt.Sprint(i), "v"))
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, st, err := Recover(opts, ckSpecs, G(Kind2PL, []string{"put"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if st.Replayed != 0 || st.SnapshotKeys != 8 {
+		t.Fatalf("replayed %d records and %d snapshot keys; want a full cut: 0 and 8", st.Replayed, st.SnapshotKeys)
+	}
+	if id := putKV(t, e2, "x", "v"); id <= last {
+		t.Fatalf("first id after recovery %d, not past the first life's %d", id, last)
 	}
 }
 

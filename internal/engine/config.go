@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cc/nocc"
@@ -85,45 +86,46 @@ func (s *NodeSpec) AllTypes() []string {
 	return out
 }
 
-// String renders the configuration compactly.
+// String renders the configuration compactly, in the shape
+// core.Node.String gives the built tree, with kind names for CC names: e.g.
+// "ssi[ none{os,sl} 2pl[ rp{no,pay} rp{del} ] ]".
 func (s *NodeSpec) String() string {
-	n := &core.Node{Types: s.Types, ByInstance: s.ByInstance}
-	n.CC = fakeCC(string(s.Kind))
-	for _, c := range s.Children {
-		n.Children = append(n.Children, specToRenderNode(c))
-	}
-	return n.String()
+	var b strings.Builder
+	s.render(&b)
+	return b.String()
 }
 
-func specToRenderNode(s *NodeSpec) *core.Node {
-	n := &core.Node{Types: s.Types, ByInstance: s.ByInstance}
-	n.CC = fakeCC(string(s.Kind))
-	children := s.Children
-	if s.ByInstance && s.Clones > 1 && len(s.Children) == 1 {
-		children = make([]*NodeSpec, s.Clones)
-		for i := range children {
-			children[i] = s.Children[0]
+func (s *NodeSpec) render(b *strings.Builder) {
+	b.WriteString(string(s.Kind))
+	if len(s.Types) > 0 {
+		fmt.Fprintf(b, "{%s}", strings.Join(s.Types, ","))
+	}
+	switch {
+	case len(s.Children) == 0:
+	case s.ByInstance:
+		// Instance children are identical; render one with a count.
+		n := len(s.Children)
+		if s.cloned() {
+			n = s.Clones
 		}
+		fmt.Fprintf(b, "[%dx ", n)
+		s.Children[0].render(b)
+		b.WriteString("]")
+	default:
+		b.WriteString("[ ")
+		for i, c := range s.Children {
+			if i > 0 {
+				b.WriteString(" ")
+			}
+			c.render(b)
+		}
+		b.WriteString(" ]")
 	}
-	for _, c := range children {
-		n.Children = append(n.Children, specToRenderNode(c))
-	}
-	return n
 }
 
-type fakeCC string
-
-func (f fakeCC) Name() string                       { return string(f) }
-func (f fakeCC) Begin(*core.Txn) error              { return nil }
-func (f fakeCC) PreRead(*core.Txn, core.Key) error  { return nil }
-func (f fakeCC) PreWrite(*core.Txn, core.Key) error { return nil }
-func (f fakeCC) Validate(*core.Txn) error           { return nil }
-func (f fakeCC) Commit(*core.Txn)                   {}
-func (f fakeCC) Abort(*core.Txn)                    {}
-func (f fakeCC) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, p *core.Version) (*core.Version, error) {
-	return p, nil
-}
-func (f fakeCC) PostWrite(*core.Txn, core.Key, *core.Chain, *core.Version) error { return nil }
+// cloned reports whether the node expands its one child template into
+// Clones children.
+func (s *NodeSpec) cloned() bool { return s.ByInstance && s.Clones > 1 }
 
 // Tree is a built, runnable CC tree.
 type Tree struct {
@@ -154,7 +156,7 @@ func (e *Engine) buildSubtree(s *NodeSpec, depth int, parent *core.Node) (*core.
 		ByInstance: s.ByInstance,
 	}
 	children := s.Children
-	if s.ByInstance && s.Clones > 1 {
+	if s.cloned() {
 		if len(s.Children) != 1 {
 			return nil, fmt.Errorf("engine: Clones requires exactly one child template")
 		}

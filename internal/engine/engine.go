@@ -26,12 +26,11 @@ type Engine struct {
 	env    *core.Env
 	walMgr *wal.Manager
 
-	specMu sync.RWMutex
-	specs  map[string]*core.Spec
+	specs map[string]*core.Spec // written only by open, before the engine is shared
 
 	// gate serializes admission against reconfiguration: Begin admits
-	// under RLock; reconfiguration blocks admission under Lock and may
-	// additionally block individual types (online update).
+	// under RLock, unless a reconfiguration blocked its type; the
+	// reconfiguration splices its subtree in under Lock.
 	//
 	// tebaldi:locks after engine.Engine.treeMu
 	gate struct {
@@ -39,12 +38,11 @@ type Engine struct {
 		blockedTypes map[string]bool
 		reopen       chan struct{}
 	}
-	tree *Tree // guarded by gate (written under gate.Lock)
+	tree *Tree // guarded by gate (written under gate.Lock and treeMu)
 
 	treeMu sync.Mutex // serializes whole reconfigurations
 
 	active  [64]activeShard
-	txnSeq  atomic.Uint64
 	loadSeq atomic.Uint64
 	nodeSeq atomic.Uint64
 	stats   Stats
@@ -160,14 +158,13 @@ func open(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, *wal.Rec
 	e.tree = tree
 	e.refreshSnapSources(tree)
 
-	// Recovery, before any client runs: the oracle and the transaction ids
-	// resume past everything in the log, and the surviving writes become
-	// committed history.
+	// Recovery, before any client runs: the oracle — and with it the
+	// transaction ids, which Begin draws from it — resumes past everything
+	// in the log, and the surviving writes become committed history.
 	var st *wal.RecoveredState
 	if e.walMgr != nil {
 		st = e.walMgr.Recovered()
 		e.oracle.AdvanceTo(st.MaxTS)
-		e.txnSeq.Store(st.MaxTxnID)
 		for _, w := range st.Writes {
 			e.loadVersion(w.Key, w.Value, w.CommitTS)
 		}
@@ -203,11 +200,7 @@ func (e *Engine) Stats() *Stats { return &e.stats }
 func (e *Engine) Wal() *wal.Manager { return e.walMgr }
 
 // Spec returns the registered spec for a transaction type (nil if unknown).
-func (e *Engine) Spec(name string) *core.Spec {
-	e.specMu.RLock()
-	defer e.specMu.RUnlock()
-	return e.specs[name]
-}
+func (e *Engine) Spec(name string) *core.Spec { return e.specs[name] }
 
 // Config returns (a copy of) the current CC tree configuration.
 func (e *Engine) Config() *NodeSpec {
@@ -241,9 +234,11 @@ func (e *Engine) Begin(typ string, part uint64) (*Tx, error) {
 			continue
 		}
 		// Pooled transaction: Path/Slots keep their backing arrays from a
-		// previous life (see core.PutTxn's reclamation rule). register
-		// draws its begin timestamp.
-		t = core.GetTxn(e.txnSeq.Add(1), typ, part, 0)
+		// previous life (see core.PutTxn's reclamation rule). The id is an
+		// oracle timestamp, below the begin timestamp register draws, so
+		// ids follow begin order and, after recovery, lie past every id
+		// in the log (DESIGN.md, "Transaction ids").
+		t = core.GetTxn(e.oracle.Next(), typ, part, 0)
 		t.Path = e.tree.Root.AppendPath(t, t.Path)
 		if !slices.Contains(t.Path[len(t.Path)-1].Types, typ) {
 			e.gate.RUnlock()
@@ -326,11 +321,11 @@ func (e *Engine) forEachActive(f func(*core.Txn)) {
 	}
 }
 
-// activeCount counts active transactions matching filter (nil = all).
-func (e *Engine) activeCount(filter func(*core.Txn) bool) int {
+// activeCount counts active transactions of the given types (nil = all).
+func (e *Engine) activeCount(types map[string]bool) int {
 	n := 0
 	e.forEachActive(func(t *core.Txn) {
-		if filter == nil || filter(t) {
+		if types == nil || types[t.Type] {
 			n++
 		}
 	})

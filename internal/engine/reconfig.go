@@ -11,14 +11,13 @@ import (
 type Protocol int
 
 const (
-	// PartialRestart quiesces the whole database, rebuilds the entire
+	// PartialRestart quiesces the whole database and rebuilds the entire
 	// concurrency-control module (fresh CC instances over the untouched
-	// storage module), and resumes (§5.5.1). The three phases — clean-up,
-	// prepare, apply — map to: gate + drain, buildTree, swap + reopen.
+	// storage module), even when the configuration is unchanged (§5.5.1).
 	PartialRestart Protocol = iota
 	// OnlineUpdate replaces only the changed subtree of the CC tree,
 	// quiescing only the transaction types routed through it (§5.5.2).
-	// If the change reaches the root, it degrades to PartialRestart.
+	// A change at the root replaces the root, as PartialRestart does.
 	OnlineUpdate
 )
 
@@ -31,165 +30,99 @@ func (p Protocol) String() string {
 }
 
 // Reconfigure switches the live MCC configuration to spec using the given
-// protocol. Transactions of gated types are buffered (their Begin blocks)
-// for the duration; ongoing transactions are drained, then force-aborted
-// after twice Options.LockTimeout.
+// protocol. Both protocols are one procedure over one subtree — the root for
+// PartialRestart, the changed subtree for OnlineUpdate — in §5.5's three
+// phases: prepare builds the replacement, clean-up gates the subtree's
+// transaction types (their Begin blocks) and waits for their active
+// transactions to finish, and apply splices the replacement in. If the wait
+// outlasts the drain bound, Reconfigure reopens the gate and returns an
+// error, and the tree is unchanged: no transaction is aborted.
 func (e *Engine) Reconfigure(spec *NodeSpec, protocol Protocol) error {
 	e.treeMu.Lock()
 	defer e.treeMu.Unlock()
 
-	if protocol == OnlineUpdate {
-		if done, err := e.tryOnlineUpdate(spec); done || err != nil {
-			return err
-		}
-		// Root-level change: fall through to a partial restart.
+	// Only Reconfigure writes the tree, and it holds treeMu: the tree read
+	// here cannot change until it returns.
+	spec = spec.Clone()
+	path, equal := diffSpec(e.tree.Spec, spec)
+	switch {
+	case protocol == PartialRestart:
+		path = nil
+	case equal:
+		return nil
 	}
-	return e.partialRestart(spec)
-}
+	var parent *core.Node
+	node, oldSub, newSub := e.tree.Root, e.tree.Spec, spec
+	for _, i := range path {
+		parent = node
+		node, oldSub, newSub = node.Children[i], oldSub.Children[i], newSub.Children[i]
+	}
 
-// partialRestart implements the clean-up / prepare / apply phases of
-// §5.5.1. The prepare step (building the new CC module) happens before the
-// gate closes to shorten the pause; CC instances hold no storage state, so
-// early construction is safe.
-func (e *Engine) partialRestart(spec *NodeSpec) error {
-	newTree, err := e.buildTree(spec)
+	// Prepare: CC instances hold no storage state, so the replacement is
+	// built before the gate closes, shortening the pause.
+	repl, err := e.buildSubtree(newSub, node.Depth, parent)
 	if err != nil {
 		return err
 	}
-	// Clean-up phase: stop admitting transactions, drain ongoing ones.
+
+	// Clean-up: stop admitting the types routed through the old or the new
+	// subtree — every placed type, for the root — and drain them; the
+	// other types keep running.
+	gated := map[string]bool{}
+	for _, typ := range append(oldSub.AllTypes(), newSub.AllTypes()...) {
+		gated[typ] = true
+	}
 	e.gate.Lock()
-	defer e.gate.Unlock()
-	if err := e.drain(nil); err != nil {
-		return err
-	}
-	// Apply phase: swap the concurrency control module. The storage
-	// module (all committed versions) is untouched; the new tree treats
-	// existing data as committed history, exactly as the recovery
-	// protocol's virtual root-level load (§4.5.4).
-	e.tree = newTree
-	e.refreshSnapSources(newTree)
-	return nil
-}
-
-// tryOnlineUpdate performs the online update protocol if the configuration
-// change is confined to a proper subtree. It reports done=false when the
-// change is at the root (caller falls back to partial restart).
-func (e *Engine) tryOnlineUpdate(spec *NodeSpec) (done bool, err error) {
-	e.gate.RLock()
-	oldSpec := e.tree.Spec
-	e.gate.RUnlock()
-
-	path, equal := diffSpec(oldSpec, spec)
-	if equal {
-		return true, nil // nothing to do
-	}
-	if len(path) == 0 {
-		return false, nil // root-level change
-	}
-
-	// The affected transaction types: everything routed through the old
-	// or new version of the changed subtree.
-	oldSub, newSub := oldSpec, spec.Clone()
-	for _, idx := range path {
-		oldSub = oldSub.Children[idx]
-	}
-	newSubSpec := newSub
-	for _, idx := range path {
-		newSubSpec = newSubSpec.Children[idx]
-	}
-	affected := map[string]bool{}
-	for _, t := range append(oldSub.AllTypes(), newSubSpec.AllTypes()...) {
-		affected[t] = true
-	}
-
-	// Gate only the affected types; unaffected transactions keep running.
-	e.gate.Lock()
-	e.gate.blockedTypes = affected
+	e.gate.blockedTypes = gated
 	e.gate.Unlock()
-	reopen := func() {
-		e.gate.Lock()
-		e.gate.blockedTypes = nil
-		close(e.gate.reopen)
-		e.gate.reopen = make(chan struct{})
-		e.gate.Unlock()
-	}
-	if err := e.drain(func(t *core.Txn) bool { return affected[t.Type] }); err != nil {
-		reopen()
-		return true, err
-	}
+	err = e.drain(gated)
 
-	// Splice the replacement subtree under a brief full admission pause
-	// (routing tables are only read at Begin; active unaffected
-	// transactions never consult them again).
+	// Apply, under a brief full admission pause: routing is read only at
+	// Begin, and active transactions of other types never route again. The
+	// storage module is untouched; the new subtree treats existing data as
+	// committed history, as recovery's virtual root-level load does (§4.5.4).
 	e.gate.Lock()
-	parent := e.tree.Root
-	for _, idx := range path[:len(path)-1] {
-		if idx >= len(parent.Children) {
-			e.gate.Unlock()
-			reopen()
-			return true, fmt.Errorf("engine: online update path out of range")
+	if err == nil {
+		if parent == nil {
+			e.tree.Root = repl
+		} else {
+			parent.Children[path[len(path)-1]] = repl
 		}
-		parent = parent.Children[idx]
+		e.tree.Root.FinalizeRouting()
+		e.tree.Spec = spec
+		e.refreshSnapSources(e.tree)
 	}
-	idx := path[len(path)-1]
-	if idx >= len(parent.Children) {
-		e.gate.Unlock()
-		reopen()
-		return true, fmt.Errorf("engine: online update path out of range")
-	}
-	newNode, err := e.buildSubtree(newSubSpec, parent.Depth+1, parent)
-	if err != nil {
-		e.gate.Unlock()
-		reopen()
-		return true, err
-	}
-	parent.Children[idx] = newNode
-	e.tree.Root.FinalizeRouting()
-	e.tree.Spec = newSub
-	e.refreshSnapSources(e.tree)
 	e.gate.blockedTypes = nil
 	close(e.gate.reopen)
 	e.gate.reopen = make(chan struct{})
 	e.gate.Unlock()
-	return true, nil
+	return err
 }
 
-// drain waits for matching active transactions to finish, force-aborting
-// stragglers after twice LockTimeout. With filter nil (full quiesce) the
-// caller holds gate.Lock; an online update drains outside it, so unaffected
-// types keep being admitted.
-func (e *Engine) drain(filter func(*core.Txn) bool) error {
-	timeout := 2 * e.opts.LockTimeout
-	deadline := time.Now().Add(timeout)
-	for e.activeCount(filter) > 0 {
+// drain waits until no active transaction has one of the gated types, for at
+// most twice LockTimeout: a waiting transaction's own wait times out within
+// one, and the second leaves room for its last operations. It only waits —
+// a transaction is ended only by its own goroutine.
+func (e *Engine) drain(gated map[string]bool) error {
+	deadline := time.Now().Add(2 * e.opts.LockTimeout)
+	for {
+		n := e.activeCount(gated)
+		if n == 0 {
+			return nil
+		}
 		if time.Now().After(deadline) {
-			break
+			return fmt.Errorf("engine: reconfiguration drain timed out with %d active transactions; configuration unchanged", n)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	// Force-abort stragglers (§5.5.1's optional force-abort): mark them
-	// aborted; their owner goroutines perform the cleanup.
-	e.forEachActive(func(t *core.Txn) {
-		if filter == nil || filter(t) {
-			t.MarkAborted()
-		}
-	})
-	// Wait for owner-side cleanup, bounded by waits' own timeouts.
-	final := time.Now().Add(timeout + e.opts.LockTimeout)
-	for e.activeCount(filter) > 0 {
-		if time.Now().After(final) {
-			return fmt.Errorf("engine: reconfiguration drain timed out with %d active transactions",
-				e.activeCount(filter))
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
 }
 
 // diffSpec compares two configurations. It returns equal=true when
 // identical; otherwise path is the child-index path from the root to the
 // single changed subtree (nil path = the root itself changed, or changes
-// span multiple children).
+// span multiple children). It does not descend into the template of a
+// node that clones it: the node stands for every clone, so a change inside
+// the template is a change of that node.
 func diffSpec(a, b *NodeSpec) (path []int, equal bool) {
 	if a.Kind != b.Kind || a.ByInstance != b.ByInstance || a.Clones != b.Clones ||
 		len(a.Types) != len(b.Types) || len(a.Children) != len(b.Children) {
@@ -207,8 +140,9 @@ func diffSpec(a, b *NodeSpec) (path []int, equal bool) {
 		if eq {
 			continue
 		}
-		if changed >= 0 {
-			// Multiple changed children: treat the change as here.
+		if changed >= 0 || a.cloned() {
+			// Multiple changed children, or a changed template: treat
+			// the change as here.
 			return nil, false
 		}
 		changed, sub = i, p

@@ -3,6 +3,9 @@ package engine
 import (
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 func TestDiffSpecEqual(t *testing.T) {
@@ -55,6 +58,22 @@ func TestDiffSpecDeepChange(t *testing.T) {
 	}
 }
 
+// clonedTSO is 2PL[ 2PL[4x TSO{t}] ]: an inner node cloning one TSO
+// template per instance partition; kind replaces the template's mechanism.
+func clonedTSO(kind Kind) *NodeSpec {
+	return G(Kind2PL, nil, &NodeSpec{Kind: Kind2PL, ByInstance: true, Clones: 4,
+		Children: []*NodeSpec{G(kind, []string{"t"})}})
+}
+
+// TestDiffSpecCloneTemplateIsNodeLevel: a change inside a cloned template is
+// a change of the cloning node, which stands for all of its clones.
+func TestDiffSpecCloneTemplateIsNodeLevel(t *testing.T) {
+	path, eq := diffSpec(clonedTSO(KindTSO), clonedTSO(KindRP))
+	if eq || !reflect.DeepEqual(path, []int{0}) {
+		t.Fatalf("path=%v eq=%v, want the cloning node [0]", path, eq)
+	}
+}
+
 func TestNodeSpecCloneIsDeep(t *testing.T) {
 	a := G(KindSSI, []string{"x"}, G(Kind2PL, []string{"y"}))
 	b := a.Clone()
@@ -94,6 +113,12 @@ func TestConfigStringRendersTree(t *testing.T) {
 	}
 }
 
+func TestConfigStringRendersClones(t *testing.T) {
+	if got, want := clonedTSO(KindTSO).String(), "2pl[ 2pl[4x tso{t}] ]"; got != want {
+		t.Fatalf("got %q want %q", got, want)
+	}
+}
+
 func TestOnlineUpdateEqualConfigIsNoop(t *testing.T) {
 	cfg := G(KindSSI, nil, G(KindNone, []string{"audit"}), G(Kind2PL, []string{"transfer", "deposit"}))
 	e := newBank(t, cfg, 4)
@@ -115,5 +140,135 @@ func TestReconfigureRejectsUnknownKind(t *testing.T) {
 	// The engine must still work on the old tree.
 	if err := e.RunTxn("transfer", 0, func(tx *Tx) error { return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOnlineUpdateReplacesEveryClone: an online update of a cloned template
+// rebuilds the cloning node, so every clone runs the new mechanism and every
+// instance partition routes to one of them.
+func TestOnlineUpdateReplacesEveryClone(t *testing.T) {
+	specs := []*core.Spec{{Name: "t", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
+	e, err := New(Options{Shards: 2}, specs, clonedTSO(KindTSO))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	next := clonedTSO(KindRP)
+	if err := e.Reconfigure(next, OnlineUpdate); err != nil {
+		t.Fatal(err)
+	}
+	var clones []string
+	for _, c := range e.tree.Root.Children[0].Children {
+		clones = append(clones, c.CC.Name())
+	}
+	if want := []string{"RP", "RP", "RP", "RP"}; !reflect.DeepEqual(clones, want) {
+		t.Fatalf("clones run %v, want %v", clones, want)
+	}
+	if got, want := e.ConfigString(), "2PL[ 2PL[4x RP{t}] ]"; got != want || !e.Config().Equal(next) {
+		t.Fatalf("ConfigString %q (want %q), Config %v (want %v)", got, want, e.Config(), next)
+	}
+	leaves := map[*core.Node]bool{}
+	for part := uint64(0); part < 4; part++ {
+		tx, err := e.Begin("t", part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := txnOf(tx).Leaf()
+		tx.Rollback(nil)
+		if leaf.CC.Name() != "RP" {
+			t.Fatalf("part %d runs under %s, want RP", part, leaf.CC.Name())
+		}
+		leaves[leaf] = true
+	}
+	if len(leaves) != 4 {
+		t.Fatalf("parts 0-3 reached %d leaves, want 4", len(leaves))
+	}
+}
+
+// TestReconfigureWaitsForOpenTxn: a transaction held open across a
+// reconfiguration of its type is never aborted by it. The reconfiguration
+// fails once the drain bound expires and leaves the tree as it was; the
+// gated type is admitted again, and the held transaction reads and commits.
+func TestReconfigureWaitsForOpenTxn(t *testing.T) {
+	cfgA := G(KindSSI, nil,
+		G(KindNone, []string{"audit"}),
+		G(Kind2PL, []string{"transfer", "deposit"}))
+	cfgB := G(KindSSI, nil,
+		G(KindNone, []string{"audit"}),
+		G(Kind2PL, nil,
+			G(KindRP, []string{"transfer"}),
+			G(Kind2PL, []string{"deposit"})))
+	for _, proto := range []Protocol{PartialRestart, OnlineUpdate} {
+		t.Run(proto.String(), func(t *testing.T) {
+			const lockTimeout = 20 * time.Millisecond
+			e, err := New(Options{Shards: 4, LockTimeout: lockTimeout}, bankSpecs(), cfgA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i := 0; i < 2; i++ {
+				e.Load(core.KeyOf("account", i), u64(1000))
+			}
+			held, err := e.Begin("transfer", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, err := held.Read(core.KeyOf("account", 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			config, rendered := e.Config(), e.ConfigString()
+
+			start := time.Now()
+			if err := e.Reconfigure(cfgB, proto); err == nil {
+				t.Fatal("reconfiguration succeeded with a transaction of a gated type open")
+			}
+			if took := time.Since(start); took < 2*lockTimeout {
+				t.Fatalf("reconfiguration gave up after %v, before its drain bound %v", took, 2*lockTimeout)
+			}
+			if !e.Config().Equal(config) || e.ConfigString() != rendered {
+				t.Fatalf("failed reconfiguration changed the tree: %s, want %s", e.ConfigString(), rendered)
+			}
+
+			admitted := make(chan error, 1)
+			go func() {
+				admitted <- e.RunTxn("deposit", 0, func(tx *Tx) error {
+					_, err := tx.Read(core.KeyOf("account", 1))
+					return err
+				})
+			}()
+			select {
+			case err := <-admitted:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a gated type is still blocked after the failed reconfiguration")
+			}
+
+			to, err := held.Read(core.KeyOf("account", 1))
+			if err != nil {
+				t.Fatalf("held transaction's read after the reconfiguration: %v", err)
+			}
+			if err := held.Write(core.KeyOf("account", 0), u64(asU64(from)-1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := held.Write(core.KeyOf("account", 1), u64(asU64(to)+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := held.Commit(); err != nil {
+				t.Fatalf("held transaction's commit: %v", err)
+			}
+			if got := asU64(e.ReadCommitted(core.KeyOf("account", 1))); got != 1001 {
+				t.Fatalf("account 1 = %d after the held transfer, want 1001", got)
+			}
+			// With nothing open, the same reconfiguration succeeds.
+			if err := e.Reconfigure(cfgB, proto); err != nil {
+				t.Fatal(err)
+			}
+			if !e.Config().Equal(cfgB) {
+				t.Fatalf("config %s, want %s", e.Config(), cfgB)
+			}
+		})
 	}
 }

@@ -31,11 +31,6 @@ func (tx *Tx) check() error {
 	if tx.finished {
 		return fmt.Errorf("engine: transaction %d already finished", tx.id)
 	}
-	if tx.t.State() == core.Aborted {
-		// Force-aborted (reconfiguration drain): clean up on the
-		// owner goroutine.
-		return tx.abortWith(core.ErrReconfiguring)
-	}
 	return nil
 }
 
@@ -260,10 +255,9 @@ func (tx *Tx) Commit() error {
 	// the commit path; under SyncCommit the wait happens on the ticket,
 	// below, on the whole batch's single fsync.
 	var ticket *wal.Ticket
-	var committed bool
 	if tx.e.walMgr != nil && t.HasWrites() {
 		var err error
-		ticket, err = tx.e.walMgr.Stage(t.ID, t.Writes(), func() (uint64, bool) {
+		ticket, err = tx.e.walMgr.Stage(t.ID, t.Writes(), func() uint64 {
 			return t.MarkCommittedNext(tx.e.oracle)
 		})
 		if err != nil {
@@ -276,13 +270,8 @@ func (tx *Tx) Commit() error {
 			}
 			return tx.abortWith(err)
 		}
-		committed = ticket != nil
 	} else {
-		_, committed = t.MarkCommittedNext(tx.e.oracle)
-	}
-	if !committed {
-		// Force-aborted while committing; nothing was logged.
-		return tx.abortWith(core.ErrReconfiguring)
+		t.MarkCommittedNext(tx.e.oracle)
 	}
 	// From here the transaction is committed in memory, and other
 	// transactions may already depend on it; a log failure can no longer
@@ -335,8 +324,8 @@ func (tx *Tx) Rollback(cause error) {
 }
 
 // abortWith finishes the transaction on its abort path and returns the
-// (wrapped) cause. Idempotent with respect to force-aborts: the cleanup
-// always runs exactly once, on the owner goroutine.
+// (wrapped) cause. It is the one place a transaction becomes Aborted: only
+// the owner goroutine ends its transaction.
 func (tx *Tx) abortWith(cause error) error {
 	if tx.finished {
 		return cause

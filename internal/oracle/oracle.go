@@ -19,17 +19,6 @@ func New() *Oracle { return &Oracle{} }
 // Next returns the next timestamp (strictly increasing, starting at 1).
 func (o *Oracle) Next() uint64 { return o.counter.Add(1) }
 
-// NextN atomically reserves n consecutive timestamps and returns the first;
-// the caller owns [first, first+n). Batch allocation lets a TSO non-leaf (or
-// a future distributed oracle client) stamp a whole batch with one counter
-// operation. NextN(1) is equivalent to Next; n < 1 is clamped to 1.
-func (o *Oracle) NextN(n int) uint64 {
-	if n < 1 {
-		n = 1
-	}
-	return o.counter.Add(uint64(n)) - uint64(n) + 1
-}
-
 // Last returns the most recently issued timestamp (0 if none).
 func (o *Oracle) Last() uint64 { return o.counter.Load() }
 

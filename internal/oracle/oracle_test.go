@@ -49,96 +49,6 @@ func TestConcurrentUnique(t *testing.T) {
 	}
 }
 
-func TestNextNBatchMonotonic(t *testing.T) {
-	o := New()
-	first := o.NextN(10)
-	if first != 1 {
-		t.Fatalf("first batch starts at %d, want 1", first)
-	}
-	if o.Last() != 10 {
-		t.Fatalf("Last after NextN(10) = %d, want 10", o.Last())
-	}
-	// A following single allocation must land strictly after the batch.
-	if ts := o.Next(); ts != 11 {
-		t.Fatalf("Next after batch = %d, want 11", ts)
-	}
-	// Clamping: n < 1 still consumes exactly one timestamp.
-	if ts := o.NextN(0); ts != 12 {
-		t.Fatalf("NextN(0) = %d, want 12", ts)
-	}
-	if ts := o.NextN(-3); ts != 13 {
-		t.Fatalf("NextN(-3) = %d, want 13", ts)
-	}
-}
-
-// TestNextNConcurrentDisjoint checks the batching contract under contention:
-// concurrently reserved ranges are pairwise disjoint, and together with
-// interleaved Next calls they tile [1, Last] exactly.
-func TestNextNConcurrentDisjoint(t *testing.T) {
-	o := New()
-	const workers, each = 16, 500
-	type span struct{ first, n uint64 }
-	out := make([][]span, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < each; j++ {
-				n := uint64(i%7 + 1) // mixed batch sizes, incl. 1
-				var first uint64
-				if n == 1 {
-					first = o.Next()
-				} else {
-					first = o.NextN(int(n))
-				}
-				out[i] = append(out[i], span{first, n})
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total uint64
-	seen := make(map[uint64]bool)
-	for i, spans := range out {
-		prev := uint64(0)
-		for _, sp := range spans {
-			if sp.first <= prev {
-				t.Fatalf("worker %d: batch start %d not after previous range end %d", i, sp.first, prev)
-			}
-			prev = sp.first + sp.n - 1
-			total += sp.n
-			for ts := sp.first; ts < sp.first+sp.n; ts++ {
-				if seen[ts] {
-					t.Fatalf("timestamp %d issued twice", ts)
-				}
-				seen[ts] = true
-			}
-		}
-	}
-	if o.Last() != total {
-		t.Fatalf("Last = %d, want %d (ranges must tile with no gaps)", o.Last(), total)
-	}
-	for ts := uint64(1); ts <= total; ts++ {
-		if !seen[ts] {
-			t.Fatalf("timestamp %d never issued (hole in the domain)", ts)
-		}
-	}
-}
-
-// TestNextNAdvanceToInterplay mirrors recovery: AdvanceTo past a recovered
-// commit timestamp, then batch allocation must start strictly above it.
-func TestNextNAdvanceToInterplay(t *testing.T) {
-	o := New()
-	o.NextN(5)
-	o.AdvanceTo(1000)
-	if first := o.NextN(8); first != 1001 {
-		t.Fatalf("NextN after AdvanceTo(1000) starts at %d, want 1001", first)
-	}
-	if o.Last() != 1008 {
-		t.Fatalf("Last = %d, want 1008", o.Last())
-	}
-}
-
 func TestAdvanceTo(t *testing.T) {
 	o := New()
 	o.Next()

@@ -172,7 +172,6 @@ func TestWireErrorMapsToCoreErrors(t *testing.T) {
 		{CodeTimeout, core.ErrTimeout, true},
 		{CodeCascade, core.ErrCascade, true},
 		{CodePivot, core.ErrPivot, true},
-		{CodeReconfig, core.ErrReconfiguring, true},
 		{CodeAborted, core.ErrAborted, true},
 		{CodeUser, core.ErrUserAbort, false},
 		{CodeBadRequest, nil, false},
@@ -196,7 +195,7 @@ func TestWireErrorMapsToCoreErrors(t *testing.T) {
 func TestErrorCodeRoundTrip(t *testing.T) {
 	for _, err := range []error{
 		core.ErrConflict, core.ErrTimeout, core.ErrCascade,
-		core.ErrPivot, core.ErrReconfiguring, core.ErrUserAbort,
+		core.ErrPivot, core.ErrUserAbort,
 		core.ErrDurability, core.ErrUnknownType,
 	} {
 		code := ErrorCode(err)

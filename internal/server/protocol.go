@@ -82,9 +82,10 @@ const (
 	CodeTimeout  = 0x02 // core.ErrTimeout — retryable
 	CodeCascade  = 0x03 // core.ErrCascade — retryable
 	CodePivot    = 0x04 // core.ErrPivot — retryable
-	CodeReconfig = 0x05 // core.ErrReconfiguring — retryable
-	CodeAborted  = 0x06 // other core.ErrAborted — retryable
-	CodeUser     = 0x07 // core.ErrUserAbort — not retried
+	// 0x05 is unassigned. Older peers read it as a reconfiguration abort,
+	// which no longer exists, so it is not to be given another meaning.
+	CodeAborted = 0x06 // other core.ErrAborted — retryable
+	CodeUser    = 0x07 // core.ErrUserAbort — not retried
 
 	CodeBadRequest  = 0x10 // malformed or out-of-place message
 	CodeNoTxn       = 0x11 // GET/PUT/COMMIT/ABORT without an open transaction
@@ -160,8 +161,6 @@ func ErrorCode(err error) byte {
 		return CodeCascade
 	case errors.Is(err, core.ErrPivot):
 		return CodePivot
-	case errors.Is(err, core.ErrReconfiguring):
-		return CodeReconfig
 	case errors.Is(err, core.ErrConflict):
 		return CodeConflict
 	case errors.Is(err, core.ErrAborted):
@@ -187,8 +186,6 @@ func CodeError(code byte) error {
 		return core.ErrCascade
 	case CodePivot:
 		return core.ErrPivot
-	case CodeReconfig:
-		return core.ErrReconfiguring
 	case CodeAborted:
 		return core.ErrAborted
 	case CodeUser:

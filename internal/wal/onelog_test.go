@@ -312,17 +312,13 @@ func BenchmarkSyncCommit(b *testing.B) {
 }
 
 // TestStageCommitPointContract: Stage runs the caller's commit point only on
-// a usable log, and stages a record only if the commit point succeeded — a
-// force-aborted transaction leaves nothing in the log, and on a closed log
-// the transaction is never committed at all.
+// a usable log and then always stages the record; on a closed log the
+// transaction is never committed at all, and Stage returns no ticket.
 func TestStageCommitPointContract(t *testing.T) {
 	dir := t.TempDir()
 	m := open(t, dir, 1, true)
 	writes := []core.WriteRef{{Chain: core.NewChain(core.Key{Table: "t", Row: "x"}), V: &core.Version{Value: []byte("v")}}}
-	if tk, err := m.Stage(1, writes, func() (uint64, bool) { return 0, false }); tk != nil || err != nil {
-		t.Fatalf("refused commit point: Stage returned %v, %v; want nothing staged", tk, err)
-	}
-	tk, err := m.Stage(2, writes, func() (uint64, bool) { return 20, true })
+	tk, err := m.Stage(2, writes, func() uint64 { return 20 })
 	if err != nil || tk == nil {
 		t.Fatalf("Stage returned %v, %v", tk, err)
 	}
@@ -333,14 +329,14 @@ func TestStageCommitPointContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := false
-	if tk, err := m.Stage(3, writes, func() (uint64, bool) { ran = true; return 30, true }); tk != nil || !errors.Is(err, errClosed) || ran {
+	if tk, err := m.Stage(3, writes, func() uint64 { ran = true; return 30 }); tk != nil || !errors.Is(err, errClosed) || ran {
 		t.Fatalf("closed log: Stage returned %v, %v with the commit point run=%v", tk, err, ran)
 	}
 	st, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Replayed != 1 || st.MaxTxnID != 2 || len(st.Writes) != 1 || st.Writes[0].CommitTS != 20 || string(st.Writes[0].Value) != "v" {
+	if st.Replayed != 1 || st.Committed != 1 || len(st.Writes) != 1 || st.Writes[0].CommitTS != 20 || string(st.Writes[0].Value) != "v" {
 		t.Fatalf("recovered %+v", st)
 	}
 }

@@ -19,14 +19,11 @@ type RecoveredWrite struct {
 }
 
 // RecoveredState is the outcome of recovery: the latest committed version of
-// every key, and the highest commit timestamp and transaction id observed
-// (the oracle and the transaction ids must resume past them).
+// every key, and the highest commit timestamp observed (the oracle, and with
+// it the engine's transaction ids, must resume past it).
 type RecoveredState struct {
 	Writes []RecoveredWrite
 	MaxTS  uint64
-	// MaxTxnID is the largest transaction id in any record, discarded
-	// ones included: transaction ids stay unique across the log's lives.
-	MaxTxnID uint64
 	// Discarded counts transactions dropped by the GCP rule: their
 	// record's epoch is beyond the durable frontier.
 	Discarded int
@@ -129,7 +126,6 @@ func scan(st *kvstore.Store) (*logState, error) {
 				return nil
 			}
 			out.Replayed++
-			out.MaxTxnID = max(out.MaxTxnID, r.txnID)
 			if r.epoch <= ls.frontier {
 				apply(r)
 			} else {

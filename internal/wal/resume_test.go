@@ -63,8 +63,8 @@ func TestUnsealedCommitStaysDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Discarded != 1 || st.MaxTxnID != 7 {
-		t.Fatalf("discarded=%d maxTxnID=%d, want 1 and 7", st.Discarded, st.MaxTxnID)
+	if st.Discarded != 1 {
+		t.Fatalf("discarded=%d, want 1", st.Discarded)
 	}
 
 	m2, err := Open(Options{Dir: dir, EpochInterval: time.Millisecond})
@@ -91,29 +91,6 @@ func TestUnsealedCommitStaysDiscarded(t *testing.T) {
 	}
 }
 
-// TestMaxTxnIDCountsEveryEntry: MaxTxnID covers discarded transactions too
-// — a new life must not reuse any id in the log.
-func TestMaxTxnIDCountsEveryEntry(t *testing.T) {
-	dir := t.TempDir()
-	m := open(t, dir, 1, true)
-	commitN(t, m, 1, 3)
-	// Transaction 12's record lies past the frontier: discarded.
-	stageRaw(t, m, recTxn, rawRecord(12, 1000, 50, kv("t", "x", "unsealed")))
-	if _, _, err := m.Precommit(14, map[int][]KV{0: {kv("t", "x", "orphan")}}); err != nil {
-		t.Fatal(err) // never committed: logs nothing
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MaxTxnID != 12 || st.Committed != 2 || st.Discarded != 1 {
-		t.Fatalf("maxTxnID=%d committed=%d discarded=%d, want 12, 2, 1", st.MaxTxnID, st.Committed, st.Discarded)
-	}
-}
-
 // TestOpenHandsOverRecoveredStateOnce: Open's scan is the recovery, and
 // Recovered gives its state away exactly once.
 func TestOpenHandsOverRecoveredStateOnce(t *testing.T) {
@@ -126,7 +103,7 @@ func TestOpenHandsOverRecoveredStateOnce(t *testing.T) {
 	m2 := open(t, dir, 1, true)
 	defer m2.Close()
 	st := m2.Recovered()
-	if st == nil || st.Committed != 4 || st.MaxTS != 4 || st.MaxTxnID != 4 || len(st.Writes) != 4 {
+	if st == nil || st.Committed != 4 || st.MaxTS != 4 || len(st.Writes) != 4 {
 		t.Fatalf("recovered %+v", st)
 	}
 	if again := m2.Recovered(); again != nil {

@@ -294,11 +294,9 @@ func (m *Manager) unusable() error {
 // flushed under SyncCommit.
 //
 // On a poisoned or closed log, and for a record over the limit (ErrTooLarge),
-// commitPoint never runs and the error is returned: the transaction can
-// still abort cleanly. If commitPoint reports false (the transaction was
-// force-aborted), nothing is staged and Stage returns a nil ticket and a nil
-// error.
-func (m *Manager) Stage(txnID uint64, writes []core.WriteRef, commitPoint func() (uint64, bool)) (*Ticket, error) {
+// commitPoint never runs and the error is returned with a nil ticket: the
+// transaction can still abort cleanly.
+func (m *Manager) Stage(txnID uint64, writes []core.WriteRef, commitPoint func() uint64) (*Ticket, error) {
 	rec, err := encodeRecord(txnID, len(writes), func(i int) (core.Key, []byte) {
 		return writes[i].Chain.Key, writes[i].V.Value
 	})
@@ -306,7 +304,7 @@ func (m *Manager) Stage(txnID uint64, writes []core.WriteRef, commitPoint func()
 		return nil, err
 	}
 	tk := newTicket()
-	if ok, err := m.stage(rec, 0, tk, commitPoint); !ok {
+	if err := m.stage(rec, 0, tk, commitPoint); err != nil {
 		return nil, err
 	}
 	return tk, nil
@@ -343,7 +341,7 @@ func (m *Manager) Commit(txnID, commitTS, epoch uint64, tk *Ticket) error {
 	})
 	tk.writes = nil
 	if err == nil {
-		_, err = m.stage(rec, epoch, tk, func() (uint64, bool) { return commitTS, true })
+		err = m.stage(rec, epoch, tk, func() uint64 { return commitTS })
 	}
 	if err != nil {
 		tk.complete(err)
@@ -351,18 +349,15 @@ func (m *Manager) Commit(txnID, commitTS, epoch uint64, tk *Ticket) error {
 	return err
 }
 
-// stage is the exclusive section behind Stage and Commit. It reports whether
-// the record was staged.
-func (m *Manager) stage(rec []byte, minEpoch uint64, tk *Ticket, commitPoint func() (uint64, bool)) (bool, error) {
+// stage is the exclusive section behind Stage and Commit. An error means
+// the record was not staged and commitPoint did not run.
+func (m *Manager) stage(rec []byte, minEpoch uint64, tk *Ticket, commitPoint func() uint64) error {
 	m.stageMu.Lock()
 	defer m.stageMu.Unlock()
 	if err := m.unusable(); err != nil {
-		return false, err
+		return err
 	}
-	commitTS, ok := commitPoint()
-	if !ok {
-		return false, nil
-	}
+	commitTS := commitPoint()
 	// The epoch MUST be read under the stage lock: otherwise a seal of this
 	// epoch could slip between the read and the send, and the record would
 	// miss the flush its epoch promises.
@@ -370,7 +365,7 @@ func (m *Manager) stage(rec []byte, minEpoch uint64, tk *Ticket, commitPoint fun
 	binary.LittleEndian.PutUint64(rec[8:16], commitTS)
 	binary.LittleEndian.PutUint64(rec[16:24], epoch)
 	m.app.ch <- appendReq{kind: recTxn, payload: rec, epoch: epoch, tk: tk}
-	return true, nil
+	return nil
 }
 
 // WaitDurable blocks until epoch is fully persisted (the durable

@@ -185,7 +185,10 @@ func (db *DB) Load(k Key, value []byte) { db.eng.Load(k, value) }
 // ReadCommitted reads the latest committed value outside any transaction.
 func (db *DB) ReadCommitted(k Key) []byte { return db.eng.ReadCommitted(k) }
 
-// Reconfigure switches the live MCC configuration (§5.5).
+// Reconfigure switches the live MCC configuration (§5.5). It aborts no
+// transaction: if one of an affected type is still open when the drain bound
+// (twice Options.LockTimeout) expires, it returns an error and the
+// configuration stays as it was.
 func (db *DB) Reconfigure(config *Config, protocol engine.Protocol) error {
 	return db.eng.Reconfigure(config, protocol)
 }
