@@ -102,6 +102,10 @@ func New(env *core.Env, node *core.Node) *RP {
 // Name implements core.CC.
 func (r *RP) Name() string { return "RP" }
 
+// DerivedFacts returns what New derived from the subtree: the static
+// analysis of its types. An online update compares it with a fresh build's.
+func (r *RP) DerivedFacts() any { return r.analysis }
+
 // Begin implements core.CC.
 func (r *RP) Begin(t *core.Txn) error {
 	t.Slots[r.node.Depth] = &slot{}

@@ -102,6 +102,10 @@ func New(env *core.Env, node *core.Node) *SSI {
 // Name implements core.CC.
 func (s *SSI) Name() string { return "SSI" }
 
+// DerivedFacts returns what New derived from the subtree: whether optimized
+// mode is on. An online update compares it with a fresh build's.
+func (s *SSI) DerivedFacts() any { return s.optimized }
+
 func (s *SSI) slotOf(t *core.Txn) *slot {
 	if len(t.Slots) <= s.node.Depth {
 		return nil

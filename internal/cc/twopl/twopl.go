@@ -59,6 +59,10 @@ func New(env *core.Env, node *core.Node) *TwoPL {
 // Name implements core.CC.
 func (p *TwoPL) Name() string { return "2PL" }
 
+// DerivedFacts returns what New derived from the subtree: whether reads are
+// recorded. An online update compares it with a fresh build's.
+func (p *TwoPL) DerivedFacts() any { return p.recordReads }
+
 // Begin implements core.CC. The held list grows on the first lock
 // acquisition, so transactions that never reach this node's lock table pay
 // one slot allocation only.

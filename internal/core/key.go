@@ -39,24 +39,31 @@ func KeyOf(table string, parts ...int) Key {
 	return Key{Table: table, Row: string(b)}
 }
 
-// Hash32 is an inlined, allocation-free FNV-1a over "table/row". It produces
-// the same value as hashing k.String() with hash/fnv, so shard placement is
-// stable across the refactor; storage and lockmgr both shard by this hash.
-func (k Key) Hash32() uint32 {
+// Hash is an allocation-free 64-bit hash of the key: FNV-1a over
+// "table/row", finished with murmur3's 64-bit mixer so that every bit
+// depends on every input byte. It is the one placement hash: storage and
+// lockmgr both shard by this hash, taking the shard from its high bits, and
+// storage's chain index probes from its low bits.
+func (k Key) Hash() uint64 {
 	const (
-		offset32 = 2166136261
-		prime32  = 16777619
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
 	)
-	h := uint32(offset32)
+	h := uint64(offset64)
 	for i := 0; i < len(k.Table); i++ {
-		h ^= uint32(k.Table[i])
-		h *= prime32
+		h ^= uint64(k.Table[i])
+		h *= prime64
 	}
-	h ^= uint32('/')
-	h *= prime32
+	h ^= uint64('/')
+	h *= prime64
 	for i := 0; i < len(k.Row); i++ {
-		h ^= uint32(k.Row[i])
-		h *= prime32
+		h ^= uint64(k.Row[i])
+		h *= prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }

@@ -87,6 +87,10 @@ type Chain struct {
 	// never re-hash the key. Written once by storage before the chain is
 	// published; read-only afterwards.
 	Shard int
+	// Hash is Key.Hash(), memoized at creation so the storage index
+	// compares it before the key and regrows without re-hashing. Written
+	// once by storage before the chain is published; read-only afterwards.
+	Hash uint64
 
 	// gcPending dedups membership in the storage layer's pending-GC list: a
 	// chain is enqueued only on a false->true transition. See Store.MarkGC.

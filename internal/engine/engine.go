@@ -120,6 +120,7 @@ func open(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, *wal.Rec
 	for _, sp := range specs {
 		e.specs[sp.Name] = sp
 	}
+	e.stats.register(e.specs)
 	e.env = &core.Env{
 		Oracle:      e.oracle,
 		Reporter:    e.prof,

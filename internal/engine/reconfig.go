@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -31,7 +32,8 @@ func (p Protocol) String() string {
 
 // Reconfigure switches the live MCC configuration to spec using the given
 // protocol. Both protocols are one procedure over one subtree — the root for
-// PartialRestart, the changed subtree for OnlineUpdate — in §5.5's three
+// PartialRestart, the changed subtree for OnlineUpdate (widened to any
+// ancestor whose build-time facts change with it) — in §5.5's three
 // phases: prepare builds the replacement, clean-up gates the subtree's
 // transaction types (their Begin blocks) and waits for their active
 // transactions to finish, and apply splices the replacement in. If the wait
@@ -50,6 +52,10 @@ func (e *Engine) Reconfigure(spec *NodeSpec, protocol Protocol) error {
 		path = nil
 	case equal:
 		return nil
+	}
+	path, err := e.widen(path, spec)
+	if err != nil {
+		return err
 	}
 	var parent *core.Node
 	node, oldSub, newSub := e.tree.Root, e.tree.Spec, spec
@@ -97,6 +103,37 @@ func (e *Engine) Reconfigure(spec *NodeSpec, protocol Protocol) error {
 	e.gate.reopen = make(chan struct{})
 	e.gate.Unlock()
 	return err
+}
+
+// deriver is implemented by a CC mechanism that derives facts from its
+// subtree when it is built (2PL's read records, SSI's optimized mode, RP's
+// static analysis) and keeps them for its lifetime.
+type deriver interface {
+	DerivedFacts() any
+}
+
+// widen shortens path, the route to the changed subtree, to the highest
+// ancestor whose CC, built fresh over spec, derives different facts than the
+// live one; that ancestor is replaced too. A live CC's facts are never
+// flipped: its running transactions of other types did not leave what the
+// new fact needs (read records, for one).
+func (e *Engine) widen(path []int, spec *NodeSpec) ([]int, error) {
+	if len(path) == 0 {
+		return path, nil
+	}
+	fresh, err := e.buildSubtree(spec, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	live := e.tree.Root
+	for i, child := range path {
+		ld, ok := live.CC.(deriver)
+		if ok && !reflect.DeepEqual(ld.DerivedFacts(), fresh.CC.(deriver).DerivedFacts()) {
+			return path[:i], nil
+		}
+		live, fresh = live.Children[child], fresh.Children[child]
+	}
+	return path, nil
 }
 
 // drain waits until no active transaction has one of the gated types, for at

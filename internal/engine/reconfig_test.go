@@ -185,6 +185,47 @@ func TestOnlineUpdateReplacesEveryClone(t *testing.T) {
 	}
 }
 
+// TestOnlineUpdateRebuildsAncestorWhoseFactsChange: 2PL[ RP{a} RP{b} ] ->
+// 2PL[ RP{a} TSO{b} ] changes one leaf, but the root 2PL derived from its
+// subtree, when it was built, that nothing below needs read records. The
+// update must leave the root recording reads, as a tree built from the new
+// spec has it. A change that moves no ancestor's facts keeps the live root.
+func TestOnlineUpdateRebuildsAncestorWhoseFactsChange(t *testing.T) {
+	specs := []*core.Spec{
+		{Name: "a", Tables: []string{"kv"}, WriteTables: []string{"kv"}},
+		{Name: "b", Tables: []string{"kv"}, WriteTables: []string{"kv"}},
+	}
+	open := func(cfg *NodeSpec) *Engine {
+		e, err := New(Options{Shards: 2, GCInterval: -1}, specs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	rootFacts := func(e *Engine) any { return e.tree.Root.CC.(deriver).DerivedFacts() }
+	leafB := func(kind Kind) *NodeSpec {
+		return G(Kind2PL, nil, G(KindRP, []string{"a"}), G(kind, []string{"b"}))
+	}
+
+	e := open(leafB(KindRP))
+	if err := e.Reconfigure(leafB(KindTSO), OnlineUpdate); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rootFacts(e), rootFacts(open(leafB(KindTSO))); got != want || want != true {
+		t.Fatalf("root 2PL records reads: %v after the online update, %v when built from the spec; want true", got, want)
+	}
+
+	e = open(leafB(KindRP))
+	root := e.tree.Root
+	if err := e.Reconfigure(leafB(Kind2PL), OnlineUpdate); err != nil {
+		t.Fatal(err)
+	}
+	if e.tree.Root != root || e.tree.Root.Children[1].CC.Name() != "2PL" {
+		t.Fatalf("a leaf change that moves no ancestor's facts: root replaced %v, leaf %s", e.tree.Root != root, e.tree.Root.Children[1].CC.Name())
+	}
+}
+
 // TestReconfigureWaitsForOpenTxn: a transaction held open across a
 // reconfiguration of its type is never aborted by it. The reconfiguration
 // fails once the drain bound expires and leaves the tree as it was; the

@@ -39,8 +39,13 @@ type Stats struct {
 	ckTruncatedBytes atomic.Uint64
 	recoveryReplayed atomic.Uint64
 
-	mu      sync.Mutex
-	perType map[string]*TypeStats
+	// registered holds the counters of every registered transaction type,
+	// made by the engine's open before it is shared and never written
+	// again, so commits and aborts read it without a lock. A type placed in
+	// the CC tree without a Spec gets its counters in unregistered, under mu.
+	registered   map[string]*TypeStats
+	mu           sync.Mutex
+	unregistered map[string]*TypeStats
 }
 
 // TypeStats aggregates per-transaction-type results.
@@ -50,16 +55,28 @@ type TypeStats struct {
 	LatencyNs atomic.Uint64 // sum of commit latencies
 }
 
+// register makes the counters of the registered types. Called once, before
+// the Stats is shared.
+func (s *Stats) register(specs map[string]*core.Spec) {
+	s.registered = make(map[string]*TypeStats, len(specs))
+	for typ := range specs {
+		s.registered[typ] = &TypeStats{}
+	}
+}
+
 func (s *Stats) typeStats(typ string) *TypeStats {
+	if ts := s.registered[typ]; ts != nil {
+		return ts
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.perType == nil {
-		s.perType = make(map[string]*TypeStats)
+	if s.unregistered == nil {
+		s.unregistered = make(map[string]*TypeStats)
 	}
-	ts := s.perType[typ]
+	ts := s.unregistered[typ]
 	if ts == nil {
 		ts = &TypeStats{}
-		s.perType[typ] = ts
+		s.unregistered[typ] = ts
 	}
 	return ts
 }
@@ -168,14 +185,22 @@ func (s *Stats) Snapshot() Snapshot {
 		RecoveryReplayed:         s.recoveryReplayed.Load(),
 		PerType:                  map[string]TypeSnapshot{},
 	}
-	s.mu.Lock()
-	for typ, ts := range s.perType {
-		snap.PerType[typ] = TypeSnapshot{
-			Commits:   ts.Commits.Load(),
-			Aborts:    ts.Aborts.Load(),
-			LatencyNs: ts.LatencyNs.Load(),
+	// A type appears once it has committed or aborted.
+	add := func(types map[string]*TypeStats) {
+		for typ, ts := range types {
+			t := TypeSnapshot{
+				Commits:   ts.Commits.Load(),
+				Aborts:    ts.Aborts.Load(),
+				LatencyNs: ts.LatencyNs.Load(),
+			}
+			if t.Commits > 0 || t.Aborts > 0 {
+				snap.PerType[typ] = t
+			}
 		}
 	}
+	add(s.registered)
+	s.mu.Lock()
+	add(s.unregistered)
 	s.mu.Unlock()
 	return snap
 }

@@ -33,7 +33,11 @@ const (
 	Exclusive
 )
 
-const numShards = 64
+// numShardBits is log2 of the table's shard count.
+const (
+	numShardBits = 6
+	numShards    = 1 << numShardBits
+)
 
 // inlineOwners is how many owners an entry holds without a heap slice: an
 // exclusive lock has one, and shared or same-child groups rarely exceed the
@@ -100,9 +104,8 @@ func New(env *core.Env, exempt func(a, b *core.Txn) bool) *Table {
 }
 
 func (t *Table) shardFor(k core.Key) *shard {
-	// Inlined FNV-1a (core.Key.Hash32): hash/fnv allocated a hasher and
-	// three byte-slice conversions on every call; placement is unchanged.
-	return &t.shards[k.Hash32()%numShards]
+	// The placement hash's high bits choose the shard, as in storage.
+	return &t.shards[k.Hash()>>(64-numShardBits)]
 }
 
 // entryFor returns k's entry, taking one from the free list (or the heap,

@@ -7,13 +7,28 @@
 // read returns (§4.3). CC metadata (locks, timestamps, version lists) is
 // transient state in the concurrency control module, so reconfiguration and
 // recovery can rebuild it without touching data (§5.5.1).
+//
+// Each shard indexes its chains in an insert-only open-addressing table of
+// atomic slots. A reader loads the shard's current table and probes it with
+// no lock and no atomic read-modify-write; a creator takes the shard mutex,
+// probes again and fills an empty slot, and past half full it copies the
+// chains into a table of twice the size and publishes that. All of this
+// rests on one invariant: a chain, once in the store, never leaves it. GC
+// prunes versions inside a chain, never the chain, so a slot, once filled,
+// holds the same chain forever, an empty slot ends every probe for a key
+// that is not there, and a reader still on a replaced table sees only
+// chains that are also in its successor.
 package storage
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
+
+// initialSlots is the size of a shard's first table, a power of two.
+const initialSlots = 64
 
 // Store is a sharded multiversion key-value store. Each shard models one
 // data server's partition.
@@ -24,9 +39,44 @@ type Store struct {
 // Shard holds one data server's version chains, plus the list of chains
 // flagged as needing garbage collection (see MarkGC).
 type Shard struct {
-	mu     sync.RWMutex
-	chains map[core.Key]*core.Chain
-	gcq    []*core.Chain
+	// table is the current chain index. Readers load it without a lock;
+	// only a creator holding mu replaces it.
+	table atomic.Pointer[table]
+
+	mu    sync.Mutex
+	count int // chains in the index
+	gcq   []*core.Chain
+}
+
+// table is an open-addressing hash table with linear probing. A slot goes
+// from nil to a chain once and never changes again.
+type table struct {
+	mask  uint64
+	slots []atomic.Pointer[core.Chain]
+}
+
+func newTable(size int) *table {
+	return &table{mask: uint64(size - 1), slots: make([]atomic.Pointer[core.Chain], size)}
+}
+
+// find returns the chain of k (hash h) in t, or nil at the first empty slot.
+func (t *table) find(k core.Key, h uint64) *core.Chain {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		c := t.slots[i].Load()
+		if c == nil || c.Hash == h && c.Key == k {
+			return c
+		}
+	}
+}
+
+// put stores c in the first empty slot of its probe sequence. Only a
+// creator holding the shard mutex calls it, on a table with room.
+func (t *table) put(c *core.Chain) {
+	i := c.Hash & t.mask
+	for t.slots[i].Load() != nil {
+		i = (i + 1) & t.mask
+	}
+	t.slots[i].Store(c)
 }
 
 // New creates a store with n shards (n >= 1).
@@ -36,58 +86,77 @@ func New(n int) *Store {
 	}
 	s := &Store{shards: make([]*Shard, n)}
 	for i := range s.shards {
-		s.shards[i] = &Shard{chains: make(map[core.Key]*core.Chain)}
+		s.shards[i] = &Shard{}
+		s.shards[i].table.Store(newTable(initialSlots))
 	}
 	return s
 }
 
-// ShardIndex returns the data server owning key k. The FNV-1a hash is
-// inlined (core.Key.Hash32) so the lookup is allocation-free; it computes
-// the same placement as the previous hash/fnv implementation.
-func (s *Store) ShardIndex(k core.Key) int {
-	return int(k.Hash32()) % len(s.shards)
+// ShardIndex returns the data server owning key k.
+func (s *Store) ShardIndex(k core.Key) int { return s.shardOf(k.Hash()) }
+
+// shardOf maps the high 32 bits of the placement hash onto the shards.
+func (s *Store) shardOf(h uint64) int {
+	return int((h >> 32) * uint64(len(s.shards)) >> 32)
 }
 
 // Chain returns the version chain for k, creating it if absent.
 func (s *Store) Chain(k core.Key) *core.Chain {
-	idx := s.ShardIndex(k)
+	h := k.Hash()
+	idx := s.shardOf(h)
 	sh := s.shards[idx]
-	sh.mu.RLock()
-	c := sh.chains[k]
-	sh.mu.RUnlock()
-	if c != nil {
+	if c := sh.table.Load().find(k, h); c != nil {
 		return c
 	}
+	return sh.create(k, h, idx)
+}
+
+// create is Chain's slow path: under the shard mutex it probes the current
+// table again (the reader may have probed a replaced one, or lost a race
+// with another creator) and inserts a new chain if k is still absent.
+func (sh *Shard) create(k core.Key, h uint64, idx int) *core.Chain {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if c = sh.chains[k]; c == nil {
-		c = core.NewChain(k)
-		c.Shard = idx
-		sh.chains[k] = c
+	t := sh.table.Load()
+	if c := t.find(k, h); c != nil {
+		return c
 	}
+	// At most half full, a linear probe stays short and always meets an
+	// empty slot.
+	if 2*(sh.count+1) > len(t.slots) {
+		grown := newTable(2 * len(t.slots))
+		for i := range t.slots {
+			if c := t.slots[i].Load(); c != nil {
+				grown.put(c)
+			}
+		}
+		sh.table.Store(grown)
+		t = grown
+	}
+	c := core.NewChain(k)
+	c.Hash = h
+	c.Shard = idx
+	t.put(c)
+	sh.count++
 	return c
 }
 
 // Lookup returns the chain for k without creating it.
 func (s *Store) Lookup(k core.Key) *core.Chain {
-	sh := s.shards[s.ShardIndex(k)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.chains[k]
+	h := k.Hash()
+	return s.shards[s.shardOf(h)].table.Load().find(k, h)
 }
 
-// ForEach visits every chain (full GC, recovery, checkpointing). The callback
-// must not create new chains on this store.
+// ForEach visits every chain (full GC, recovery, checkpointing): one table
+// snapshot per shard, so each chain at most once, and every chain created
+// before the call. Chains created during the call may or may not appear.
 func (s *Store) ForEach(f func(*core.Chain)) {
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		chains := make([]*core.Chain, 0, len(sh.chains))
-		for _, c := range sh.chains {
-			chains = append(chains, c)
-		}
-		sh.mu.RUnlock()
-		for _, c := range chains {
-			f(c)
+		t := sh.table.Load()
+		for i := range t.slots {
+			if c := t.slots[i].Load(); c != nil {
+				f(c)
+			}
 		}
 	}
 }
@@ -158,9 +227,9 @@ func (s *Store) GC(watermark uint64) int {
 func (s *Store) Keys() int {
 	n := 0
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.chains)
-		sh.mu.RUnlock()
+		sh.mu.Lock()
+		n += sh.count
+		sh.mu.Unlock()
 	}
 	return n
 }
