@@ -25,10 +25,9 @@ type RP struct {
 type slot struct {
 	cur atomic.Int32 // current step
 	mu  sync.Mutex   // guards wake, and orders cur's store against its making
-	// wake is made by the first transaction that waits on this one's step
-	// and closed by the next advance; a transaction nobody waits on never
-	// has one.
-	wake chan struct{}
+	// wake fires on every advance; a transaction nobody waits on never
+	// makes its channel.
+	wake core.Wake
 	// held lists the current step's locks, one element per fresh grant.
 	held []core.Key
 	// written tracks versions installed in the current (not yet
@@ -51,28 +50,21 @@ func (s *slot) exposeWrites() {
 	s.written = s.written[:0]
 }
 
-// advanceTo publishes the new step and wakes entry waiters.
-func (s *slot) advanceTo(r int) {
+// advanceTo publishes t's new step and wakes entry waiters.
+func (s *slot) advanceTo(t *core.Txn, r int) {
 	s.exposeWrites()
 	s.mu.Lock()
 	s.cur.Store(int32(r))
-	wake := s.wake
-	s.wake = nil
+	s.wake.Fire(t)
 	s.mu.Unlock()
-	if wake != nil {
-		close(wake)
-	}
 }
 
 // waitCh returns the channel the next advance closes. The caller re-checks
 // step() after taking it: an advance either saw the channel or stored the
 // step first.
-func (s *slot) waitCh() chan struct{} {
+func (s *slot) waitCh() <-chan struct{} {
 	s.mu.Lock()
-	if s.wake == nil {
-		s.wake = make(chan struct{})
-	}
-	ch := s.wake
+	ch := s.wake.Chan()
 	s.mu.Unlock()
 	return ch
 }
@@ -142,7 +134,7 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 		s.exposeWrites()
 		r.locks.ReleaseAll(t, s.held)
 		s.held = s.held[:0]
-		s.advanceTo(target)
+		s.advanceTo(t, target)
 	}
 
 	// Pipeline ordering: every in-subtree dependency must have finished
@@ -158,11 +150,13 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 			return nil
 		}
 		ch := ds.waitCh()
-		// Re-check under the fresh channel to avoid lost wakeups.
+		// Re-check under the fresh channel to avoid lost wakeups. A
+		// predecessor that ends advances past every step (finish), so
+		// its step channel is the one wake this wait needs.
 		if blocked.Finished() || ds.step() > target {
 			continue
 		}
-		if err := r.env.Wait(t, blocked, &deadline, ch, blocked.Done()); err != nil {
+		if err := r.env.Wait(t, blocked, &deadline, ch, nil); err != nil {
 			return err
 		}
 	}
@@ -305,6 +299,8 @@ func (r *RP) finish(t *core.Txn) {
 		return
 	}
 	r.locks.ReleaseAll(t, s.held)
-	s.held = nil
-	s.advanceTo(r.analysis.MaxRank + 1)
+	s.advanceTo(t, r.analysis.MaxRank+1)
+	// Other transactions still read cur and park on wake, but the
+	// buffers are the owner's and it is done: drop what they pin.
+	s.held, s.written, s.deps = nil, nil, nil
 }

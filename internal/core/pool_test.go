@@ -79,6 +79,27 @@ func TestPutTxnEligibility(t *testing.T) {
 	}
 }
 
+// TestRefusedTxnDropsDepsAndWrites: a committed writer stays reachable
+// through its versions' Writer field, so once PutTxn refuses it, it must not
+// keep its dependency set (finished transactions) or its write list (versions
+// the collector may already have pruned, and their values).
+func TestRefusedTxnDropsDepsAndWrites(t *testing.T) {
+	dep := NewTxn(13, "t", 0, 1)
+	w := NewTxn(14, "t", 0, 1)
+	if err := w.AddDep(dep, true); err != nil {
+		t.Fatal(err)
+	}
+	w.AddWrite(&Chain{}, &Version{Writer: w})
+	dep.MarkCommitted(2)
+	w.MarkCommitted(3)
+	if PutTxn(w) {
+		t.Fatal("PutTxn must refuse a shared transaction")
+	}
+	if w.HasDeps() || w.HasWrites() {
+		t.Fatalf("refused committed transaction still holds %d deps and %d writes", len(w.Deps()), len(w.Writes()))
+	}
+}
+
 // TestGetTxnReset asserts a recycled transaction comes back fully reset:
 // Active, no commit timestamp, no deps/writes, empty Path/Slots, and a Done
 // channel that blocks again.

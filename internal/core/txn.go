@@ -113,13 +113,16 @@ type Txn struct {
 	state    atomic.Int32
 	commitTS atomic.Uint64
 	shared   atomic.Bool
+	// handoff is set when t's goroutine fires a Wake a waiter made (see
+	// Handoff). Only that goroutine writes or reads it.
+	handoff bool
 
 	// mu guards done/deps/writes. It may be taken while a chain mutex is
 	// held (AddDep under the reader's chain lock; Mark*→wake under test
 	// setups) and its critical sections never acquire other locks.
 	// tebaldi:locks after core.Chain
 	mu     sync.Mutex
-	done   chan struct{} // lazily allocated by Done; nil if nobody waited
+	done   Wake // fired when t finishes; its channel is made only if someone waits
 	deps   map[uint64]Dep
 	writes []WriteRef
 }
@@ -163,7 +166,18 @@ func GetTxn(id uint64, typ string, part uint64, beginTS uint64) *Txn {
 // the transaction was recycled; shared or still-active transactions are left
 // for the garbage collector.
 func PutTxn(t *Txn) bool {
-	if t.State() == Active || t.shared.Load() {
+	if t.State() == Active {
+		return false
+	}
+	if t.shared.Load() {
+		// The pointer lives on (a committed writer stays reachable
+		// through Version.Writer while its newest version does), but
+		// only the owner reads deps and writes, and it is done: drop
+		// them, with the pruned versions and finished transactions they
+		// hold.
+		t.mu.Lock()
+		t.deps, t.writes = nil, nil
+		t.mu.Unlock()
 		return false
 	}
 	t.ID, t.Type, t.Part, t.BeginTS = 0, "", 0, 0
@@ -180,7 +194,8 @@ func PutTxn(t *Txn) bool {
 	t.Slots = t.Slots[:0]
 	t.state.Store(int32(Active))
 	t.commitTS.Store(0)
-	t.done = nil
+	t.handoff = false
+	t.done = Wake{}
 	clear(t.deps)
 	t.writes = t.writes[:0]
 	txnPool.Put(t)
@@ -207,28 +222,26 @@ func (t *Txn) CommitTS() uint64 { return t.commitTS.Load() }
 // channel is allocated on first call; transactions nobody waits on never pay
 // for one.
 func (t *Txn) Done() <-chan struct{} {
+	var d <-chan struct{} = closedChan
 	t.mu.Lock()
-	if t.done == nil {
-		if t.State() != Active {
-			t.mu.Unlock()
-			return closedChan
-		}
-		t.done = make(chan struct{})
+	if t.State() == Active {
+		d = t.done.Chan()
 	}
-	d := t.done
 	t.mu.Unlock()
 	return d
 }
 
-// wake closes the lazily created done channel, if any waiter allocated one.
+// wake fires the done channel, if any waiter made one.
 func (t *Txn) wake() {
 	t.mu.Lock()
-	if t.done != nil {
-		close(t.done)
-		t.done = nil
-	}
+	t.done.Fire(t)
 	t.mu.Unlock()
 }
+
+// Handoff reports whether t's goroutine woke a waiter: it fired a Wake that
+// a waiter had made (a lock release, an RP step advance, t's own end). The
+// engine then yields the processor once t has ended.
+func (t *Txn) Handoff() bool { return t.handoff }
 
 // Finished reports whether the transaction has committed or aborted.
 func (t *Txn) Finished() bool { return t.State() != Active }

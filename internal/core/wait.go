@@ -2,6 +2,34 @@ package core
 
 import "time"
 
+// Wake is a broadcast that waiters ask for and the next event fires: the
+// first waiter makes the channel (Chan) and the next Fire closes and forgets
+// it, so while nobody waits there is no channel and an event touches none.
+// The lock waits, RP step waits and dependency waits all park on one. The
+// caller's own mutex guards a Wake.
+type Wake struct{ ch chan struct{} }
+
+// Chan returns the channel the next Fire closes, making it on first use.
+func (w *Wake) Chan() <-chan struct{} {
+	if w.ch == nil {
+		w.ch = make(chan struct{})
+	}
+	return w.ch
+}
+
+// Fire closes and forgets the channel, if a waiter made one, and then
+// records the handoff on by, whose own goroutine must be the caller: the
+// engine yields the processor when by ends, so the woken waiters run before
+// that goroutine starts its next transaction (DESIGN.md "Handoff at
+// transaction end").
+func (w *Wake) Fire(by *Txn) {
+	if w.ch != nil {
+		close(w.ch)
+		w.ch = nil
+		by.handoff = true
+	}
+}
+
 // Wait is the one blocking wait of the transaction path: lock waits
 // (§4.4.1), RP step waits, TSO batch and promise waits (§4.4.4) and the
 // commit-time dependency wait (§4.2) all block here, so they share one

@@ -199,3 +199,41 @@ func TestOneTimerSite(t *testing.T) {
 		t.Fatalf("want exactly one timer site, in wait.go (Env.Wait); got %d:\n%s", len(sites), strings.Join(sites, "\n"))
 	}
 }
+
+// TestWakeRecordsHandoff: a Fire records the handoff on the firing
+// transaction only when a waiter made the channel, and the next waiter gets
+// a fresh one.
+func TestWakeRecordsHandoff(t *testing.T) {
+	var w Wake
+	by := NewTxn(1, "t", 0, 1)
+	w.Fire(by)
+	if by.Handoff() {
+		t.Fatal("a Fire nobody waited for recorded a handoff")
+	}
+	ch := w.Chan()
+	w.Fire(by)
+	select {
+	case <-ch:
+	default:
+		t.Fatal("Fire did not close the waiter's channel")
+	}
+	if !by.Handoff() {
+		t.Fatal("a Fire that woke a waiter recorded no handoff")
+	}
+	select {
+	case <-w.Chan():
+		t.Fatal("the next waiter got the closed channel")
+	default:
+	}
+
+	// A transaction's end fires its done Wake: a handoff only if someone
+	// called Done first.
+	alone, waited := NewTxn(2, "t", 0, 1), NewTxn(3, "t", 0, 1)
+	done := waited.Done()
+	alone.MarkCommitted(4)
+	waited.MarkAborted()
+	<-done
+	if alone.Handoff() || !waited.Handoff() {
+		t.Fatalf("handoff after commit with no waiter %v, after abort with one %v; want false, true", alone.Handoff(), waited.Handoff())
+	}
+}

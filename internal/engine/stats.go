@@ -20,6 +20,9 @@ type Stats struct {
 	abortPivot    atomic.Uint64
 	abortCascade  atomic.Uint64
 	walErrors     atomic.Uint64
+	// handoffs counts transactions that woke a waiter and so yielded the
+	// processor when they ended (DESIGN.md "Handoff at transaction end").
+	handoffs atomic.Uint64
 
 	// Group-commit pipeline counters (fed by the WAL batch observer):
 	// batches flushed, records coalesced into them, and cumulative
@@ -139,6 +142,9 @@ type Snapshot struct {
 	AbortConflict uint64
 	AbortPivot    uint64
 	AbortCascade  uint64
+	// Handoffs counts the transactions that woke a waiter and yielded the
+	// processor when they ended.
+	Handoffs uint64
 	// WAL group-commit pipeline counters (zero when durability is off). A
 	// record is one transaction.
 	WalBatches      uint64
@@ -174,6 +180,7 @@ func (s *Stats) Snapshot() Snapshot {
 		AbortConflict:            s.abortConflict.Load(),
 		AbortPivot:               s.abortPivot.Load(),
 		AbortCascade:             s.abortCascade.Load(),
+		Handoffs:                 s.handoffs.Load(),
 		WalBatches:               s.walBatches.Load(),
 		WalBatchRecords:          s.walBatchRecords.Load(),
 		WalFlushNs:               s.walFlushNs.Load(),

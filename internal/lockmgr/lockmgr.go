@@ -86,11 +86,9 @@ type entry struct {
 	owners  []owner
 	inline  [inlineOwners]owner
 	waiters int
-	// wake is made by the first waiter and closed (and forgotten) whenever
-	// the owner set shrinks or an upgrader joins the wait, so waiters
-	// re-check compatibility. With nobody waiting it is nil and a release
-	// touches no channel.
-	wake chan struct{}
+	// wake fires whenever the owner set shrinks or an upgrader joins the
+	// wait, so waiters re-check compatibility.
+	wake core.Wake
 	next *entry // free list link
 }
 
@@ -130,7 +128,7 @@ func (s *shard) entryFor(k core.Key) *entry {
 func (s *shard) dropIfIdle(k core.Key, e *entry) {
 	if e.waiters == 0 && len(e.owners) == 0 {
 		delete(s.locks, k)
-		e.wake = nil // a timed-out waiter may have left one nobody listens on
+		e.wake = core.Wake{} // a timed-out waiter may have left one nobody listens on
 		e.next, s.free = s.free, e
 	}
 }
@@ -162,14 +160,6 @@ func (e *entry) remove(i int) {
 	e.owners[i] = e.owners[last]
 	e.owners[last] = owner{}
 	e.owners = e.owners[:last]
-}
-
-// wakeWaiters makes every parked waiter re-check compatibility.
-func (e *entry) wakeWaiters() {
-	if e.wake != nil {
-		close(e.wake)
-		e.wake = nil
-	}
 }
 
 // conflicts reports whether owner's hold in mode om conflicts with txn
@@ -266,13 +256,10 @@ func (t *Table) Grant(txn *core.Txn, k core.Key, m Mode) (fresh bool, err error)
 			// so a younger sleeping upgrader re-checks and kills itself.
 			if !e.owners[me].upgrading {
 				e.owners[me].upgrading = true
-				e.wakeWaiters()
+				e.wake.Fire(txn)
 			}
 		}
-		if e.wake == nil {
-			e.wake = make(chan struct{})
-		}
-		wake := e.wake
+		wake := e.wake.Chan()
 		e.waiters++
 		s.mu.Unlock()
 
@@ -314,7 +301,7 @@ func (t *Table) Release(txn *core.Txn, k core.Key) {
 	if e := s.locks[k]; e != nil {
 		if i := e.indexOf(txn); i >= 0 {
 			e.remove(i)
-			e.wakeWaiters()
+			e.wake.Fire(txn)
 			s.dropIfIdle(k, e)
 		}
 	}

@@ -38,8 +38,8 @@ func tableState(t *testing.T, tbl *Table) (live, free int) {
 		live += len(s.locks)
 		for e := s.free; e != nil; e = e.next {
 			free++
-			if len(e.owners) != 0 || e.waiters != 0 || e.wake != nil {
-				t.Errorf("recycled entry not clean: %d owners, %d waiters, wake %v", len(e.owners), e.waiters, e.wake != nil)
+			if len(e.owners) != 0 || e.waiters != 0 || e.wake != (core.Wake{}) {
+				t.Errorf("recycled entry not clean: %d owners, %d waiters, wake %v", len(e.owners), e.waiters, e.wake != (core.Wake{}))
 			}
 			for _, o := range append(e.owners[:cap(e.owners):cap(e.owners)], e.inline[:]...) {
 				if o.txn != nil {

@@ -69,6 +69,7 @@ func (s *Server) collect() []metricPoint {
 		metricPoint{"tebaldi_engine_abort_conflict_total", "counter", "aborts by data conflict", float64(snap.AbortConflict)},
 		metricPoint{"tebaldi_engine_abort_pivot_total", "counter", "aborts by SSI pivot", float64(snap.AbortPivot)},
 		metricPoint{"tebaldi_engine_abort_cascade_total", "counter", "cascading aborts", float64(snap.AbortCascade)},
+		metricPoint{"tebaldi_engine_handoffs_total", "counter", "transactions that woke a waiter and yielded the processor when they ended", float64(snap.Handoffs)},
 		metricPoint{"tebaldi_engine_txns_active", "gauge", "transactions registered in the engine", float64(eng.ActiveTxns())},
 		metricPoint{"tebaldi_wal_batches_total", "counter", "group-commit batches flushed", float64(snap.WalBatches)},
 		metricPoint{"tebaldi_wal_batch_records_total", "counter", "records coalesced into group-commit batches", float64(snap.WalBatchRecords)},

@@ -92,6 +92,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"tebaldi_server_txns_open",
 		"tebaldi_engine_commits_total",
 		"tebaldi_engine_aborts_total",
+		"tebaldi_engine_handoffs_total",
 		"tebaldi_engine_txns_active",
 		"tebaldi_wal_batches_total",
 		"tebaldi_checkpoints_total",
