@@ -1,4 +1,4 @@
-// Command tebaldivet is the repo's domain-specific vet tool: six static
+// Command tebaldivet is the repo's domain-specific vet tool: four static
 // analyzers that turn the engine's concurrency and durability invariants
 // into compile-time checks (see internal/analysis/tebaldivet).
 //
@@ -8,7 +8,10 @@
 // internal/analysis/load) — non-test files, in-package tests and external
 // _test packages — runs one fact-sharing session over the
 // dependency-ordered package list, and dedups findings reported at the same
-// position by multiple compilation units.
+// position by multiple compilation units. The module packages the requested
+// ones import are analyzed too, for the facts they export, so a package
+// gets the same findings alone as in ./...; their own findings and allows
+// are not reported.
 //
 // Findings are suppressed by an adjacent justified annotation:
 //
@@ -119,6 +122,9 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintf(stderr, "tebaldivet: %s: %v\n", p.ImportPath, err)
 			return 3
+		}
+		if p.DepOnly {
+			continue
 		}
 		for _, d := range res.Diags {
 			pos := p.Fset.Position(d.Pos)

@@ -9,12 +9,14 @@ import (
 	"testing"
 )
 
-// writeModule lays out a throwaway module named fixture and returns its
-// directory.
+// writeModule lays out a throwaway module, named fixture unless files
+// carries its own go.mod, and returns its directory.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
-	files["go.mod"] = "module fixture\n\ngo 1.21\n"
+	if files["go.mod"] == "" {
+		files["go.mod"] = "module fixture\n\ngo 1.21\n"
+	}
 	for name, src := range files {
 		path := filepath.Join(dir, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -103,5 +105,54 @@ func TestStandaloneCleanAndStaleAllow(t *testing.T) {
 	want := filepath.Join(dir, "p", "p.go") + ":8:2: stale suppression: //lint:allow unlockpath no longer matches a finding"
 	if !strings.Contains(out, want) {
 		t.Fatalf("-staleallow did not flag the allow (want %q)", want)
+	}
+}
+
+// TestDependencyFactsWithoutTheirFindings: run on the caller's package
+// alone, the driver still computes the facts of the module package it
+// imports. The callee summary of core.Keep, which marks its transaction
+// shared, sanctions the composite literal in p, and core's own finding and
+// stale allow are not reported.
+func TestDependencyFactsWithoutTheirFindings(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module repro\n\ngo 1.21\n",
+		"internal/core/core.go": `package core
+
+type Txn struct{ shared bool }
+
+func (t *Txn) MarkShared() { t.shared = true }
+
+type Box struct{ T *Txn }
+
+// Keep marks t shared.
+func Keep(t *Txn) { t.MarkShared() }
+
+var sink *Txn
+
+func Leak(t *Txn) {
+	sink = t
+}
+
+func Quiet() {
+	//lint:allow poolescape -- nothing to suppress
+	Keep(nil)
+}
+`,
+		"p/p.go": `package p
+
+import "repro/internal/core"
+
+func Boxed(t *core.Txn) *core.Box {
+	core.Keep(t)
+	return &core.Box{T: t}
+}
+`,
+	})
+	if code, out := runIn(t, dir, "-staleallow", "./p"); code != 0 || out != "" {
+		t.Fatalf("./p alone: exit %d, output %q; want 0 and nothing", code, out)
+	}
+	code, out := runIn(t, dir, "./...")
+	if code != 1 || !strings.Contains(out, filepath.Join(dir, "internal", "core", "core.go")+":15:") {
+		t.Fatalf("./...: exit %d; want 1 with core's own finding at core.go:15", code)
 	}
 }

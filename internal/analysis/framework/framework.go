@@ -194,27 +194,3 @@ func (s Suppressions) Allows(fset *token.FileSet, name string, pos token.Pos) bo
 	}
 	return false
 }
-
-// Inspect walks every file with ast.Inspect.
-func (p *Pass) Inspect(f func(ast.Node) bool) {
-	for _, file := range p.Files {
-		ast.Inspect(file, f)
-	}
-}
-
-// HasDirective reports whether any comment in the package equals
-// "tebaldi:<name>" (package-scoped opt-in markers, e.g.
-// tebaldi:deterministic).
-func HasDirective(files []*ast.File, name string) bool {
-	want := "tebaldi:" + name
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == want {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}

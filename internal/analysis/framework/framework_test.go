@@ -54,22 +54,7 @@ func TestSuppressions(t *testing.T) {
 		}
 	}
 	// The allow names are exact: other analyzers stay unsuppressed.
-	if sup.Allows(fset, "detguard", posAt(fset, 8)) {
+	if sup.Allows(fset, "poolescape", posAt(fset, 8)) {
 		t.Error("allow must only suppress the named analyzers")
-	}
-}
-
-func TestHasDirective(t *testing.T) {
-	fset := token.NewFileSet()
-	src := "// Package p is deterministic.\n//\n// tebaldi:deterministic\npackage p\n"
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !HasDirective([]*ast.File{f}, "deterministic") {
-		t.Error("directive comment not found")
-	}
-	if HasDirective([]*ast.File{f}, "frozen") {
-		t.Error("absent directive reported present")
 	}
 }

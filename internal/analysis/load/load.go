@@ -41,6 +41,11 @@ type Package struct {
 	// (Err != nil, or a dependency failed to import). Analyzers relying on
 	// full type info should skip ill-typed packages.
 	IllTyped bool
+	// DepOnly marks a module package that no pattern matched but a matched
+	// package imports, directly or not. It is loaded from its non-test
+	// files so that the facts it exports reach its importers; its own
+	// findings are not asked for.
+	DepOnly bool
 }
 
 // listEntry is the subset of `go list -json` output we consume.
@@ -58,6 +63,7 @@ type listEntry struct {
 	DepOnly      bool
 	Incomplete   bool
 	Error        *struct{ Err string }
+	Module       *struct{ Main bool }
 }
 
 // goList runs `go list -e -export -deps -json` in dir for the patterns and
@@ -65,7 +71,7 @@ type listEntry struct {
 func goList(dir string, patterns []string) ([]*listEntry, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Standard,DepOnly,Incomplete,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Standard,DepOnly,Incomplete,Error,Module",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -140,8 +146,9 @@ func newInfo() *types.Info {
 }
 
 // Packages loads and type-checks the module packages matching patterns
-// (e.g. "./..."), rooted at moduleDir. Standard-library and dependency-only
-// packages are imported from export data, not analyzed. Test files are
+// (e.g. "./..."), rooted at moduleDir, and the packages of the same module
+// they import (marked DepOnly). Standard-library packages and those of
+// other modules are imported from export data, not analyzed. Test files are
 // included — in-package tests compiled with their package, external _test
 // packages as their own entry — the same units `go vet` compiles.
 //
@@ -207,20 +214,28 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 	}
 	var pkgs []*Package
 	for _, e := range entries {
-		if e.DepOnly || e.Standard || (len(e.GoFiles) == 0 && e.Error == nil) {
+		inModule := e.Module != nil && e.Module.Main
+		if e.Standard || (e.DepOnly && !inModule) || (len(e.GoFiles) == 0 && e.Error == nil) {
 			continue
+		}
+		names, testImports := e.GoFiles, e.TestImports
+		if e.DepOnly {
+			testImports = nil // a dependency's tests are not loaded
+		} else {
+			names = append(append([]string{}, names...), e.TestGoFiles...)
 		}
 		p := &Package{
 			ImportPath: e.ImportPath,
 			Dir:        e.Dir,
 			Fset:       fset,
-			Imports:    mergeImports(e.Imports, e.TestImports),
+			Imports:    mergeImports(e.Imports, testImports),
+			DepOnly:    e.DepOnly,
 		}
 		if e.Error != nil {
 			p.Err = fmt.Errorf("%s: %s", e.ImportPath, e.Error.Err)
 			p.IllTyped = true
 		}
-		files, parseErr := parse(e.Dir, append(append([]string{}, e.GoFiles...), e.TestGoFiles...))
+		files, parseErr := parse(e.Dir, names)
 		p.Files = files
 		if parseErr != nil && p.Err == nil {
 			p.Err = parseErr
@@ -237,7 +252,7 @@ func Packages(moduleDir string, patterns ...string) ([]*Package, error) {
 			}
 		}
 		pkgs = append(pkgs, p)
-		if len(e.XTestGoFiles) > 0 {
+		if len(e.XTestGoFiles) > 0 && !e.DepOnly {
 			xp := &Package{
 				ImportPath: e.ImportPath + "_test",
 				Dir:        e.Dir,

@@ -17,7 +17,7 @@ func TestBuildAndWrite(t *testing.T) {
 
 	analyzers := []*framework.Analyzer{
 		{Name: "poolescape", Doc: "escape checking"},
-		{Name: "goroleak", Doc: "goroutine termination"},
+		{Name: "lockorder", Doc: "declared mutex order"},
 	}
 	diags := []framework.Diagnostic{
 		{Analyzer: "poolescape", Pos: pos, Message: "escaped without MarkShared"},
@@ -36,7 +36,7 @@ func TestBuildAndWrite(t *testing.T) {
 	}
 	// Rules sorted by id.
 	if len(run.Tool.Driver.Rules) != 2 ||
-		run.Tool.Driver.Rules[0].ID != "goroleak" ||
+		run.Tool.Driver.Rules[0].ID != "lockorder" ||
 		run.Tool.Driver.Rules[1].ID != "poolescape" {
 		t.Fatalf("rules = %+v", run.Tool.Driver.Rules)
 	}

@@ -6,22 +6,17 @@
 //   - lockorder:  declared mutex partial order, no undeclared/cyclic nesting
 //   - unlockpath: every Lock released on every return/panic path
 //   - syncerr:    no discarded durability-critical errors (fsync, WAL flush)
-//   - detguard:   no wall clock / global rand / map-order dependence in
-//     deterministic schedule drivers
-//
-// The interprocedural analyzers (built on internal/analysis/ssa and the
-// framework fact store) machine-check the PR-9 hot-path invariants:
-//
 //   - poolescape: every *core.Txn escape edge dominated by MarkShared; the
-//     escape-point list in internal/core/txn.go is derived, not maintained
-//   - goroleak:   every spawned goroutine provably terminates (or carries a
-//     tebaldi:worker annotation naming its shutdown path)
+//     escape-point list in internal/core/txn.go is derived, not maintained.
+//     It is interprocedural, built on internal/analysis/ssa and the
+//     framework fact store.
+//
+// The invariants of retired analyzers are held by the tests in this
+// package's suite_test.go and by the tests they name.
 package tebaldivet
 
 import (
-	"repro/internal/analysis/detguard"
 	"repro/internal/analysis/framework"
-	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/poolescape"
 	"repro/internal/analysis/syncerr"
@@ -34,8 +29,6 @@ func All() []*framework.Analyzer {
 		lockorder.Analyzer,
 		unlockpath.Analyzer,
 		syncerr.Analyzer,
-		detguard.Analyzer,
 		poolescape.Analyzer,
-		goroleak.Analyzer,
 	}
 }

@@ -1,0 +1,9 @@
+package autoconf
+
+import (
+	"testing"
+
+	"repro/internal/leaktest"
+)
+
+func TestMain(m *testing.M) { leaktest.Main(m) }

@@ -156,7 +156,7 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 		if blocked.Finished() || ds.step() > target {
 			continue
 		}
-		if err := r.env.Wait(t, blocked, &deadline, ch, nil); err != nil {
+		if err := r.env.Wait(t, blocked, &deadline, ch); err != nil {
 			return err
 		}
 	}

@@ -265,7 +265,7 @@ func (o *TSO) Validate(t *core.Txn) error {
 			return nil
 		}
 		// A batch is not a transaction: no blocker, no block event.
-		if err := o.env.Wait(t, nil, &deadline, waitOn.Drained(), nil); err != nil {
+		if err := o.env.Wait(t, nil, &deadline, waitOn.Drained()); err != nil {
 			return err
 		}
 	}

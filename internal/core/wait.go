@@ -35,16 +35,16 @@ func (w *Wake) Fire(by *Txn) {
 // commit-time dependency wait (§4.2) all block here, so they share one
 // timeout bound and one route to the profiler (§5.3).
 //
-// It blocks waiter until ready or alt fires (a nil alt never does) and
-// returns nil, or until *deadline passes and returns ErrTimeout. A zero
-// *deadline is set to now+LockTimeout on the first call that actually
-// blocks, so successive waits of one operation share one bound and an
-// operation that never waits never reads the clock. When blocker is non-nil
-// the interval is reported as one BlockEvent; callers that coalesce several
-// wake-ups into one event (lockmgr) pass nil and report for themselves.
+// It blocks waiter until ready fires and returns nil, or until *deadline
+// passes and returns ErrTimeout. A zero *deadline is set to
+// now+LockTimeout on the first call that actually blocks, so successive
+// waits of one operation share one bound and an operation that never waits
+// never reads the clock. When blocker is non-nil the interval is reported
+// as one BlockEvent; callers that coalesce several wake-ups into one event
+// (lockmgr) pass nil and report for themselves.
 //
 // Callers must hold no mutex across the call.
-func (e *Env) Wait(waiter, blocker *Txn, deadline *time.Time, ready, alt <-chan struct{}) error {
+func (e *Env) Wait(waiter, blocker *Txn, deadline *time.Time, ready <-chan struct{}) error {
 	select {
 	case <-ready:
 		return nil
@@ -62,7 +62,6 @@ func (e *Env) Wait(waiter, blocker *Txn, deadline *time.Time, ready, alt <-chan 
 	timer := time.NewTimer(remain)
 	select {
 	case <-ready:
-	case <-alt:
 	case <-timer.C:
 		err = ErrTimeout
 	}
@@ -97,7 +96,7 @@ func (e *Env) WaitDeps(t *Txn) error {
 			seen[d.T.ID] = true
 			progress = true
 			if !d.T.Finished() {
-				if err := e.Wait(t, d.T, &deadline, d.T.Done(), nil); err != nil {
+				if err := e.Wait(t, d.T, &deadline, d.T.Done()); err != nil {
 					return err
 				}
 			}

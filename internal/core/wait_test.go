@@ -44,8 +44,8 @@ func TestEnvWait(t *testing.T) {
 	// One step is one Env.Wait call; the steps of a case share one deadline,
 	// as the waits of one Read / Acquire / WaitDeps do.
 	type step struct {
-		ready, alt time.Duration
-		wantErr    error
+		ready   time.Duration
+		wantErr error
 	}
 	cases := []struct {
 		name       string
@@ -63,25 +63,19 @@ func TestEnvWait(t *testing.T) {
 		{
 			name: "ready already closed returns before the clock", timeout: time.Nanosecond,
 			reporter: true, blocker: true,
-			steps:          []step{{ready: 0, alt: never}},
+			steps:          []step{{ready: 0}},
 			clockUnstarted: true,
 		},
 		{
 			name: "expiry is ErrTimeout and one event naming the blocker", timeout: 5 * time.Millisecond,
 			reporter: true, blocker: true,
-			steps:      []step{{ready: never, alt: never, wantErr: ErrTimeout}},
+			steps:      []step{{ready: never, wantErr: ErrTimeout}},
 			wantEvents: 1,
 		},
 		{
 			name: "ready wakes the waiter", timeout: time.Minute,
 			reporter: true, blocker: true,
-			steps:      []step{{ready: 2 * time.Millisecond, alt: never}},
-			wantEvents: 1,
-		},
-		{
-			name: "alt wakes the waiter", timeout: time.Minute,
-			reporter: true, blocker: true,
-			steps:      []step{{ready: never, alt: 2 * time.Millisecond}},
+			steps:      []step{{ready: 2 * time.Millisecond}},
 			wantEvents: 1,
 		},
 		{
@@ -90,9 +84,9 @@ func TestEnvWait(t *testing.T) {
 			name: "successive waits share one LockTimeout", timeout: 400 * time.Millisecond,
 			reporter: true, blocker: true,
 			steps: []step{
-				{ready: 300 * time.Millisecond, alt: never},
-				{ready: never, alt: never, wantErr: ErrTimeout},
-				{ready: never, alt: never, wantErr: ErrTimeout}, // already expired: no wait, no event
+				{ready: 300 * time.Millisecond},
+				{ready: never, wantErr: ErrTimeout},
+				{ready: never, wantErr: ErrTimeout}, // already expired: no wait, no event
 			},
 			wantEvents: 2,
 			maxTotal:   600 * time.Millisecond,
@@ -100,16 +94,19 @@ func TestEnvWait(t *testing.T) {
 		{
 			name: "nil blocker reports nothing", timeout: 5 * time.Millisecond,
 			reporter: true,
-			steps:    []step{{ready: never, alt: never, wantErr: ErrTimeout}},
+			steps:    []step{{ready: never, wantErr: ErrTimeout}},
 		},
 		{
 			name: "nil Reporter with a blocker", timeout: 5 * time.Millisecond,
 			blocker: true,
-			steps:   []step{{ready: never, alt: never, wantErr: ErrTimeout}},
+			steps:   []step{{ready: never, wantErr: ErrTimeout}},
 		},
 		{
-			name: "nil Reporter and nil blocker (bare Env literal)", timeout: 5 * time.Millisecond,
-			steps: []step{{ready: 2 * time.Millisecond, alt: never}, {ready: never, alt: never, wantErr: ErrTimeout}},
+			// The first step's 2 ms ready against a 500 ms bound leaves a
+			// margin no scheduling delay reaches; the second step still
+			// waits out the shared deadline.
+			name: "nil Reporter and nil blocker (bare Env literal)", timeout: 500 * time.Millisecond,
+			steps: []step{{ready: 2 * time.Millisecond}, {ready: never, wantErr: ErrTimeout}},
 		},
 	}
 	for _, tc := range cases {
@@ -129,7 +126,7 @@ func TestEnvWait(t *testing.T) {
 			var deadline, first time.Time
 			begin := time.Now()
 			for i, s := range tc.steps {
-				err := env.Wait(waiter, blocker, &deadline, signal(s.ready), signal(s.alt))
+				err := env.Wait(waiter, blocker, &deadline, signal(s.ready))
 				if !errors.Is(err, s.wantErr) {
 					t.Fatalf("step %d: err=%v want %v", i, err, s.wantErr)
 				}

@@ -7,10 +7,10 @@
 // layout follows the per-anomaly test structure of go-test-pgssi.
 //
 // The package is a deterministic schedule driver: a failing interleaving
-// must fail identically on every run. tebaldivet's detguard analyzer
-// enforces this (no wall clock, no global rand, no map-order dependence).
-//
-// tebaldi:deterministic
+// must fail identically on every run. Two tests hold this: TestReplay runs
+// every pattern twice and requires the same outcomes, and a source scan in
+// internal/analysis/tebaldivet forbids wall-clock reads and the global
+// math/rand source here.
 package anomaly
 
 import (

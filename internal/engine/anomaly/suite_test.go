@@ -98,6 +98,51 @@ func TestAnomaliesReachableUnderReadCommitted(t *testing.T) {
 	}
 }
 
+// TestReplay holds the driver's replayability directly: the simulators and
+// every strict-mode Run (the serial schedule on every serializable tree,
+// the adversarial schedule on the read-committed control) produce the same
+// outcome twice, errors compared as text. An outcome that depends on map
+// iteration order, the wall clock or an unseeded source fails here. The
+// non-strict runs are left out: their step grace lets machine load steer
+// which transaction a mechanism blocks.
+func TestReplay(t *testing.T) {
+	for _, p := range All() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			same(t, "SimulateSerial", func() (*Outcome, error) { return SimulateSerial(p), nil })
+			same(t, "SimulateNoIsolation", func() (*Outcome, error) { return SimulateNoIsolation(p), nil })
+			for _, tr := range SerializableTrees() {
+				same(t, "serial Run on "+tr.Name, func() (*Outcome, error) {
+					return Run(p, tr.Build(typeNames(p)), p.SerialSchedule(), true)
+				})
+			}
+			if p.ReadCommitted {
+				same(t, "Run on the read-committed control", func() (*Outcome, error) {
+					return Run(p, ReadCommittedTree(typeNames(p)), p.Schedule, true)
+				})
+			}
+		})
+	}
+}
+
+// same runs run twice and fails t unless both runs print the same; fmt
+// prints maps in key order and errors as their text.
+func same(t *testing.T, what string, run func() (*Outcome, error)) {
+	t.Helper()
+	var got [2]string
+	for i := range got {
+		o, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got[i] = fmt.Sprintf("%+v", *o)
+	}
+	if got[0] != got[1] {
+		t.Fatalf("%s is not replayable:\nfirst:  %s\nsecond: %s", what, got[0], got[1])
+	}
+}
+
 func typeNames(p *Pattern) []string {
 	var names []string
 	for _, tx := range p.Txns {

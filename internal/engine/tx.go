@@ -140,7 +140,7 @@ func (tx *Tx) waitVersion(v *core.Version, deadline *time.Time) error {
 	if ready == nil {
 		ready = v.Writer.Done()
 	}
-	if err := tx.e.env.Wait(tx.t, v.Writer, deadline, ready, nil); err != nil {
+	if err := tx.e.env.Wait(tx.t, v.Writer, deadline, ready); err != nil {
 		return tx.abortWith(err)
 	}
 	return nil

@@ -212,7 +212,8 @@ func Run(opts Options, setup func(worker int) (Exec, error)) (*Report, error) {
 		for w := range queues {
 			queues[w] = newQueue()
 			wg.Add(1)
-			// tebaldi:worker the feeder closes the queue when the run ends; pop returns ok=false and the worker exits
+			// The feeder closes the queue when the run ends; pop returns
+			// ok=false and the worker exits.
 			go func(w int) {
 				defer wg.Done()
 				for {

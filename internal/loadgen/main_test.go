@@ -1,0 +1,9 @@
+package loadgen
+
+import (
+	"testing"
+
+	"repro/internal/leaktest"
+)
+
+func TestMain(m *testing.M) { leaktest.Main(m) }

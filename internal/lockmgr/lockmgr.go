@@ -273,7 +273,7 @@ func (t *Table) Grant(txn *core.Txn, k core.Key, m Mode) (fresh bool, err error)
 		if err == nil {
 			// No blocker is passed: one event per (waiter, blocker) is
 			// coalesced across wake-ups and emitted by flush.
-			err = t.env.Wait(txn, nil, &deadline, wake, nil)
+			err = t.env.Wait(txn, nil, &deadline, wake)
 		}
 
 		// The registration kept e in the map, so the pointer is still k's.

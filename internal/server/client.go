@@ -69,9 +69,9 @@ func (c *Client) Close() error {
 	return err
 }
 
-// readLoop hands each response frame to the session waiting for it.
-//
-// tebaldi:worker Close closes the conn; the blocked read fails and the loop returns, closing readerDone
+// readLoop hands each response frame to the session waiting for it. Close
+// closes the conn; the blocked read fails and the loop returns, closing
+// readerDone.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	fr := frameReader{r: bufio.NewReader(c.nc)}

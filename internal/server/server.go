@@ -73,9 +73,8 @@ func (s *Server) DB() *tebaldi.DB { return s.db }
 // it on its own goroutine. The listener is owned by the server from this
 // point on. A Shutdown that ran before the goroutine got here is the same
 // request arriving early: Serve closes the listener and returns nil, as it
-// does after any other Shutdown.
-//
-// tebaldi:worker Shutdown closes the listener; Accept fails with net.ErrClosed and the loop returns
+// does after any other Shutdown. Shutdown closes the listener; Accept
+// fails with net.ErrClosed and the loop returns.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.draining.Load() {
@@ -247,9 +246,8 @@ type session struct {
 	failed Message
 }
 
-// readLoop drains frames from the connection until it fails.
-//
-// tebaldi:worker Shutdown (or the peer) closes the conn; the frame read fails and the loop returns
+// readLoop drains frames from the connection until it fails: Shutdown (or
+// the peer) closes the conn, the frame read fails and the loop returns.
 func (c *conn) readLoop() {
 	fr := frameReader{r: bufio.NewReader(c.nc)}
 	var m Message

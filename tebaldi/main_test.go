@@ -1,0 +1,9 @@
+package tebaldi_test
+
+import (
+	"testing"
+
+	"repro/internal/leaktest"
+)
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
