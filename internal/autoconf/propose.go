@@ -81,7 +81,7 @@ func removeType(n *engine.NodeSpec, typ string) {
 // of one type.
 func proposeSelf(cfg *engine.NodeSpec, typ string, spec *core.Spec, specOf func(string) *core.Spec) []Candidate {
 	path, ok := findLeaf(cfg, typ)
-	if !ok || spec == nil || spec.ReadOnly {
+	if !ok || spec.ReadOnly {
 		return nil
 	}
 	var out []Candidate
@@ -107,15 +107,14 @@ func proposeSelf(cfg *engine.NodeSpec, typ string, spec *core.Spec, specOf func(
 			if other == typ {
 				continue
 			}
-			if osp := specOf(other); osp != nil && osp.InstanceDomain == spec.InstanceDomain {
+			if specOf(other).InstanceDomain == spec.InstanceDomain {
 				group = append(group, other)
 			}
 		}
 		pbi := &engine.NodeSpec{
-			Kind:       engine.Kind2PL,
-			ByInstance: true,
-			Clones:     spec.InstanceDomain,
-			Children:   []*engine.NodeSpec{{Kind: engine.KindTSO, Types: group}},
+			Kind:     engine.Kind2PL,
+			Clones:   spec.InstanceDomain,
+			Children: []*engine.NodeSpec{{Kind: engine.KindTSO, Types: group}},
 		}
 		for _, g := range group {
 			removeType(leaf, g)
@@ -148,7 +147,7 @@ func splitLeaf(leaf *engine.NodeSpec, typ string, newSub *engine.NodeSpec) {
 func proposePair(cfg *engine.NodeSpec, a, b string, specA, specB *core.Spec) []Candidate {
 	pa, okA := findLeaf(cfg, a)
 	pb, okB := findLeaf(cfg, b)
-	if !okA || !okB || specA == nil || specB == nil {
+	if !okA || !okB {
 		return nil
 	}
 	var out []Candidate

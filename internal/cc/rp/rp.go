@@ -75,9 +75,7 @@ func (s *slot) waitCh() <-chan struct{} {
 func New(env *core.Env, node *core.Node) *RP {
 	var orders [][]string
 	for _, typ := range node.SubtreeTypes() {
-		if sp := env.Specs[typ]; sp != nil {
-			orders = append(orders, sp.Tables)
-		}
+		orders = append(orders, env.Specs[typ].Tables)
 	}
 	var exempt func(a, b *core.Txn) bool
 	if len(node.Children) > 0 {

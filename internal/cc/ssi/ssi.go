@@ -86,7 +86,7 @@ func New(env *core.Env, node *core.Node) *SSI {
 		for _, c := range node.Children {
 			upd := false
 			for _, typ := range append(c.SubtreeTypes(), c.Types...) {
-				if sp := env.Specs[typ]; sp == nil || !sp.ReadOnly {
+				if !env.Specs[typ].ReadOnly {
 					upd = true
 				}
 			}
@@ -135,8 +135,7 @@ func (s *SSI) Begin(t *core.Txn) error {
 	sl := &slot{}
 	switch {
 	case s.optimized:
-		sp := s.env.Specs[t.Type]
-		if sp != nil && sp.ReadOnly {
+		if s.env.Specs[t.Type].ReadOnly {
 			sl.snapTS = t.BeginTS
 		} else {
 			sl.snapTS = math.MaxUint64

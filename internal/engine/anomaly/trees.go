@@ -77,10 +77,9 @@ func SerializableTrees() []TreeSpec {
 		// the root 2PL while same-clone pairs are the SSI leaf's.
 		{"by-instance-2pl", func(types []string) *engine.NodeSpec {
 			return &engine.NodeSpec{
-				Kind:       engine.Kind2PL,
-				ByInstance: true,
-				Clones:     2,
-				Children:   []*engine.NodeSpec{engine.G(engine.KindSSI, types)},
+				Kind:     engine.Kind2PL,
+				Clones:   2,
+				Children: []*engine.NodeSpec{engine.G(engine.KindSSI, types)},
 			}
 		}},
 	}

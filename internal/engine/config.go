@@ -40,12 +40,10 @@ type NodeSpec struct {
 	Types []string
 	// Children are the delegated subgroups.
 	Children []*NodeSpec
-	// ByInstance routes transactions among children by instance partition
-	// (Txn.Part) instead of by type. Combined with Clones it implements
-	// partition-by-instance (§5.4.2).
-	ByInstance bool
-	// Clones expands Children[0] into this many identical children
-	// (requires ByInstance).
+	// Clones, when > 0, makes the node partition by instance (§5.4.2): its
+	// one child, a template, is expanded into this many identical children,
+	// and transactions are routed among them by instance partition
+	// (Txn.Part) instead of by type.
 	Clones int
 }
 
@@ -102,13 +100,9 @@ func (s *NodeSpec) render(b *strings.Builder) {
 	}
 	switch {
 	case len(s.Children) == 0:
-	case s.ByInstance:
+	case s.Clones > 0:
 		// Instance children are identical; render one with a count.
-		n := len(s.Children)
-		if s.cloned() {
-			n = s.Clones
-		}
-		fmt.Fprintf(b, "[%dx ", n)
+		fmt.Fprintf(b, "[%dx ", s.Clones)
 		s.Children[0].render(b)
 		b.WriteString("]")
 	default:
@@ -122,10 +116,6 @@ func (s *NodeSpec) render(b *strings.Builder) {
 		b.WriteString(" ]")
 	}
 }
-
-// cloned reports whether the node expands its one child template into
-// Clones children.
-func (s *NodeSpec) cloned() bool { return s.ByInstance && s.Clones > 1 }
 
 // Tree is a built, runnable CC tree.
 type Tree struct {
@@ -146,17 +136,23 @@ func (e *Engine) buildTree(spec *NodeSpec) (*Tree, error) {
 
 // buildSubtree materializes one subtree rooted at depth, instantiating CC
 // mechanisms bottom-up (RP's static analysis and SSI's optimized-mode
-// detection read the completed subtree structure).
+// detection read the completed subtree structure). Every type it places
+// must have a Spec: the CCs' build-time analyses read it.
 func (e *Engine) buildSubtree(s *NodeSpec, depth int, parent *core.Node) (*core.Node, error) {
+	for _, typ := range s.Types {
+		if e.specs[typ] == nil {
+			return nil, fmt.Errorf("engine: transaction type %q is placed in the CC tree but has no Spec", typ)
+		}
+	}
 	n := &core.Node{
 		ID:         int(e.nodeSeq.Add(1)),
 		Depth:      depth,
 		Parent:     parent,
 		Types:      append([]string(nil), s.Types...),
-		ByInstance: s.ByInstance,
+		ByInstance: s.Clones > 0,
 	}
 	children := s.Children
-	if s.cloned() {
+	if s.Clones > 0 {
 		if len(s.Children) != 1 {
 			return nil, fmt.Errorf("engine: Clones requires exactly one child template")
 		}

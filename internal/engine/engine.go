@@ -185,9 +185,6 @@ func open(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, *wal.Rec
 	return e, st, nil
 }
 
-// Oracle exposes the timestamp oracle.
-func (e *Engine) Oracle() core.Oracle { return e.oracle }
-
 // Store exposes the multiversion store.
 func (e *Engine) Store() *storage.Store { return e.store }
 

@@ -47,7 +47,7 @@ func transferConfig(parts int) *NodeSpec {
 		G(Kind2PL, nil,
 			G(KindRP, []string{"xfer_rp"}),
 			G(Kind2PL, []string{"xfer_2pl"})),
-		&NodeSpec{Kind: Kind2PL, ByInstance: true, Clones: parts,
+		&NodeSpec{Kind: Kind2PL, Clones: parts,
 			Children: []*NodeSpec{G(KindTSO, []string{"xfer_tso"})}},
 	)
 }

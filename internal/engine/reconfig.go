@@ -161,7 +161,7 @@ func (e *Engine) drain(gated map[string]bool) error {
 // node that clones it: the node stands for every clone, so a change inside
 // the template is a change of that node.
 func diffSpec(a, b *NodeSpec) (path []int, equal bool) {
-	if a.Kind != b.Kind || a.ByInstance != b.ByInstance || a.Clones != b.Clones ||
+	if a.Kind != b.Kind || a.Clones != b.Clones ||
 		len(a.Types) != len(b.Types) || len(a.Children) != len(b.Children) {
 		return nil, false
 	}
@@ -177,7 +177,7 @@ func diffSpec(a, b *NodeSpec) (path []int, equal bool) {
 		if eq {
 			continue
 		}
-		if changed >= 0 || a.cloned() {
+		if changed >= 0 || a.Clones > 0 {
 			// Multiple changed children, or a changed template: treat
 			// the change as here.
 			return nil, false

@@ -61,7 +61,7 @@ func TestDiffSpecDeepChange(t *testing.T) {
 // clonedTSO is 2PL[ 2PL[4x TSO{t}] ]: an inner node cloning one TSO
 // template per instance partition; kind replaces the template's mechanism.
 func clonedTSO(kind Kind) *NodeSpec {
-	return G(Kind2PL, nil, &NodeSpec{Kind: Kind2PL, ByInstance: true, Clones: 4,
+	return G(Kind2PL, nil, &NodeSpec{Kind: Kind2PL, Clones: 4,
 		Children: []*NodeSpec{G(kind, []string{"t"})}})
 }
 

@@ -338,7 +338,7 @@ func serializabilityConfigs() map[string]*NodeSpec {
 				G(KindRP, []string{"u1"}),
 				G(KindTSO, []string{"u2"}))),
 		"by-instance-tso": {Kind: Kind2PL, Children: []*NodeSpec{{
-			Kind: Kind2PL, ByInstance: true, Clones: 4,
+			Kind: Kind2PL, Clones: 4,
 			Children: []*NodeSpec{G(KindTSO, []string{"u1", "u2"})},
 		}}},
 	}

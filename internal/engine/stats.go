@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,13 +41,11 @@ type Stats struct {
 	ckTruncatedBytes atomic.Uint64
 	recoveryReplayed atomic.Uint64
 
-	// registered holds the counters of every registered transaction type,
-	// made by the engine's open before it is shared and never written
-	// again, so commits and aborts read it without a lock. A type placed in
-	// the CC tree without a Spec gets its counters in unregistered, under mu.
-	registered   map[string]*TypeStats
-	mu           sync.Mutex
-	unregistered map[string]*TypeStats
+	// perType holds the counters of every registered transaction type, made
+	// by the engine's open before it is shared and never written again, so
+	// commits and aborts read it without a lock. Every type that can run has
+	// a Spec: building a tree refuses a placed type without one.
+	perType map[string]*TypeStats
 }
 
 // TypeStats aggregates per-transaction-type results.
@@ -61,39 +58,22 @@ type TypeStats struct {
 // register makes the counters of the registered types. Called once, before
 // the Stats is shared.
 func (s *Stats) register(specs map[string]*core.Spec) {
-	s.registered = make(map[string]*TypeStats, len(specs))
+	s.perType = make(map[string]*TypeStats, len(specs))
 	for typ := range specs {
-		s.registered[typ] = &TypeStats{}
+		s.perType[typ] = &TypeStats{}
 	}
-}
-
-func (s *Stats) typeStats(typ string) *TypeStats {
-	if ts := s.registered[typ]; ts != nil {
-		return ts
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.unregistered == nil {
-		s.unregistered = make(map[string]*TypeStats)
-	}
-	ts := s.unregistered[typ]
-	if ts == nil {
-		ts = &TypeStats{}
-		s.unregistered[typ] = ts
-	}
-	return ts
 }
 
 func (s *Stats) recordCommit(t *core.Txn) {
 	s.commits.Add(1)
-	ts := s.typeStats(t.Type)
+	ts := s.perType[t.Type]
 	ts.Commits.Add(1)
 	ts.LatencyNs.Add(uint64(time.Since(t.Start).Nanoseconds()))
 }
 
 func (s *Stats) recordAbort(t *core.Txn, cause error) {
 	s.aborts.Add(1)
-	s.typeStats(t.Type).Aborts.Add(1)
+	s.perType[t.Type].Aborts.Add(1)
 	switch {
 	case errors.Is(cause, core.ErrTimeout):
 		s.abortTimeout.Add(1)
@@ -193,22 +173,16 @@ func (s *Stats) Snapshot() Snapshot {
 		PerType:                  map[string]TypeSnapshot{},
 	}
 	// A type appears once it has committed or aborted.
-	add := func(types map[string]*TypeStats) {
-		for typ, ts := range types {
-			t := TypeSnapshot{
-				Commits:   ts.Commits.Load(),
-				Aborts:    ts.Aborts.Load(),
-				LatencyNs: ts.LatencyNs.Load(),
-			}
-			if t.Commits > 0 || t.Aborts > 0 {
-				snap.PerType[typ] = t
-			}
+	for typ, ts := range s.perType {
+		t := TypeSnapshot{
+			Commits:   ts.Commits.Load(),
+			Aborts:    ts.Aborts.Load(),
+			LatencyNs: ts.LatencyNs.Load(),
+		}
+		if t.Commits > 0 || t.Aborts > 0 {
+			snap.PerType[typ] = t
 		}
 	}
-	add(s.registered)
-	s.mu.Lock()
-	add(s.unregistered)
-	s.mu.Unlock()
 	return snap
 }
 

@@ -112,8 +112,8 @@ func (c *Client) Session() *Sess {
 
 // Sess is one session. Methods must be called from a single goroutine.
 //
-// Begin and Put do not touch the network: they queue a deferred frame (one the
-// server executes in order and does not answer) and return nil. Get, Commit
+// Begin and Put do not touch the network: they queue their frame (one the
+// server executes in order and never answers) and return nil. Get, Commit
 // and Abort send what is queued together with their own frame in one Write
 // and wait for the one reply, which reports the first error any of those
 // requests met — so a failed Begin or Put surfaces at the session's next
@@ -133,13 +133,14 @@ type Sess struct {
 }
 
 // writeThrough is the size of queued frames beyond which Begin and Put write
-// them out, still unanswered, instead of holding them for the next reply-
-// bearing call: a transaction of a million Puts does not sit in client memory.
+// them out instead of holding them for the next Get, Commit or Abort: a
+// transaction of a million Puts does not sit in client memory.
 const writeThrough = 4096
 
-// queue appends a deferred request to the session's unsent frames.
+// queue appends a BEGIN or PUT, which the server does not answer, to the
+// session's unsent frames.
 func (s *Sess) queue(req *Message) error {
-	req.SID, req.Deferred = s.id, true
+	req.SID = s.id
 	s.out = appendFrame(s.out, req)
 	if len(s.out) < writeThrough {
 		return nil

@@ -10,11 +10,7 @@ import (
 func appendFrame(buf []byte, m *Message) []byte {
 	lenAt := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
-	typ := m.Type
-	if m.Deferred {
-		typ |= FlagDeferred
-	}
-	buf = append(buf, typ)
+	buf = append(buf, m.Type)
 	buf = binary.BigEndian.AppendUint32(buf, m.SID)
 	switch m.Type {
 	case MsgBegin:
@@ -69,8 +65,7 @@ func DecodeFrame(payload []byte) (*Message, error) {
 func decodeInto(m *Message, payload []byte) error {
 	d := decoder{buf: payload}
 	*m = Message{}
-	typ := d.u8()
-	m.Type, m.Deferred = typ&^FlagDeferred, typ&FlagDeferred != 0
+	m.Type = d.u8()
 	m.SID = d.u32()
 	switch m.Type {
 	case MsgBegin:
@@ -101,14 +96,14 @@ func decodeInto(m *Message, payload []byte) error {
 		m.ErrMsg = d.string16()
 	default:
 		if d.err == nil {
-			return frameErr("unknown message type 0x%02x", typ)
+			return frameErr("unknown message type 0x%02x", m.Type)
 		}
 	}
 	if d.err != nil {
 		return d.err
 	}
 	if len(d.buf) != 0 {
-		return frameErr("%d trailing bytes after 0x%02x body", len(d.buf), typ)
+		return frameErr("%d trailing bytes after 0x%02x body", len(d.buf), m.Type)
 	}
 	return nil
 }

@@ -22,13 +22,6 @@ func allMessages() []*Message {
 		{Type: MsgGet, SID: 7, Key: core.K("", "")},
 		{Type: MsgPut, SID: 9, Key: core.K("kv", "k1"), Value: []byte("hello")},
 		{Type: MsgPut, SID: 9, Key: core.K("kv", "k1"), Value: []byte{}},
-		{Type: MsgBegin, SID: 1, TxnType: "update", Part: 42, Deferred: true},
-		{Type: MsgPut, SID: 9, Key: core.K("kv", "k1"), Value: []byte("hello"), Deferred: true},
-		{Type: MsgPut, SID: 9, Key: core.K("kv", "k1"), Value: []byte{}, Deferred: true},
-		// The codec carries the flag on every type (the server refuses it
-		// where a reply is owed), so these are canonical too.
-		{Type: MsgGet, SID: 7, Key: core.K("kv", "k123"), Deferred: true},
-		{Type: MsgOK, SID: 5, Deferred: true},
 		{Type: MsgCommit, SID: 3},
 		{Type: MsgAbort, SID: 4},
 		{Type: MsgOK, SID: 5},
@@ -53,12 +46,8 @@ func normalize(m *Message) *Message {
 func TestRoundTripEveryMessageType(t *testing.T) {
 	for _, m := range allMessages() {
 		frame := appendFrame(nil, m)
-		wantType := m.Type
-		if m.Deferred {
-			wantType |= 0x40 // FlagDeferred's value is wire format
-		}
-		if frame[4] != wantType {
-			t.Errorf("%#v: type byte 0x%02x on the wire, want 0x%02x", m, frame[4], wantType)
+		if frame[4] != m.Type {
+			t.Errorf("%#v: type byte 0x%02x on the wire, want 0x%02x", m, frame[4], m.Type)
 		}
 		got, err := DecodeFrame(frame[4:])
 		if err != nil {

@@ -9,7 +9,6 @@
 //
 //	frame   := u32 length | payload            (length = len(payload), ≤ MaxFrame)
 //	payload := u8 msgType | u32 sessionID | body
-//	msgType := type, or type|FlagDeferred on a BEGIN or PUT
 //
 // Client→server bodies:
 //
@@ -26,19 +25,17 @@
 //	VALUE := u8 present | [u32 len | value bytes]
 //	ERR   := u8 code | u16 len | message bytes
 //
-// Each session processes its requests in order. A request is reply-bearing
-// unless it is a BEGIN or PUT sent with FlagDeferred; the server answers every
-// reply-bearing request exactly once and a deferred one never, and after any
-// ERR reply the session has no transaction open. A deferred request that
-// fails ends the session's transaction; the server keeps that first error,
-// skips the deferred requests that follow, and answers the next reply-bearing
-// request with the error instead of executing it. So a client may send
-// [BEGIN|GET] and [PUT|COMMIT] as two writes and wait for two replies — Sess
-// does — and still be told every error, at the latest by its next GET, COMMIT
-// or ABORT. Deferring changes when an outcome is reported, not which serial
-// orders the engine admits. A client that sets the flag nowhere gets one
-// reply per request, as before the flag existed. Responses from different
-// sessions interleave freely on the connection.
+// Each session processes its requests in order. Whether a request is
+// answered depends on its type alone: BEGIN and PUT never are, and GET,
+// COMMIT and ABORT are answered exactly once; after any ERR reply the session
+// has no transaction open. A BEGIN or PUT that fails ends the session's
+// transaction; the server keeps that first error, skips the BEGINs and PUTs
+// that follow, and answers the session's next GET, COMMIT or ABORT with the
+// error instead of executing it. So a client sends [BEGIN|GET] and
+// [PUT|COMMIT] as two writes and waits for two replies — Sess does — and is
+// still told every error. Leaving BEGIN and PUT unanswered changes when an
+// outcome is reported, not which serial orders the engine admits. Responses
+// from different sessions interleave freely on the connection.
 //
 // Error codes map back to the engine's abort reasons so a remote client can
 // make the same retry decision an in-process one would (see CodeError /
@@ -69,11 +66,6 @@ const (
 	MsgErr   = 0x83
 )
 
-// FlagDeferred, or-ed into the type byte of a BEGIN or PUT, makes the request
-// deferred: the server executes it in session order and never answers it
-// (Message.Deferred; the package comment has the reply rule).
-const FlagDeferred = 0x40
-
 // Error codes carried by MsgErr. Codes below 0x10 are transaction aborts
 // mirroring internal/core's reasons; codes from 0x10 up are protocol or
 // server-state errors (never retryable).
@@ -99,13 +91,8 @@ const (
 // Message is one decoded frame. Fields beyond Type and SID are populated
 // per message type; unused ones are zero.
 type Message struct {
-	Type byte // without FlagDeferred
+	Type byte
 	SID  uint32
-
-	// Deferred is FlagDeferred on the wire. Legal on BEGIN and PUT only;
-	// the codec carries it on any type so that decode∘encode stays the
-	// identity, and the server refuses the other combinations.
-	Deferred bool
 
 	// BEGIN.
 	TxnType string

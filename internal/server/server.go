@@ -112,15 +112,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Addr returns the listener address (nil before Serve).
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()
@@ -136,7 +127,9 @@ func (s *Server) Addr() net.Addr {
 // and every open transaction commits or aborts — then close the remaining
 // connections. Sessions idle at the deadline with a transaction still open
 // are force-disconnected (their transactions roll back through the normal
-// disconnect path). Returns nil on a clean drain, an error on timeout.
+// disconnect path). Returns nil on a clean drain, an error on timeout. It
+// returns within twice timeout: session workers still inside an engine call
+// then are reported by count and left to finish on their own.
 //
 // A failed log (the database's Wal().Err()) ends the drain at once: no
 // commit can be acknowledged any more, so there is nothing to wait for.
@@ -167,7 +160,9 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 
 	// Close every connection; readers exit, session workers roll back
-	// whatever is still open and drain.
+	// whatever is still open and drain. A worker blocked in the engine (a
+	// lock wait, say) exits only when that call returns, so the workers are
+	// waited for until the drain deadline plus timeout again, no longer.
 	s.mu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -177,17 +172,28 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	for _, c := range conns {
 		c.nc.Close()
 	}
-	for _, c := range conns {
-		c.wg.Wait()
+	exited := make(chan struct{})
+	go func() {
+		for _, c := range conns {
+			c.wg.Wait()
+		}
+		close(exited)
+	}()
+	var err error
+	select {
+	case <-exited:
+	case <-time.After(time.Until(deadline.Add(timeout))):
+		err = fmt.Errorf("server: %d session workers still running at shutdown; they end when their engine calls return",
+			s.metrics.SessionsActive.Load())
 	}
 	if logErr != nil {
-		return fmt.Errorf("server: shutdown without drain: %w", logErr)
+		return errors.Join(fmt.Errorf("server: shutdown without drain: %w", logErr), err)
 	}
 	if !drained {
-		return fmt.Errorf("server: drain timed out with %d open txns, %d in-flight requests",
-			s.txnsOpen.Load(), s.reqsInFlight.Load())
+		return errors.Join(fmt.Errorf("server: drain timed out with %d open txns, %d in-flight requests",
+			s.txnsOpen.Load(), s.reqsInFlight.Load()), err)
 	}
-	return nil
+	return err
 }
 
 // logErr is the database log's sticky failure, nil without one (or without
@@ -240,9 +246,9 @@ type session struct {
 	q  chan Message
 	tx *tebaldi.Tx
 
-	// failed is the ERR a deferred request earned (Type is zero while
-	// there is none). It ended the transaction; it is owed to the next
-	// reply-bearing request.
+	// failed is the ERR a BEGIN or PUT earned (Type is zero while there is
+	// none). It ended the transaction; it is owed to the next answered
+	// request.
 	failed Message
 }
 
@@ -283,12 +289,7 @@ func (c *conn) readLoop() {
 // made of it: the engine retains this slice in the version chain.
 func (c *conn) dispatch(m *Message) {
 	switch m.Type {
-	case MsgBegin, MsgPut:
-	case MsgGet, MsgCommit, MsgAbort:
-		if m.Deferred {
-			c.refuse(m, CodeBadRequest, fmt.Sprintf("message type 0x%02x cannot be deferred", m.Type))
-			return
-		}
+	case MsgBegin, MsgPut, MsgGet, MsgCommit, MsgAbort:
 	default:
 		// A response type from a client is a protocol violation.
 		c.refuse(m, CodeBadRequest, fmt.Sprintf("unexpected message type 0x%02x from client", m.Type))
@@ -296,9 +297,9 @@ func (c *conn) dispatch(m *Message) {
 	}
 	ss := c.sessions[m.SID]
 	if ss == nil {
-		// A deferred PUT opens a session like a BEGIN does: its CodeNoTxn
-		// needs a session to be remembered in.
-		if m.Type != MsgBegin && !m.Deferred {
+		// A PUT opens a session like a BEGIN does: its CodeNoTxn needs a
+		// session to be remembered in.
+		if answered(m.Type) {
 			c.refuse(m, CodeNoTxn, "no transaction: session not started with BEGIN")
 			return
 		}
@@ -319,18 +320,20 @@ func (c *conn) dispatch(m *Message) {
 	ss.q <- *m
 }
 
-// refuse answers a request the reader will not route. A deferred BEGIN or PUT
-// is counted and dropped instead: it may not be answered, there is no session
-// to remember the error in, and none appears before a BEGIN is accepted, so
-// the sender's next reply-bearing request on that session id is refused as
-// well. (The flag on any other type is itself the violation, and answered.)
+// refuse answers a request the reader will not route. A BEGIN or PUT is
+// counted and dropped instead: it is never answered, there is no session to
+// remember the error in, and none appears before a BEGIN is accepted, so the
+// sender's next GET, COMMIT or ABORT on that session id is refused as well.
 func (c *conn) refuse(m *Message, code byte, msg string) {
 	c.s.metrics.ProtocolErrors.Add(1)
-	if m.Deferred && (m.Type == MsgBegin || m.Type == MsgPut) {
-		return
+	if answered(m.Type) {
+		c.writeMsg(&Message{Type: MsgErr, SID: m.SID, Code: code, ErrMsg: msg})
 	}
-	c.writeMsg(&Message{Type: MsgErr, SID: m.SID, Code: code, ErrMsg: msg})
 }
+
+// answered reports whether a request of type typ gets a reply: every type but
+// BEGIN and PUT (a response type from a client is answered with its refusal).
+func answered(typ byte) bool { return typ != MsgBegin && typ != MsgPut }
 
 func (ss *session) run() {
 	c := ss.cn
@@ -351,24 +354,24 @@ func (ss *session) run() {
 	c.s.metrics.SessionsActive.Add(-1)
 }
 
-// step is the reply rule around handle: exactly one reply per reply-bearing
-// request and none to a deferred one, whose error — which has ended the
-// transaction — waits in ss.failed; while it waits, deferred requests are
-// skipped and the next reply-bearing request is answered with it instead of
-// being executed.
+// step is the reply rule around handle: exactly one reply to a GET, COMMIT
+// or ABORT and none to a BEGIN or PUT, whose error — which has ended the
+// transaction — waits in ss.failed; while it waits, BEGINs and PUTs are
+// skipped and the next answered request is answered with it instead of being
+// executed.
 func (ss *session) step(m *Message) (resp Message, reply bool) {
+	reply = answered(m.Type)
 	if ss.failed.Type != 0 {
-		if m.Deferred {
-			return Message{}, false
+		if reply {
+			resp, ss.failed = ss.failed, Message{}
 		}
-		resp, ss.failed = ss.failed, Message{}
-		return resp, true
+		return resp, reply
 	}
 	resp = ss.handle(m)
-	if m.Deferred && resp.Type == MsgErr {
+	if !reply && resp.Type == MsgErr {
 		ss.failed = resp
 	}
-	return resp, !m.Deferred
+	return resp, reply
 }
 
 // handle executes one request against the engine and builds the response.

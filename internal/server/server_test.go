@@ -235,8 +235,8 @@ func TestDisconnectMidTxnReleasesState(t *testing.T) {
 }
 
 // TestDoubleBeginRejected: a BEGIN inside a transaction ends that transaction
-// — deferred, it cannot be refused on the spot and then leave the first one
-// running — and the session's next reply-bearing call says so.
+// — unanswered, it cannot be refused on the spot and then leave the first one
+// running — and the session's next GET, COMMIT or ABORT says so.
 func TestDoubleBeginRejected(t *testing.T) {
 	srv, addr := newTestServer(t, tebaldi.Options{})
 	c := dialTest(t, addr)
@@ -304,8 +304,8 @@ func TestOpsWithoutBeginRejected(t *testing.T) {
 	_, _, err := s.Get("kv", "a")
 	check("GET", err)
 	check("ABORT", s.Abort())
-	// A PUT is deferred: its error is the answer to the session's next
-	// reply-bearing request, here on a session id the server has not seen.
+	// A PUT is not answered: its error is the answer to the session's next
+	// GET, COMMIT or ABORT, here on a session id the server has not seen.
 	put := c.Session()
 	if err := put.Put("kv", "a", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -453,7 +453,7 @@ func TestDrainWaitsForInFlightCommits(t *testing.T) {
 	waitFor(t, 2*time.Second, "Shutdown to set the drain flag", srv.draining.Load)
 
 	// Draining: a new BEGIN is refused with CodeShutdown, reported — it is
-	// deferred — by the session's next reply-bearing call.
+	// not answered — by the session's next GET, COMMIT or ABORT.
 	other := c.Session()
 	if err := other.Begin("update", 0); err != nil {
 		t.Fatal(err)
@@ -505,10 +505,52 @@ func TestDrainTimesOutOnAbandonedTxn(t *testing.T) {
 	})
 }
 
-// TestRawProtocolErrors drives the wire directly: garbage framing must
-// produce an ERR frame and a hangup, response-typed messages and a deferred
-// flag on a request that must be answered a CodeBadRequest; plain BEGIN and PUT
-// keep their OK.
+// TestShutdownBoundedWithWorkerInEngine: a session worker blocked in the
+// engine — here a GET waiting behind an in-process writer under an hour-long
+// lock timeout — exits only when that wait ends. Shutdown must not wait for
+// it past twice its timeout: it returns an error counting the worker, which
+// exits on its own once the writer rolls back.
+func TestShutdownBoundedWithWorkerInEngine(t *testing.T) {
+	srv, addr := newTestServer(t, tebaldi.Options{LockTimeout: time.Hour})
+	holder, err := srv.DB().Begin("update", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Rollback(nil)
+	if err := holder.Write(tebaldi.K("kv", "x"), []byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	c := dialTest(t, addr)
+	defer c.Close()
+	s := c.Session()
+	if err := s.Begin("update", 0); err != nil {
+		t.Fatal(err)
+	}
+	go s.Get("kv", "x") // fails once the server closes the connection
+	waitFor(t, 2*time.Second, "the GET to reach its session worker", func() bool {
+		return srv.Metrics().TxnBegins.Load() == 1 && srv.reqsInFlight.Load() == 1
+	})
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(200 * time.Millisecond) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "1 session workers still running") {
+			t.Fatalf("Shutdown = %v, want an error counting the worker still in the engine", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("Shutdown(200ms) returned after %v", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown(200ms) still waiting for a session worker after 5s")
+	}
+}
+
+// TestRawProtocolErrors drives the wire directly: garbage framing and a type
+// byte with 0x40 set must produce an ERR frame and a hangup, a response-typed
+// message a CodeBadRequest; BEGIN and PUT are never answered, and the error
+// of a failed one answers the session's next GET, COMMIT or ABORT.
 func TestRawProtocolErrors(t *testing.T) {
 	t.Run("garbage length prefix", func(t *testing.T) {
 		srv, addr := newTestServer(t, tebaldi.Options{})
@@ -547,103 +589,99 @@ func TestRawProtocolErrors(t *testing.T) {
 			t.Fatalf("client-sent OK: got %v / %+v, want ERR CodeBadRequest sid 9", err, m)
 		}
 		// Recoverable: the framing is intact, so the connection survives.
-		if _, err := nc.Write(appendFrame(nil, &Message{Type: MsgBegin, SID: 1, TxnType: "update"})); err != nil {
+		var buf []byte
+		buf = appendFrame(buf, &Message{Type: MsgBegin, SID: 1, TxnType: "update"})
+		buf = appendFrame(buf, &Message{Type: MsgGet, SID: 1, Key: tebaldi.K("kv", "p")})
+		if _, err := nc.Write(buf); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := ReadFrame(nc); err != nil || m.Type != MsgOK {
-			t.Fatalf("BEGIN after recoverable protocol error: %v / %+v", err, m)
+		if m, err := ReadFrame(nc); err != nil || m.Type != MsgValue || m.SID != 1 {
+			t.Fatalf("BEGIN and GET after recoverable protocol error: %v / %+v", err, m)
 		}
 		if got := srv.Metrics().ProtocolErrors.Load(); got != 1 {
 			t.Errorf("ProtocolErrors = %d, want 1", got)
 		}
 	})
 
-	t.Run("deferred flag where a reply is owed", func(t *testing.T) {
+	t.Run("type byte with 0x40 set", func(t *testing.T) {
 		srv, addr := newTestServer(t, tebaldi.Options{})
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer nc.Close()
-		bad := []*Message{
-			{Type: MsgGet, SID: 1, Deferred: true},
-			{Type: MsgCommit, SID: 2, Deferred: true},
-			{Type: MsgAbort, SID: 3, Deferred: true},
-			{Type: MsgOK, SID: 4, Deferred: true},
-			{Type: MsgValue, SID: 5, Deferred: true},
-			{Type: MsgErr, SID: 6, Deferred: true},
+		frame := appendFrame(nil, &Message{Type: MsgBegin, SID: 1, TxnType: "update"})
+		frame[4] |= 0x40
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
 		}
-		for _, req := range bad {
-			if _, err := nc.Write(appendFrame(nil, req)); err != nil {
-				t.Fatal(err)
-			}
-			m, err := ReadFrame(nc)
-			if err != nil || m.Type != MsgErr || m.Code != CodeBadRequest || m.SID != req.SID || m.Deferred {
-				t.Fatalf("deferred 0x%02x: got %v / %+v, want a plain ERR CodeBadRequest sid %d", req.Type, err, m, req.SID)
-			}
+		m, err := ReadFrame(nc)
+		if err != nil || m.Type != MsgErr || m.Code != CodeBadRequest {
+			t.Fatalf("type byte 0x%02x: got %v / %+v, want ERR CodeBadRequest", frame[4], err, m)
 		}
-		if got := srv.Metrics().ProtocolErrors.Load(); got != uint64(len(bad)) {
-			t.Errorf("ProtocolErrors = %d, want %d", got, len(bad))
+		if _, err := ReadFrame(nc); err == nil {
+			t.Fatal("connection stayed open after a frame of unknown type")
+		}
+		if got := srv.Metrics().ProtocolErrors.Load(); got != 1 {
+			t.Errorf("ProtocolErrors = %d, want 1", got)
 		}
 		if got := srv.Metrics().SessionsActive.Load(); got != 0 {
-			t.Errorf("SessionsActive = %d, want 0: a refused frame opens no session", got)
+			t.Errorf("SessionsActive = %d, want 0: a malformed frame opens no session", got)
 		}
 	})
 
-	t.Run("plain and deferred requests on one session", func(t *testing.T) {
+	t.Run("one reply rule on one session", func(t *testing.T) {
 		srv, addr := newTestServer(t, tebaldi.Options{})
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer nc.Close()
-		// A client that defers nothing gets one reply per request, as
-		// before the deferred form existed.
-		for _, req := range []*Message{
-			{Type: MsgBegin, SID: 1, TxnType: "update"},
-			{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("plain")},
-			{Type: MsgCommit, SID: 1},
-		} {
-			if _, err := nc.Write(appendFrame(nil, req)); err != nil {
-				t.Fatal(err)
-			}
-			want := appendFrame(nil, &Message{Type: MsgOK, SID: 1})
-			got := make([]byte, len(want))
-			if _, err := io.ReadFull(nc, got); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("plain 0x%02x: reply % x (%v), want % x", req.Type, got, err, want)
-			}
-		}
-		// Four frames in one write, one reply: the deferred BEGIN fails,
-		// the deferred PUT is skipped, the plain PUT is answered with the
-		// BEGIN's error instead of being executed — and then the session
-		// is idle, so COMMIT finds no transaction.
+		// BEGIN, PUT and COMMIT in one write get one reply, COMMIT's OK.
 		var buf []byte
-		buf = appendFrame(buf, &Message{Type: MsgBegin, SID: 1, TxnType: "no-such-type", Deferred: true})
-		buf = appendFrame(buf, &Message{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("x"), Deferred: true})
-		buf = appendFrame(buf, &Message{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("y")})
+		buf = appendFrame(buf, &Message{Type: MsgBegin, SID: 1, TxnType: "update"})
+		buf = appendFrame(buf, &Message{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("first")})
 		buf = appendFrame(buf, &Message{Type: MsgCommit, SID: 1})
 		if _, err := nc.Write(buf); err != nil {
 			t.Fatal(err)
 		}
+		want := appendFrame(nil, &Message{Type: MsgOK, SID: 1})
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(nc, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("BEGIN, PUT, COMMIT: reply % x (%v), want % x", got, err, want)
+		}
+		// Four frames in one write, two replies: the BEGIN fails, the PUT
+		// is skipped, COMMIT is answered with the BEGIN's error instead of
+		// being executed — and then the session is idle, so ABORT finds no
+		// transaction.
+		buf = buf[:0]
+		buf = appendFrame(buf, &Message{Type: MsgBegin, SID: 1, TxnType: "no-such-type"})
+		buf = appendFrame(buf, &Message{Type: MsgPut, SID: 1, Key: tebaldi.K("kv", "p"), Value: []byte("x")})
+		buf = appendFrame(buf, &Message{Type: MsgCommit, SID: 1})
+		buf = appendFrame(buf, &Message{Type: MsgAbort, SID: 1})
+		if _, err := nc.Write(buf); err != nil {
+			t.Fatal(err)
+		}
 		if m, err := ReadFrame(nc); err != nil || m.Type != MsgErr || m.Code != CodeUnknownType || m.SID != 1 {
-			t.Fatalf("plain PUT after a failed deferred BEGIN: got %v / %+v, want ERR CodeUnknownType", err, m)
+			t.Fatalf("COMMIT after a failed BEGIN: got %v / %+v, want ERR CodeUnknownType", err, m)
 		}
 		if m, err := ReadFrame(nc); err != nil || m.Type != MsgErr || m.Code != CodeNoTxn {
-			t.Fatalf("COMMIT after the reported error: got %v / %+v, want ERR CodeNoTxn", err, m)
+			t.Fatalf("ABORT after the reported error: got %v / %+v, want ERR CodeNoTxn", err, m)
 		}
-		if v := srv.DB().ReadCommitted(tebaldi.K("kv", "p")); string(v) != "plain" {
-			t.Errorf("kv/p = %q, want plain", v)
+		if v := srv.DB().ReadCommitted(tebaldi.K("kv", "p")); string(v) != "first" {
+			t.Errorf("kv/p = %q, want first", v)
 		}
 		m := srv.Metrics()
-		if r, w := m.FramesRead.Load(), m.FramesWritten.Load(); r != 7 || w != 5 {
-			t.Errorf("frames read %d written %d, want 7 and 5", r, w)
+		if r, w := m.FramesRead.Load(), m.FramesWritten.Load(); r != 7 || w != 3 {
+			t.Errorf("frames read %d written %d, want 7 and 3", r, w)
 		}
 	})
 }
 
 // TestSessionCapPerConn: past maxSessionsPerConn sessions on one connection a
-// BEGIN on a new session id is refused with CodeBadRequest, and the
-// connection and the sessions it already has keep working.
+// BEGIN on a new session id is dropped, unanswered, so the next GET on that
+// session id is the one refused; the connection and the sessions it already
+// has keep working.
 func TestSessionCapPerConn(t *testing.T) {
 	srv, addr := newTestServer(t, tebaldi.Options{})
 	nc, err := net.Dial("tcp", addr)
@@ -654,21 +692,27 @@ func TestSessionCapPerConn(t *testing.T) {
 	var buf []byte
 	for sid := uint32(1); sid <= maxSessionsPerConn; sid++ {
 		buf = appendFrame(buf, &Message{Type: MsgBegin, SID: sid, TxnType: "readonly"})
+		buf = appendFrame(buf, &Message{Type: MsgGet, SID: sid, Key: tebaldi.K("kv", "p")})
 	}
 	if _, err := nc.Write(buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxSessionsPerConn; i++ {
-		if m, err := ReadFrame(nc); err != nil || m.Type != MsgOK {
-			t.Fatalf("BEGIN %d of %d: got %v / %+v, want OK", i+1, maxSessionsPerConn, err, m)
+		if m, err := ReadFrame(nc); err != nil || m.Type != MsgValue {
+			t.Fatalf("BEGIN and GET %d of %d: got %v / %+v, want VALUE", i+1, maxSessionsPerConn, err, m)
 		}
 	}
 	over := uint32(maxSessionsPerConn + 1)
-	if _, err := nc.Write(appendFrame(nil, &Message{Type: MsgBegin, SID: over, TxnType: "readonly"})); err != nil {
+	buf = appendFrame(buf[:0], &Message{Type: MsgBegin, SID: over, TxnType: "readonly"})
+	buf = appendFrame(buf, &Message{Type: MsgGet, SID: over, Key: tebaldi.K("kv", "p")})
+	if _, err := nc.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := ReadFrame(nc); err != nil || m.Type != MsgErr || m.Code != CodeBadRequest || m.SID != over {
-		t.Fatalf("BEGIN past the cap: got %v / %+v, want ERR CodeBadRequest sid %d", err, m, over)
+	if m, err := ReadFrame(nc); err != nil || m.Type != MsgErr || m.Code != CodeNoTxn || m.SID != over {
+		t.Fatalf("GET after a BEGIN past the cap: got %v / %+v, want ERR CodeNoTxn sid %d", err, m, over)
+	}
+	if got := srv.Metrics().ProtocolErrors.Load(); got != 2 {
+		t.Errorf("ProtocolErrors = %d, want 2: the dropped BEGIN and the refused GET", got)
 	}
 	// An existing session still reads and commits, on the same connection.
 	for _, req := range []*Message{
@@ -689,8 +733,8 @@ func TestSessionCapPerConn(t *testing.T) {
 
 // TestConflictMapsAcrossWire: a genuine CC conflict must arrive as a
 // retryable wire error that still satisfies errors.Is against core errors —
-// here from a deferred PUT, so it is COMMIT that reports it, once, and the
-// session can run its retry at once.
+// here from a PUT, which is not answered, so it is COMMIT that reports it,
+// once, and the session can run its retry at once.
 func TestConflictMapsAcrossWire(t *testing.T) {
 	srv, addr := newTestServer(t, tebaldi.Options{LockTimeout: 100 * time.Millisecond})
 	c := dialTest(t, addr)

@@ -11,7 +11,7 @@ import (
 )
 
 // countingConn counts the Write calls a Client makes on its connection: one
-// per round trip is the point of the deferred frames.
+// per round trip is the point of leaving BEGIN and PUT unanswered.
 type countingConn struct {
 	net.Conn
 	writes atomic.Int64
@@ -217,7 +217,7 @@ func TestLongPutRunIsWrittenThrough(t *testing.T) {
 
 // TestAllocBudgetWireTxn is the rot guard for the wire path: a warm loopback
 // BEGIN,GET,COMMIT transaction, client and server in this process, engine
-// included. Measured 5 (39 before the deferred frames and the reused
+// included. Measured 5 (39 before BEGIN and PUT went unanswered and the reused
 // buffers): the transaction type and the key decoded into strings, the
 // client's copy of the value, two in engine.Begin.
 func TestAllocBudgetWireTxn(t *testing.T) {

@@ -104,7 +104,7 @@ func Inner(kind Kind, children ...*Config) *Config {
 // template, selected by the transaction's instance partition (§5.4.2) —
 // e.g. one TSO group per SEATS flight under a 2PL parent.
 func PartitionByInstance(kind Kind, clones int, template *Config) *Config {
-	return &engine.NodeSpec{Kind: kind, ByInstance: true, Clones: clones, Children: []*Config{template}}
+	return &engine.NodeSpec{Kind: kind, Clones: clones, Children: []*Config{template}}
 }
 
 // DB is a Tebaldi database instance.
@@ -115,8 +115,10 @@ type DB struct {
 // Open creates a database with the given transaction type specs and initial
 // CC tree configuration. If config is nil, the initial configuration of
 // §5.2 is used: SSI at the root separating a read-only group from a 2PL
-// update group. With opts.DurabilityDir set, Open recovers the write-ahead
-// log already in that directory, if any, before it returns.
+// update group. Every transaction type the configuration places needs a
+// Spec: Open refuses a configuration that places a type without one, naming
+// it, and so does Reconfigure. With opts.DurabilityDir set, Open recovers the
+// write-ahead log already in that directory, if any, before it returns.
 func Open(opts Options, specs []*Spec, config *Config) (*DB, error) {
 	if config == nil {
 		config = InitialConfig(specs)

@@ -105,11 +105,6 @@ func (w Workload) Config() *tebaldi.Config {
 		tebaldi.Leaf(tebaldi.TwoPL, TxnUpdate))
 }
 
-// ConfigMono2PL returns a monolithic 2PL baseline configuration.
-func (w Workload) ConfigMono2PL() *tebaldi.Config {
-	return tebaldi.Leaf(tebaldi.TwoPL, TxnRead, TxnUpdate)
-}
-
 // Op is one generated transaction: run it with DB.Exec.
 type Op = tebaldi.Op
 
