@@ -19,23 +19,33 @@ type RP struct {
 	analysis *Analysis
 }
 
-// slot is the per-transaction pipeline state. Every CC call of a transaction
-// runs on its owner goroutine, so held, written and deps are the owner's
-// alone; other transactions only read cur and park on wake.
+// slot is the per-transaction pipeline state. Other transactions read cur
+// and park on wake, also after t has ended, so the slot is t's own for its
+// lifetime. Every CC call of a transaction runs on its owner goroutine, so
+// own is the owner's alone.
 type slot struct {
 	cur atomic.Int32 // current step
 	mu  sync.Mutex   // guards wake, and orders cur's store against its making
 	// wake fires on every advance; a transaction nobody waits on never
 	// makes its channel.
 	wake core.Wake
+	// own is taken from ownPool at Begin and returned at finish.
+	own *stepBufs
+}
+
+// stepBufs are a transaction's owner-only lists for its current step. They
+// are reused: finish returns them emptied to ownPool, and a step advance
+// truncates them in place, so a transaction appends into arrays an earlier
+// one grew.
+type stepBufs struct {
 	// held lists the current step's locks, one element per fresh grant.
 	held []core.Key
 	// written tracks versions installed in the current (not yet
 	// step-committed) step.
 	written []*core.Version
-	// deps is firstBlockingDep's reused snapshot buffer.
-	deps []core.Dep
 }
+
+var ownPool = sync.Pool{New: func() any { return new(stepBufs) }}
 
 // step returns the transaction's current pipeline step.
 func (s *slot) step() int { return int(s.cur.Load()) }
@@ -44,10 +54,12 @@ func (s *slot) step() int { return int(s.cur.Load()) }
 // BEFORE the step's locks are released, or a successor could acquire the
 // lock and miss the write.
 func (s *slot) exposeWrites() {
-	for _, v := range s.written {
+	b := s.own
+	for _, v := range b.written {
 		v.MarkStepCommitted()
 	}
-	s.written = s.written[:0]
+	clear(b.written)
+	b.written = b.written[:0]
 }
 
 // advanceTo publishes t's new step and wakes entry waiters.
@@ -98,7 +110,7 @@ func (r *RP) DerivedFacts() any { return r.analysis }
 
 // Begin implements core.CC.
 func (r *RP) Begin(t *core.Txn) error {
-	t.Slots[r.node.Depth] = &slot{}
+	t.Slots[r.node.Depth] = &slot{own: ownPool.Get().(*stepBufs)}
 	return nil
 }
 
@@ -130,8 +142,7 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 		// then release step locks so successors may proceed. Steps only
 		// advance, so every held lock belongs to a step below target.
 		s.exposeWrites()
-		r.locks.ReleaseAll(t, s.held)
-		s.held = s.held[:0]
+		r.releaseHeld(t, s)
 		s.advanceTo(t, target)
 	}
 
@@ -139,7 +150,7 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 	// executing this step (advanced past it or terminated).
 	var deadline time.Time
 	for {
-		blocked := r.firstBlockingDep(t, s, target)
+		blocked := r.firstBlockingDep(t, target)
 		if blocked == nil {
 			return nil
 		}
@@ -161,10 +172,10 @@ func (r *RP) enterStep(t *core.Txn, tbl string) error {
 }
 
 // firstBlockingDep returns a dependency of t, managed by this node, that has
-// not yet finished executing step target.
-func (r *RP) firstBlockingDep(t *core.Txn, s *slot, target int) *core.Txn {
-	s.deps = t.AppendDeps(s.deps[:0])
-	for _, d := range s.deps {
+// not yet finished executing step target. It walks t's own dependency set in
+// place: nothing in the loop records a dependency.
+func (r *RP) firstBlockingDep(t *core.Txn, target int) *core.Txn {
+	for _, d := range t.Deps() {
 		if d.T.Finished() || !r.node.InSubtree(d.T) {
 			continue
 		}
@@ -201,10 +212,20 @@ func (r *RP) PreWrite(t *core.Txn, k core.Key) error {
 func (r *RP) acquire(t *core.Txn, k core.Key, m lockmgr.Mode) error {
 	fresh, err := r.locks.Grant(t, k, m)
 	if fresh {
-		s := r.slotOf(t)
-		s.held = append(s.held, k)
+		b := r.slotOf(t).own
+		b.held = append(b.held, k)
 	}
 	return err
+}
+
+// releaseHeld releases the locks t holds here and empties the list in
+// place, zeroing its elements so that the array keeps no key strings
+// reachable once it is pooled.
+func (r *RP) releaseHeld(t *core.Txn, s *slot) {
+	b := s.own
+	r.locks.ReleaseAll(t, b.held)
+	clear(b.held)
+	b.held = b.held[:0]
 }
 
 // AmendRead implements core.CC. RP accepts the child's proposal if it is a
@@ -264,8 +285,8 @@ func (r *RP) AmendRead(t *core.Txn, k core.Key, ch *core.Chain, proposal *core.V
 // PostWrite implements core.CC: remember the version for step-commit
 // exposure and record write-write ordering on pending in-subtree versions.
 func (r *RP) PostWrite(t *core.Txn, k core.Key, ch *core.Chain, v *core.Version) error {
-	s := r.slotOf(t)
-	s.written = append(s.written, v)
+	b := r.slotOf(t).own
+	b.written = append(b.written, v)
 	for _, old := range ch.Versions() {
 		if old == v || old.Writer == t || !old.Pending() {
 			continue
@@ -296,9 +317,11 @@ func (r *RP) finish(t *core.Txn) {
 	if s == nil {
 		return
 	}
-	r.locks.ReleaseAll(t, s.held)
+	r.releaseHeld(t, s)
 	s.advanceTo(t, r.analysis.MaxRank+1)
 	// Other transactions still read cur and park on wake, but the
-	// buffers are the owner's and it is done: drop what they pin.
-	s.held, s.written, s.deps = nil, nil, nil
+	// buffers are the owner's and it is done: they go back to the pool,
+	// emptied by releaseHeld and advanceTo.
+	ownPool.Put(s.own)
+	s.own = nil
 }

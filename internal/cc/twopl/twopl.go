@@ -15,6 +15,8 @@
 package twopl
 
 import (
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/lockmgr"
 )
@@ -30,12 +32,25 @@ type TwoPL struct {
 	recordReads bool
 }
 
-// slot lists the keys t holds here, one element per fresh grant. The lock
-// table answers re-entrancy and upgrades, so no per-transaction map mirrors
-// its ownership facts.
+// slot is t's state at this node. Only t's goroutine reads it, but it stays
+// in t.Slots for t's lifetime: an SSI or TSO node at the same depth on
+// another branch type-asserts a foreign transaction's entry, so the entry
+// is never rewritten after Begin. The held list it points at is what gets
+// reused.
 type slot struct {
-	held []core.Key
+	held *heldKeys
 }
+
+// heldKeys lists the keys a transaction holds here, one element per fresh
+// grant. The lock table answers re-entrancy and upgrades, so no
+// per-transaction map mirrors its ownership facts. Only the owner touches
+// the list; releaseAll returns it to heldPool emptied, so the next
+// transaction appends into the array an earlier one grew.
+type heldKeys struct {
+	keys []core.Key
+}
+
+var heldPool = sync.Pool{New: func() any { return new(heldKeys) }}
 
 // New creates a 2PL mechanism for node. For non-leaf nodes the lock table
 // exempts same-child pairs (nexus semantics).
@@ -63,7 +78,7 @@ func (p *TwoPL) Name() string { return "2PL" }
 // recorded. An online update compares it with a fresh build's.
 func (p *TwoPL) DerivedFacts() any { return p.recordReads }
 
-// Begin implements core.CC. The held list grows on the first lock
+// Begin implements core.CC. The held list is taken on the first lock
 // acquisition, so transactions that never reach this node's lock table pay
 // one slot allocation only.
 func (p *TwoPL) Begin(t *core.Txn) error {
@@ -80,7 +95,10 @@ func (p *TwoPL) acquire(t *core.Txn, k core.Key, m lockmgr.Mode) error {
 	fresh, err := p.locks.Grant(t, k, m)
 	if fresh {
 		s := p.slotOf(t)
-		s.held = append(s.held, k)
+		if s.held == nil {
+			s.held = heldPool.Get().(*heldKeys)
+		}
+		s.held.keys = append(s.held.keys, k)
 	}
 	return err
 }
@@ -161,9 +179,13 @@ func (p *TwoPL) Abort(t *core.Txn) { p.releaseAll(t) }
 
 func (p *TwoPL) releaseAll(t *core.Txn) {
 	s := p.slotOf(t)
-	if s == nil {
+	if s == nil || s.held == nil {
 		return
 	}
-	p.locks.ReleaseAll(t, s.held)
+	h := s.held
 	s.held = nil
+	p.locks.ReleaseAll(t, h.keys)
+	clear(h.keys) // the pool must not keep key strings reachable
+	h.keys = h.keys[:0]
+	heldPool.Put(h)
 }

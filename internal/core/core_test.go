@@ -75,13 +75,20 @@ func TestAddDepSkipsFinished(t *testing.T) {
 	}
 }
 
+// TestAddDepUpgradesToRead: the set holds one element per transaction, in
+// the order first recorded; a read edge upgrades an ordering edge in place
+// and an ordering edge never downgrades a read edge.
 func TestAddDepUpgradesToRead(t *testing.T) {
 	a := NewTxn(1, "a", 0, 1)
 	b := NewTxn(2, "b", 0, 2)
+	c := NewTxn(3, "c", 0, 3)
 	a.AddDep(b, false)
+	a.AddDep(c, false)
 	a.AddDep(b, true)
+	a.AddDep(c, false)
+	a.AddDep(b, false)
 	deps := a.Deps()
-	if len(deps) != 1 || !deps[0].Read {
+	if len(deps) != 2 || deps[0] != (Dep{T: b, Read: true}) || deps[1] != (Dep{T: c}) {
 		t.Fatalf("deps=%+v", deps)
 	}
 }

@@ -49,7 +49,7 @@ func TestSharedFlagEscapePoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !b.Shared() {
-			t.Fatal("AddDep must mark the target shared (its pointer enters a's deps map)")
+			t.Fatal("AddDep must mark the target shared (its pointer enters a's dependency set)")
 		}
 		if a.Shared() {
 			t.Fatal("AddDep must not mark the source shared")
@@ -95,8 +95,59 @@ func TestRefusedTxnDropsDepsAndWrites(t *testing.T) {
 	if PutTxn(w) {
 		t.Fatal("PutTxn must refuse a shared transaction")
 	}
-	if w.HasDeps() || w.HasWrites() {
+	if len(w.Deps()) > 0 || w.HasWrites() {
 		t.Fatalf("refused committed transaction still holds %d deps and %d writes", len(w.Deps()), len(w.Writes()))
+	}
+}
+
+// TestSharedWriterListsReused: PutTxn returns a refused writer's write list
+// and dependency set to the pool emptied, with every element zeroed, and a
+// later writer that takes them starts from empty lists. The cycle repeats
+// because the pool may hand out fresh lists (a race-detector build drops a
+// quarter of what is Put); at least one later writer must have received
+// the earlier one's.
+func TestSharedWriterListsReused(t *testing.T) {
+	reused := 0
+	for cycle := 0; cycle < 20; cycle++ {
+		w := NewTxn(uint64(3*cycle+1), "t", 0, 1)
+		for i := 0; i < 10; i++ {
+			dep := NewTxn(uint64(1000*cycle+i+1000), "t", 0, 1)
+			if err := w.AddDep(dep, i%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+			w.AddWrite(&Chain{}, &Version{Writer: w})
+		}
+		l := w.own
+		w.MarkCommitted(2)
+		if PutTxn(w) {
+			t.Fatal("PutTxn must refuse a shared transaction")
+		}
+		if w.own != nil || len(l.writes) != 0 || len(l.deps) != 0 {
+			t.Fatalf("the refused writer keeps its lists: %d writes, %d deps", len(l.writes), len(l.deps))
+		}
+		for _, wr := range l.writes[:cap(l.writes)] {
+			if wr != (WriteRef{}) {
+				t.Fatal("the pooled write list keeps a version reachable")
+			}
+		}
+		for _, d := range l.deps[:cap(l.deps)] {
+			if d != (Dep{}) {
+				t.Fatal("the pooled dependency set keeps a transaction reachable")
+			}
+		}
+
+		next := NewTxn(uint64(3*cycle+2), "t", 0, 1)
+		v := &Version{Writer: next}
+		next.AddWrite(&Chain{}, v)
+		if next.own == l {
+			reused++
+		}
+		if ws := next.Writes(); len(ws) != 1 || ws[0].V != v || len(next.Deps()) > 0 {
+			t.Fatalf("the next writer starts with %d writes and %d deps, want its one write", len(ws), len(next.Deps()))
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no later writer received the lists an earlier one returned")
 	}
 }
 
@@ -127,7 +178,7 @@ func TestGetTxnReset(t *testing.T) {
 	if len(fresh.Path) != 0 || len(fresh.Slots) != 0 {
 		t.Fatalf("fresh txn has stale Path/Slots: %d/%d", len(fresh.Path), len(fresh.Slots))
 	}
-	if fresh.HasDeps() || fresh.HasWrites() {
+	if len(fresh.Deps()) > 0 || fresh.HasWrites() {
 		t.Fatal("fresh txn has stale deps/writes")
 	}
 	select {

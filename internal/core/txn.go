@@ -77,9 +77,10 @@ type WriteRef struct {
 //   - Chain.RecordReader: the chain's reader list holds ReadRec.T.
 //   - twopl.TwoPL.AmendRead: builds such a ReadRec, only in trees with a TSO
 //     node below the 2PL node (the reader already went through Table.Grant).
-//   - Txn.AddDep: the *target* transaction's pointer enters this txn's deps
-//     map (targets reaching AddDep are already shared — they came from a
-//     version or a lock table — but AddDep re-marks them for robustness).
+//   - Txn.AddDep: the *target* transaction's pointer enters this txn's
+//     dependency set (targets reaching AddDep are already shared — they
+//     came from a version or a lock table — but AddDep re-marks them for
+//     robustness).
 //   - lockmgr.Table.Grant (Acquire is a call to it): the lock table's owner
 //     list and blocked waiters retain the pointer.
 //   - engine.Engine.loadVersion: bulk load installs versions outside any CC
@@ -90,6 +91,9 @@ type WriteRef struct {
 // so the flag check at finish time is race-free. Read-only transactions under
 // an optimized snapshot tree (no locks, no reader records, no writes, no
 // deps) hit none of these and are recycled on every commit.
+//
+// The write list and dependency set are recycled on their own, shared
+// transaction or not, under a different argument (see lists).
 type Txn struct {
 	// ID is unique per engine instance.
 	ID uint64
@@ -117,14 +121,54 @@ type Txn struct {
 	// Handoff). Only that goroutine writes or reads it.
 	handoff bool
 
-	// mu guards done/deps/writes. It may be taken while a chain mutex is
-	// held (AddDep under the reader's chain lock; Mark*→wake under test
-	// setups) and its critical sections never acquire other locks.
+	// mu guards done, and its critical sections never acquire other locks.
+	// Only test setups take it under a chain mutex, committing a writer
+	// (Mark*→wake) with its chain locked.
 	// tebaldi:locks after core.Chain
-	mu     sync.Mutex
-	done   Wake // fired when t finishes; its channel is made only if someone waits
-	deps   map[uint64]Dep
+	mu   sync.Mutex
+	done Wake // fired when t finishes; its channel is made only if someone waits
+
+	// own holds the write list and the dependency set, nil until the first
+	// AddWrite or AddDep. Only t's goroutine touches them, so they take no
+	// lock: the engine, and the CC calls made on t's behalf (SSI's
+	// Validate, lockmgr.Grant for the requesting transaction, RP's step
+	// entry).
+	own *lists
+}
+
+// lists are a transaction's owner-only write list and dependency set. They
+// outlive the transaction: PutTxn keeps them with a recycled Txn and returns
+// a shared one's to listsPool, so a writer reuses the backing arrays an
+// earlier writer grew instead of growing its own from nil.
+//
+// This is not the reclamation rule above: that rule guards the *Txn, which
+// foreign goroutines reach through versions, lock tables and dependency
+// sets, and poolescape checks it. No foreign goroutine ever reaches a
+// lists: the pointer lives only in own, and Writes and Deps hand out slices
+// that only the owner reads. By the time PutTxn returns it the owner is
+// done with them, and reset zeroes the elements first, so a buffer in the
+// pool keeps no version, chain or transaction reachable.
+type lists struct {
 	writes []WriteRef
+	deps   []Dep
+}
+
+var listsPool = sync.Pool{New: func() any { return new(lists) }}
+
+// reset empties l for its next transaction.
+func (l *lists) reset() {
+	clear(l.writes)
+	l.writes = l.writes[:0]
+	clear(l.deps)
+	l.deps = l.deps[:0]
+}
+
+// ownLists returns t's lists, taking a pair from the pool on first use.
+func (t *Txn) ownLists() *lists {
+	if t.own == nil {
+		t.own = listsPool.Get().(*lists)
+	}
+	return t.own
 }
 
 // closedChan is returned by Done for already-finished transactions so the
@@ -136,7 +180,7 @@ var closedChan = func() chan struct{} {
 }()
 
 // NewTxn constructs an Active transaction. The engine fills in Path/Slots.
-// The done channel and deps map are allocated lazily on first use.
+// The done channel and the lists are made or taken lazily on first use.
 func NewTxn(id uint64, typ string, part uint64, beginTS uint64) *Txn {
 	return &Txn{
 		ID:      id,
@@ -172,12 +216,14 @@ func PutTxn(t *Txn) bool {
 	if t.shared.Load() {
 		// The pointer lives on (a committed writer stays reachable
 		// through Version.Writer while its newest version does), but
-		// only the owner reads deps and writes, and it is done: drop
-		// them, with the pruned versions and finished transactions they
-		// hold.
-		t.mu.Lock()
-		t.deps, t.writes = nil, nil
-		t.mu.Unlock()
+		// only the owner reads its lists, and it is done: they go back
+		// to the pool for the next writer, emptied of the pruned
+		// versions and finished transactions they held.
+		if l := t.own; l != nil {
+			t.own = nil
+			l.reset()
+			listsPool.Put(l)
+		}
 		return false
 	}
 	t.ID, t.Type, t.Part, t.BeginTS = 0, "", 0, 0
@@ -196,8 +242,9 @@ func PutTxn(t *Txn) bool {
 	t.commitTS.Store(0)
 	t.handoff = false
 	t.done = Wake{}
-	clear(t.deps)
-	t.writes = t.writes[:0]
+	if t.own != nil {
+		t.own.reset()
+	}
 	txnPool.Put(t)
 	return true
 }
@@ -311,73 +358,49 @@ func (t *Txn) AddDep(other *Txn, read bool) error {
 		}
 		return nil
 	}
-	// The target's pointer is retained in our deps map and waited on at
-	// commit; it must never be recycled under us.
+	// The target's pointer is retained in our dependency set and waited on
+	// at commit; it must never be recycled under us.
 	other.MarkShared()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.deps == nil {
-		t.deps = make(map[uint64]Dep, 4)
-	}
-	if d, ok := t.deps[other.ID]; ok {
-		if read && !d.Read {
-			t.deps[other.ID] = Dep{T: other, Read: true}
+	l := t.ownLists()
+	for i := range l.deps {
+		if l.deps[i].T == other {
+			l.deps[i].Read = l.deps[i].Read || read
+			return nil
 		}
-		return nil
 	}
-	t.deps[other.ID] = Dep{T: other, Read: read}
+	l.deps = append(l.deps, Dep{T: other, Read: read})
 	return nil
 }
 
-// HasDeps reports whether any dependency edges have been recorded; the
-// commit path uses it to skip the wait loop (and its allocations) entirely.
-func (t *Txn) HasDeps() bool {
-	t.mu.Lock()
-	n := len(t.deps)
-	t.mu.Unlock()
-	return n > 0
-}
-
-// Deps returns a snapshot of the recorded dependency set.
-func (t *Txn) Deps() []Dep { return t.AppendDeps(nil) }
-
-// AppendDeps appends a snapshot of the recorded dependency set to buf and
-// returns the extended slice, so a caller that polls the set (RP's step
-// entry) can reuse one buffer.
-func (t *Txn) AppendDeps(buf []Dep) []Dep {
-	t.mu.Lock()
-	for _, d := range t.deps {
-		buf = append(buf, d)
+// Deps returns the recorded dependency set, one element per transaction, in
+// the order recorded. The slice is t's own: read it on t's goroutine, do
+// not modify it, and do not keep it past t's next AddDep.
+func (t *Txn) Deps() []Dep {
+	if t.own == nil {
+		return nil
 	}
-	t.mu.Unlock()
-	return buf
+	return t.own.deps
 }
 
 // AddWrite records an installed (still uncommitted) version. The version
 // carries the writer pointer, so the transaction becomes shared.
 func (t *Txn) AddWrite(c *Chain, v *Version) {
 	t.MarkShared()
-	t.mu.Lock()
-	t.writes = append(t.writes, WriteRef{Chain: c, V: v})
-	t.mu.Unlock()
+	l := t.ownLists()
+	l.writes = append(l.writes, WriteRef{Chain: c, V: v})
 }
 
 // HasWrites reports whether the transaction has installed any versions; the
 // read path uses it to skip the read-your-own-writes chain lock.
-func (t *Txn) HasWrites() bool {
-	t.mu.Lock()
-	n := len(t.writes)
-	t.mu.Unlock()
-	return n > 0
-}
+func (t *Txn) HasWrites() bool { return len(t.Writes()) > 0 }
 
-// Writes returns the transaction's installed versions.
+// Writes returns the transaction's installed versions in install order. The
+// slice is t's own, under the same rules as Deps.
 func (t *Txn) Writes() []WriteRef {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]WriteRef, len(t.writes))
-	copy(out, t.writes)
-	return out
+	if t.own == nil {
+		return nil
+	}
+	return t.own.writes
 }
 
 // Leaf returns the leaf node of the transaction's CC path.

@@ -77,35 +77,22 @@ func (e *Env) Wait(waiter, blocker *Txn, deadline *time.Time, ready <-chan struc
 // nexus lock release order, §4.2). It returns ErrCascade if a read-from
 // dependency aborted and ErrTimeout if the waits together exceed LockTimeout;
 // each wait is reported to the profiler as a blocking event on the
-// dependency. Dependencies recorded while waiting are picked up by
-// re-snapshotting until a fixed point. Transactions with no recorded
-// dependencies (every read hit committed history) skip the loop and its
-// allocations entirely.
+// dependency. One walk over the set, in place, sees every dependency: the
+// set is t's own and only t's goroutine adds to it (Txn.AddDep), and that
+// goroutine is here, so nothing is recorded while it waits. Transactions
+// with no recorded dependencies (every read hit committed history) walk
+// nothing.
 func (e *Env) WaitDeps(t *Txn) error {
-	if !t.HasDeps() {
-		return nil
-	}
 	var deadline time.Time
-	seen := make(map[uint64]bool)
-	for {
-		progress := false
-		for _, d := range t.Deps() {
-			if seen[d.T.ID] {
-				continue
-			}
-			seen[d.T.ID] = true
-			progress = true
-			if !d.T.Finished() {
-				if err := e.Wait(t, d.T, &deadline, d.T.Done()); err != nil {
-					return err
-				}
-			}
-			if d.Read && d.T.State() == Aborted {
-				return ErrCascade
+	for _, d := range t.Deps() {
+		if !d.T.Finished() {
+			if err := e.Wait(t, d.T, &deadline, d.T.Done()); err != nil {
+				return err
 			}
 		}
-		if !progress {
-			return nil
+		if d.Read && d.T.State() == Aborted {
+			return ErrCascade
 		}
 	}
+	return nil
 }

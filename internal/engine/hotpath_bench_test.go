@@ -104,3 +104,21 @@ func BenchmarkHotPathWriteTxn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHotPathWideWriter — the NewOrder shape of TestAllocBudgetWideWriter:
+// one read and 24 writes over three RP steps under SSI[NoCC 2PL[RP RP]].
+// Background GC stays on, as in BenchmarkHotPathWriteTxn.
+func BenchmarkHotPathWideWriter(b *testing.B) {
+	specs, cfg := wideWriterTree()
+	e, err := New(Options{Shards: 4, LockTimeout: 2 * time.Second, GCInterval: 5 * time.Millisecond}, specs, cfg)
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	b.Cleanup(func() { e.Close() })
+	run := wideWriter(b, e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}

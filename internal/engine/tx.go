@@ -337,7 +337,8 @@ func (tx *Tx) abortWith(cause error) error {
 	t := tx.t
 	t.MarkAborted()
 	// Remove installed versions so no new reader observes them; existing
-	// readers cascade via their read-from dependencies.
+	// readers cascade via their read-from dependencies. The write list is
+	// t's own and nothing in the loop adds to it, so it is walked in place.
 	for _, w := range t.Writes() {
 		w.Chain.Lock()
 		w.Chain.Remove(w.V)
