@@ -1,6 +1,6 @@
-// Command tebaldivet is the repo's domain-specific vet tool: four static
-// analyzers that turn the engine's concurrency and durability invariants
-// into compile-time checks (see internal/analysis/tebaldivet).
+// Command tebaldivet is the repo's domain-specific vet tool: three static
+// analyzers that turn the engine's concurrency invariants into
+// compile-time checks (see internal/analysis/tebaldivet).
 //
 //	go run ./cmd/tebaldivet ./...
 //

@@ -10,9 +10,9 @@ import (
 const supSrc = `package p
 
 func f() {
-	//lint:allow syncerr -- teardown on the error path
+	//lint:allow poolescape -- the pointer is never recycled
 	g()
-	//lint:allow syncerr
+	//lint:allow poolescape
 	g()
 	h() //lint:allow lockorder unlockpath -- instance-ordered by shard index
 }
@@ -40,11 +40,11 @@ func TestSuppressions(t *testing.T) {
 	sup := CollectSuppressions(fset, []*ast.File{f})
 
 	// Line 5: g() under a justified allow on line 4.
-	if !sup.Allows(fset, "syncerr", posAt(fset, 5)) {
-		t.Error("justified line-above allow must suppress syncerr on line 5")
+	if !sup.Allows(fset, "poolescape", posAt(fset, 5)) {
+		t.Error("justified line-above allow must suppress poolescape on line 5")
 	}
 	// Line 7: g() under a bare allow with no justification — not valid.
-	if sup.Allows(fset, "syncerr", posAt(fset, 7)) {
+	if sup.Allows(fset, "poolescape", posAt(fset, 7)) {
 		t.Error("an allow without a -- justification must not suppress")
 	}
 	// Line 8: same-line allow naming two analyzers.

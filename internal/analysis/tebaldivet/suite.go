@@ -5,7 +5,6 @@
 //
 //   - lockorder:  declared mutex partial order, no undeclared/cyclic nesting
 //   - unlockpath: every Lock released on every return/panic path
-//   - syncerr:    no discarded durability-critical errors (fsync, WAL flush)
 //   - poolescape: every *core.Txn escape edge dominated by MarkShared; the
 //     escape-point list in internal/core/txn.go is derived, not maintained.
 //     It is interprocedural, built on internal/analysis/ssa and the
@@ -19,7 +18,6 @@ import (
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/poolescape"
-	"repro/internal/analysis/syncerr"
 	"repro/internal/analysis/unlockpath"
 )
 
@@ -28,7 +26,6 @@ func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		lockorder.Analyzer,
 		unlockpath.Analyzer,
-		syncerr.Analyzer,
 		poolescape.Analyzer,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	pathpkg "path"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis/load"
 )
 
 // moduleRoot is the module this package lives in; benchmark/ is a module
@@ -180,5 +183,71 @@ func TestAnomalyDriverReadsNoClockOrGlobalRand(t *testing.T) {
 	}
 	if len(sites) > 0 {
 		t.Fatalf("wall-clock reads or global rand draws in the anomaly driver make its schedules unreplayable:\n%s", strings.Join(sites, "\n"))
+	}
+}
+
+// durabilityCalls are the calls that make a file durable. Outside
+// internal/kvstore a non-test file makes none of them, so each goes through
+// one of the log store's fault points.
+var durabilityCalls = map[string]bool{
+	"(*os.File).Sync":       true,
+	"(*os.File).WriteAt":    true,
+	"(*os.File).Truncate":   true,
+	"os.Truncate":           true,
+	"os.Rename":             true,
+	"(*bufio.Writer).Flush": true,
+}
+
+// TestDurabilityCallsStayInKvstore holds the invariant the retired syncerr
+// analyzer guarded, together with the fault matrix
+// (engine.TestFaultPointsAcrossTheLogsLife): a durability error reaches
+// the caller. The matrix fails every fault point of the log store and
+// checks the outcome; this scan makes sure no file Sync, WriteAt, Truncate,
+// buffered Flush or os.Rename bypasses those points. It resolves calls by
+// type, so the WAL's calls of kvstore.Store.Sync are not file syncs.
+func TestDurabilityCallsStayInKvstore(t *testing.T) {
+	root, err := filepath.Abs(moduleRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := load.Packages(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := map[string]bool{}
+	for _, pkg := range pkgs {
+		if pkg.IllTyped || pkg.Info == nil {
+			t.Fatalf("ill-typed package %s: %v", pkg.ImportPath, pkg.Err)
+		}
+		for _, f := range pkg.Files {
+			name := pkg.Fset.Position(f.Pos()).Filename
+			rel, err := filepath.Rel(root, name)
+			if err != nil || strings.HasSuffix(name, "_test.go") || filepath.ToSlash(filepath.Dir(rel)) == "internal/kvstore" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && durabilityCalls[fn.FullName()] {
+					pos := pkg.Fset.Position(call.Pos())
+					sites[fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, fn.FullName())] = true
+				}
+				return true
+			})
+		}
+	}
+	if len(sites) > 0 {
+		var list []string
+		for s := range sites {
+			list = append(list, s)
+		}
+		sort.Strings(list)
+		t.Fatalf("durability calls outside internal/kvstore bypass its fault points; log through kvstore.Store instead:\n%s", strings.Join(list, "\n"))
 	}
 }

@@ -223,7 +223,7 @@ func TestChainGC(t *testing.T) {
 	c.Unlock()
 	// Watermark 55: newest committed <= 55 has ts 50; everything older
 	// is reclaimable.
-	pruned := c.GC(55)
+	pruned, _ := c.GCStep(55)
 	if pruned != 4 {
 		t.Fatalf("pruned %d, want 4", pruned)
 	}
@@ -259,7 +259,7 @@ func TestChainGCPreservesSnapshotsProperty(t *testing.T) {
 		}
 		before := c.LatestCommittedBefore(snap)
 		c.Unlock()
-		c.GC(watermark)
+		c.GCStep(watermark)
 		c.Lock()
 		after := c.LatestCommittedBefore(snap)
 		c.Unlock()

@@ -237,19 +237,14 @@ func (c *Chain) RecordReader(r ReadRec, watermark func() uint64) {
 // Readers returns the recent-reader records. The chain mutex must be held.
 func (c *Chain) Readers() []ReadRec { return c.readers }
 
-// GC removes committed versions superseded by another committed version whose
-// commit timestamp is still below the watermark (the minimum begin timestamp
-// of any active transaction). Every active or future reader's snapshot is at
-// or above the watermark, so such versions can never be read again. Returns
-// the number of versions pruned.
-func (c *Chain) GC(watermark uint64) int {
-	pruned, _ := c.GCStep(watermark)
-	return pruned
-}
-
-// GCStep is GC plus the number of versions remaining, letting the incremental
-// collector decide whether the chain needs to stay on the pending list
-// (remaining > 1 means future watermark advances may prune more).
+// GCStep removes committed versions superseded by another committed version
+// whose commit timestamp is still below the watermark (the minimum begin
+// timestamp of any active transaction). Every active or future reader's
+// snapshot is at or above the watermark, so such versions can never be read
+// again. It returns the number of versions pruned and the number remaining,
+// letting the incremental collector decide whether the chain needs to stay
+// on the pending list (remaining > 1 means future watermark advances may
+// prune more).
 func (c *Chain) GCStep(watermark uint64) (pruned, remaining int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

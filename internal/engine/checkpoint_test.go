@@ -351,10 +351,11 @@ func TestFailedCheckpointLeavesLogUnchanged(t *testing.T) {
 	opts := ckOptions(dir)
 	opts.DurabilitySync = true
 	opts.GCPEpoch = time.Hour // no epoch ticks: the log changes only when told to
-	opts.crashHook = func(point string) {
+	opts.crashHook = func(point string) error {
 		if point == "compact.synced" && fail.Load() {
 			os.Remove(path + ".compact")
 		}
+		return nil
 	}
 	e, err := New(opts, ckSpecs, G(Kind2PL, []string{"put"}))
 	if err != nil {

@@ -225,9 +225,9 @@ type Options struct {
 	// checkpoints via Engine.Checkpoint work either way.
 	CheckpointEvery time.Duration
 
-	// crashHook, when set (crash-point torture tests only), is passed to
-	// the WAL as its fault-injection hook.
-	crashHook func(point string)
+	// crashHook, when set (crash and fault tests only), is passed to the
+	// WAL as wal.Options.CrashHook.
+	crashHook func(point string) error
 	// afterCommitPoint, when set (tests only), runs in Tx.Commit right
 	// after a transaction's commit point, before its CC commit phase.
 	afterCommitPoint func()

@@ -151,7 +151,8 @@ func open(opts Options, specs []*core.Spec, config *NodeSpec) (*Engine, *wal.Rec
 	tree, err := e.buildTree(config)
 	if err != nil {
 		if e.walMgr != nil {
-			//lint:allow syncerr -- error-path teardown of a WAL that logged nothing yet; the buildTree error is what the caller needs
+			// Teardown of a WAL that logged nothing yet: the buildTree
+			// error is what the caller needs.
 			e.walMgr.Close()
 		}
 		return nil, nil, err

@@ -43,6 +43,25 @@
 // A non-empty file without the header is a log of the earlier format (8-byte
 // record headers, no checksum), and a file of version 2 has the 8-byte
 // header without a seal. Open refuses both and leaves them as they are.
+//
+// Fault points. Once the log is open, every call that makes it durable —
+// each write, the fsyncs, the rename and the truncation — goes through one
+// named point of the crash hook (SetCrashHook):
+//
+//	write            the WriteAt of buffered records (Set, Sync, Scan, Rewrite, Close)
+//	grow             each WriteAt of the zeroed tail (Sync)
+//	sync             the fsync of the log (Sync)
+//	truncate         the truncation to the logical end (Close)
+//	compact.flush    the rewrite's buffered writes and seal of the temp file
+//	compact.written  the temp file's fsync
+//	compact.synced   the rename over the log
+//	compact.renamed  the directory's fsync
+//
+// The hook runs at the point, before the call. Tests copy the log directory
+// there to see what a crash at that instant leaves, or return an error,
+// which then stands for the call's: the call is not made, and the error
+// takes the path the call's own error would. Open's repairs (a fresh
+// header, a torn tail truncated) run before a hook can be installed.
 package kvstore
 
 import (
@@ -108,10 +127,9 @@ type Store struct {
 	// end is the logical end of the records written to the file; alloc is
 	// the file's size. [end, alloc) is zeros.
 	end, alloc int64
-	// crashHook, when set, is invoked at durability-critical boundaries
-	// (compaction write/sync/rename). Crash-point tests snapshot the
-	// on-disk state inside the hook to simulate a process kill there.
-	crashHook func(point string)
+	// crashHook, when set, runs at every fault point (see the package
+	// comment); its error replaces the call the point guards.
+	crashHook func(point string) error
 }
 
 // Open opens (creating if necessary) the store at path. It reads the log
@@ -293,7 +311,10 @@ func (s *Store) flush() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	if _, err := s.f.WriteAt(s.buf, s.end); err != nil {
+	if err := at(s.crashHook, "write", func() error {
+		_, err := s.f.WriteAt(s.buf, s.end)
+		return err
+	}); err != nil {
 		return err
 	}
 	s.end += int64(len(s.buf))
@@ -315,11 +336,14 @@ func (s *Store) grow() error {
 	}
 	target := s.end + step
 	for off := s.alloc; off < target; {
-		n, err := s.f.WriteAt(zeros[:min(int64(len(zeros)), target-off)], off)
-		if err != nil {
+		chunk := zeros[:min(int64(len(zeros)), target-off)]
+		if err := at(s.crashHook, "grow", func() error {
+			_, err := s.f.WriteAt(chunk, off) // a short write returns an error
+			return err
+		}); err != nil {
 			return fmt.Errorf("kvstore: grow: %w", err)
 		}
-		off += int64(n)
+		off += int64(len(chunk))
 	}
 	s.alloc = target
 	return nil
@@ -363,26 +387,34 @@ func (s *Store) Sync() error {
 		s.mu.Unlock()
 		return err
 	}
-	f := s.f
+	f, hook := s.f, s.crashHook
 	s.fileMu.RLock()
 	defer s.fileMu.RUnlock()
 	s.mu.Unlock()
-	return f.Sync()
+	return at(hook, "sync", f.Sync)
 }
 
-// SetCrashHook installs a crash-injection hook (tests only; see crashHook).
-func (s *Store) SetCrashHook(h func(point string)) {
+// SetCrashHook installs the hook that runs at every fault point (see the
+// package comment): it may copy the log directory, as a crash there would
+// leave it, or return an error, which the store returns in place of the
+// call at that point. Tests only; nil removes it.
+func (s *Store) SetCrashHook(h func(point string) error) {
 	s.mu.Lock()
 	s.crashHook = h
 	s.mu.Unlock()
 }
 
-// hook must be called with s.mu held (it reads crashHook); the hook itself
-// only inspects the filesystem, never the store, so no lock ordering issue.
-func (s *Store) hook(point string) {
-	if s.crashHook != nil {
-		s.crashHook(point)
+// at makes the durability call at point: it runs hook (nil for none) and
+// then, unless the hook returned an error, call, and returns the hook's
+// error or the call's. The hook itself only inspects the filesystem, never
+// the store, so it may run under s.mu.
+func at(hook func(point string) error, point string, call func() error) error {
+	if hook != nil {
+		if err := hook(point); err != nil {
+			return err
+		}
 	}
+	return call()
 }
 
 // Size returns the log's logical size in bytes: the header and every record,
@@ -461,15 +493,17 @@ func (s *Store) Rewrite(prefix func(add func(key string, value []byte) error) er
 		}
 	}
 	if err == nil {
-		err = tw.Flush()
+		err = at(s.crashHook, "compact.flush", func() error {
+			if err := tw.Flush(); err != nil {
+				return err
+			}
+			hdr = header(after)
+			_, err := tmp.WriteAt(hdr[:], 0)
+			return err
+		})
 	}
 	if err == nil {
-		hdr = header(after)
-		_, err = tmp.WriteAt(hdr[:], 0)
-	}
-	if err == nil {
-		s.hook("compact.written")
-		err = tmp.Sync()
+		err = at(s.crashHook, "compact.written", tmp.Sync)
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -478,23 +512,25 @@ func (s *Store) Rewrite(prefix func(add func(key string, value []byte) error) er
 		os.Remove(tmpPath)
 		return before, before, fmt.Errorf("kvstore: rewrite: %w", err)
 	}
-	s.hook("compact.synced")
-	if err = os.Rename(tmpPath, s.path); err != nil {
+	if err = at(s.crashHook, "compact.synced", func() error { return os.Rename(tmpPath, s.path) }); err != nil {
 		os.Remove(tmpPath)
 		return before, before, fmt.Errorf("kvstore: rewrite rename: %w", err)
 	}
-	s.hook("compact.renamed")
 	// Persist the rename itself. Failing to open the directory is tolerated
 	// (some filesystems refuse it), but once we hold the handle a failed
 	// fsync means the rename may not survive a crash — the old, compacted-
 	// away log could resurface.
-	var dirErr error
-	if d, derr := os.Open(filepath.Dir(s.path)); derr == nil {
-		dirErr = d.Sync()
-		if cerr := d.Close(); dirErr == nil {
-			dirErr = cerr
+	dirErr := at(s.crashHook, "compact.renamed", func() error {
+		d, err := os.Open(filepath.Dir(s.path))
+		if err != nil {
+			return nil
 		}
-	}
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	})
 
 	// The old file object points at the renamed-over inode; writing through
 	// it would be silent data loss. If the new file cannot be opened, f is
@@ -526,7 +562,7 @@ func (s *Store) Close() error {
 	}
 	err := s.flush()
 	if err == nil && s.alloc > s.end {
-		err = s.f.Truncate(s.end)
+		err = at(s.crashHook, "truncate", func() error { return s.f.Truncate(s.end) })
 	}
 	s.fileMu.Lock()
 	if cerr := s.f.Close(); err == nil {

@@ -369,11 +369,14 @@ func TestRewriteCrashHookPoints(t *testing.T) {
 	defer s.Close()
 	s.Set("k", []byte("v"))
 	var points []string
-	s.SetCrashHook(func(p string) { points = append(points, p) })
+	s.SetCrashHook(func(p string) error {
+		points = append(points, p)
+		return nil
+	})
 	if _, _, err := s.Rewrite(nil, keepAll); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"compact.written", "compact.synced", "compact.renamed"}
+	want := []string{"write", "compact.flush", "compact.written", "compact.synced", "compact.renamed"}
 	if len(points) != len(want) {
 		t.Fatalf("points %v", points)
 	}

@@ -22,9 +22,9 @@ func fill(s *Store, i, n int) *core.Chain {
 }
 
 // TestGCPendingScansOnlyMarkedChains: the incremental collector visits only
-// chains enqueued via MarkGC; unmarked stale chains are left to the full
-// sweep. This is the property that keeps the background GC from re-scanning
-// the whole store every tick.
+// chains enqueued via MarkGC; unmarked stale chains wait until they are
+// marked. This is the property that keeps the background GC from
+// re-scanning the whole store every tick.
 func TestGCPendingScansOnlyMarkedChains(t *testing.T) {
 	s := New(2)
 	marked := fill(s, 0, 5)
@@ -40,9 +40,10 @@ func TestGCPendingScansOnlyMarkedChains(t *testing.T) {
 	if n := unmarked.Len(); n != 5 {
 		t.Fatalf("unmarked chain has %d versions, want 5 (untouched)", n)
 	}
-	// The full sweep still covers everything.
-	if pruned := s.GC(100); pruned != 4 {
-		t.Fatalf("full GC pruned %d, want 4 (the unmarked chain)", pruned)
+	// Marked, the other chain is collected too.
+	s.MarkGC(unmarked)
+	if pruned := s.GCPending(100); pruned != 4 {
+		t.Fatalf("GCPending pruned %d once the other chain was marked, want 4", pruned)
 	}
 }
 

@@ -147,7 +147,7 @@ func (s *Store) Lookup(k core.Key) *core.Chain {
 	return s.shards[s.shardOf(h)].table.Load().find(k, h)
 }
 
-// ForEach visits every chain (full GC, recovery, checkpointing): one table
+// ForEach visits every chain (a checkpoint's snapshot): one table
 // snapshot per shard, so each chain at most once, and every chain created
 // before the call. Chains created during the call may or may not appear.
 func (s *Store) ForEach(f func(*core.Chain)) {
@@ -184,6 +184,14 @@ func (s *Store) MarkGC(c *core.Chain) {
 // write set, not the keyspace — the previous full-keyspace scan every
 // interval was the single largest CPU consumer in YCSB profiles. Returns
 // versions pruned.
+//
+// A committed version is reclaimed when a newer committed version exists at
+// or below the watermark (the minimum begin timestamp among active
+// transactions), so no active or future snapshot can reach it. This is the
+// epoch rule of §4.5.3 with the epoch boundary expressed as a timestamp
+// watermark: all CCs in this codebase order reads by oracle timestamps, so
+// "every CC confirms it will never order a transaction before the epoch"
+// reduces to the watermark comparison.
 func (s *Store) GCPending(watermark uint64) int {
 	total := 0
 	for _, sh := range s.shards {
@@ -203,23 +211,6 @@ func (s *Store) GCPending(watermark uint64) int {
 			}
 		}
 	}
-	return total
-}
-
-// GC prunes every chain against the given watermark (the minimum begin
-// timestamp among active transactions): a committed version is reclaimed
-// when a newer committed version exists at or below the watermark, so no
-// active or future snapshot can reach it. Returns versions pruned.
-//
-// This is the epoch rule of §4.5.3 with the epoch boundary expressed as a
-// timestamp watermark: all CCs in this codebase order reads by oracle
-// timestamps, so "every CC confirms it will never order a transaction before
-// the epoch" reduces to the watermark comparison. The background collector
-// uses the incremental GCPending instead; this full sweep remains for tests
-// and explicit maintenance.
-func (s *Store) GC(watermark uint64) int {
-	total := 0
-	s.ForEach(func(c *core.Chain) { total += c.GC(watermark) })
 	return total
 }
 

@@ -153,13 +153,15 @@ func TestStoreGC(t *testing.T) {
 			c.Install(&core.Version{Writer: w, Value: []byte(fmt.Sprint(v))})
 		}
 		c.Unlock()
+		s.MarkGC(c) // as the engine does for a chain it grows past one version
 	}
-	pruned := s.GC(35) // newest <= 35 is ts 30: ts 10, 20 reclaimable
+	pruned := s.GCPending(35) // newest <= 35 is ts 30: ts 10, 20 reclaimable
 	if pruned != 10*2 {
 		t.Fatalf("pruned %d, want 20", pruned)
 	}
-	// Idempotent.
-	if again := s.GC(35); again != 0 {
+	// Idempotent: the chains, still holding three versions, are marked
+	// again, and a second pass at the same watermark prunes nothing.
+	if again := s.GCPending(35); again != 0 {
 		t.Fatalf("second GC pruned %d", again)
 	}
 }
@@ -180,25 +182,26 @@ func TestGCKeepsPendingAndWatermarkVersion(t *testing.T) {
 	pending := &core.Version{Writer: core.NewTxn(99, "w", 0, 40), Value: []byte("pending")}
 	c.Install(pending)
 	c.Unlock()
+	s.MarkGC(c) // each pass marks it again: it keeps more than one version
 
 	// Watermark below every commit: nothing reclaimable.
-	if pruned := s.GC(5); pruned != 0 {
-		t.Fatalf("GC(5) pruned %d, want 0", pruned)
+	if pruned := s.GCPending(5); pruned != 0 {
+		t.Fatalf("GCPending(5) pruned %d, want 0", pruned)
 	}
 	// Watermark at 25: newest committed <= 25 is ts 20, so only ts 10 goes.
-	if pruned := s.GC(25); pruned != 1 {
-		t.Fatalf("GC(25) pruned %d, want 1", pruned)
+	if pruned := s.GCPending(25); pruned != 1 {
+		t.Fatalf("GCPending(25) pruned %d, want 1", pruned)
 	}
 	if n := c.Len(); n != 3 {
-		t.Fatalf("after GC(25): %d versions, want 3 (20, 30, pending)", n)
+		t.Fatalf("after GCPending(25): %d versions, want 3 (20, 30, pending)", n)
 	}
 	// Watermark above everything: ts 30 is the snapshot floor, ts 20 goes;
 	// the pending version must survive any watermark.
-	if pruned := s.GC(100); pruned != 1 {
-		t.Fatalf("GC(100) pruned %d, want 1", pruned)
+	if pruned := s.GCPending(100); pruned != 1 {
+		t.Fatalf("GCPending(100) pruned %d, want 1", pruned)
 	}
 	if n := c.Len(); n != 2 {
-		t.Fatalf("after GC(100): %d versions, want 2 (30, pending)", n)
+		t.Fatalf("after GCPending(100): %d versions, want 2 (30, pending)", n)
 	}
 	c.Lock()
 	v := c.LatestCommitted()

@@ -411,11 +411,12 @@ func TestCheckpointDropsQueuedCoveredRecords(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(Options{
 		Dir: dir, EpochInterval: time.Hour,
-		CrashHook: func(point string) {
+		CrashHook: func(point string) error {
 			if point == "append" && appends.Add(1) == 1 {
 				close(parked)
 				<-release
 			}
+			return nil
 		},
 	})
 	if err != nil {

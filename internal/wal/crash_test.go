@@ -14,9 +14,9 @@ import (
 	"repro/internal/core"
 )
 
-// Crash-point torture harness. The WAL's CrashHook fires at every
-// durability-critical boundary (append -> flush -> seal -> compaction
-// write/sync/rename). Killing the process at such a boundary leaves exactly
+// Crash-point torture harness. The WAL's CrashHook runs at every crash and
+// fault point: the appender's append/flush/seal and each durability call of
+// the log store. Killing the process at such a point leaves exactly
 // the bytes already written to the OS file — buffered user-space data dies
 // with the process — so the harness simulates the kill by copying the log
 // directory inside the hook, while the system keeps running. Each copy is
@@ -95,13 +95,13 @@ func newCrashCapture(t testing.TB, src, dst string, perPoint int, ackMu *sync.Mu
 	}
 }
 
-func (c *crashCapture) hook(point string) {
+func (c *crashCapture) hook(point string) error {
 	c.mu.Lock()
 	c.hits[point]++
 	h := c.hits[point]
 	if c.captured[point] >= c.perPoint || h&(h-1) != 0 {
 		c.mu.Unlock()
-		return
+		return nil
 	}
 	c.captured[point]++
 	n := len(c.images)
@@ -124,6 +124,7 @@ func (c *crashCapture) hook(point string) {
 	c.images[n].dir = dst
 	c.images[n].acked = snap
 	c.mu.Unlock()
+	return nil
 }
 
 func (c *crashCapture) snapshot() []crashImage {

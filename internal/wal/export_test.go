@@ -5,37 +5,41 @@ import (
 	"sync/atomic"
 )
 
-// ErrInjected is the fsync failure a FlakyDevice injects.
-var ErrInjected = errors.New("injected fsync failure")
+// ErrInjected is the error fault tests return from the crash hook in place
+// of a durability call.
+var ErrInjected = errors.New("injected fault")
 
-// FlakyDevice wraps a Manager's log device for fault-injection tests (in this
-// package and, through this file, in the engine-level ones of package
-// wal_test): once armed, the next Sync fails without reaching the disk.
-type FlakyDevice struct {
-	logDevice
-	failNext atomic.Bool
-	syncs    atomic.Int64
+// SetCrashHook installs h as m's crash hook, on the Manager and on its
+// store, for the fault tests of package wal_test, which open the log through
+// the engine. Call it before the first request reaches the appender: the
+// write is ordered before the appender's reads only by that request's
+// channel send.
+func SetCrashHook(m *Manager, h func(point string) error) {
+	m.opts.CrashHook = h
+	m.st.SetCrashHook(h)
 }
 
-// InstallFlakyDevice swaps m's log device for a FlakyDevice. Call it before
-// the first request reaches the appender: the swap is ordered before the
-// appender's reads only by that request's channel send.
-func InstallFlakyDevice(m *Manager) *FlakyDevice {
-	d := &FlakyDevice{logDevice: m.app.dev}
-	m.app.dev = d
-	return d
+// SyncFault is a crash hook that, once armed, fails the next fsync of the
+// log: the store's "sync" point returns ErrInjected instead of fsyncing.
+type SyncFault struct {
+	armed atomic.Bool
+	syncs atomic.Int64
 }
 
-// FailNextSync arms the one-shot failure.
-func (d *FlakyDevice) FailNextSync() { d.failNext.Store(true) }
+// Arm makes the next "sync" point fail.
+func (f *SyncFault) Arm() { f.armed.Store(true) }
 
-// Syncs counts the fsyncs that reached the disk.
-func (d *FlakyDevice) Syncs() int64 { return d.syncs.Load() }
+// Syncs counts the "sync" points the hook let through to the fsync.
+func (f *SyncFault) Syncs() int64 { return f.syncs.Load() }
 
-func (d *FlakyDevice) Sync() error {
-	if d.failNext.CompareAndSwap(true, false) {
+// Hook is the crash hook.
+func (f *SyncFault) Hook(point string) error {
+	if point != "sync" {
+		return nil
+	}
+	if f.armed.CompareAndSwap(true, false) {
 		return ErrInjected
 	}
-	d.syncs.Add(1)
-	return d.logDevice.Sync()
+	f.syncs.Add(1)
+	return nil
 }

@@ -30,7 +30,7 @@ func TestEngineFailStopsOnLogError(t *testing.T) {
 		LockTimeout:    2 * time.Second,
 		DurabilityDir:  dir,
 		DurabilitySync: true,
-		GCPEpoch:       time.Hour, // no seal reaches the appender before the device swap
+		GCPEpoch:       time.Hour, // no seal reaches the appender before the hook is set
 	}
 	specs := []*core.Spec{{Name: "put", Tables: []string{"kv"}, WriteTables: []string{"kv"}}}
 	cfg := engine.G(engine.Kind2PL, []string{"put"})
@@ -38,7 +38,8 @@ func TestEngineFailStopsOnLogError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := wal.InstallFlakyDevice(e.Wal())
+	var fault wal.SyncFault
+	wal.SetCrashHook(e.Wal(), fault.Hook)
 	put := func(i int) error {
 		return e.RunTxn("put", 0, func(tx *engine.Tx) error {
 			if err := tx.Write(core.KeyOf("kv", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -51,7 +52,7 @@ func TestEngineFailStopsOnLogError(t *testing.T) {
 		t.Fatalf("commit before the failure: %v", err)
 	}
 
-	dev.FailNextSync()
+	fault.Arm()
 	const racers = 8
 	errs := make([]error, racers)
 	var wg sync.WaitGroup
@@ -156,12 +157,13 @@ func TestServedCommitFailStops(t *testing.T) {
 		LockTimeout:    2 * time.Second,
 		DurabilityDir:  t.TempDir(),
 		DurabilitySync: true,
-		GCPEpoch:       time.Hour, // no seal reaches the appender before the device swap
+		GCPEpoch:       time.Hour, // no seal reaches the appender before the hook is set
 	}, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := wal.InstallFlakyDevice(db.Engine().Wal())
+	var fault wal.SyncFault
+	wal.SetCrashHook(db.Engine().Wal(), fault.Hook)
 	srv := server.New(db, server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -216,7 +218,7 @@ func TestServedCommitFailStops(t *testing.T) {
 	if got := walFailed(); got != "0" {
 		t.Fatalf("tebaldi_wal_failed %s before the failed flush, want 0", got)
 	}
-	dev.FailNextSync()
+	fault.Arm()
 	for _, row := range []string{"failed flush", "poisoned log"} {
 		err := put(row)
 		var we *server.WireError

@@ -54,30 +54,21 @@ type appendReq struct {
 	tk      *Ticket
 }
 
-// logDevice is what the appender needs of the log store. *kvstore.Store is
-// the only implementation outside tests, which substitute a failing one.
-type logDevice interface {
-	Set(key string, value []byte) error
-	Sync() error
-}
-
 // appender is the log's single writer: it drains its queue, appends every
 // record waiting in it — one store record per transaction — and, under
 // SyncCommit, fsyncs once for all of them (leader/follower group commit; the
 // "leader" is the appender goroutine, committers are all followers).
 type appender struct {
 	m      *Manager
-	dev    logDevice
 	ch     chan appendReq
 	marker uint64 // newest epoch marker written to the log
 	mark   [8]byte
 	exited chan struct{}
 }
 
-func newAppender(m *Manager, dev logDevice) *appender {
+func newAppender(m *Manager) *appender {
 	return &appender{
-		m:   m,
-		dev: dev,
+		m: m,
 		// Deep enough that stagers, who send while holding the stage
 		// lock, do not block behind an fsync.
 		ch:     make(chan appendReq, 4096),
@@ -143,12 +134,14 @@ func (a *appender) flush(batch []appendReq) {
 	start := time.Now()
 	err := a.m.Err()
 	if err == nil {
-		if err = a.write(batch, records, maxEpoch, sync); err != nil {
+		err = a.write(batch, records, maxEpoch, sync)
+		if err == nil && sealed {
+			err = a.m.hook("seal")
+		} else if err == nil && sync {
+			err = a.m.hook("flush")
+		}
+		if err != nil {
 			err = a.m.fail(err)
-		} else if sealed {
-			a.m.hook("seal")
-		} else if sync {
-			a.m.hook("flush")
 		}
 	}
 	if records > 0 {
@@ -180,23 +173,25 @@ func (a *appender) flush(batch []appendReq) {
 func (a *appender) write(batch []appendReq, records int, maxEpoch uint64, sync bool) error {
 	for _, r := range batch {
 		if r.kind == recTxn {
-			if err := a.dev.Set(txnKey, r.payload); err != nil {
+			if err := a.m.st.Set(txnKey, r.payload); err != nil {
 				return err
 			}
 		}
 	}
 	if records > 0 {
-		a.m.hook("append")
+		if err := a.m.hook("append"); err != nil {
+			return err
+		}
 	}
 	if maxEpoch > a.marker {
 		binary.LittleEndian.PutUint64(a.mark[:], maxEpoch)
-		if err := a.dev.Set(epochKey, a.mark[:]); err != nil {
+		if err := a.m.st.Set(epochKey, a.mark[:]); err != nil {
 			return err
 		}
 		a.marker = maxEpoch
 	}
 	if sync {
-		return a.dev.Sync()
+		return a.m.st.Sync()
 	}
 	return nil
 }

@@ -72,11 +72,12 @@ func TestOneFsyncAcksEveryQueuedCommitter(t *testing.T) {
 	var batches []int
 	m, err := Open(Options{
 		Dir: t.TempDir(), Shards: 4, EpochInterval: time.Hour, SyncCommit: true,
-		CrashHook: func(point string) {
+		CrashHook: func(point string) error {
 			if point == "flush" && flushes.Add(1) == 1 {
 				close(parked)
 				<-release
 			}
+			return nil
 		},
 		Observer: func(records int, _ time.Duration, err error) {
 			if err != nil {
@@ -130,13 +131,15 @@ func TestLogErrorIsSticky(t *testing.T) {
 	parked, release := make(chan struct{}), make(chan struct{})
 	var appends atomic.Int32
 	var failedBatches atomic.Int32
+	var fault SyncFault
 	m, err := Open(Options{
 		Dir: dir, Shards: 2, EpochInterval: time.Hour, SyncCommit: true,
-		CrashHook: func(point string) {
+		CrashHook: func(point string) error {
 			if point == "append" && appends.Add(1) == 2 {
 				close(parked)
 				<-release
 			}
+			return fault.Hook(point)
 		},
 		Observer: func(_ int, _ time.Duration, err error) {
 			if err != nil {
@@ -147,14 +150,12 @@ func TestLogErrorIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := InstallFlakyDevice(m)
-
 	if err := stageTxn(t, m, 1, 2).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	syncsBefore := dev.Syncs()
+	syncsBefore := fault.Syncs()
 
-	dev.FailNextSync()
+	fault.Arm()
 	inBatch := stageTxn(t, m, 2, 2)
 	<-parked // batch 2 is appended; its fsync will fail
 	queued := []*Ticket{stageTxn(t, m, 3, 1), stageTxn(t, m, 4, 2)}
@@ -184,7 +185,7 @@ func TestLogErrorIsSticky(t *testing.T) {
 	if ferr := m.flushEpoch(); !errors.Is(ferr, ErrInjected) {
 		t.Fatalf("seal on a poisoned log got %v", ferr)
 	}
-	if got := dev.Syncs(); got != syncsBefore {
+	if got := fault.Syncs(); got != syncsBefore {
 		t.Fatalf("%d fsyncs reached the disk after the failure", got-syncsBefore)
 	}
 	if failedBatches.Load() == 0 {

@@ -107,13 +107,16 @@ type Options struct {
 	// latency and any error. The engine wires this to its batch-size /
 	// flush-latency counters.
 	Observer func(records int, d time.Duration, err error)
-	// CrashHook, when non-nil, is invoked at every durability-critical
-	// boundary (append, flush, seal, and the checkpoint rewrite's
-	// write/sync/rename inside kvstore). Crash-point torture tests copy the
-	// log directory inside the hook — the copy is exactly the state a
-	// process kill at that boundary would leave — and assert recovery from
-	// it. Nil in production.
-	CrashHook func(point string)
+	// CrashHook, when non-nil, runs at every crash and fault point: the
+	// appender's append (records set, before the marker and the fsync),
+	// flush and seal (after a batch's fsync), and, from Open on, every
+	// point of the log store (kvstore's package comment). Crash tests copy
+	// the log directory inside the hook — the state a process kill there
+	// would leave — and recover the copy. Fault tests return an error: at a
+	// store point it replaces the call there, and in the appender it fails
+	// the batch as a write error would, so the log is poisoned (Err). Nil
+	// in production.
+	CrashHook func(point string) error
 }
 
 // KV is one logged write.
@@ -194,6 +197,9 @@ func Open(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.CrashHook != nil {
+		st.SetCrashHook(opts.CrashHook)
+	}
 	if ls.rec.Discarded > 0 {
 		// Records whose epoch the frontier does not cover were discarded;
 		// once this life seals past their epoch they would look durable.
@@ -203,13 +209,10 @@ func Open(opts Options) (*Manager, error) {
 			return nil, errors.Join(err, st.Close())
 		}
 	}
-	if opts.CrashHook != nil {
-		st.SetCrashHook(opts.CrashHook)
-	}
 	m := &Manager{opts: opts, st: st, durableEpoch: ls.frontier, stop: make(chan struct{}), done: make(chan struct{})}
 	m.durableCond = sync.NewCond(&m.mu)
 	m.recovered.Store(ls.rec)
-	m.app = newAppender(m, st)
+	m.app = newAppender(m)
 	m.app.marker = ls.frontier
 	m.epoch.Store(ls.frontier + 1)
 	go m.app.run()
@@ -231,10 +234,11 @@ func (m *Manager) observe(records int, d time.Duration, err error) {
 	}
 }
 
-func (m *Manager) hook(point string) {
-	if m.opts.CrashHook != nil {
-		m.opts.CrashHook(point)
+func (m *Manager) hook(point string) error {
+	if m.opts.CrashHook == nil {
+		return nil
 	}
+	return m.opts.CrashHook(point)
 }
 
 // Epoch returns the current GCP epoch id.
@@ -389,14 +393,15 @@ func (m *Manager) flusher() {
 	defer close(m.done)
 	t := time.NewTicker(m.opts.EpochInterval)
 	defer t.Stop()
+	// A failed seal poisons the log (Manager.Err), which Close, every later
+	// stager and WaitDurable report, so its error is not kept here; the
+	// final seal must not block Close.
 	for {
 		select {
 		case <-m.stop:
-			//lint:allow syncerr -- a failed seal poisons the log (Manager.Err), which Close and every later stager report; the final flush must not block Close
 			m.flushEpoch()
 			return
 		case <-t.C:
-			//lint:allow syncerr -- a failed seal poisons the log (Manager.Err), which every later stager and WaitDurable report
 			m.flushEpoch()
 		}
 	}
